@@ -1,18 +1,18 @@
 """Exhaustive mod-2 verification engine for small genus.
 
-Matrices over Z/2 are bit-packed row-major into Python ints (row i occupies
-bits [i*2g, (i+1)*2g), bit j of a row is the entry in column j); vectors pack
-coordinate j into bit j.  The group closure itself is vectorized with numpy,
-everything downstream is plain integer bit twiddling.
+An element of Sp(2g, Z/2) is keyed by its packed columns (see mod2) side by
+side in one int: column j occupies bits [j*2g, (j+1)*2g).  The group
+closure, the Cayley-edge certificate and the all-pairs sweep are vectorized
+with numpy, imported only inside them; everything else is packed-int
+arithmetic from mod2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
+from . import mod2
 from .errors import GenusTooLarge, SpecMismatch, TooLarge
 from .framing import Framing, spin_form
 
@@ -28,72 +28,26 @@ def sp2_order(g: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# packed-bit helpers
-
-
-def _even_mask(w: int) -> int:
-    m = 0
-    for i in range(0, w, 2):
-        m |= 1 << i
-    return m
-
-
-def dual_packed(v: int, w: int) -> int:
-    """Packed functional <v, .>: swap the (x, y) bit of every handle."""
-    em = _even_mask(w)
-    return ((v >> 1) & em) | ((v & em) << 1)
-
-
-def quad_packed(basis_bits: int, v: int, w: int) -> int:
-    """Quadratic-extension value on a packed mod-2 vector."""
-    total = (basis_bits & v).bit_count()
-    total += (v & (v >> 1) & _even_mask(w)).bit_count()
-    return total & 1
-
-
-def pack_rows(rows: list[int], w: int) -> int:
-    key = 0
-    for i, r in enumerate(rows):
-        key |= r << (i * w)
-    return key
-
-
-def unpack_rows(key: int, w: int) -> list[int]:
-    mask = (1 << w) - 1
-    return [(key >> (i * w)) & mask for i in range(w)]
-
-
-def key_to_matrix(key: int, w: int) -> Mat:
-    return tuple(
-        tuple((row >> j) & 1 for j in range(w)) for row in unpack_rows(key, w)
-    )
+# group keys
 
 
 def matrix_to_key(mat: Mat) -> int:
     w = len(mat)
-    rows = [sum((v & 1) << j for j, v in enumerate(row)) for row in mat]
-    return pack_rows(rows, w)
+    return sum(c << (j * w) for j, c in enumerate(mod2.columns(mat)))
 
 
-def transvection_rows(v: int, w: int) -> list[int]:
-    """Rows of the mod-2 transvection about packed vector v."""
-    jv = dual_packed(v, w)
-    return [(1 << i) ^ (jv if (v >> i) & 1 else 0) for i in range(w)]
+def key_columns(key: int, w: int) -> list[int]:
+    mask = (1 << w) - 1
+    return [(key >> (j * w)) & mask for j in range(w)]
 
 
-def columns_of(key: int, w: int) -> list[int]:
-    rows = unpack_rows(key, w)
-    return [
-        sum(((rows[i] >> j) & 1) << i for i in range(w)) for j in range(w)
-    ]
+def _spread(bits: int, w: int) -> int:
+    """Key with a 1 at the bottom of column slot j for every bit j of bits.
 
-
-def pullback_packed(cols: list[int], bits: int) -> int:
-    """S^T action on a packed functional, given the columns of S."""
-    out = 0
-    for j, col in enumerate(cols):
-        out |= ((col & bits).bit_count() & 1) << j
-    return out
+    Multiplying a packed vector u by it puts a copy of u in each such slot,
+    so key ^ (S v) * _spread(<., v>) is the key of S T_v = S + (S v) <., v>.
+    """
+    return sum(1 << (j * w) for j in range(w) if (bits >> j) & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +69,6 @@ class Mod2Group:
     parent: list[int]
     gen_of: list[int]
     gens: list[int]
-    luts: list[np.ndarray] = field(repr=False, default_factory=list)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -125,86 +78,101 @@ class Mod2Group:
         return 2 * self.g
 
     def matrix(self, i: int) -> Mat:
-        return key_to_matrix(self.keys[i], self.w)
+        cols = key_columns(self.keys[i], self.w)
+        return tuple(tuple((c >> r) & 1 for c in cols) for r in range(self.w))
 
     def lookup(self, mat_or_key) -> int:
         key = mat_or_key if isinstance(mat_or_key, int) else matrix_to_key(mat_or_key)
         return self.index[key]
 
     def mul_gen(self, key: int, gi: int) -> int:
-        """key * T_{gens[gi]} via the generator's row-combination table."""
-        lut = self.luts[gi]
-        out = 0
-        for i, row in enumerate(unpack_rows(key, self.w)):
-            out |= int(lut[row]) << (i * self.w)
-        return out
+        """key * T_{gens[gi]} by the rank-one update."""
+        v, w = self.gens[gi], self.w
+        return key ^ mod2.apply(key_columns(key, w), v) * _spread(mod2.dual(v, w), w)
+
+
+def _right_products(keys, w: int):
+    """Yield (gi, keys * T_v) for every generator v = gi + 1, keys a uint64 array.
+
+    Generators come in Gray-code order, so S v changes by one column per
+    step and each product is one multiply and one xor per element.
+    """
+    import numpy as np
+
+    shifts = np.arange(w, dtype=np.uint64) * np.uint64(w)
+    cols = (keys[:, None] >> shifts[None, :]) & np.uint64((1 << w) - 1)
+    sv = np.zeros(len(keys), dtype=np.uint64)
+    for k in range(1, 1 << w):
+        sv ^= cols[:, (k & -k).bit_length() - 1]
+        v = k ^ (k >> 1)
+        yield v - 1, keys ^ (sv * np.uint64(_spread(mod2.dual(v, w), w)))
+
+
+def _key_index(keys: list[int]):
+    """Map from uint64 arrays of element keys to the elements' indices."""
+    import numpy as np
+
+    arr = np.array(keys, dtype=np.uint64)
+    order = np.argsort(arr)
+    ordered = arr[order]
+
+    def index(prods):
+        pos = np.minimum(np.searchsorted(ordered, prods), len(arr) - 1)
+        if not np.array_equal(ordered[pos], prods):
+            raise KeyError("product outside the enumerated group")
+        return order[pos]
+
+    return index
 
 
 @lru_cache(maxsize=None)
 def enumerate_sp2(g: int) -> Mod2Group:
     """Breadth-first closure of all mod-2 transvections (g = 2 or 3).
 
-    g=2 closes in well under a second (720 elements); g=3 takes on the order
-    of a minute or two (1 451 520 elements) and is meant to be opt-in.
+    g=2 closes in well under a second (720 elements).  g=3 (1 451 520
+    elements) is opt-in: it took 175 s and 448 MB peak RSS on a 2-core
+    machine with Python 3.11.
     """
     if g not in (2, 3):
         raise GenusTooLarge("exhaustive enumeration supports g = 2 and 3 only")
-    w = 2 * g
-    mask = (1 << w) - 1
-    gens = list(range(1, 1 << w))
-    luts = []
-    for v in gens:
-        trows = transvection_rows(v, w)
-        lut = [0] * (1 << w)
-        for r in range(1, 1 << w):
-            low = r & (-r)
-            lut[r] = lut[r ^ low] ^ trows[low.bit_length() - 1]
-        luts.append(np.array(lut, dtype=np.uint64))
+    import numpy as np
 
-    ident = pack_rows([1 << i for i in range(w)], w)
+    w = 2 * g
+    ident = sum(1 << (j * w + j) for j in range(w))
     keys: list[int] = [ident]
     index: dict[int, int] = {ident: 0}
     parent = [-1]
     gen_of = [-1]
     frontier = [0]
-    shifts = np.arange(w, dtype=np.uint64) * np.uint64(w)
-    npmask = np.uint64(mask)
 
     while frontier:
-        arr = np.array([keys[i] for i in frontier], dtype=np.uint64)
-        rows = (arr[:, None] >> shifts[None, :]) & npmask
         known = np.array(keys, dtype=np.uint64)
         known.sort()
         nxt: list[int] = []
-        for gi, lut in enumerate(luts):
-            prod_rows = lut[rows]
-            prod = np.zeros(len(arr), dtype=np.uint64)
-            for c in range(w):
-                prod |= prod_rows[:, c] << shifts[c]
+        arr = np.array([keys[i] for i in frontier], dtype=np.uint64)
+        for gi, prod in _right_products(arr, w):
             fresh = np.nonzero(~np.isin(prod, known))[0]
-            for k in fresh.tolist():
-                key = int(prod[k])
+            for i in fresh.tolist():
+                key = int(prod[i])
                 if key not in index:
                     index[key] = len(keys)
                     keys.append(key)
-                    parent.append(frontier[k])
+                    parent.append(frontier[i])
                     gen_of.append(gi)
                     nxt.append(index[key])
         frontier = nxt
 
-    return Mod2Group(g, keys, index, parent, gen_of, gens, luts)
+    return Mod2Group(g, keys, index, parent, gen_of, list(range(1, 1 << w)))
 
 
 # ---------------------------------------------------------------------------
 # the crossed homomorphism on the enumerated group
 
 
-def _parity_basis_bits(f: Framing) -> int:
-    """Packed basis values of the quadratic extension q_phi (winding + 1)."""
-    bits = 0
-    for j, wv in enumerate(f.curve_windings()):
-        bits |= ((wv + 1) & 1) << j
-    return bits
+def _letter_values(group: Mod2Group, f: Framing) -> list[int]:
+    """Packed value P(v) <., v> of every generator T_v, P the winding parity."""
+    w, qphi = group.w, f.qphi
+    return [0 if mod2.quad(qphi, v, w) else mod2.dual(v, w) for v in group.gens]
 
 
 def theta_table(group: Mod2Group, f: Framing) -> list[int]:
@@ -217,21 +185,12 @@ def theta_table(group: Mod2Group, f: Framing) -> list[int]:
     if f.spec.g != group.g:
         raise SpecMismatch("framing genus does not match the enumerated group")
     w = group.w
-    qbits = _parity_basis_bits(f)
-    gen_jv = [dual_packed(v, w) for v in group.gens]
-    gen_val = [
-        jv if (quad_packed(qbits, v, w) ^ 1) else 0
-        for v, jv in zip(group.gens, gen_jv)
-    ]
+    values = _letter_values(group, f)
     thetas = [0] * len(group)
     for idx in range(1, len(group)):
-        p = group.parent[idx]
         gi = group.gen_of[idx]
-        v = group.gens[gi]
-        th = thetas[p]
-        if (th & v).bit_count() & 1:
-            th ^= gen_jv[gi]
-        thetas[idx] = th ^ gen_val[gi]
+        th = mod2.pull_transvection(thetas[group.parent[idx]], group.gens[gi], w)
+        thetas[idx] = th ^ values[gi]
     return thetas
 
 
@@ -241,21 +200,20 @@ def check_theta_edges(group: Mod2Group, f: Framing) -> bool:
     Together with value 0 at the identity this certifies that the table is a
     well-defined crossed homomorphism on the whole group.
     """
+    import numpy as np
+
     thetas = theta_table(group, f)
     w = group.w
-    gen_jv = [dual_packed(v, w) for v in group.gens]
-    qbits = _parity_basis_bits(f)
-    gen_val = [
-        jv if (quad_packed(qbits, v, w) ^ 1) else 0
-        for v, jv in zip(group.gens, gen_jv)
-    ]
-    for s, key in enumerate(group.keys):
-        th = thetas[s]
-        for gi, v in enumerate(group.gens):
-            expected = th ^ gen_jv[gi] if (th & v).bit_count() & 1 else th
-            expected ^= gen_val[gi]
-            if thetas[group.index[group.mul_gen(key, gi)]] != expected:
-                return False
+    values = _letter_values(group, f)
+    th = np.array(thetas, dtype=np.int64)
+    parity = np.array([u.bit_count() & 1 for u in range(1 << w)], dtype=np.int64)
+    index = _key_index(group.keys)
+    for gi, prods in _right_products(np.array(group.keys, dtype=np.uint64), w):
+        v = group.gens[gi]
+        # pullback along T_v, then the letter value: the cocycle rule on edge S -> S T_v
+        expected = th ^ parity[th & v] * mod2.dual(v, w) ^ values[gi]
+        if not np.array_equal(th[index(prods)], expected):
+            return False
     return thetas[0] == 0
 
 
@@ -271,10 +229,6 @@ class QFormCensus:
     per_form: tuple[tuple[int, int, int], ...]  # (packed basis bits, arf, stab)
 
 
-def _arf_packed(bits: int, w: int) -> int:
-    return (bits & (bits >> 1) & _even_mask(w)).bit_count() & 1
-
-
 def _form_orbit(bits: int, w: int) -> set[int]:
     """Orbit of a quadratic form under all mod-2 transvections."""
     seen = {bits}
@@ -283,8 +237,8 @@ def _form_orbit(bits: int, w: int) -> set[int]:
         nxt = []
         for b in frontier:
             for v in range(1, 1 << w):
-                if quad_packed(b, v, w) == 0:
-                    b2 = b ^ dual_packed(v, w)
+                if mod2.quad(b, v, w) == 0:
+                    b2 = b ^ mod2.dual(v, w)
                     if b2 not in seen:
                         seen.add(b2)
                         nxt.append(b2)
@@ -307,7 +261,7 @@ def qform_census(g: int) -> QFormCensus:
     per_form = []
     even = odd = 0
     for bits in range(1 << w):
-        a = _arf_packed(bits, w)
+        a = mod2.arf(bits, w)
         if a:
             odd += 1
         else:
@@ -330,47 +284,25 @@ def verify_qhat_crossed(g: int = 2) -> bool:
     """
     if g != 2:
         raise GenusTooLarge("the all-pairs sweep is sized for g = 2")
+    import numpy as np
+
     group = enumerate_sp2(g)
     w = group.w
-    n_el = len(group)
-
-    mats = np.zeros((n_el, w, w), dtype=np.uint8)
-    for i in range(n_el):
-        mats[i] = np.array(group.matrix(i), dtype=np.uint8)
-
-    # multiplication table by key lookup
-    mul = np.zeros((n_el, n_el), dtype=np.int32)
-    weights = (1 << (np.arange(w * w, dtype=np.int64))).reshape(w, w)
-    # key built row-major with bit (i, j) at position i*w + j
-    for a in range(n_el):
-        prods = np.einsum("ij,bjk->bik", mats[a], mats) & 1
-        keys = (prods.astype(np.int64) * weights).sum(axis=(1, 2))
-        mul[a] = [group.index[int(k)] for k in keys]
-
-    cols = [columns_of(key, w) for key in group.keys]
-
-    for rep_bits in (0b0000, 0b0011):  # arf 0 and arf 1 representatives
-        qhat = []
-        for key in group.keys:
-            c = columns_of(key, w)
-            bits = 0
-            for j in range(w):
-                bits |= (
-                    quad_packed(rep_bits, c[j], w)
-                    ^ quad_packed(rep_bits, 1 << j, w)
-                ) << j
-            qhat.append(bits)
-        # pullback tables: for each b, map any of the 2^w functionals
-        pull = [
-            [pullback_packed(cols[b], p) for p in range(1 << w)]
-            for b in range(n_el)
-        ]
-        for a in range(n_el):
-            qa = qhat[a]
-            row = mul[a]
-            for b in range(n_el):
-                if qhat[row[b]] != pull[b][qa] ^ qhat[b]:
-                    return False
+    cols = [key_columns(key, w) for key in group.keys]
+    index = _key_index(group.keys)
+    shifts = np.arange(w, dtype=np.uint64) * np.uint64(w)
+    cols_b = np.array(cols, dtype=np.intp)
+    # pull[b, p]: pullback along B of the functional p
+    pull = np.array([[mod2.pullback(c, p) for p in range(1 << w)] for c in cols])
+    # arf 0 and arf 1 representatives
+    qhats = [np.array([mod2.qhat(rep, c, w) for c in cols]) for rep in (0b0000, 0b0011)]
+    for a, cols_a in enumerate(cols):
+        # column j of AB is A applied to column j of B
+        image = np.array([mod2.apply(cols_a, u) for u in range(1 << w)], dtype=np.uint64)
+        ab = index(np.bitwise_or.reduce(image[cols_b] << shifts, axis=1))
+        for qhat in qhats:
+            if not np.array_equal(qhat[ab], pull[:, qhat[a]] ^ qhat):
+                return False
     return True
 
 
@@ -400,11 +332,7 @@ def kernel_order_mod2(f: Framing, method: str = "auto") -> int:
 
     if method == "structure":
         if even:
-            q = spin_form(f)
-            bits = 0
-            for j, b in enumerate(q.basis_bits()):
-                bits |= b << j
-            stab = sp2_order(g) // len(_form_orbit(bits, w))
+            stab = sp2_order(g) // len(_form_orbit(spin_form(f).packed, w))
             return stab * mfree
         # odd regime: every symplectic part admits exactly this many M blocks
         return sp2_order(g) * (1 << (w * (n - 2)))
@@ -416,13 +344,13 @@ def kernel_order_mod2(f: Framing, method: str = "auto") -> int:
     if len(group) * mfree <= 1 << 22:
         mask = (1 << w) - 1
         for s_idx, key in enumerate(group.keys):
-            cols = columns_of(key, w)
+            cols = key_columns(key, w)
             th_s = thetas[s_idx]
             for mkey in range(mfree):
                 wv = 0
                 for t in vbar_slots:
                     wv ^= (mkey >> (t * w)) & mask
-                if (pullback_packed(cols, dual_packed(wv, w)) ^ th_s) == 0:
+                if mod2.pullback(cols, mod2.dual(wv, w)) == th_s:
                     count += 1
     else:
         for s_idx in range(len(group)):

@@ -35,6 +35,25 @@ from .words import PointPush, Twist, Word, act_framing, standard_alphabet, word_
 # file formats
 
 
+def _int(value: Any, what: str) -> int:
+    # bool is a subclass of int, but JSON true/false is not an integer
+    if type(value) is not int:
+        raise FileFormatError(f"{what} must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
+def _ints(value: Any, what: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise FileFormatError(f"{what} must be a list of integers")
+    return tuple(_int(v, what) for v in value)
+
+
+def _int_rows(value: Any, what: str) -> tuple[tuple[int, ...], ...]:
+    if not isinstance(value, list):
+        raise FileFormatError(f"{what} must be a list of integer rows")
+    return tuple(_ints(row, what) for row in value)
+
+
 def framing_to_dict(f: Framing) -> dict[str, Any]:
     out: dict[str, Any] = {
         "g": f.spec.g,
@@ -57,9 +76,9 @@ def framing_from_dict(data: Any) -> Framing:
     for key in ("g", "kappa", "wind_x", "wind_y"):
         if key not in data:
             raise FileFormatError(f"framing file is missing {key!r}")
-    spec = SurfaceSpec(data["g"], tuple(data["kappa"]))
-    arc2 = tuple(data["arc2"]) if "arc2" in data else None
-    return Framing(spec, tuple(data["wind_x"]), tuple(data["wind_y"]), arc2)
+    spec = SurfaceSpec(_int(data["g"], "g"), _ints(data["kappa"], "kappa"))
+    arc2 = _ints(data["arc2"], "arc2") if "arc2" in data else None
+    return Framing(spec, _ints(data["wind_x"], "wind_x"), _ints(data["wind_y"], "wind_y"), arc2)
 
 
 def paut_to_dict(a: PAutElem) -> dict[str, Any]:
@@ -81,11 +100,12 @@ def paut_from_dict(data: Any) -> PAutElem:
     for key in ("g", "n", "S"):
         if key not in data:
             raise FileFormatError(f"automorphism file is missing {key!r}")
-    g, n = int(data["g"]), int(data["n"])
-    m = data.get("M", [])
-    if m == []:
-        m = [[] for _ in range(2 * g)]
-    return PAutElem(g, n, tuple(tuple(r) for r in data["S"]), tuple(tuple(r) for r in m))
+    g, n = _int(data["g"], "g"), _int(data["n"], "n")
+    s = _int_rows(data["S"], "S")
+    m = _int_rows(data.get("M", []), "M")
+    if m == ():
+        m = ((),) * len(s)  # n = 1; S's shape is checked against g by PAutElem
+    return PAutElem(g, n, s, m)
 
 
 def _load_json(path: str) -> Any:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import mod2
 from .errors import (
     DimensionMismatch,
     InvalidSurface,
@@ -74,62 +75,40 @@ class Framing:
             out.append(wy)
         return tuple(out)
 
+    @property
+    def qphi(self) -> int:
+        """Packed basis values phi(b) + 1 of the quadratic refinement q_phi."""
+        return mod2.pack(w + 1 for w in self.curve_windings())
 
-@dataclass(frozen=True)
-class QVector:
+
+class QVector(mod2.Bits):
     """Basis winding parities, in order (x_1, y_1, ..., x_g, y_g)."""
 
-    bits: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", tuple(int(b) & 1 for b in self.bits))
-        if len(self.bits) % 2 != 0:
-            raise DimensionMismatch("q-vector needs 2g bits")
-
-
-@dataclass(frozen=True)
-class QForm:
+class QForm(mod2.Bits):
     """Quadratic refinement of the mod-2 intersection form, by basis values."""
 
-    qx: tuple[int, ...]
-    qy: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "qx", tuple(int(b) & 1 for b in self.qx))
-        object.__setattr__(self, "qy", tuple(int(b) & 1 for b in self.qy))
-        if len(self.qx) != len(self.qy):
+    def __init__(self, qx: Sequence[int], qy: Sequence[int]) -> None:
+        if len(qx) != len(qy):
             raise DimensionMismatch("qx and qy must have length g")
+        super().__init__(b for pair in zip(qx, qy) for b in pair)
 
     @property
-    def g(self) -> int:
-        return len(self.qx)
+    def qx(self) -> tuple[int, ...]:
+        return self.bits[0::2]
+
+    @property
+    def qy(self) -> tuple[int, ...]:
+        return self.bits[1::2]
 
     def basis_bits(self) -> tuple[int, ...]:
-        out = []
-        for a, b in zip(self.qx, self.qy):
-            out.append(a)
-            out.append(b)
-        return tuple(out)
+        return self.bits
 
     def evaluate(self, v: AbsVec | Sequence[int]) -> int:
         coords = v.coords if isinstance(v, AbsVec) else v
-        return quad_eval(self.basis_bits(), coords)
-
-
-def quad_eval(basis_bits: Sequence[int], coords: Sequence[int]) -> int:
-    """Evaluate the quadratic extension of given basis values on a class.
-
-    q(sum c_j b_j) = sum c_j q(b_j) + sum_{i<j} c_i c_j <b_i, b_j>; in the
-    fixed basis the pairing term reduces to one product per handle.
-    """
-    if len(coords) != len(basis_bits):
-        raise DimensionMismatch("class and form have different rank")
-    total = 0
-    for c, q in zip(coords, basis_bits):
-        total ^= (c & 1) & q
-    for i in range(0, len(coords), 2):
-        total ^= (coords[i] & 1) & (coords[i + 1] & 1)
-    return total
+        if len(coords) != 2 * self.g:
+            raise DimensionMismatch("class and form have different rank")
+        return mod2.quad(self.packed, mod2.pack(coords), 2 * self.g)
 
 
 def arf(f: Framing) -> int:
@@ -153,7 +132,7 @@ def arf(f: Framing) -> int:
 
 def q_vector(f: Framing) -> QVector:
     """Mod-2 reduction of the basis curve windings."""
-    return QVector(tuple(w & 1 for w in f.curve_windings()))
+    return QVector(f.curve_windings())
 
 
 def spin_form(f: Framing) -> QForm:
@@ -163,15 +142,12 @@ def spin_form(f: Framing) -> QForm:
             "no classical spin structure: kappa has odd entries "
             f"{tuple(f.spec.kappa)}"
         )
-    return QForm(
-        tuple((w + 1) & 1 for w in f.wind_x),
-        tuple((w + 1) & 1 for w in f.wind_y),
-    )
+    return QForm.from_packed(f.spec.g, f.qphi)
 
 
 def arf_of_form(q: QForm) -> int:
     """Classical Arf invariant sum q(x_i) q(y_i) of a quadratic form."""
-    return sum(a & b for a, b in zip(q.qx, q.qy)) & 1
+    return mod2.arf(q.packed, 2 * q.g)
 
 
 def winding_parity(f: Framing, v: AbsVec) -> int:
@@ -183,5 +159,4 @@ def winding_parity(f: Framing, v: AbsVec) -> int:
     """
     if v.spec != f.spec:
         raise SpecMismatch("class and framing live over different surfaces")
-    qbits = tuple((w + 1) & 1 for w in f.curve_windings())
-    return quad_eval(qbits, v.coords) ^ 1
+    return mod2.quad(f.qphi, mod2.pack(v.coords), f.spec.abs_rank) ^ 1

@@ -35,9 +35,11 @@ def lift_transvection(v: AbsVec, f: Framing) -> PAutElem:
         raise SpecMismatch("class and framing live over different surfaces")
     if not v.is_primitive():
         raise NotPrimitive("transvections lift along primitive classes only")
-    t = transvection(v, 1)
+    t = PAutElem._trusted(
+        spec.g, spec.n, transvection(v, 1), zero_mat(spec.abs_rank, spec.zero_rank)
+    )
     if winding_parity(f, v) == 0:
-        out = PAutElem(spec.g, spec.n, t, zero_mat(spec.abs_rank, spec.zero_rank))
+        out = t
     else:
         odd = next((i for i in range(2, spec.n + 1) if spec.kappa[i - 1] % 2), None)
         if odd is None:
@@ -49,8 +51,7 @@ def lift_transvection(v: AbsVec, f: Framing) -> PAutElem:
             tuple(v.coords[i] if j == odd - 2 else 0 for j in range(spec.zero_rank))
             for i in range(spec.abs_rank)
         )
-        r = PAutElem(spec.g, spec.n, identity_mat(spec.abs_rank), m)
-        out = compose(r, PAutElem(spec.g, spec.n, t, zero_mat(spec.abs_rank, spec.zero_rank)))
+        out = compose(PAutElem._trusted(spec.g, spec.n, identity_mat(spec.abs_rank), m), t)
     if not kernel_test(out, f):
         raise AssertionError("constructed lift fails the kernel test")
     return out

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
+from . import mod2
 from .errors import DimensionMismatch, InvalidSurface, SpecMismatch
 
 
@@ -270,81 +271,37 @@ def rel_punct_pairing(x: RelVec, c: PunctVec) -> int:
     return total
 
 
-def gram_matrix(spec: SurfaceSpec) -> tuple[tuple[int, ...], ...]:
-    """Matrix of rel_punct_pairing in the fixed bases (block J + identity)."""
-    r = spec.rel_rank
-    rows = []
-    for i in range(r):
-        row = [0] * r
-        if i < spec.abs_rank:
-            if i % 2 == 0:
-                row[i + 1] = 1
-            else:
-                row[i - 1] = -1
-        else:
-            row[i] = 1
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def dual_bits(coords: Sequence[int]) -> tuple[int, ...]:
-    """Mod-2 evaluation table of the functional <v, .> on the absolute basis.
-
-    Expects the 2g symplectic coordinates of v; the table swaps each (x, y)
-    pair, since <v, x_i> = -v_{y_i} and <v, y_i> = v_{x_i}.
-    """
-    if len(coords) % 2 != 0:
-        raise DimensionMismatch("dual_bits expects the 2g symplectic coordinates")
-    out = []
-    for i in range(0, len(coords), 2):
-        out.append(coords[i + 1] & 1)
-        out.append(coords[i] & 1)
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # mod-2 cohomology classes
 
 
-@dataclass(frozen=True)
-class CohomClass:
+class CohomClass(mod2.Bits):
     """Element of H^1 of the closed surface with Z/2 coefficients.
 
-    Stored as its evaluation table against the mod-2 absolute basis; the value
-    on a class with mod-2 coordinates c is sum(bits * c) mod 2.
+    Packed (see mod2) as its evaluation table against the absolute basis; the
+    value on a class is the parity of the table masked by its mod-2 coordinates.
     """
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        bits = tuple(int(b) & 1 for b in self.bits)
-        if len(bits) % 2 != 0:
-            raise DimensionMismatch("cohomology class needs 2g bits")
-        object.__setattr__(self, "bits", bits)
 
     @classmethod
     def zero(cls, g: int) -> "CohomClass":
-        return cls((0,) * (2 * g))
+        return cls.from_packed(g, 0)
 
     @classmethod
     def pairing_with(cls, v: AbsVec) -> "CohomClass":
         """The functional <v, .> mod 2."""
-        return cls(dual_bits(v.coords[: v.spec.abs_rank]))
-
-    @property
-    def g(self) -> int:
-        return len(self.bits) // 2
+        w = v.spec.abs_rank
+        return cls.from_packed(v.spec.g, mod2.dual(mod2.pack(v.coords[:w]), w))
 
     def __add__(self, other: "CohomClass") -> "CohomClass":
-        if len(self.bits) != len(other.bits):
+        if self.g != other.g:
             raise DimensionMismatch("cohomology classes of different genus")
-        return CohomClass(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
+        return CohomClass.from_packed(self.g, self.packed ^ other.packed)
 
     def evaluate(self, v: AbsVec | Sequence[int]) -> int:
         coords = v.coords if isinstance(v, AbsVec) else v
-        if len(coords) != len(self.bits):
+        if len(coords) != 2 * self.g:
             raise DimensionMismatch("evaluation on a class of the wrong rank")
-        return sum(b * (c & 1) for b, c in zip(self.bits, coords)) & 1
+        return (self.packed & mod2.pack(coords)).bit_count() & 1
 
     def is_zero(self) -> bool:
-        return not any(self.bits)
+        return self.packed == 0

@@ -4,6 +4,13 @@ An element acts on relative coordinates by [[S, M], [0, I]]: S is an integer
 symplectic 2g x 2g matrix, M a 2g x (n-1) integer matrix recording how point
 classes are transvected into absolute homology.  The trailing identity block
 is the purity constraint and is never stored.
+
+S^T J S = J is checked where a matrix enters from outside: the public
+constructor `PAutElem(...)` (hence `from_blocks` and the CLI's JSON loader)
+and `factor_sp`.  Results built inside the library from elements already
+checked or from transvections -- `compose`, `invert`, `decompose`,
+`PAutElem.identity`, word letters and kernel lifts -- are symplectic by
+construction and go through the unchecked `PAutElem._trusted`.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
+from . import mod2
 from .errors import DimensionMismatch, NotPrimitive, NotSymplectic, SpecMismatch
 from .lattice import AbsVec, CohomClass, RelVec, SurfaceSpec, sympl
 
@@ -69,15 +77,12 @@ def sympl_gram(g: int) -> Mat:
     return tuple(rows)
 
 
-def is_symplectic(s: Mat, g: int, mod2: bool = False) -> bool:
-    """Check S^T J S = J, exactly or mod 2."""
+def is_symplectic(s: Mat, g: int) -> bool:
+    """Check S^T J S = J exactly."""
     if len(s) != 2 * g or any(len(row) != 2 * g for row in s):
         return False
     j = sympl_gram(g)
-    lhs = mat_mul(mat_mul(transpose(s), j), s)
-    if mod2:
-        return mat_mod2(lhs) == mat_mod2(j)
-    return lhs == j
+    return mat_mul(mat_mul(transpose(s), j), s) == j
 
 
 def sp_inverse(s: Mat, g: int) -> Mat:
@@ -112,8 +117,16 @@ class PAutElem:
             raise NotSymplectic("S does not preserve the intersection pairing")
 
     @classmethod
+    def _trusted(cls, g: int, n: int, s: Mat, m: Mat) -> "PAutElem":
+        """Element from blocks that are well shaped and symplectic by construction."""
+        out = object.__new__(cls)
+        for name, value in (("g", g), ("n", n), ("S", s), ("M", m)):
+            object.__setattr__(out, name, value)
+        return out
+
+    @classmethod
     def identity(cls, g: int, n: int) -> "PAutElem":
-        return cls(g, n, identity_mat(2 * g), zero_mat(2 * g, n - 1))
+        return cls._trusted(g, n, identity_mat(2 * g), zero_mat(2 * g, n - 1))
 
     @classmethod
     def from_blocks(cls, spec: SurfaceSpec, s: Mat, m: Mat | None = None) -> "PAutElem":
@@ -153,20 +166,20 @@ def compose(a: PAutElem, b: PAutElem) -> PAutElem:
     m = tuple(
         tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(sm, a.M)
     )
-    return PAutElem(a.g, a.n, s, m)
+    return PAutElem._trusted(a.g, a.n, s, m)
 
 
 def invert(a: PAutElem) -> PAutElem:
     """Block inverse: (S^{-1}, -S^{-1} M)."""
     sinv = sp_inverse(a.S, a.g)
     m = mat_mul(sinv, a.M)
-    return PAutElem(a.g, a.n, sinv, tuple(tuple(-v for v in row) for row in m))
+    return PAutElem._trusted(a.g, a.n, sinv, tuple(tuple(-v for v in row) for row in m))
 
 
 def decompose(a: PAutElem) -> tuple[PAutElem, PAutElem]:
     """Split A = R * S~ with R = (I, M) point-transvection part, S~ = (S, 0)."""
-    r = PAutElem(a.g, a.n, identity_mat(2 * a.g), a.M)
-    st = PAutElem(a.g, a.n, a.S, zero_mat(2 * a.g, a.n - 1))
+    r = PAutElem._trusted(a.g, a.n, identity_mat(2 * a.g), a.M)
+    st = PAutElem._trusted(a.g, a.n, a.S, zero_mat(2 * a.g, a.n - 1))
     return r, st
 
 
@@ -194,13 +207,9 @@ def _transvection_coords(v: Sequence[int], k: int) -> Mat:
 
 def pullback_h1(sbar: Mat, theta: CohomClass) -> CohomClass:
     """Precompose a cohomology class with the mod-2 action: bits -> S^T bits."""
-    if len(sbar) != len(theta.bits):
+    if len(sbar) != 2 * theta.g:
         raise DimensionMismatch("pullback matrix has the wrong size")
-    bits = tuple(
-        sum(sbar[i][j] * theta.bits[i] for i in range(len(sbar))) & 1
-        for j in range(len(sbar))
-    )
-    return CohomClass(bits)
+    return CohomClass.from_packed(theta.g, mod2.pullback(mod2.columns(sbar), theta.packed))
 
 
 def factor_sp(s: Mat) -> list[tuple[tuple[int, ...], int]]:

@@ -13,17 +13,11 @@ verification suites exercise this rather than assuming it.
 
 from __future__ import annotations
 
+from . import mod2
 from .errors import NotSymplectic, SpecMismatch
-from .framing import Framing, QForm, winding_parity
-from .lattice import AbsVec, CohomClass, SurfaceSpec, dual_bits
-from .paut import (
-    Mat,
-    PAutElem,
-    factor_sp,
-    is_symplectic,
-    mat_vec,
-    pullback_h1,
-)
+from .framing import Framing, QForm
+from .lattice import CohomClass, SurfaceSpec
+from .paut import Mat, PAutElem, factor_sp, mat_vec
 
 
 def v_kappa_star(m: Mat, spec: SurfaceSpec) -> CohomClass:
@@ -38,7 +32,7 @@ def v_kappa_star(m: Mat, spec: SurfaceSpec) -> CohomClass:
         raise SpecMismatch(f"M must be {spec.abs_rank}x{spec.zero_rank}")
     vbar = tuple(k & 1 for k in spec.kappa[1:])
     w = mat_vec(m, vbar)
-    return CohomClass(dual_bits(w))
+    return CohomClass.from_packed(spec.g, mod2.dual(mod2.pack(w), spec.abs_rank))
 
 
 def q_hat(q: QForm, sbar: Mat) -> CohomClass:
@@ -46,14 +40,10 @@ def q_hat(q: QForm, sbar: Mat) -> CohomClass:
     k = 2 * q.g
     if len(sbar) != k or any(len(row) != k for row in sbar):
         raise SpecMismatch(f"matrix must be {k}x{k}")
-    if not is_symplectic(sbar, q.g, mod2=True):
+    cols = mod2.columns(sbar)
+    if not mod2.is_symplectic(cols, k):
         raise NotSymplectic("q_hat needs a mod-2 symplectic matrix")
-    bits = []
-    for j in range(k):
-        basis = tuple(1 if i == j else 0 for i in range(k))
-        image = tuple(row[j] & 1 for row in sbar)
-        bits.append(q.evaluate(image) ^ q.evaluate(basis))
-    return CohomClass(tuple(bits))
+    return CohomClass.from_packed(q.g, mod2.qhat(q.packed, cols, k))
 
 
 def theta(a: PAutElem, f: Framing) -> CohomClass:
@@ -68,15 +58,15 @@ def theta(a: PAutElem, f: Framing) -> CohomClass:
         raise SpecMismatch(
             f"automorphism is for g={a.g}, n={a.n}; framing for g={spec.g}, n={spec.n}"
         )
-    th_rel = v_kappa_star(a.M, spec)
-    th_sym = CohomClass.zero(spec.g)
+    w = spec.abs_rank
+    qphi = f.qphi
+    th_sym = 0
     for coords, k in factor_sp(a.S):
         if k & 1 == 0:
             continue  # even powers contribute nothing and pull back trivially
-        # pullback along T_v is the rank-one update theta + theta(v) <., v>
-        dual = CohomClass(dual_bits(coords))
-        if th_sym.evaluate(coords):
-            th_sym = th_sym + dual
-        if winding_parity(f, AbsVec(spec, coords)):
-            th_sym = th_sym + dual
-    return pullback_h1(a.sbar(), th_rel) + th_sym
+        v = mod2.pack(coords)
+        th_sym = mod2.pull_transvection(th_sym, v, w)
+        if not mod2.quad(qphi, v, w):  # winding parity P(v) = q_phi(v) + 1 is odd
+            th_sym ^= mod2.dual(v, w)
+    th_rel = v_kappa_star(a.M, spec).packed
+    return CohomClass.from_packed(spec.g, mod2.pullback(mod2.columns(a.S), th_rel) ^ th_sym)

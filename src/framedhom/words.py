@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
+from . import mod2
 from .errors import (
     DimensionMismatch,
     NotPrimitive,
@@ -28,7 +29,6 @@ from .lattice import (
     arc_class,
     as_punct,
     as_rel,
-    dual_bits,
     point_loop,
     project_punct,
     rel_punct_pairing,
@@ -36,14 +36,7 @@ from .lattice import (
     x_curve,
     y_curve,
 )
-from .paut import (
-    PAutElem,
-    _transvection_coords,
-    compose,
-    identity_mat,
-    mat_mod2,
-    pullback_h1,
-)
+from .paut import PAutElem, _transvection_coords, compose, identity_mat
 
 
 @dataclass(frozen=True)
@@ -177,7 +170,7 @@ def letter_paut(letter: Letter) -> PAutElem:
         m = tuple(
             tuple(letter.power * image[i] * d for d in dpart) for i in range(k)
         )
-        return PAutElem(spec.g, spec.n, s, m)
+        return PAutElem._trusted(spec.g, spec.n, s, m)
     cols = spec.zero_rank
     if letter.point >= 2:
         m = tuple(
@@ -186,7 +179,7 @@ def letter_paut(letter: Letter) -> PAutElem:
         )
     else:
         m = tuple(tuple(-letter.loop.coords[i] for _ in range(cols)) for i in range(k))
-    return PAutElem(spec.g, spec.n, identity_mat(k), m)
+    return PAutElem._trusted(spec.g, spec.n, identity_mat(k), m)
 
 
 def word_to_paut(word: Word) -> PAutElem:
@@ -258,40 +251,32 @@ def act_framing(word: Word, f: Framing) -> Framing:
 # the mod-2 winding defect of a word
 
 
-def _letter_value(letter: Letter, spec: SurfaceSpec) -> CohomClass:
-    """Change of mod-2 winding the letter inflicts on absolute classes."""
-    if isinstance(letter, Twist):
-        scale = (letter.power * letter.winding) & 1
-        image = project_punct(letter.curve).coords
-    else:
-        scale = spec.kappa[letter.point - 1] & 1
-        image = letter.loop.coords
-    if not scale:
-        return CohomClass.zero(spec.g)
-    return CohomClass(dual_bits(image))
-
-
-def _letter_sbar(letter: Letter, spec: SurfaceSpec):
-    if isinstance(letter, Twist):
-        image = project_punct(letter.curve).coords
-        return mat_mod2(_transvection_coords(image, letter.power))
-    return identity_mat(spec.abs_rank)
-
-
 def delta_word(word: Word, f: Framing) -> CohomClass:
     """Accumulated change of mod-2 winding numbers along the word.
 
     Processes letters with the crossed-homomorphism rule
     value(fg) = pullback(g) value(f) + value(g), rightmost letter acting
     first; twist letters contribute k <., c> w(c), point-pushes kappa_i <u, .>.
+    A twist about c pulls back along the mod-2 transvection about c when its
+    power is odd and trivially when it is even; pushes pull back trivially.
     """
     if f.spec != word.spec:
         raise SpecMismatch("word and framing live over different surfaces")
     spec = word.spec
-    out = CohomClass.zero(spec.g)
+    w = spec.abs_rank
+    out = 0
     for letter in word.letters:
-        out = pullback_h1(_letter_sbar(letter, spec), out) + _letter_value(letter, spec)
-    return out
+        if isinstance(letter, Twist):
+            image = mod2.pack(project_punct(letter.curve).coords)
+            if letter.power & 1:
+                out = mod2.pull_transvection(out, image, w)
+            scale = letter.power * letter.winding
+        else:
+            image = mod2.pack(letter.loop.coords)
+            scale = spec.kappa[letter.point - 1]
+        if scale & 1:
+            out ^= mod2.dual(image, w)
+    return CohomClass.from_packed(spec.g, out)
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +301,3 @@ def standard_alphabet(f: Framing) -> dict[str, Letter]:
             continue
         out[f"Td{i}"] = Twist(loop, 1, spec.delta_winding(i))
     return out
-
-
-def with_power(letter: Letter, k: int) -> Letter:
-    """Replace a letter's power (twists only; pushes have no power)."""
-    if isinstance(letter, Twist):
-        return Twist(letter.curve, k, letter.winding)
-    raise DimensionMismatch("only twist letters take powers")

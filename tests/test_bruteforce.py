@@ -4,9 +4,10 @@ import random
 import pytest
 
 from framedhom import bruteforce as bf
+from framedhom import mod2
 from framedhom.errors import GenusTooLarge, TooLarge
-from framedhom.framing import Framing, QForm, arf_of_form, quad_eval
-from framedhom.lattice import SurfaceSpec
+from framedhom.framing import Framing
+from framedhom.lattice import SurfaceSpec, sympl
 from framedhom.paut import PAutElem, mat_mod2, zero_mat
 from framedhom.sampling import random_framing, random_paut, random_spec
 from framedhom.theta import theta
@@ -63,27 +64,44 @@ def test_census_stabilizers_against_direct_count():
     for bits, a, stab in bf.qform_census(2).per_form:
         direct = 0
         for key in group.keys:
-            cols = bf.columns_of(key, w)
+            cols = bf.key_columns(key, w)
             same = all(
-                bf.quad_packed(bits, cols[j], w) == bf.quad_packed(bits, 1 << j, w)
+                mod2.quad(bits, cols[j], w) == mod2.quad(bits, 1 << j, w)
                 for j in range(w)
             )
             direct += same
         assert direct == stab
 
 
-def test_arf_packed_matches_form_arf():
-    for bits in range(16):
-        q = QForm((bits >> 0 & 1, bits >> 2 & 1), (bits >> 1 & 1, bits >> 3 & 1))
-        assert bf._arf_packed(bits, 4) == arf_of_form(q)
+def _quad_by_definition(qbits, coords):
+    """q(sum c_j b_j) = sum c_j q(b_j) + sum_{i<j} c_i c_j <b_i, b_j>, pairing via sympl."""
+    w = len(coords)
+    units = [tuple(int(i == j) for i in range(w)) for j in range(w)]
+    total = sum(c * q for c, q in zip(coords, qbits))
+    for i in range(w):
+        for j in range(i + 1, w):
+            total += coords[i] * coords[j] * sympl(units[i], units[j])
+    return total % 2
 
 
-def test_quad_packed_matches_quad_eval():
-    for bits in range(16):
-        for v in range(16):
-            coords = tuple((v >> i) & 1 for i in range(4))
-            basis = tuple((bits >> i) & 1 for i in range(4))
-            assert bf.quad_packed(bits, v, 4) == quad_eval(basis, coords)
+def test_quad_packed_matches_defining_formula():
+    for w in (4, 6):
+        for q in range(1 << w):
+            qbits = mod2.unpack(q, w)
+            for v in range(1 << w):
+                assert mod2.quad(q, v, w) == _quad_by_definition(qbits, mod2.unpack(v, w))
+
+
+def test_arf_matches_zero_count():
+    # Arf 0 exactly when q has 2^(g-1) (2^g + 1) zeros, otherwise 2^(g-1) (2^g - 1)
+    for g in (2, 3):
+        w = 2 * g
+        even_zeros = 2 ** (g - 1) * (2**g + 1)
+        for q in range(1 << w):
+            qbits = mod2.unpack(q, w)
+            zeros = sum(_quad_by_definition(qbits, mod2.unpack(v, w)) == 0 for v in range(1 << w))
+            assert zeros in (even_zeros, 2 ** (g - 1) * (2**g - 1))
+            assert mod2.arf(q, w) == (zeros != even_zeros)
 
 
 def test_verify_qhat_crossed():

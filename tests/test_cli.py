@@ -58,6 +58,39 @@ def test_unknown_keys_rejected(capsys, tmp_path):
     assert code == 2 and "unknown" in err
 
 
+F2 = {"g": 2, "kappa": [2], "wind_x": [0, 0], "wind_y": [0, 0]}
+P2 = {"g": 2, "n": 1, "S": identity_mat(4), "M": []}
+S_ENTRY_1_9 = [[1.9, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+S_ENTRY_TRUE = [[True, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "command, framing, paut",
+    [
+        ("theta", F2, dict(P2, g="x")),
+        ("arf", dict(F2, kappa=5), None),
+        ("arf", dict(F2, wind_x=[0.5, 0]), None),
+        ("theta", F2, dict(P2, S=S_ENTRY_1_9)),
+        ("theta", F2, dict(P2, S=S_ENTRY_TRUE)),
+    ],
+    ids=["g-string", "kappa-scalar", "wind-float", "S-float", "S-bool"],
+)
+def test_non_integer_json_exit2(capsys, tmp_path, command, framing, paut):
+    argv = [command, "--framing", write_json(tmp_path, "f.json", framing)]
+    if paut is not None:
+        argv += ["--paut", write_json(tmp_path, "p.json", paut)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "must be a JSON integer" in err or "must be a list of integers" in err
+
+
+def test_non_symplectic_paut_exit2(capsys, tmp_path, f2):
+    two = [[2 * (i == j) for j in range(4)] for i in range(4)]
+    p = write_json(tmp_path, "p.json", dict(P2, S=two))
+    code, out, err = run_cli(capsys, "theta", "--paut", p, "--framing", f2)
+    assert code == 2 and out == "" and "intersection pairing" in err
+
+
 def test_theta_and_kernel_commands(capsys, tmp_path, f2, f11):
     pid = write_json(tmp_path, "pid.json", {"g": 2, "n": 1, "S": identity_mat(4), "M": []})
     code, out, _ = run_cli(capsys, "theta", "--paut", pid, "--framing", f2)
@@ -187,6 +220,12 @@ def test_json_roundtrip():
     a = PAutElem(2, 2, identity_mat(4), ((1,), (0,), (-2,), (0,)))
     b = cli.paut_from_dict(cli.paut_to_dict(a))
     assert a.S == b.S and a.M == b.M and (a.g, a.n) == (b.g, b.n)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    code = "import sys, framedhom.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
 def test_console_entry_point():

@@ -15,8 +15,6 @@ from framedhom.lattice import (
     as_punct,
     as_rel,
     boundary,
-    dual_bits,
-    gram_matrix,
     point_class,
     point_loop,
     project_punct,
@@ -147,7 +145,13 @@ def _det_bareiss(rows):
 
 @pytest.mark.parametrize("spec", [SPEC1, SPEC, SurfaceSpec(3, (1, 1, 2))])
 def test_pairing_matrix_unimodular(spec):
-    det = _det_bareiss(gram_matrix(spec))
+    # Gram matrix of rel_punct_pairing itself on the relative and punctured basis vectors
+    r = spec.rel_rank
+    units = [tuple(int(i == j) for i in range(r)) for j in range(r)]
+    gram = [
+        [rel_punct_pairing(RelVec(spec, u), PunctVec(spec, v)) for v in units] for u in units
+    ]
+    det = _det_bareiss(gram)
     assert det in (1, -1)
 
 
@@ -158,6 +162,8 @@ def test_dual_bits_and_cohom():
     assert th.evaluate(x1) == 0
     assert (th + th).is_zero()
     assert CohomClass.zero(2).is_zero()
-    assert dual_bits((1, 0, 0, 0)) == (0, 1, 0, 0)
+    assert th.bits == (0, 1, 0, 0)
+    assert CohomClass((1, 0, 1, 1)) + CohomClass((0, 0, 1, 0)) == CohomClass((1, 0, 0, 1))
+    assert len({CohomClass((1, 0, 0, 0)), CohomClass((1, 0, 0, 0)), th}) == 2
     with pytest.raises(SpecMismatch):
         symplectic_pairing(x1, x_curve(SurfaceSpec(3, (4,)), 1))

@@ -154,5 +154,5 @@ def test_group_closure_validates():
         spec = random_spec(rng, 2, rng.choice([1, 2, 3]))
         a = random_paut(rng, spec)
         b = random_paut(rng, spec)
-        c = compose(a, invert(b))  # constructor re-validates
+        c = compose(a, invert(b))  # built unchecked; the exact check runs here
         assert is_symplectic(c.S, 2)
