@@ -19,6 +19,7 @@ from .errors import (
     NoLiftExists,
     QVectorMismatch,
     SpecMismatch,
+    TooLarge,
     WordSyntaxError,
 )
 from .framing import Framing, arf
@@ -29,6 +30,17 @@ from .paut import PAutElem, factor_sp
 from .theta import theta
 from .verify import SUITES, run_suite
 from .words import PointPush, Twist, Word, act_framing, standard_alphabet, word_to_paut
+
+
+# largest genus and largest number of marked points accepted from a file or
+# the command line; checked before a surface of that size is built
+MAX_SURFACE_SIZE = 100
+
+
+def _capped(value: int, what: str) -> int:
+    if value > MAX_SURFACE_SIZE:
+        raise TooLarge(f"{what} = {value} exceeds the supported maximum {MAX_SURFACE_SIZE}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +88,10 @@ def framing_from_dict(data: Any) -> Framing:
     for key in ("g", "kappa", "wind_x", "wind_y"):
         if key not in data:
             raise FileFormatError(f"framing file is missing {key!r}")
-    spec = SurfaceSpec(_int(data["g"], "g"), _ints(data["kappa"], "kappa"))
+    g = _capped(_int(data["g"], "g"), "g")
+    kappa = _ints(data["kappa"], "kappa")
+    _capped(len(kappa), "n")
+    spec = SurfaceSpec(g, kappa)
     arc2 = _ints(data["arc2"], "arc2") if "arc2" in data else None
     return Framing(spec, _ints(data["wind_x"], "wind_x"), _ints(data["wind_y"], "wind_y"), arc2)
 
@@ -100,7 +115,7 @@ def paut_from_dict(data: Any) -> PAutElem:
     for key in ("g", "n", "S"):
         if key not in data:
             raise FileFormatError(f"automorphism file is missing {key!r}")
-    g, n = _int(data["g"], "g"), _int(data["n"], "n")
+    g, n = _capped(_int(data["g"], "g"), "g"), _capped(_int(data["n"], "n"), "n")
     s = _int_rows(data["S"], "S")
     m = _int_rows(data.get("M", []), "M")
     if m == ():
@@ -311,8 +326,10 @@ def cmd_match(args) -> int:
 
 
 def cmd_stratum(args) -> int:
+    fields = args.partition.split(",")
+    _capped(len(fields), "n")
     try:
-        parts = tuple(int(p) for p in args.partition.split(","))
+        parts = tuple(int(p) for p in fields)
     except ValueError as exc:
         raise FileFormatError(f"cannot parse partition {args.partition!r}") from exc
     if not parts or any(k < 1 for k in parts):
@@ -320,7 +337,7 @@ def cmd_stratum(args) -> int:
     total = sum(parts)
     if total % 2 != 0 or total < 2:
         raise FileFormatError(f"partition sum {total} is not 2g-2 for any g >= 2")
-    spec = SurfaceSpec((total + 2) // 2, parts)
+    spec = SurfaceSpec(_capped((total + 2) // 2, "g"), parts)
     f = Framing.zeros(spec)
     _emit({"framing": framing_to_dict(f), "report": report_to_dict(structure_report(f))})
     return 0

@@ -1,14 +1,21 @@
 """Evaluation of the change-of-winding crossed homomorphism on lattice automorphisms.
 
-The value on an automorphism A is assembled from its two blocks:
+Write an automorphism as A = (S, M): S the symplectic block, M the
+point-transvection block.  Let q_phi be the quadratic refinement of the mod-2
+intersection form with basis values phi(b) + 1; the winding parity of a
+simple closed curve in class v is q_phi(v) + 1.  Then, in both parity regimes,
 
-* the point-transvection part contributes the pairing functional against the
-  image of the mod-2 signature vector (kappa_2, ..., kappa_n), and
-* the symplectic part is factored into transvections, each contributing
-  k <., v> times the winding parity of v, accumulated with the cocycle rule.
+    theta(A) = S^T v_kappa*(M) + q_hat(q_phi, S)      (mod 2),
 
-The result is independent of the chosen factorization; the dedicated
-verification suites exercise this rather than assuming it.
+where v_kappa*(M) is the functional x -> <M (kappa_2, ..., kappa_n), x> and
+q_hat(q, S) is the defect x -> q(S x) - q(x) of q under S (D. Johnson, "Spin
+structures and quadratic forms on surfaces", J. London Math. Soc. 1980).  The
+defect term is the accumulated letter value k <., v> P(v) of any transvection
+factorization of S, since q_phi(T_v x) - q_phi(x) = <x, v> (q_phi(v) + 1).
+
+The value is a few packed mod-2 operations whatever the size of S's entries.
+The letter-by-letter evaluation over `factor_sp` is kept in
+`framedhom.verify.theta_by_factorization` as the independent oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from . import mod2
 from .errors import NotSymplectic, SpecMismatch
 from .framing import Framing, QForm
 from .lattice import CohomClass, SurfaceSpec
-from .paut import Mat, PAutElem, factor_sp, mat_vec
+from .paut import Mat, PAutElem, mat_vec
 
 
 def v_kappa_star(m: Mat, spec: SurfaceSpec) -> CohomClass:
@@ -49,24 +56,17 @@ def q_hat(q: QForm, sbar: Mat) -> CohomClass:
 def theta(a: PAutElem, f: Framing) -> CohomClass:
     """Value of the crossed homomorphism on an automorphism, for this framing.
 
-    Split A = R * S~; the R block evaluates through v_kappa_star, the S~ block
-    through a transvection factorization with letter values k <., v> P(v),
-    combined as value(A) = pullback(S~) value(R) + value(S~).
+    Closed form theta(A) = S^T v_kappa*(M) + q_hat(q_phi, S) mod 2, the
+    quadratic-form defect of Johnson (J. London Math. Soc. 1980); see the
+    module docstring.  S was checked symplectic where A was built, so it is
+    not checked again here.  `framedhom.verify.theta_by_factorization`
+    computes the same value letter by letter over `factor_sp`, as the oracle.
     """
     spec = f.spec
     if not a.matches(spec):
         raise SpecMismatch(
             f"automorphism is for g={a.g}, n={a.n}; framing for g={spec.g}, n={spec.n}"
         )
-    w = spec.abs_rank
-    qphi = f.qphi
-    th_sym = 0
-    for coords, k in factor_sp(a.S):
-        if k & 1 == 0:
-            continue  # even powers contribute nothing and pull back trivially
-        v = mod2.pack(coords)
-        th_sym = mod2.pull_transvection(th_sym, v, w)
-        if not mod2.quad(qphi, v, w):  # winding parity P(v) = q_phi(v) + 1 is odd
-            th_sym ^= mod2.dual(v, w)
-    th_rel = v_kappa_star(a.M, spec).packed
-    return CohomClass.from_packed(spec.g, mod2.pullback(mod2.columns(a.S), th_rel) ^ th_sym)
+    cols = mod2.columns(a.S)
+    th_rel = mod2.pullback(cols, v_kappa_star(a.M, spec).packed)
+    return CohomClass.from_packed(spec.g, th_rel ^ mod2.qhat(f.qphi, cols, spec.abs_rank))

@@ -193,6 +193,17 @@ def test_stratum_command(capsys):
     assert code == 2
 
 
+def test_oversized_surface_exit2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "stratum", "2000000")
+    assert code == 2 and out == "" and err.startswith("error:") and "exceeds" in err
+    g = cli.MAX_SURFACE_SIZE + 1
+    big = write_json(
+        tmp_path, "big.json", {"g": g, "kappa": [2 * g - 2], "wind_x": [0] * g, "wind_y": [0] * g}
+    )
+    code, out, err = run_cli(capsys, "arf", "--framing", big)
+    assert code == 2 and out == "" and err.startswith("error:") and "exceeds" in err
+
+
 def test_verify_command(capsys):
     code, out, _ = run_cli(capsys, "verify", "parity", "--trials", "40", "--seed", "1")
     assert code == 0 and "PASS parity/parity-oracle" in out

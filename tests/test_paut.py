@@ -7,7 +7,6 @@ from framedhom.errors import NotSymplectic, SpecMismatch
 from framedhom.lattice import AbsVec, CohomClass, SurfaceSpec, as_rel, x_curve, y_curve
 from framedhom.paut import (
     PAutElem,
-    _transvection_coords,
     compose,
     decompose,
     factor_sp,
@@ -124,11 +123,18 @@ def test_factor_sp_roundtrip_random():
         nfac = 20 if trial % 10 == 0 else rng.randint(2, 8)
         s = random_symplectic(rng, spec, factors=nfac)
         fac = factor_sp(s)
-        prod = identity_mat(2 * g)
+        # replay the product by rank-one updates X <- X T_v^k = X + k (X v)(J v)^T,
+        # with <x, v> = (J v) . x and J v = (v_y, -v_x) per handle
+        prod = [list(row) for row in identity_mat(2 * g)]
         for v, k in fac:
             assert gcd(*v) == 1
-            prod = mat_mul(prod, _transvection_coords(v, k))
-        assert prod == s
+            jv = [c for i in range(0, 2 * g, 2) for c in (v[i + 1], -v[i])]
+            for row in prod:
+                t = k * sum(a * b for a, b in zip(row, v))
+                if t:
+                    for j, c in enumerate(jv):
+                        row[j] += t * c
+        assert tuple(map(tuple, prod)) == s
 
 
 def test_pullback_examples():

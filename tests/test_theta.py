@@ -1,9 +1,11 @@
+import importlib
 import random
 
 import pytest
 
 from framedhom.errors import NotSymplectic, SpecMismatch
 from framedhom.framing import Framing, spin_form, winding_parity
+from framedhom.kernel import kernel_test
 from framedhom.lattice import CohomClass, SurfaceSpec, x_curve, y_curve
 from framedhom.paut import (
     PAutElem,
@@ -24,6 +26,7 @@ from framedhom.sampling import (
     random_standard_word,
 )
 from framedhom.theta import q_hat, theta, v_kappa_star
+from framedhom.verify import theta_by_factorization, v_kappa_star_by_pairing
 from framedhom.words import delta_word, word_to_paut
 
 SPEC11 = SurfaceSpec(2, (1, 1))
@@ -98,8 +101,7 @@ def test_theta_crossed_homomorphism():
 
 
 def test_theta_factorization_independent():
-    # accumulate over a known factorization and compare with the evaluation,
-    # which refactors through symplectic elimination
+    # accumulate over a known factorization and compare with the evaluation
     rng = random.Random(23)
     from framedhom.paut import mat_mul
     from framedhom.sampling import random_primitive_abs
@@ -137,7 +139,7 @@ def test_theta_even_closed_form():
         spec = random_spec(rng, rng.choice([2, 3]), rng.choice([1, 2, 3]), even_only=True)
         f = random_framing(rng, spec)
         a = random_paut(rng, spec)
-        assert theta(a, f) == q_hat(spin_form(f), a.sbar())
+        assert theta_by_factorization(a, f) == q_hat(spin_form(f), a.sbar())
 
 
 def test_theta_relaut_restriction():
@@ -147,4 +149,31 @@ def test_theta_relaut_restriction():
         f = random_framing(rng, spec)
         m = random_relaut_block(rng, spec)
         a = PAutElem(spec.g, spec.n, identity_mat(spec.abs_rank), m)
-        assert theta(a, f) == v_kappa_star(m, spec)
+        assert theta(a, f) == v_kappa_star_by_pairing(m, spec)
+
+
+def test_theta_matches_factorization_oracle():
+    rng = random.Random(43)
+    for trial in range(96):
+        g, even = 2 + trial % 4, trial // 4 % 2 == 0
+        spec = random_spec(rng, g, rng.choice([1, 2, 3, 4]), even_only=even)
+        f = random_framing(rng, spec)
+        a = random_paut(rng, spec, factors=rng.choice([4, 16]))
+        assert theta(a, f) == theta_by_factorization(a, f)
+
+
+def test_theta_never_factors(monkeypatch):
+    def refuse(_s):
+        raise AssertionError("theta must not factor S")
+
+    rng = random.Random(47)
+    spec = random_spec(rng, 4, 3)
+    f = random_framing(rng, spec)
+    a = random_paut(rng, spec, factors=16)
+    expected = theta_by_factorization(a, f)
+    # the package re-exports the function theta, so reach the module by its import name
+    monkeypatch.setattr(importlib.import_module("framedhom.paut"), "factor_sp", refuse)
+    theta_module = importlib.import_module("framedhom.theta")
+    monkeypatch.setattr(theta_module, "factor_sp", refuse, raising=False)
+    assert theta(a, f) == expected
+    assert kernel_test(a, f) == expected.is_zero()
