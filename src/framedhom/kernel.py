@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .errors import NoLiftExists, NotPrimitive, SpecMismatch
 from .framing import Framing, QForm, arf_of_form, spin_form, winding_parity
 from .lattice import AbsVec
-from .paut import PAutElem, compose, identity_mat, transvection, zero_mat
+from .paut import PAutElem, transvection, zero_mat
 from .theta import theta
 
 
@@ -35,11 +35,8 @@ def lift_transvection(v: AbsVec, f: Framing) -> PAutElem:
         raise SpecMismatch("class and framing live over different surfaces")
     if not v.is_primitive():
         raise NotPrimitive("transvections lift along primitive classes only")
-    t = PAutElem._trusted(
-        spec.g, spec.n, transvection(v, 1), zero_mat(spec.abs_rank, spec.zero_rank)
-    )
     if winding_parity(f, v) == 0:
-        out = t
+        m = zero_mat(spec.abs_rank, spec.zero_rank)
     else:
         odd = next((i for i in range(2, spec.n + 1) if spec.kappa[i - 1] % 2), None)
         if odd is None:
@@ -51,7 +48,7 @@ def lift_transvection(v: AbsVec, f: Framing) -> PAutElem:
             tuple(v.coords[i] if j == odd - 2 else 0 for j in range(spec.zero_rank))
             for i in range(spec.abs_rank)
         )
-        out = compose(PAutElem._trusted(spec.g, spec.n, identity_mat(spec.abs_rank), m), t)
+    out = PAutElem._trusted(spec.g, spec.n, transvection(v, 1), m)
     if not kernel_test(out, f):
         raise AssertionError("constructed lift fails the kernel test")
     return out

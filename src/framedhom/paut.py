@@ -9,7 +9,7 @@ S^T J S = J is checked where a matrix enters from outside: the public
 constructor `PAutElem(...)` (hence `from_blocks` and the CLI's JSON loader)
 and `factor_sp`.  Results built inside the library from elements already
 checked or from transvections -- `compose`, `invert`, `decompose`,
-`PAutElem.identity`, word letters and kernel lifts -- are symplectic by
+`PAutElem.identity`, word matrices and kernel lifts -- are symplectic by
 construction and go through the unchecked `PAutElem._trusted`.
 """
 
@@ -189,18 +189,15 @@ def decompose(a: PAutElem) -> tuple[PAutElem, PAutElem]:
 
 def transvection(v: AbsVec, k: int = 1) -> Mat:
     """Matrix of x -> x + k <x, v> v in the absolute basis."""
-    return _transvection_coords(v.coords, k)
-
-
-def _transvection_coords(v: Sequence[int], k: int) -> Mat:
-    m = len(v)
+    c = v.coords
+    m = len(c)
     jv = []
     for i in range(0, m, 2):
-        jv.append(v[i + 1])
-        jv.append(-v[i])
+        jv.append(c[i + 1])
+        jv.append(-c[i])
     # <x, v> = sum_j jv[j] x_j with jv = (v_y, -v_x) per handle
     return tuple(
-        tuple((1 if i == j else 0) + k * v[i] * jv[j] for j in range(m))
+        tuple((1 if i == j else 0) + k * c[i] * jv[j] for j in range(m))
         for i in range(m)
     )
 

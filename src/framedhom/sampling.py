@@ -7,8 +7,8 @@ from random import Random
 
 from .framing import Framing, winding_parity
 from .lattice import AbsVec, PunctVec, SurfaceSpec, as_punct, x_curve, y_curve
-from .paut import Mat, PAutElem, factor_sp, mat_mul, transvection
-from .words import PointPush, Twist, Word, standard_alphabet
+from .paut import Mat, PAutElem, factor_sp
+from .words import PointPush, Twist, Word, standard_alphabet, word_to_paut
 
 
 def random_kappa(rng: Random, g: int, n: int, even_only: bool = False) -> tuple[int, ...]:
@@ -50,12 +50,11 @@ def random_primitive_punct(rng: Random, spec: SurfaceSpec, bound: int = 2) -> Pu
 
 def random_symplectic(rng: Random, spec: SurfaceSpec, factors: int = 8) -> Mat:
     """Product of random transvections about random primitive classes."""
-    s = transvection(x_curve(spec, 1), 0)  # identity
+    letters = []
     for _ in range(factors):
         v = random_primitive_abs(rng, spec)
-        k = rng.choice([-2, -1, 1, 2])
-        s = mat_mul(s, transvection(v, k))
-    return s
+        letters.append(Twist(as_punct(v), rng.choice([-2, -1, 1, 2])))
+    return word_to_paut(Word(spec, tuple(letters))).S
 
 
 def random_relaut_block(rng: Random, spec: SurfaceSpec, bound: int = 2) -> Mat:

@@ -5,11 +5,19 @@ like a composition).  Twist letters carry the class of the twisting curve in
 the punctured lattice together with the declared winding number of the chosen
 simple representative; point-push letters carry the pushed point and the
 primitive absolute class of the pushing loop.
+
+On relative homology every letter is a rank-one unipotent map
+x -> x + phi(x) u, with u an absolute class and phi a functional on relative
+coordinates: a twist about c with power k has u = c-bar (c with its loop part
+dropped) and phi = k <., c>; a push of point p_i has u = the loop and phi =
+the coefficient of p_i in the boundary.  `_letter_map` is the one place that
+builds this pair; `act_rel`, `track_curve` and `word_to_paut` all apply it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Union
 
 from . import mod2
@@ -31,12 +39,11 @@ from .lattice import (
     as_rel,
     point_loop,
     project_punct,
-    rel_punct_pairing,
     sympl,
     x_curve,
     y_curve,
 )
-from .paut import PAutElem, _transvection_coords, compose, identity_mat
+from .paut import PAutElem
 
 
 @dataclass(frozen=True)
@@ -119,34 +126,39 @@ class Word:
 # lattice action
 
 
-def _push_multiplicity(letter: PointPush, coords: tuple[int, ...]) -> int:
-    """Coefficient with which the pushed point appears in the boundary."""
-    spec = letter.spec
-    arcs = coords[spec.abs_rank :]
-    if letter.point >= 2:
-        return arcs[letter.point - 2]
-    return -sum(arcs)
+def _letter_map(letter: Letter) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The pair (u, phi) of the letter's map x -> x + phi(x) u.
 
-
-def _act_letter_coords(letter: Letter, coords: tuple[int, ...]) -> tuple[int, ...]:
+    u holds absolute coordinates only, phi one coefficient per relative
+    coordinate.  The boundary coefficient of p_i is that of a_i for i >= 2
+    and minus the sum of all arc coefficients for i = 1.
+    """
     spec = letter.spec
+    k = spec.abs_rank
     if isinstance(letter, Twist):
-        c = rel_punct_pairing(RelVec(spec, coords), letter.curve)
-        if not c:
-            return coords
-        kc = letter.power * c
-        image = project_punct(letter.curve).coords
-        out = list(coords)
-        for i, v in enumerate(image):
-            out[i] += kc * v
-        return tuple(out)
-    m = _push_multiplicity(letter, coords)
-    if not m:
+        c, p = letter.curve.coords, letter.power
+        phi = []
+        for i in range(0, k, 2):
+            phi.append(p * c[i + 1])
+            phi.append(-p * c[i])
+        return c[:k], tuple(phi) + tuple(p * d for d in c[k:])
+    if letter.point >= 2:
+        arcs = tuple(int(j == letter.point - 2) for j in range(spec.zero_rank))
+    else:
+        arcs = (-1,) * spec.zero_rank
+    return letter.loop.coords, (0,) * k + arcs
+
+
+def _dot(a, b) -> int:
+    """Sum of products over the shorter of the two sequences."""
+    return sum(map(mul, a, b))
+
+
+def _shift(coords: tuple[int, ...], c: int, u: tuple[int, ...]) -> tuple[int, ...]:
+    """coords + c u, where u has only absolute coordinates."""
+    if not c:
         return coords
-    out = list(coords)
-    for i, v in enumerate(letter.loop.coords):
-        out[i] += m * v
-    return tuple(out)
+    return tuple(x + c * v for x, v in zip(coords, u)) + coords[len(u) :]
 
 
 def act_rel(word: Word, x: RelVec) -> RelVec:
@@ -155,39 +167,30 @@ def act_rel(word: Word, x: RelVec) -> RelVec:
         raise SpecMismatch("word and class live over different surfaces")
     coords = x.coords
     for letter in reversed(word.letters):
-        coords = _act_letter_coords(letter, coords)
+        u, phi = _letter_map(letter)
+        coords = _shift(coords, _dot(phi, coords), u)
     return RelVec(x.spec, coords)
 
 
-def letter_paut(letter: Letter) -> PAutElem:
-    """Block matrix of a single letter."""
-    spec = letter.spec
-    k = spec.abs_rank
-    if isinstance(letter, Twist):
-        image = project_punct(letter.curve).coords
-        s = _transvection_coords(image, letter.power)
-        dpart = letter.curve.coords[k:]
-        m = tuple(
-            tuple(letter.power * image[i] * d for d in dpart) for i in range(k)
-        )
-        return PAutElem._trusted(spec.g, spec.n, s, m)
-    cols = spec.zero_rank
-    if letter.point >= 2:
-        m = tuple(
-            tuple(letter.loop.coords[i] if j == letter.point - 2 else 0 for j in range(cols))
-            for i in range(k)
-        )
-    else:
-        m = tuple(tuple(-letter.loop.coords[i] for _ in range(cols)) for i in range(k))
-    return PAutElem._trusted(spec.g, spec.n, identity_mat(k), m)
-
-
 def word_to_paut(word: Word) -> PAutElem:
-    """Matrix of the word's action on the relative lattice."""
-    out = PAutElem.identity(word.spec.g, word.spec.n)
+    """Matrix of the word's action on the relative lattice.
+
+    Folds the letters left to right into the rows P = [S | M]: right
+    multiplication by I + u phi^T is P <- P + (P u) phi^T, and P u = S u
+    because u has no arc part.
+    """
+    spec = word.spec
+    k = spec.abs_rank
+    rows = [[int(i == j) for j in range(spec.rel_rank)] for i in range(k)]
     for letter in word.letters:
-        out = compose(out, letter_paut(letter))
-    return out
+        u, phi = _letter_map(letter)
+        for i, row in enumerate(rows):
+            c = _dot(row, u)
+            if c:
+                rows[i] = [x + c * p for x, p in zip(row, phi)]
+    return PAutElem._trusted(
+        spec.g, spec.n, tuple(tuple(r[:k]) for r in rows), tuple(tuple(r[k:]) for r in rows)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +213,13 @@ def track_curve(
     coords = start.coords
     w2 = winding2
     for letter in reversed(word.letters):
+        u, phi = _letter_map(letter)
+        c = _dot(phi, coords)
         if isinstance(letter, Twist):
-            c = rel_punct_pairing(RelVec(spec, coords), letter.curve)
-            w2 += 2 * letter.power * c * letter.winding
+            w2 += 2 * c * letter.winding
         else:
-            absc = coords[: spec.abs_rank]
-            w2 += 2 * spec.kappa[letter.point - 1] * sympl(letter.loop.coords, absc)
-        coords = _act_letter_coords(letter, coords)
+            w2 += 2 * spec.kappa[letter.point - 1] * sympl(u, coords[: spec.abs_rank])
+        coords = _shift(coords, c, u)
     return RelVec(spec, coords), w2
 
 

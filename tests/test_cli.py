@@ -84,6 +84,22 @@ def test_non_integer_json_exit2(capsys, tmp_path, command, framing, paut):
     assert "must be a JSON integer" in err or "must be a list of integers" in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"g": 2, "kappa": [2], "wind_x": [' + b"9" * 5000 + b', 0], "wind_y": [0, 0]}',
+        b'{"g": 2, "kappa": [2], "wind_x": [0, 0], "wind_y": [0, 0], "\xff": 0}',
+        b"[" * 200000,
+    ],
+    ids=["5000-digit-integer", "non-utf8-byte", "deep-nesting"],
+)
+def test_unparsable_json_exit2(capsys, tmp_path, content):
+    path = tmp_path / "f.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "arf", "--framing", str(path))
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_non_symplectic_paut_exit2(capsys, tmp_path, f2):
     two = [[2 * (i == j) for j in range(4)] for i in range(4)]
     p = write_json(tmp_path, "p.json", dict(P2, S=two))
@@ -104,8 +120,10 @@ def test_theta_and_kernel_commands(capsys, tmp_path, f2, f11):
     code, out, _ = run_cli(capsys, "kernel-test", "--paut", prel, "--framing", f11)
     assert code == 0 and json.loads(out) == {"in_kernel": False}
     # cross-input mismatch
-    code, _, err = run_cli(capsys, "theta", "--paut", prel, "--framing", f2)
-    assert code == 3
+    for command in ("theta", "kernel-test"):
+        code, out, err = run_cli(capsys, command, "--paut", prel, "--framing", f2)
+        assert code == 3 and out == ""
+        assert err == "error: automorphism is for g=2, n=2; framing for g=2, n=1\n"
 
 
 def test_lift_command(capsys, f2, tmp_path):

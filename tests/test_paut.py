@@ -19,7 +19,7 @@ from framedhom.paut import (
     transvection,
     zero_mat,
 )
-from framedhom.sampling import random_paut, random_spec, random_symplectic
+from framedhom.sampling import random_paut, random_primitive_abs, random_spec, random_symplectic
 
 SPEC = SurfaceSpec(2, (1, 1))
 
@@ -103,6 +103,21 @@ def test_sp_inverse():
         spec = random_spec(rng, rng.choice([2, 3]), 1)
         s = random_symplectic(rng, spec)
         assert mat_mul(s, sp_inverse(s, spec.g)) == identity_mat(2 * spec.g)
+
+
+def test_random_symplectic_replays_transvections():
+    # the seeded inputs of the tests and the benchmark: replay the same draws
+    # from a second generator and fold the full transvection matrices
+    for g in (2, 3, 4, 5):
+        for factors in (2, 8, 20):
+            for seed in range(3):
+                spec = SurfaceSpec(g, (2 * g - 2,) if seed % 2 else (1, 2 * g - 3))
+                replay = random.Random(seed)
+                s = identity_mat(2 * g)
+                for _ in range(factors):
+                    v = random_primitive_abs(replay, spec)
+                    s = mat_mul(s, transvection(v, replay.choice([-2, -1, 1, 2])))
+                assert random_symplectic(random.Random(seed), spec, factors) == s
 
 
 def test_factor_sp_examples():

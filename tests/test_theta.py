@@ -9,7 +9,6 @@ from framedhom.kernel import kernel_test
 from framedhom.lattice import CohomClass, SurfaceSpec, x_curve, y_curve
 from framedhom.paut import (
     PAutElem,
-    _transvection_coords,
     compose,
     identity_mat,
     mat_mod2,
@@ -114,7 +113,7 @@ def test_theta_factorization_independent():
         for _ in range(rng.randint(0, 8)):
             v = random_primitive_abs(rng, spec)
             k = rng.choice([-2, -1, 1, 2])
-            s = mat_mul(s, _transvection_coords(v.coords, k))
+            s = mat_mul(s, transvection(v, k))
             if k & 1:
                 if acc.evaluate(v.coords):
                     acc = acc + CohomClass.pairing_with(v)

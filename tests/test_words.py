@@ -5,15 +5,18 @@ import pytest
 from framedhom.errors import NotPrimitive, PointPushOnArcs, SpecMismatch
 from framedhom.framing import Framing, arf, q_vector
 from framedhom.lattice import (
+    RelVec,
     SurfaceSpec,
     arc_class,
     as_punct,
     as_rel,
     point_loop,
+    project_punct,
+    rel_punct_pairing,
     x_curve,
     y_curve,
 )
-from framedhom.paut import identity_mat, pullback_h1, transvection
+from framedhom.paut import PAutElem, compose, identity_mat, pullback_h1, transvection
 from framedhom.sampling import random_exotic_word, random_framing, random_spec, random_standard_word
 from framedhom.words import (
     PointPush,
@@ -74,11 +77,46 @@ def test_word_to_paut_multiplicative():
         spec = random_spec(rng, rng.choice([2, 3]), rng.choice([1, 2, 3]))
         w1 = random_exotic_word(rng, spec, rng.randint(0, 4))
         w2 = random_exotic_word(rng, spec, rng.randint(0, 4))
-        from framedhom.paut import compose
-
         lhs = word_to_paut(w1 + w2)
         rhs = compose(word_to_paut(w1), word_to_paut(w2))
         assert lhs.S == rhs.S and lhs.M == rhs.M
+
+
+def _letter_block(letter):
+    """Block matrix of one letter, column j the image of the basis class e_j."""
+    spec = letter.spec
+    k, r = spec.abs_rank, spec.rel_rank
+    cols = []
+    for j in range(r):
+        e = tuple(int(i == j) for i in range(r))
+        if isinstance(letter, Twist):
+            c = letter.power * rel_punct_pairing(RelVec(spec, e), letter.curve)
+            u = project_punct(letter.curve).coords
+        else:
+            if letter.point >= 2:
+                c = int(j == k + letter.point - 2)
+            else:
+                c = -int(j >= k)
+            u = letter.loop.coords
+        cols.append([e[i] + c * u[i] for i in range(k)])
+    rows = list(zip(*cols))
+    return PAutElem(spec.g, spec.n, [row[:k] for row in rows], [row[k:] for row in rows])
+
+
+def test_word_to_paut_matches_letter_blocks():
+    rng = random.Random(31)
+    for trial in range(120):
+        spec = random_spec(rng, rng.choice([2, 3, 4]), rng.choice([1, 2, 3]))
+        length = rng.randint(0, 12)
+        if trial % 2:
+            w = random_exotic_word(rng, spec, length)
+        else:
+            w = random_standard_word(rng, random_framing(rng, spec), length)
+        expect = PAutElem.identity(spec.g, spec.n)
+        for letter in w.letters:
+            expect = compose(expect, _letter_block(letter))
+        got = word_to_paut(w)
+        assert got.S == expect.S and got.M == expect.M
 
 
 def test_push_of_first_point():
