@@ -153,6 +153,13 @@ _TWIST_RE = re.compile(r"^T\(([^;]+);w=(-?\d+)\)(?:\^(-?\d+))?$")
 _PUSH_RE = re.compile(r"^P\((\d+);([^;)]+)\)$")
 
 
+def _word_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError as exc:  # more digits than the interpreter converts
+        raise WordSyntaxError(f"integer of {len(digits)} characters is too long") from exc
+
+
 def parse_vector(expr: str, spec: SurfaceSpec, punctured: bool):
     """Parse a linear combination like 'x1+2y2-d3' into a lattice vector."""
     expr = expr.replace(" ", "")
@@ -164,10 +171,10 @@ def parse_vector(expr: str, spec: SurfaceSpec, punctured: bool):
         if not m:
             raise WordSyntaxError(f"cannot parse vector term at {expr[pos:]!r}")
         sign, mag, sym, idx = m.groups()
-        coef = int(mag) if mag else 1
+        coef = _word_int(mag) if mag else 1
         if sign == "-":
             coef = -coef
-        i = int(idx)
+        i = _word_int(idx)
         if sym == "x" or sym == "y":
             if not 1 <= i <= spec.g:
                 raise WordSyntaxError(f"handle index {i} out of range 1..{spec.g}")
@@ -204,7 +211,7 @@ def parse_word(text: str, f: Framing) -> Word:
             if name not in alphabet:
                 raise WordSyntaxError(f"unknown alphabet letter {name}")
             base = alphabet[name]
-            power = int(m.group(3)) if m.group(3) else 1
+            power = _word_int(m.group(3)) if m.group(3) else 1
             if power == 0:
                 raise WordSyntaxError("twist power must be nonzero")
             letters.append(Twist(base.curve, power, base.winding))
@@ -212,15 +219,15 @@ def parse_word(text: str, f: Framing) -> Word:
         m = _TWIST_RE.match(token)
         if m:
             curve = parse_vector(m.group(1), spec, punctured=True)
-            power = int(m.group(3)) if m.group(3) else 1
+            power = _word_int(m.group(3)) if m.group(3) else 1
             if power == 0:
                 raise WordSyntaxError("twist power must be nonzero")
-            letters.append(Twist(curve, power, int(m.group(2))))
+            letters.append(Twist(curve, power, _word_int(m.group(2))))
             continue
         m = _PUSH_RE.match(token)
         if m:
             loop = parse_vector(m.group(2), spec, punctured=False)
-            letters.append(PointPush(int(m.group(1)), loop))
+            letters.append(PointPush(_word_int(m.group(1)), loop))
             continue
         raise WordSyntaxError(f"cannot parse letter {token!r}")
     return Word(spec, tuple(letters))
@@ -338,7 +345,8 @@ def cmd_stratum(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    results = [run_suite(n, g=args.g, trials=args.trials, seed=args.seed) for n in names]
+    g = None if args.g is None else _capped(args.g, "g")
+    results = [run_suite(n, g=g, trials=args.trials, seed=args.seed) for n in names]
     if args.json:
         _emit(
             {

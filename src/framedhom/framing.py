@@ -64,9 +64,6 @@ class Framing:
     def has_arc_data(self) -> bool:
         return self.arc2 is not None
 
-    def delta_winding(self, i: int) -> int:
-        return self.spec.delta_winding(i)
-
     def curve_windings(self) -> tuple[int, ...]:
         """Windings on the absolute basis in order x_1, y_1, ..., x_g, y_g."""
         out = []

@@ -103,9 +103,6 @@ class _VecOps:
     def is_primitive(self) -> bool:
         return gcd(*self.coords) == 1 if any(self.coords) else False
 
-    def mod2(self) -> tuple[int, ...]:
-        return tuple(a & 1 for a in self.coords)
-
 
 @dataclass(frozen=True)
 class AbsVec(_VecOps):

@@ -6,11 +6,11 @@ classes are transvected into absolute homology.  The trailing identity block
 is the purity constraint and is never stored.
 
 S^T J S = J is checked where a matrix enters from outside: the public
-constructor `PAutElem(...)` (hence `from_blocks` and the CLI's JSON loader)
-and `factor_sp`.  Results built inside the library from elements already
-checked or from transvections -- `compose`, `invert`, `decompose`,
-`PAutElem.identity`, word matrices and kernel lifts -- are symplectic by
-construction and go through the unchecked `PAutElem._trusted`.
+constructor `PAutElem(...)` (hence the CLI's JSON loader) and `factor_sp`.
+Results built inside the library from elements already checked or from
+transvections -- `compose`, `invert`, `decompose`, `PAutElem.identity`, word
+matrices and kernel lifts -- are symplectic by construction and go through
+the unchecked `PAutElem._trusted`.
 """
 
 from __future__ import annotations
@@ -59,9 +59,6 @@ def mat_vec(a: Mat, v: Sequence[int]) -> tuple[int, ...]:
 
 def transpose(a: Mat) -> Mat:
     return tuple(zip(*a)) if a else ()
-
-def mat_mod2(a: Mat) -> Mat:
-    return tuple(tuple(v & 1 for v in row) for row in a)
 
 
 def sympl_gram(g: int) -> Mat:
@@ -128,12 +125,6 @@ class PAutElem:
     def identity(cls, g: int, n: int) -> "PAutElem":
         return cls._trusted(g, n, identity_mat(2 * g), zero_mat(2 * g, n - 1))
 
-    @classmethod
-    def from_blocks(cls, spec: SurfaceSpec, s: Mat, m: Mat | None = None) -> "PAutElem":
-        if m is None:
-            m = zero_mat(spec.abs_rank, spec.zero_rank)
-        return cls(spec.g, spec.n, s, m)
-
     def matches(self, spec: SurfaceSpec) -> bool:
         return self.g == spec.g and self.n == spec.n
 
@@ -141,9 +132,6 @@ class PAutElem:
         return self.S == identity_mat(2 * self.g) and all(
             all(v == 0 for v in row) for row in self.M
         )
-
-    def sbar(self) -> Mat:
-        return mat_mod2(self.S)
 
     def act(self, x: RelVec) -> RelVec:
         """Apply the block matrix to a relative class."""
@@ -203,7 +191,7 @@ def transvection(v: AbsVec, k: int = 1) -> Mat:
 
 
 def pullback_h1(sbar: Mat, theta: CohomClass) -> CohomClass:
-    """Precompose a cohomology class with the mod-2 action: bits -> S^T bits."""
+    """Precompose a class with the mod-2 action of S (integer or 0/1): bits -> S^T bits."""
     if len(sbar) != 2 * theta.g:
         raise DimensionMismatch("pullback matrix has the wrong size")
     return CohomClass.from_packed(theta.g, mod2.pullback(mod2.columns(sbar), theta.packed))

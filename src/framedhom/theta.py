@@ -43,7 +43,7 @@ def v_kappa_star(m: Mat, spec: SurfaceSpec) -> CohomClass:
 
 
 def q_hat(q: QForm, sbar: Mat) -> CohomClass:
-    """Change of a quadratic form under a mod-2 symplectic matrix, x -> q(Sx) - q(x)."""
+    """Change x -> q(Sx) - q(x) of a quadratic form under S mod 2 (S integer or 0/1)."""
     k = 2 * q.g
     if len(sbar) != k or any(len(row) != k for row in sbar):
         raise SpecMismatch(f"matrix must be {k}x{k}")

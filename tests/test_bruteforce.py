@@ -8,7 +8,7 @@ from framedhom import mod2
 from framedhom.errors import GenusTooLarge, TooLarge
 from framedhom.framing import Framing
 from framedhom.lattice import SurfaceSpec, sympl
-from framedhom.paut import PAutElem, mat_mod2, zero_mat
+from framedhom.paut import PAutElem, zero_mat
 from framedhom.sampling import random_framing, random_paut, random_spec
 from framedhom.theta import theta
 
@@ -28,24 +28,45 @@ def test_group_closed_under_sampled_products():
     for _ in range(300):
         key = group.keys[rng.randrange(len(group))]
         gi = rng.randrange(len(group.gens))
-        assert group.mul_gen(key, gi) in group.index
+        prod = group.mul_gen(key, gi)
+        assert group.keys[group.find(prod)] == prod
 
 
 def test_group_closed_under_inverse():
-    from framedhom.paut import mat_mod2, sp_inverse
+    from framedhom.paut import sp_inverse
 
     group = bf.enumerate_sp2(2)
     rng = random.Random(4)
     for _ in range(100):
         mat = group.matrix(rng.randrange(len(group)))
-        inv = mat_mod2(sp_inverse(mat, 2))
-        assert bf.matrix_to_key(inv) in group.index
+        inv = bf.matrix_to_key(sp_inverse(mat, 2))
+        assert group.keys[group.find(inv)] == inv
+
+
+def test_closure_tree():
+    # every element is its parent times its generator, parents come first
+    group = bf.enumerate_sp2(2)
+    assert group.parent[0] == group.gen_of[0] == -1
+    for i in range(1, len(group)):
+        assert group.parent[i] < i
+        assert group.mul_gen(group.keys[group.parent[i]], group.gen_of[i]) == group.keys[i]
+    assert len(set(group.keys)) == len(group) == bf.sp2_order(2)
+
+
+def test_find_positions_and_outsiders():
+    group = bf.enumerate_sp2(2)
+    assert group.find(group.keys[5]) == 5
+    assert group.find(group.keys[::-1]).tolist() == list(range(len(group)))[::-1]
+    with pytest.raises(KeyError):
+        group.find(0)  # the zero matrix
+    with pytest.raises(KeyError):
+        group.find([group.keys[0], 0])
 
 
 def test_packed_matrix_roundtrip():
     group = bf.enumerate_sp2(2)
     for i in (0, 1, 100, 719):
-        assert group.lookup(group.matrix(i)) == i
+        assert group.find(bf.matrix_to_key(group.matrix(i))) == i
 
 
 def test_census_counts():
@@ -129,7 +150,7 @@ def test_theta_table_matches_integer_theta():
     for _ in range(40):
         s = random_symplectic(rng, spec)
         a = PAutElem(2, spec.n, s, zero_mat(4, spec.zero_rank))
-        packed = thetas[group.lookup(mat_mod2(s))]
+        packed = thetas[group.find(bf.matrix_to_key(s))]
         bits = tuple((packed >> j) & 1 for j in range(4))
         assert theta(a, f).bits == bits
 
@@ -201,8 +222,12 @@ def test_theta_depends_only_on_kappa_mod2():
 
 @pytest.mark.skipif(
     not os.environ.get("FRAMEDHOM_SLOW"),
-    reason="g=3 closure takes minutes; set FRAMEDHOM_SLOW=1 to run",
+    reason="g=3 closure and certificates take about a minute; set FRAMEDHOM_SLOW=1 to run",
 )
 def test_enumerate_sp2_genus3():
     group = bf.enumerate_sp2(3)
-    assert len(group) == bf.sp2_order(3) == 1451520
+    assert len(group) == len(set(group.keys)) == bf.sp2_order(3) == 1451520
+    # the cocycle rule on every Cayley edge, for one framing of each regime
+    assert bf.check_theta_edges(group, Framing.zeros(SurfaceSpec(3, (4,))))
+    odd = Framing(SurfaceSpec(3, (3, 1)), (1, 0, 0), (1, 0, 0), (-1,))
+    assert bf.check_theta_edges(group, odd)

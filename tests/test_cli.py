@@ -177,6 +177,23 @@ def test_act_word_syntax_error(capsys, f2):
     assert code == 2
 
 
+NINES = "9" * 5000  # more digits than int() converts
+
+
+@pytest.mark.parametrize(
+    "command, tail",
+    [
+        ("lift", [f"{NINES}x1"]),
+        ("act", ["--word", f"Tx1^{NINES}"]),
+        ("act", ["--word", f"T(x1;w={NINES})"]),
+    ],
+    ids=["vector-coefficient", "twist-power", "declared-winding"],
+)
+def test_overlong_integer_in_word_exit2(capsys, f2, command, tail):
+    code, out, err = run_cli(capsys, command, "--framing", f2, *tail)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_match_command(capsys, tmp_path, f11):
     target = write_json(
         tmp_path, "target.json",
@@ -219,6 +236,12 @@ def test_oversized_surface_exit2(capsys, tmp_path):
         tmp_path, "big.json", {"g": g, "kappa": [2 * g - 2], "wind_x": [0] * g, "wind_y": [0] * g}
     )
     code, out, err = run_cli(capsys, "arf", "--framing", big)
+    assert code == 2 and out == "" and err.startswith("error:") and "exceeds" in err
+
+
+def test_verify_oversized_genus_exit2(capsys):
+    g = str(cli.MAX_SURFACE_SIZE + 1)
+    code, out, err = run_cli(capsys, "verify", "cocycle", "--g", g, "--trials", "1")
     assert code == 2 and out == "" and err.startswith("error:") and "exceeds" in err
 
 

@@ -6,7 +6,7 @@ from framedhom.errors import NoLiftExists, NotPrimitive
 from framedhom.framing import Framing, spin_form, winding_parity
 from framedhom.kernel import kernel_test, lift_transvection, structure_report
 from framedhom.lattice import SurfaceSpec, x_curve
-from framedhom.paut import PAutElem, compose, identity_mat, invert, mat_mod2, transvection, zero_mat
+from framedhom.paut import PAutElem, compose, identity_mat, invert, transvection, zero_mat
 from framedhom.sampling import random_framing, random_paut, random_primitive_abs, random_spec
 from framedhom.theta import q_hat
 
@@ -58,7 +58,7 @@ def test_lift_random_both_regimes():
             refused += 1
             assert all(k % 2 == 0 for k in spec.kappa)
             assert winding_parity(f, v) == 1
-            assert not q_hat(spin_form(f), mat_mod2(transvection(v, 1))).is_zero()
+            assert not q_hat(spin_form(f), transvection(v, 1)).is_zero()
             continue
         lifted += 1
         assert a.S == transvection(v, 1)
@@ -115,4 +115,4 @@ def test_even_regime_kernel_characterization():
     q = spin_form(f)
     for _ in range(60):
         a = random_paut(rng, spec)
-        assert kernel_test(a, f) == q_hat(q, a.sbar()).is_zero()
+        assert kernel_test(a, f) == q_hat(q, a.S).is_zero()

@@ -11,7 +11,6 @@ from framedhom.paut import (
     PAutElem,
     compose,
     identity_mat,
-    mat_mod2,
     mat_vec,
     pullback_h1,
     transvection,
@@ -46,7 +45,7 @@ def test_v_kappa_star_examples():
 def test_q_hat_examples():
     q = spin_form(Framing(SPEC2, (1, 0), (0, 0)))
     assert q_hat(q, identity_mat(4)).is_zero()
-    tbar = mat_mod2(transvection(x_curve(SPEC2, 1), 1))
+    tbar = transvection(x_curve(SPEC2, 1), 1)
     th = q_hat(q, tbar)
     assert th.evaluate(y_curve(SPEC2, 1)) == 1
     # brute force: the defect must equal q(Sx) - q(x) on all 16 classes
@@ -66,9 +65,9 @@ def test_q_hat_crossed_identity_random():
     for _ in range(60):
         spec = random_spec(rng, 2, 1, even_only=True)
         q = spin_form(random_framing(rng, spec))
-        s1 = mat_mod2(random_symplectic(rng, spec))
-        s2 = mat_mod2(random_symplectic(rng, spec))
-        prod = mat_mod2(mat_mul(s1, s2))
+        s1 = random_symplectic(rng, spec)
+        s2 = random_symplectic(rng, spec)
+        prod = mat_mul(s1, s2)
         assert q_hat(q, prod) == pullback_h1(s2, q_hat(q, s1)) + q_hat(q, s2)
 
 
@@ -95,7 +94,7 @@ def test_theta_crossed_homomorphism():
         a = random_paut(rng, spec)
         b = random_paut(rng, spec)
         lhs = theta(compose(a, b), f)
-        rhs = pullback_h1(b.sbar(), theta(a, f)) + theta(b, f)
+        rhs = pullback_h1(b.S, theta(a, f)) + theta(b, f)
         assert lhs == rhs
 
 
@@ -138,7 +137,7 @@ def test_theta_even_closed_form():
         spec = random_spec(rng, rng.choice([2, 3]), rng.choice([1, 2, 3]), even_only=True)
         f = random_framing(rng, spec)
         a = random_paut(rng, spec)
-        assert theta_by_factorization(a, f) == q_hat(spin_form(f), a.sbar())
+        assert theta_by_factorization(a, f) == q_hat(spin_form(f), a.S)
 
 
 def test_theta_relaut_restriction():

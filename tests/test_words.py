@@ -187,7 +187,7 @@ def test_delta_cocycle_property():
         w1 = random_exotic_word(rng, spec, rng.randint(0, 4))
         w2 = random_exotic_word(rng, spec, rng.randint(0, 4))
         lhs = delta_word(w1 + w2, f)
-        rhs = pullback_h1(word_to_paut(w2).sbar(), delta_word(w1, f)) + delta_word(w2, f)
+        rhs = pullback_h1(word_to_paut(w2).S, delta_word(w1, f)) + delta_word(w2, f)
         assert lhs == rhs
 
 
