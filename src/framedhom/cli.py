@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import Any
@@ -262,7 +263,13 @@ def move_to_dict(m) -> dict[str, Any]:
 
 
 def _emit(obj: Any) -> None:
-    print(json.dumps(obj, separators=(", ", ": ")))
+    try:
+        text = json.dumps(obj, separators=(", ", ": "))
+    except ValueError as exc:  # an integer longer than the interpreter prints
+        raise TooLarge(
+            f"output holds an integer of more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
+    print(text)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +441,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone (`| head`): send what is still buffered to
+        # devnull so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (SpecMismatch, ArfMismatch, QVectorMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

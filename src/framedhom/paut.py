@@ -21,7 +21,7 @@ from typing import Sequence
 
 from . import mod2
 from .errors import DimensionMismatch, NotPrimitive, NotSymplectic, SpecMismatch
-from .lattice import AbsVec, CohomClass, RelVec, SurfaceSpec, sympl
+from .lattice import AbsVec, CohomClass, RelVec, SurfaceSpec
 
 Mat = tuple[tuple[int, ...], ...]
 
@@ -202,9 +202,24 @@ def factor_sp(s: Mat) -> list[tuple[tuple[int, ...], int]]:
 
     Returns pairs (v, k), each a primitive vector with its power, whose
     ordered product T_{v_1}^{k_1} ... T_{v_m}^{k_m} equals S exactly.  The
-    reduction is symplectic Gaussian elimination: bring each basis column
-    pair to (e_{2h}, e_{2h+1}) with transvections supported on the remaining
+    list is one valid factorization, not a canonical one.  The reduction is
+    symplectic Gaussian elimination: bring each basis column pair to
+    (e_{2h}, e_{2h+1}) with transvections supported on the remaining
     handles, then recurse.
+
+    Column 2h is brought to x_h by Euclid on each later handle's (x_i, y_i)
+    slots, then by steps that move the x_i slots into the x_h slot.  Column
+    2h+1 then pairs to -1 with x_h and every later column pairs to 0 with
+    it, so each x_i or y_i slot e of column 2h+1, holding k, is cleared by
+    the shear T_{x_h+e}^k T_{x_h}^{-k} T_e^{-k}: three commuting
+    transvections whose product is x -> x + k(<x, x_h> e + <x, e> x_h).  It
+    changes the later columns only in their x_h row, and a final power of
+    T_{x_h} clears the x_h slot of column 2h+1.
+
+    The working matrix is updated by rows: T_v^k adds k v_i <., v> to the
+    at most two rows where v is nonzero.  Euclid's quotients depend only on
+    the pivot pair, so each handle's Euclid runs on two integers and its
+    accumulated unimodular 2x2 map is applied to rows x_i and y_i once.
     """
     m = len(s)
     if m % 2 != 0 or any(len(row) != m for row in s):
@@ -216,42 +231,44 @@ def factor_sp(s: Mat) -> list[tuple[tuple[int, ...], int]]:
     w = [list(row) for row in s]
     applied: list[tuple[tuple[int, ...], int]] = []
 
-    def col(j: int) -> list[int]:
-        return [w[i][j] for i in range(m)]
+    def vec(*slots: int) -> tuple[int, ...]:
+        return tuple(1 if i in slots else 0 for i in range(m))
 
-    def apply_t(v: Sequence[int], k: int) -> None:
-        # left-multiply W by T_v^k, column by column
+    def apply_t(v: tuple[int, ...], k: int) -> None:
+        # left-multiply W by T_v^k: row i gains k v_i <col, v>, and the row of
+        # pairings <col, v> = sum_p (J v)_p W[p] reads the partner rows of v
         if k == 0:
             return
-        for j in range(m):
-            c = sympl(col(j), v)
-            if c:
-                kc = k * c
-                for i in range(m):
-                    w[i][j] += kc * v[i]
-        applied.append((tuple(v), k))
-
-    def unit(j: int) -> list[int]:
-        e = [0] * m
-        e[j] = 1
-        return e
-
-    def basis_x(i: int) -> list[int]:
-        return unit(2 * i)
-
-    def basis_y(i: int) -> list[int]:
-        return unit(2 * i + 1)
+        support = [i for i, c in enumerate(v) if c]
+        pairing = [0] * m
+        for p in support:
+            c = v[p] if p & 1 else -v[p]
+            pairing = [a + c * b for a, b in zip(pairing, w[p ^ 1])]
+        for i in support:
+            f = k * v[i]
+            w[i] = [a + f * b for a, b in zip(w[i], pairing)]
+        applied.append((v, k))
 
     def euclid_handle(j: int, i: int) -> None:
-        # zero the y_i coordinate of column j, gcd collects in the x_i slot
-        while w[2 * i + 1][j] != 0:
-            a, b = w[2 * i][j], w[2 * i + 1][j]
-            if a == 0:
-                apply_t(basis_x(i), -1)  # a += b
-            elif abs(a) > abs(b):
-                apply_t(basis_x(i), a // b)  # a -> a mod b
+        # zero the y_i slot of column j, gcd collects in the x_i slot; the map
+        # (row x_i, row y_i) -> (p x + q y, r x + t y) accumulates over the steps
+        a, b = w[2 * i][j], w[2 * i + 1][j]
+        if b == 0:
+            return
+        xi, yi = vec(2 * i), vec(2 * i + 1)
+        p, q, r, t = 1, 0, 0, 1
+        while b != 0:
+            if a == 0 or abs(a) > abs(b):
+                k = a // b if a else -1  # T_{x_i}^k: a -> a - k b (a mod b, or a + b)
+                applied.append((xi, k))
+                a, p, q = a - k * b, p - k * r, q - k * t
             else:
-                apply_t(basis_y(i), -(b // a))  # b -> b mod a
+                k = -(b // a)  # T_{y_i}^k: b -> b + k a = b mod a
+                applied.append((yi, k))
+                b, r, t = b + k * a, r + k * p, t + k * q
+        x, y = w[2 * i], w[2 * i + 1]
+        w[2 * i] = [p * c + q * d for c, d in zip(x, y)]
+        w[2 * i + 1] = [r * c + t * d for c, d in zip(x, y)]
 
     def reduce_first(h: int) -> None:
         j = 2 * h
@@ -262,37 +279,36 @@ def factor_sp(s: Mat) -> list[tuple[tuple[int, ...], int]]:
             while w[2 * i][j] != 0:
                 ah, ai = w[2 * h][j], w[2 * i][j]
                 if ah == 0:
-                    apply_t([c + d for c, d in zip(basis_x(h), basis_y(i))], 1)
-                    apply_t(basis_y(i), -1)  # a_h += a_i
-                    apply_t([c + d for c, d in zip(basis_x(i), basis_y(h))], -1)
-                    apply_t(basis_y(h), 1)  # a_i -= a_h
+                    apply_t(vec(2 * h, 2 * i + 1), 1)
+                    apply_t(vec(2 * i + 1), -1)  # a_h += a_i
+                    apply_t(vec(2 * i, 2 * h + 1), -1)
+                    apply_t(vec(2 * h + 1), 1)  # a_i -= a_h
                 elif abs(ai) >= abs(ah):
                     k = -(ai // ah)
-                    apply_t([c + d for c, d in zip(basis_x(i), basis_y(h))], k)
-                    apply_t(basis_y(h), -k)  # a_i -> a_i mod a_h
+                    apply_t(vec(2 * i, 2 * h + 1), k)
+                    apply_t(vec(2 * h + 1), -k)  # a_i -> a_i mod a_h
                 else:
                     k = -(ah // ai)
-                    apply_t([c + d for c, d in zip(basis_x(h), basis_y(i))], k)
-                    apply_t(basis_y(i), -k)  # a_h -> a_h mod a_i
+                    apply_t(vec(2 * h, 2 * i + 1), k)
+                    apply_t(vec(2 * i + 1), -k)  # a_h -> a_h mod a_i
         if w[2 * h][j] == -1:
-            apply_t(basis_y(h), 1)
-            apply_t(basis_x(h), 2)
-            apply_t(basis_y(h), 1)
-        if col(j) != unit(2 * h):
+            apply_t(vec(2 * h + 1), 1)
+            apply_t(vec(2 * h), 2)
+            apply_t(vec(2 * h + 1), 1)
+        if tuple(row[j] for row in w) != vec(2 * h):
             raise AssertionError("column reduction failed; input not symplectic?")
 
     def reduce_second(h: int) -> None:
         # all moves here fix x_h (no y_h component in any transvection class)
         j = 2 * h + 1
-        for i in range(h + 1, g):
-            euclid_handle(j, i)
-        for i in range(h + 1, g):
-            ai = w[2 * i][j]
-            if ai:
-                # <u, x_h + x_i> = -1 here, so power ai clears the x_i slot
-                apply_t([c + d for c, d in zip(basis_x(h), basis_x(i))], ai)
-        apply_t(basis_x(h), w[2 * h][j])
-        if col(j) != unit(2 * h + 1):
+        for e in range(2 * h + 2, m):
+            k = w[e][j]
+            # <col j, x_h> = -1, so this shear takes the e slot from k to 0
+            apply_t(vec(2 * h, e), k)
+            apply_t(vec(2 * h), -k)
+            apply_t(vec(e), -k)
+        apply_t(vec(2 * h), w[2 * h][j])
+        if tuple(row[j] for row in w) != vec(2 * h + 1):
             raise AssertionError("column reduction failed; input not symplectic?")
 
     for h in range(g):

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ from framedhom import cli
 from framedhom.framing import Framing
 from framedhom.lattice import SurfaceSpec
 from framedhom.paut import PAutElem, identity_mat
+from framedhom.sampling import random_paut
 
 
 def write_json(tmp_path, name, obj):
@@ -243,6 +245,32 @@ def test_verify_oversized_genus_exit2(capsys):
     g = str(cli.MAX_SURFACE_SIZE + 1)
     code, out, err = run_cli(capsys, "verify", "cocycle", "--g", g, "--trials", "1")
     assert code == 2 and out == "" and err.startswith("error:") and "exceeds" in err
+
+
+def test_oversized_output_exit2(capsys, tmp_path, f2):
+    # outputs holding an integer longer than the interpreter prints: the
+    # factorization of a g=10 matrix with 19-digit entries, and a word whose
+    # matrix has an entry near (10^4000)^2
+    a = random_paut(random.Random(1010), SurfaceSpec(10, (18,)), 20)
+    p = write_json(tmp_path, "big.json", cli.paut_to_dict(a))
+    big = "1" + "0" * 4000
+    for argv in (("factor-sp", "--paut", p), ("act", "--framing", f2, "--word", f"Tx1^{big} Ty1^{big}")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:") and "digits" in err
+
+
+@pytest.mark.parametrize("argv", [("stratum", "2"), ("verify", "parity", "--trials", "40")])
+def test_closed_stdout_exit1_quietly(argv):
+    # the reader is gone before anything is written, as with `framedhom ... | head`
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "framedhom.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 1 and err == ""
 
 
 def test_verify_command(capsys):
