@@ -4,8 +4,11 @@ An element of Sp(2g, Z/2) is keyed by its packed columns (see mod2) side by
 side in one int: column j occupies bits [j*2g, (j+1)*2g); matrix_to_key
 reduces an integer matrix mod 2 itself.  The group's only index is its keys
 sorted as one uint64 array (Mod2Group.find).  The closure, the Cayley-edge
-certificate and the all-pairs sweep are vectorized with numpy, imported
-only inside them; everything else is packed-int arithmetic from mod2.
+certificate, the exhaustive kernel count and the all-pairs sweep are
+vectorized with numpy, imported only inside them; everything else is
+packed-int arithmetic from mod2.  The kernel count reads the theta table of
+every group element for every size it serves; it never falls back on the
+structure formula it is compared with.
 """
 
 from __future__ import annotations
@@ -87,15 +90,15 @@ class Mod2Group:
         return tuple(tuple((c >> r) & 1 for c in cols) for r in range(self.w))
 
     def find(self, keys):
-        """Discovery index of a key, or an array of them for keys; KeyError outside the group."""
+        """Discovery index of a key, or an array of them shaped like keys; KeyError outside the group."""
         import numpy as np
 
         keys = np.asarray(keys, dtype=np.uint64)
         pos, hit = _search(self.ordered, keys.ravel())
         if not hit.all():
             raise KeyError("key outside the enumerated group")
-        found = self.order[pos]
-        return int(found[0]) if keys.ndim == 0 else found
+        found = self.order[pos].reshape(keys.shape)
+        return int(found) if keys.ndim == 0 else found
 
     def mul_gen(self, key: int, gi: int) -> int:
         """key * T_{gens[gi]} by the rank-one update."""
@@ -113,6 +116,21 @@ def _search(ordered, keys):
     return pos, ordered[pos] == keys
 
 
+def _columns(keys, w: int):
+    """Packed columns of every key in the uint64 array keys: row j holds column j, as uint8."""
+    import numpy as np
+
+    mask = np.uint64((1 << w) - 1)
+    return np.stack([((keys >> np.uint64(j * w)) & mask).astype(np.uint8) for j in range(w)])
+
+
+def _parities(w: int):
+    """parity[u]: the number of set bits of u mod 2, for every packed vector u, as uint8."""
+    import numpy as np
+
+    return np.array([u.bit_count() & 1 for u in range(1 << w)], dtype=np.uint8)
+
+
 def _right_products(keys, w: int):
     """Yield (gi, keys * T_v) for every generator v = gi + 1, keys a uint64 array.
 
@@ -121,11 +139,10 @@ def _right_products(keys, w: int):
     """
     import numpy as np
 
-    shifts = np.arange(w, dtype=np.uint64) * np.uint64(w)
-    cols = (keys[:, None] >> shifts[None, :]) & np.uint64((1 << w) - 1)
+    cols = _columns(keys, w)
     sv = np.zeros(len(keys), dtype=np.uint64)
     for k in range(1, 1 << w):
-        sv ^= cols[:, (k & -k).bit_length() - 1]
+        sv ^= cols[(k & -k).bit_length() - 1]
         v = k ^ (k >> 1)
         yield v - 1, keys ^ (sv * np.uint64(_spread(mod2.dual(v, w), w)))
 
@@ -212,7 +229,7 @@ def check_theta_edges(group: Mod2Group, f: Framing) -> bool:
     w = group.w
     values = _letter_values(group, f)
     th = np.array(thetas, dtype=np.int64)
-    parity = np.array([u.bit_count() & 1 for u in range(1 << w)], dtype=np.int64)
+    parity = _parities(w)
     for gi, prods in _right_products(np.array(group.keys, dtype=np.uint64), w):
         v = group.gens[gi]
         # pullback along T_v, then the letter value: the cocycle rule on edge S -> S T_v
@@ -285,27 +302,46 @@ def verify_qhat_crossed(g: int = 2) -> bool:
     """Exhaustively check the crossed-homomorphism identity of the q-defect.
 
     For one even and one odd representative form, over all |Sp(2g,2)|^2
-    pairs: qhat(AB) = pullback(B) qhat(A) + qhat(B).
+    pairs: qhat(AB) = pullback(B) qhat(A) + qhat(B).  qhat is evaluated
+    once per element (mod2.qhat); the pairs are checked in blocks of rows A
+    against every B, each product AB looked up in a table indexed by its
+    16-bit key.  A product outside the group fails the check.
     """
     if g != 2:
         raise GenusTooLarge("the all-pairs sweep is sized for g = 2")
     import numpy as np
 
     group = enumerate_sp2(g)
-    w = group.w
-    cols = [key_columns(key, w) for key in group.keys]
-    shifts = np.arange(w, dtype=np.uint64) * np.uint64(w)
-    cols_b = np.array(cols, dtype=np.intp)
-    # pull[b, p]: pullback along B of the functional p
-    pull = np.array([[mod2.pullback(c, p) for p in range(1 << w)] for c in cols])
+    w, size = group.w, len(group)
+    keys = np.array(group.keys, dtype=np.uint64)
+    cols = _columns(keys, w)
+    parity = _parities(w)
+    vecs = np.arange(1 << w, dtype=np.uint8)
+    # pull[b, p]: pullback along B of the functional p; image[a, u] = A u
+    pull = np.zeros((size, 1 << w), dtype=np.uint8)
+    image = np.zeros((size, 1 << w), dtype=np.uint16)
+    for j, c in enumerate(cols):
+        pull |= parity[c[:, None] & vecs] << j
+        image ^= c[:, None] * ((vecs >> j) & 1)
+    index = np.full(1 << (w * w), -1, dtype=np.int16)
+    index[keys] = np.arange(size)
     # arf 0 and arf 1 representatives
-    qhats = [np.array([mod2.qhat(rep, c, w) for c in cols]) for rep in (0b0000, 0b0011)]
-    for a, cols_a in enumerate(cols):
+    qhats = [
+        np.array([mod2.qhat(rep, key_columns(key, w), w) for key in group.keys], dtype=np.uint8)
+        for rep in (0b0000, 0b0011)
+    ]
+    for start in range(0, size, 60):
+        block = slice(start, start + 60)  # rows A of this block, against every B
+        rows = image[block]
         # column j of AB is A applied to column j of B
-        image = np.array([mod2.apply(cols_a, u) for u in range(1 << w)], dtype=np.uint64)
-        ab = group.find(np.bitwise_or.reduce(image[cols_b] << shifts, axis=1))
+        ab = np.zeros((len(rows), size), dtype=np.uint16)
+        for j, c in enumerate(cols):
+            ab |= rows[:, c] << (j * w)
+        ab = index[ab]
+        if (ab < 0).any():
+            return False
         for qhat in qhats:
-            if not np.array_equal(qhat[ab], pull[:, qhat[a]] ^ qhat):
+            if not np.array_equal(qhat[ab], pull[:, qhat[block]].T ^ qhat):
                 return False
     return True
 
@@ -317,12 +353,15 @@ def verify_qhat_crossed(g: int = 2) -> bool:
 def kernel_order_mod2(f: Framing, method: str = "auto") -> int:
     """Exact number of mod-2 pairs (S, M) in the kernel, for g <= 3, n <= 3.
 
-    method "enumerate" walks the enumerated group (the M block is enumerated
-    literally when small, otherwise counted per element by exact solvability
-    of M v = w over Z/2); "structure" uses the regime decomposition: spin
-    stabilizer times a free M block when every kappa is even, full group
-    times the M solution count otherwise.  "auto" enumerates for g = 2 and
-    uses the structure count for g = 3.
+    method "enumerate" counts the pairs with theta(S, M) = 0, i.e.
+    S^T <M vbar, .> = theta(S) for the theta table of the framing: the M
+    blocks are enumerated literally and binned by their value M vbar, then
+    for each value met the condition is tested on every group element at
+    once, reading theta(S) for every S; there is no shortcut branch.
+    "structure" uses the regime decomposition: spin stabilizer times a free
+    M block when every kappa is even, full group times the M solution count
+    otherwise.  "auto" enumerates for g = 2 and uses the structure count for
+    g = 3.
     """
     spec = f.spec
     if spec.g > 3 or spec.n > 3:
@@ -341,26 +380,24 @@ def kernel_order_mod2(f: Framing, method: str = "auto") -> int:
         # odd regime: every symplectic part admits exactly this many M blocks
         return sp2_order(g) * (1 << (w * (n - 2)))
 
+    import numpy as np
+
     group = enumerate_sp2(g)
-    thetas = theta_table(group, f)
-    vbar_slots = [i - 2 for i in range(2, n + 1) if spec.kappa[i - 1] & 1]
+    thetas = np.array(theta_table(group, f))[group.order]  # aligned with group.ordered
+    cols = _columns(group.ordered, w)
+    parity = _parities(w)
+    # blocks[v]: number of mod-2 M blocks with M vbar = v
+    mkeys = np.arange(mfree)
+    mvbar = np.zeros(mfree, dtype=np.intp)
+    for t in range(n - 1):
+        if spec.kappa[t + 1] & 1:
+            mvbar ^= (mkeys >> (t * w)) & ((1 << w) - 1)
+    blocks = np.bincount(mvbar, minlength=1 << w)
     count = 0
-    if len(group) * mfree <= 1 << 22:
-        mask = (1 << w) - 1
-        for s_idx, key in enumerate(group.keys):
-            cols = key_columns(key, w)
-            th_s = thetas[s_idx]
-            for mkey in range(mfree):
-                wv = 0
-                for t in vbar_slots:
-                    wv ^= (mkey >> (t * w)) & mask
-                if mod2.pullback(cols, mod2.dual(wv, w)) == th_s:
-                    count += 1
-    else:
-        for s_idx in range(len(group)):
-            if vbar_slots:
-                # M -> M vbar is onto, every value hit by exactly 2^(2g(n-2)) blocks
-                count += mfree >> w
-            elif thetas[s_idx] == 0:
-                count += mfree
+    for v in np.flatnonzero(blocks):
+        fv = mod2.dual(int(v), w)
+        pulled = np.zeros(len(group), dtype=np.uint8)
+        for j, c in enumerate(cols):
+            pulled |= parity[c & fv] << j
+        count += int(blocks[v]) * int(np.count_nonzero(pulled == thetas))
     return count

@@ -264,6 +264,8 @@ def suite_kernel_order(g: int | None = 2, trials: int = 0, seed: int = 0) -> Sui
         ("kappa=(1,1) winds 0", Framing.zeros(SurfaceSpec(2, (1, 1))), 720),
         ("kappa=(2) n=1 winds 0", Framing.zeros(SurfaceSpec(2, (2,))), 72),
         ("kappa=(2) n=1 odd form", Framing(SurfaceSpec(2, (2,)), (1, 0), (1, 0)), 120),
+        ("kappa=(2,0,0) winds 0", Framing.zeros(SurfaceSpec(2, (2, 0, 0))), 18432),
+        ("kappa=(1,2,-1) winds 0", Framing.zeros(SurfaceSpec(2, (1, 2, -1))), 11520),
     ]
     for name, f, expected in cases:
         enum = bruteforce.kernel_order_mod2(f, "enumerate")

@@ -8,7 +8,7 @@ from framedhom import mod2
 from framedhom.errors import GenusTooLarge, TooLarge
 from framedhom.framing import Framing
 from framedhom.lattice import SurfaceSpec, sympl
-from framedhom.paut import PAutElem, zero_mat
+from framedhom.paut import PAutElem, mat_mul, zero_mat
 from framedhom.sampling import random_framing, random_paut, random_spec
 from framedhom.theta import theta
 
@@ -61,6 +61,22 @@ def test_find_positions_and_outsiders():
         group.find(0)  # the zero matrix
     with pytest.raises(KeyError):
         group.find([group.keys[0], 0])
+
+
+def test_find_keeps_the_query_shape():
+    import numpy as np
+
+    group = bf.enumerate_sp2(2)
+    keys = np.array(group.keys, dtype=np.uint64)
+    # a block of products A B, one row per A, as the all-pairs sweep forms them
+    rows = [[bf.matrix_to_key(mat_mul(group.matrix(a), group.matrix(b))) for b in range(0, 720, 9)]
+            for a in (0, 3, 500)]
+    found = group.find(rows)
+    assert found.shape == (3, 80)
+    assert (keys[found] == np.array(rows, dtype=np.uint64)).all()
+    assert found[0].tolist() == list(range(0, 720, 9))  # the identity row
+    one = group.find(keys[[42]])
+    assert one.shape == (1,) and one.tolist() == [42]
 
 
 def test_packed_matrix_roundtrip():
@@ -129,6 +145,28 @@ def test_verify_qhat_crossed():
     assert bf.verify_qhat_crossed(2)
 
 
+def test_verify_qhat_crossed_catches_one_wrong_value(monkeypatch):
+    group = bf.enumerate_sp2(2)
+    wrong = bf.key_columns(group.keys[100], group.w)
+    true_qhat = mod2.qhat
+
+    def flipped(q, cols, w):
+        return true_qhat(q, cols, w) ^ (1 if list(cols) == wrong else 0)
+
+    monkeypatch.setattr(mod2, "qhat", flipped)
+    assert not bf.verify_qhat_crossed(2)
+
+
+def test_verify_qhat_crossed_rejects_products_outside_the_group(monkeypatch):
+    from dataclasses import replace
+
+    group = bf.enumerate_sp2(2)
+    # the last element swapped for the zero matrix: its products with the rest fall outside
+    broken = replace(group, keys=group.keys[:-1] + [0])
+    monkeypatch.setattr(bf, "enumerate_sp2", lambda g: broken)
+    assert not bf.verify_qhat_crossed(2)
+
+
 def test_theta_edges_consistent():
     group = bf.enumerate_sp2(2)
     rng = random.Random(1)
@@ -162,10 +200,31 @@ def test_kernel_orders_two_ways():
         (Framing.zeros(SurfaceSpec(2, (2,))), 72),
         (Framing(SurfaceSpec(2, (2,)), (1, 0), (1, 0)), 120),
         (Framing.zeros(SurfaceSpec(2, (1, 1, 0))), 720 * 16),
+        (Framing.zeros(SurfaceSpec(2, (2, 0, 0))), 18432),
+        (Framing.zeros(SurfaceSpec(2, (1, 2, -1))), 11520),
     ]
     for f, expected in cases:
         assert bf.kernel_order_mod2(f, "enumerate") == expected
         assert bf.kernel_order_mod2(f, "structure") == expected
+
+
+@pytest.mark.parametrize("f, flip", [
+    (Framing.zeros(SurfaceSpec(2, (2, 0, 0))), 1),
+    # odd regime: M vbar takes every value equally often and S^T is onto, so
+    # any functional in theta's place gives the same count; only a value no
+    # pullback takes shows that theta(S) is compared for every S
+    (Framing.zeros(SurfaceSpec(2, (1, 2, -1))), 1 << 4),
+])
+def test_kernel_order_enumerate_reads_theta(monkeypatch, f, flip):
+    true_table = bf.theta_table
+
+    def flipped(group, framing):
+        table = true_table(group, framing)
+        table[0] ^= flip  # the identity's value
+        return table
+
+    monkeypatch.setattr(bf, "theta_table", flipped)
+    assert bf.kernel_order_mod2(f, "enumerate") != bf.kernel_order_mod2(f, "structure")
 
 
 def test_kernel_order_guard():
@@ -231,3 +290,16 @@ def test_enumerate_sp2_genus3():
     assert bf.check_theta_edges(group, Framing.zeros(SurfaceSpec(3, (4,))))
     odd = Framing(SurfaceSpec(3, (3, 1)), (1, 0, 0), (1, 0, 0), (-1,))
     assert bf.check_theta_edges(group, odd)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("FRAMEDHOM_SLOW"),
+    reason="needs the g=3 closure (about 13 s); set FRAMEDHOM_SLOW=1 to run",
+)
+@pytest.mark.parametrize("f", [
+    Framing.zeros(SurfaceSpec(3, (4,))),
+    Framing(SurfaceSpec(3, (3, 1)), (1, 0, 0), (1, 0, 0), (-1,)),
+    Framing.zeros(SurfaceSpec(3, (2, 1, 1))),
+])
+def test_kernel_order_genus3(f):
+    assert bf.kernel_order_mod2(f, "enumerate") == bf.kernel_order_mod2(f, "structure")

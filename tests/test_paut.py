@@ -178,17 +178,21 @@ def test_factor_sp_roundtrip_random():
         s = random_symplectic(rng, spec, factors=nfac)
         fac = factor_sp(s)
         # replay the product by rank-one updates X <- X T_v^k = X + k (X v)(J v)^T,
-        # with <x, v> = (J v) . x and J v = (v_y, -v_x) per handle
-        prod = [list(row) for row in identity_mat(2 * g)]
+        # with <x, v> = (J v) . x and J v = (v_y, -v_x) per handle; X is held by
+        # columns, so X v sums the columns where v is nonzero and only the
+        # columns where J v is nonzero change
+        cols = [list(col) for col in identity_mat(2 * g)]
         for v, k in fac:
             assert gcd(*v) == 1
             jv = [c for i in range(0, 2 * g, 2) for c in (v[i + 1], -v[i])]
-            for row in prod:
-                t = k * sum(a * b for a, b in zip(row, v))
-                if t:
-                    for j, c in enumerate(jv):
-                        row[j] += t * c
-        assert tuple(map(tuple, prod)) == s
+            xv = [0] * (2 * g)
+            for vi, col in zip(v, cols):
+                if vi:
+                    xv = [a + vi * b for a, b in zip(xv, col)]
+            for j, c in enumerate(jv):
+                if c:
+                    cols[j] = [a + k * c * b for a, b in zip(cols[j], xv)]
+        assert tuple(zip(*cols)) == s
 
 
 def test_pullback_examples():
