@@ -383,9 +383,14 @@ def kernel_order_mod2(f: Framing, method: str = "auto") -> int:
     import numpy as np
 
     group = enumerate_sp2(g)
-    thetas = np.array(theta_table(group, f))[group.order]  # aligned with group.ordered
+    # aligned with group.ordered
+    thetas = np.array(theta_table(group, f), dtype=np.uint8)[group.order]
     cols = _columns(group.ordered, w)
-    parity = _parities(w)
+    # rows[b]: packed row b of every S, i.e. the pullback S^T of the basis functional b
+    rows = [np.zeros(len(group), dtype=np.uint8) for _ in range(w)]
+    for j, c in enumerate(cols):
+        for b in range(w):
+            rows[b] |= ((c >> b) & 1) << j
     # blocks[v]: number of mod-2 M blocks with M vbar = v
     mkeys = np.arange(mfree)
     mvbar = np.zeros(mfree, dtype=np.intp)
@@ -393,11 +398,14 @@ def kernel_order_mod2(f: Framing, method: str = "auto") -> int:
         if spec.kappa[t + 1] & 1:
             mvbar ^= (mkeys >> (t * w)) & ((1 << w) - 1)
     blocks = np.bincount(mvbar, minlength=1 << w)
-    count = 0
-    for v in np.flatnonzero(blocks):
-        fv = mod2.dual(int(v), w)
-        pulled = np.zeros(len(group), dtype=np.uint8)
-        for j, c in enumerate(cols):
-            pulled |= parity[c & fv] << j
-        count += int(blocks[v]) * int(np.count_nonzero(pulled == thetas))
+    # S^T <v, .> is linear in v: walk v in Gray-code order, one xor per step;
+    # flipping bit b of v flips bit b ^ 1 of the functional <v, .>
+    pulled = np.zeros(len(group), dtype=np.uint8)
+    count = int(blocks[0]) * int(np.count_nonzero(thetas == 0))
+    for k in range(1, 1 << w):
+        b = (k & -k).bit_length() - 1
+        pulled ^= rows[b ^ 1]
+        v = k ^ (k >> 1)
+        if blocks[v]:
+            count += int(blocks[v]) * int(np.count_nonzero(pulled == thetas))
     return count

@@ -17,6 +17,7 @@ from .errors import (
     ArfMismatch,
     FileFormatError,
     FramedHomError,
+    InvalidCount,
     NoLiftExists,
     QVectorMismatch,
     SpecMismatch,
@@ -37,11 +38,20 @@ from .words import PointPush, Twist, Word, act_framing, standard_alphabet, word_
 # the command line; checked before a surface of that size is built
 MAX_SURFACE_SIZE = 100
 
+# most trials one verify suite may run: ten times the largest default (1000)
+MAX_TRIALS = 10_000
 
-def _capped(value: int, what: str) -> int:
-    if value > MAX_SURFACE_SIZE:
-        raise TooLarge(f"{what} = {value} exceeds the supported maximum {MAX_SURFACE_SIZE}")
+
+def _capped(value: int, what: str, limit: int = MAX_SURFACE_SIZE) -> int:
+    if value > limit:
+        raise TooLarge(f"{what} = {value} exceeds the supported maximum {limit}")
     return value
+
+
+def _trials(value: int) -> int:
+    if value < 1:
+        raise InvalidCount(f"--trials = {value} must be at least 1")
+    return _capped(value, "--trials", MAX_TRIALS)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +363,8 @@ def cmd_stratum(args) -> int:
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     g = None if args.g is None else _capped(args.g, "g")
-    results = [run_suite(n, g=g, trials=args.trials, seed=args.seed) for n in names]
+    trials = None if args.trials is None else _trials(args.trials)
+    results = [run_suite(n, g=g, trials=trials, seed=args.seed) for n in names]
     if args.json:
         _emit(
             {
@@ -430,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=list(SUITES) + ["all"])
     p.add_argument("--g", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=int, default=None, help=f"1 to {MAX_TRIALS}")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_verify)
 

@@ -61,6 +61,10 @@ class TooLarge(FramedHomError):
     """Requested exhaustive computation exceeds the supported size."""
 
 
+class InvalidCount(FramedHomError):
+    """A count given on the command line is below its minimum, e.g. verify --trials 0."""
+
+
 class WordSyntaxError(FramedHomError):
     """Unparseable word or vector expression."""
 

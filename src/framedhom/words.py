@@ -11,12 +11,16 @@ x -> x + phi(x) u, with u an absolute class and phi a functional on relative
 coordinates: a twist about c with power k has u = c-bar (c with its loop part
 dropped) and phi = k <., c>; a push of point p_i has u = the loop and phi =
 the coefficient of p_i in the boundary.  `_letter_map` is the one place that
-builds this pair; `act_rel`, `track_curve` and `word_to_paut` all apply it.
+builds this pair.  Each letter keeps its pair in `rank_one`, and the packed
+mod-2 image of u in `mod2_image`, both filled on first use; `act_rel`,
+`track_curve`, `act_framing`, `word_to_paut` and `delta_word` read them
+from there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 from typing import Union
 
@@ -34,11 +38,8 @@ from .lattice import (
     PunctVec,
     RelVec,
     SurfaceSpec,
-    arc_class,
     as_punct,
-    as_rel,
     point_loop,
-    project_punct,
     sympl,
     x_curve,
     y_curve,
@@ -46,9 +47,27 @@ from .lattice import (
 from .paut import PAutElem
 
 
+class _RankOne:
+    """A letter's map x -> x + phi(x) u, built once on first use.
+
+    The cached values live in the instance dict, outside the dataclass
+    fields, so they take no part in equality, hashing or repr.
+    """
+
+    @cached_property
+    def rank_one(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The pair (u, phi); see `_letter_map`."""
+        return _letter_map(self)
+
+
 @dataclass(frozen=True)
-class Twist:
-    """Dehn twist about a curve with a caller-declared winding number."""
+class Twist(_RankOne):
+    """Dehn twist about a curve with a caller-declared winding number.
+
+    Its map has u = the curve with its loop part dropped and phi = power
+    times the pairing with the curve; the inverse twist has (u, -phi) and
+    the same declared winding.
+    """
 
     curve: PunctVec
     power: int = 1
@@ -64,13 +83,22 @@ class Twist:
     def spec(self) -> SurfaceSpec:
         return self.curve.spec
 
+    @cached_property
+    def mod2_image(self) -> int:
+        """The curve mod 2 with its loop part dropped, packed (u mod 2)."""
+        return mod2.pack(self.curve.coords[: self.spec.abs_rank])
+
     def inverse(self) -> "Twist":
         return Twist(self.curve, -self.power, self.winding)
 
 
 @dataclass(frozen=True)
-class PointPush:
-    """Push of marked point `point` (1-based) around a primitive loop."""
+class PointPush(_RankOne):
+    """Push of marked point `point` (1-based) around a primitive loop.
+
+    Its map has u = the loop and phi = the coefficient of the point in the
+    boundary; the inverse push has (-u, phi).
+    """
 
     point: int
     loop: AbsVec
@@ -86,6 +114,11 @@ class PointPush:
     @property
     def spec(self) -> SurfaceSpec:
         return self.loop.spec
+
+    @cached_property
+    def mod2_image(self) -> int:
+        """The loop mod 2, packed (u mod 2)."""
+        return mod2.pack(self.loop.coords)
 
     def inverse(self) -> "PointPush":
         return PointPush(self.point, -self.loop)
@@ -167,7 +200,7 @@ def act_rel(word: Word, x: RelVec) -> RelVec:
         raise SpecMismatch("word and class live over different surfaces")
     coords = x.coords
     for letter in reversed(word.letters):
-        u, phi = _letter_map(letter)
+        u, phi = letter.rank_one
         coords = _shift(coords, _dot(phi, coords), u)
     return RelVec(x.spec, coords)
 
@@ -183,7 +216,7 @@ def word_to_paut(word: Word) -> PAutElem:
     k = spec.abs_rank
     rows = [[int(i == j) for j in range(spec.rel_rank)] for i in range(k)]
     for letter in word.letters:
-        u, phi = _letter_map(letter)
+        u, phi = letter.rank_one
         for i, row in enumerate(rows):
             c = _dot(row, u)
             if c:
@@ -197,34 +230,55 @@ def word_to_paut(word: Word) -> PAutElem:
 # framing action via chained twist-linearity
 
 
+def _transport(spec: SurfaceSpec, letters, curves: list, w2: list, sign: int) -> None:
+    """Push curves and their doubled windings through letters, in place.
+
+    Each letter acts as itself (sign 1) or as its inverse (sign -1), on all
+    curves before the next letter: the inverse of a twist is (u, -phi) with
+    the same declared winding, that of a push (-u, phi).  Twist letters
+    update the winding by twist-linearity with the letter's declared
+    winding; point-push letters use the mod-2-pinned increment
+    kappa_i * <loop, class> (exact by the fixed convention).
+    """
+    k = spec.abs_rank
+    for letter in letters:
+        u, phi = letter.rank_one
+        if isinstance(letter, Twist):
+            d = 2 * letter.winding
+            for j, x in enumerate(curves):
+                c = sign * _dot(phi, x)
+                if c:
+                    w2[j] += d * c
+                    curves[j] = _shift(x, c, u)
+        else:
+            d = 2 * sign * spec.kappa[letter.point - 1]
+            for j, x in enumerate(curves):
+                w2[j] += d * sympl(u, x[:k])
+                curves[j] = _shift(x, sign * _dot(phi, x), u)
+
+
 def track_curve(
     word: Word, start: RelVec, winding2: int
 ) -> tuple[RelVec, int]:
     """Push a curve (class + doubled winding) through the word's letters.
 
-    Twist letters update the winding by twist-linearity with the letter's
-    declared winding; point-push letters use the mod-2-pinned increment
-    kappa_i * <loop, class> (exact by the fixed convention).  Doubled values
-    keep arc half-integers integral.
+    Rightmost letter first, with the updates of `_transport`.  Doubled
+    values keep arc half-integers integral.
     """
     if start.spec != word.spec:
         raise SpecMismatch("word and curve live over different surfaces")
-    spec = word.spec
-    coords = start.coords
-    w2 = winding2
-    for letter in reversed(word.letters):
-        u, phi = _letter_map(letter)
-        c = _dot(phi, coords)
-        if isinstance(letter, Twist):
-            w2 += 2 * c * letter.winding
-        else:
-            w2 += 2 * spec.kappa[letter.point - 1] * sympl(u, coords[: spec.abs_rank])
-        coords = _shift(coords, c, u)
-    return RelVec(spec, coords), w2
+    curves, w2 = [start.coords], [winding2]
+    _transport(word.spec, reversed(word.letters), curves, w2, 1)
+    return RelVec(word.spec, curves[0]), w2[0]
 
 
 def act_framing(word: Word, f: Framing) -> Framing:
-    """Transport a framing: (w . phi)(b) = phi(w^{-1}(b)) on every basis element."""
+    """Transport a framing: (w . phi)(b) = phi(w^{-1}(b)) on every basis element.
+
+    The basis curves x_1, y_1, ..., x_g, y_g (and a_2, ..., a_n with arc
+    data) go, with their doubled windings, through the inverse letters of w
+    in word order, all curves in one pass over the letters.
+    """
     if f.spec != word.spec:
         raise SpecMismatch("word and framing live over different surfaces")
     spec = f.spec
@@ -232,22 +286,17 @@ def act_framing(word: Word, f: Framing) -> Framing:
         raise PointPushOnArcs(
             "point-push letters do not act on framings carrying arc data"
         )
-    winv = word.inverse()
-    wind_x = []
-    wind_y = []
-    for i in range(1, spec.g + 1):
-        _, w2 = track_curve(winv, as_rel(x_curve(spec, i)), 2 * f.wind_x[i - 1])
-        wind_x.append(w2 // 2)
-        _, w2 = track_curve(winv, as_rel(y_curve(spec, i)), 2 * f.wind_y[i - 1])
-        wind_y.append(w2 // 2)
-    arc2 = None
-    if f.has_arc_data:
-        arc2 = []
-        for j in range(2, spec.n + 1):
-            _, w2 = track_curve(winv, arc_class(spec, j), f.arc2[j - 2])
-            arc2.append(w2)
-        arc2 = tuple(arc2)
-    return Framing(spec, tuple(wind_x), tuple(wind_y), arc2)
+    k = spec.abs_rank
+    r = spec.rel_rank
+    curves = [tuple(int(i == j) for i in range(r)) for j in range(r if f.has_arc_data else k)]
+    w2 = [2 * w for pair in zip(f.wind_x, f.wind_y) for w in pair] + list(f.arc2 or ())
+    _transport(spec, word.letters, curves, w2, -1)
+    return Framing(
+        spec,
+        tuple(v // 2 for v in w2[0:k:2]),
+        tuple(v // 2 for v in w2[1:k:2]),
+        tuple(w2[k:]) if f.has_arc_data else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +318,12 @@ def delta_word(word: Word, f: Framing) -> CohomClass:
     w = spec.abs_rank
     out = 0
     for letter in word.letters:
+        image = letter.mod2_image
         if isinstance(letter, Twist):
-            image = mod2.pack(project_punct(letter.curve).coords)
             if letter.power & 1:
                 out = mod2.pull_transvection(out, image, w)
             scale = letter.power * letter.winding
         else:
-            image = mod2.pack(letter.loop.coords)
             scale = spec.kappa[letter.point - 1]
         if scale & 1:
             out ^= mod2.dual(image, w)

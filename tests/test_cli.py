@@ -247,6 +247,18 @@ def test_verify_oversized_genus_exit2(capsys):
     assert code == 2 and out == "" and err.startswith("error:") and "exceeds" in err
 
 
+@pytest.mark.parametrize("trials", ["-5", "0", str(cli.MAX_TRIALS + 1)])
+def test_verify_trials_out_of_range_exit2(capsys, trials):
+    code, out, err = run_cli(capsys, "verify", "parity", "--trials", trials)
+    assert code == 2 and out == "" and err.startswith("error:") and "--trials" in err
+
+
+def test_verify_trials_at_the_bounds(capsys):
+    code, out, _ = run_cli(capsys, "verify", "parity", "--trials", "1")
+    assert code == 0 and "(1/1 tracked curves)" in out
+    assert cli._trials(cli.MAX_TRIALS) == cli.MAX_TRIALS
+
+
 def test_oversized_output_exit2(capsys, tmp_path, f2):
     # outputs holding an integer longer than the interpreter prints: the
     # factorization of a g=10 matrix with 19-digit entries, and a word whose

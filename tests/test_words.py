@@ -13,6 +13,7 @@ from framedhom.lattice import (
     point_loop,
     project_punct,
     rel_punct_pairing,
+    symplectic_pairing,
     x_curve,
     y_curve,
 )
@@ -47,6 +48,18 @@ def test_letter_validation():
         PointPush(2, 2 * x_curve(SPEC, 1))
     with pytest.raises(SpecMismatch):
         Word(SPEC, (tw(SPEC1, x_curve(SPEC1, 1)),))
+
+
+def test_cached_maps_stay_out_of_equality():
+    x1 = x_curve(SPEC, 1)
+    for make in (lambda: tw(SPEC, x1, 2, 5), lambda: PointPush(2, x1)):
+        a, b = make(), make()
+        assert a.rank_one == b.rank_one and a.mod2_image == b.mod2_image
+        fresh = make()
+        assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
+        assert "rank_one" not in repr(a)
+    assert tw(SPEC, x1).rank_one == ((1, 0, 0, 0), (0, -1, 0, 0, 0))
+    assert PointPush(1, x1).rank_one == ((1, 0, 0, 0), (0, 0, 0, 0, -1))
 
 
 def test_act_rel_examples():
@@ -150,6 +163,84 @@ def test_square_twist_fixes_q_vector():
         base = rng.choice(alphabet)
         w = Word(spec, (Twist(base.curve, 2, base.winding),))
         assert q_vector(act_framing(w, f)) == q_vector(f)
+
+
+def _transport(word, x, w2, inverse):
+    """Push a relative class and its doubled winding through the word, letter by letter.
+
+    Forward: rightmost letter first.  Inverse (the action of w^{-1}): the
+    inverse letters in word order.  A twist about c with power k and
+    declared winding d maps x to x + k <x, c> c-bar and adds 2 k <x, c> d; a
+    push of p_i around u maps x to x + (coefficient of p_i in the boundary
+    of x) u and adds 2 kappa_i <u, x>.  Inverting negates k, or u.
+    """
+    spec = word.spec
+    kappa = spec.kappa
+    letters = word.letters if inverse else tuple(reversed(word.letters))
+    sign = -1 if inverse else 1
+    for letter in letters:
+        if isinstance(letter, Twist):
+            k = sign * letter.power
+            c = k * rel_punct_pairing(x, letter.curve)
+            w2 += 2 * c * letter.winding
+            x = x + c * as_rel(project_punct(letter.curve))
+        else:
+            u = sign * letter.loop
+            w2 += 2 * kappa[letter.point - 1] * symplectic_pairing(u, project_punct(x))
+            arcs = x.coords[spec.abs_rank :]
+            c = arcs[letter.point - 2] if letter.point >= 2 else -sum(arcs)
+            x = x + c * as_rel(u)
+    return x, w2
+
+
+def _push_words(rng, f, count):
+    """Standard and exotic words over f's surface, each holding at least one push."""
+    spec = f.spec
+    out = []
+    while len(out) < count:
+        length = rng.randint(1, 12)
+        if len(out) % 2:
+            w = random_exotic_word(rng, spec, length)
+        else:
+            w = random_standard_word(rng, f, length)
+        if w.has_pushes():
+            out.append(w)
+    return out
+
+
+def test_push_winding_update_against_own_transport():
+    rng = random.Random(47)
+    for _ in range(40):
+        spec = random_spec(rng, rng.choice([2, 3, 4]), rng.choice([1, 2, 3]))
+        f = random_framing(rng, spec, with_arcs=False)
+        for w in _push_words(rng, f, 3):
+            got = act_framing(w, f)
+            for i in range(1, spec.g + 1):
+                for curve, wind, new in (
+                    (x_curve(spec, i), f.wind_x[i - 1], got.wind_x[i - 1]),
+                    (y_curve(spec, i), f.wind_y[i - 1], got.wind_y[i - 1]),
+                ):
+                    _, w2 = _transport(w, as_rel(curve), 2 * wind, inverse=True)
+                    assert new == w2 // 2
+            start = RelVec(spec, tuple(rng.randint(-3, 3) for _ in range(spec.rel_rank)))
+            w2 = 2 * rng.randint(-5, 5)
+            assert track_curve(w, start, w2) == _transport(w, start, w2, inverse=False)
+
+
+def test_push_winding_hand_example():
+    # kappa = (0, 2): pushing p_2 around x_1 changes phi(y_1) by kappa_2 <x_1, y_1>
+    spec = SurfaceSpec(2, (0, 2))
+    x1, y1 = x_curve(spec, 1), y_curve(spec, 1)
+    w = Word(spec, (PointPush(2, x1),))
+    f = Framing(spec, (1, 4), (3, -2))
+    # (w . phi)(y_1) = phi(w^{-1} y_1) = 3 + kappa_2 <-x_1, y_1> = 3 - 2
+    assert act_framing(w, f) == Framing(spec, (1, 4), (1, -2))
+    assert track_curve(w, as_rel(y1), 6) == (as_rel(y1), 10)
+    assert track_curve(w, as_rel(x1), 2) == (as_rel(x1), 2)
+    # the push moves the arc a_2 by the loop and leaves its winding
+    assert track_curve(w, arc_class(spec, 2), 1) == (arc_class(spec, 2) + as_rel(x1), 1)
+    # p_1 has kappa_1 = 0: its push fixes every winding
+    assert act_framing(Word(spec, (PointPush(1, x1),)), f) == f
 
 
 def test_point_push_on_arcs_rejected():
