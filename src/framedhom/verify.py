@@ -2,19 +2,25 @@
 
 Each suite returns a SuiteResult with one Check per verified property; the
 CLI prints a pass/fail line per check and exits nonzero on any failure.
+
+The random-trial suites share one runner, `_run_trials`: it draws each
+trial's surface and framing, and the suite's trial function draws the rest,
+compares, and returns a dict of failure counts, which the runner sums.
+`census` and `kernel-order` run fixed cases instead.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from random import Random
 
 from . import bruteforce, mod2
-from .errors import NoLiftExists, SpecMismatch
+from .errors import InvalidSurface, NoLiftExists, SpecMismatch
 from .framing import Framing, arf, spin_form, winding_parity
 from .kernel import kernel_test, lift_transvection
-from .lattice import CohomClass, SurfaceSpec, abs_basis, as_rel, sympl, x_curve, y_curve
+from .lattice import AbsVec, CohomClass, SurfaceSpec, abs_basis, as_rel, sympl, x_curve, y_curve
 from .moves import ArcParityTwist, BoundaryTwist, ConnectSum, apply_move, match_framings
 from .paut import Mat, PAutElem, factor_sp, identity_mat, pullback_h1, transvection
 from .sampling import (
@@ -26,6 +32,7 @@ from .sampling import (
     random_relaut_block,
     random_spec,
     random_standard_word,
+    refactored_word,
 )
 from .theta import q_hat, theta, v_kappa_star
 from .words import Twist, Word, act_framing, delta_word, standard_alphabet, track_curve, word_to_paut
@@ -36,6 +43,11 @@ class Check:
     name: str
     ok: bool
     detail: str = ""
+
+    @classmethod
+    def tally(cls, name: str, failed: int, trials: int, noun: str = "") -> "Check":
+        """A check that held on trials - failed of `trials` inputs."""
+        return cls(name, failed == 0, f"{trials - failed}/{trials} {noun}".rstrip())
 
 
 @dataclass
@@ -91,133 +103,106 @@ def v_kappa_star_by_pairing(m: Mat, spec: SurfaceSpec) -> CohomClass:
     )
 
 
-def _specs_for(rng: Random, genera, ns, even_only=False):
-    g = rng.choice(genera)
-    n = rng.choice(ns)
-    return random_spec(rng, g, n, even_only)
+def _run_trials(
+    trial, rng: Random, trials: int, g: int | None, genera=(2, 3), ns=(1, 2, 3), even: bool | None = False
+) -> Counter:
+    """Run `trial(rng, f)` on `trials` random framings and sum the counts it returns.
+
+    Each framing lives on a surface of genus g (or rng.choice(genera) when g
+    is None) with rng.choice(ns) marked points; kappa is all even when `even`
+    is True, unrestricted when False, and all even on a fair coin when None.
+    """
+    genera = genera if g is None else (g,)
+    totals: Counter = Counter()
+    for _ in range(trials):
+        even_only = rng.random() < 0.5 if even is None else even
+        spec = random_spec(rng, rng.choice(genera), rng.choice(ns), even_only)
+        for name, count in trial(rng, random_framing(rng, spec)).items():
+            totals[name] += count
+    return totals
 
 
 def suite_cocycle(g: int | None = None, trials: int = 1000, seed: int = 0) -> SuiteResult:
     """delta(w1 ++ w2) = pullback(w2) delta(w1) + delta(w2), exactly."""
-    rng = Random(seed)
-    res = SuiteResult("cocycle")
-    genera = [g] if g else [2, 3]
-    bad = 0
-    for _ in range(trials):
-        spec = _specs_for(rng, genera, [1, 2, 3])
-        f = random_framing(rng, spec)
-        w1 = random_exotic_word(rng, spec, rng.randint(0, 5))
-        w2 = random_exotic_word(rng, spec, rng.randint(0, 5))
+
+    def trial(rng: Random, f: Framing) -> dict:
+        w1 = random_exotic_word(rng, f.spec, rng.randint(0, 5))
+        w2 = random_exotic_word(rng, f.spec, rng.randint(0, 5))
         lhs = delta_word(w1 + w2, f)
         rhs = pullback_h1(word_to_paut(w2).S, delta_word(w1, f)) + delta_word(w2, f)
-        if lhs != rhs:
-            bad += 1
-    res.add("cocycle-identity", bad == 0, f"{trials - bad}/{trials} word pairs")
-    return res
+        return {"bad": lhs != rhs}
+
+    bad = _run_trials(trial, Random(seed), trials, g)["bad"]
+    return SuiteResult("cocycle", [Check.tally("cocycle-identity", bad, trials, "word pairs")])
 
 
 def suite_well_defined(g: int | None = None, trials: int = 500, seed: int = 0) -> SuiteResult:
     """Algebraic evaluation agrees with the word-level defect and with the
     factorization oracle; relators map to 0."""
-    from .sampling import refactored_word
+
+    def by_word(rng: Random, f: Framing) -> dict:
+        w = random_standard_word(rng, f, rng.randint(0, 6))
+        return {"bad": theta(word_to_paut(w), f) != delta_word(w, f)}
+
+    def relator(rng: Random, f: Framing) -> dict:
+        w = random_standard_word(rng, f, rng.randint(0, 5))
+        r = w + refactored_word(f, word_to_paut(w)).inverse()
+        return {"bad": not (word_to_paut(r).is_identity() and delta_word(r, f).is_zero())}
+
+    def by_factorization(rng: Random, f: Framing) -> dict:
+        a = random_paut(rng, f.spec, factors=rng.choice([4, 16]))
+        return {"bad": theta(a, f) != theta_by_factorization(a, f)}
 
     rng = Random(seed)
-    res = SuiteResult("well-defined")
-    genera = [g] if g else [2, 3]
-    bad = 0
-    for _ in range(trials):
-        spec = _specs_for(rng, genera, [1, 2, 3])
-        f = random_framing(rng, spec)
-        w = random_standard_word(rng, f, rng.randint(0, 6))
-        if theta(word_to_paut(w), f) != delta_word(w, f):
-            bad += 1
-    res.add("theta-equals-delta", bad == 0, f"{trials - bad}/{trials} words")
-
+    bad_word = _run_trials(by_word, rng, trials, g)["bad"]
     id_trials = max(1, trials * 2 // 5)
-    bad = 0
-    for _ in range(id_trials):
-        spec = _specs_for(rng, genera, [1, 2, 3])
-        f = random_framing(rng, spec)
-        w = random_standard_word(rng, f, rng.randint(0, 5))
-        relator = w + refactored_word(f, word_to_paut(w)).inverse()
-        if not word_to_paut(relator).is_identity():
-            bad += 1
-        elif not delta_word(relator, f).is_zero():
-            bad += 1
-    res.add("relators-vanish", bad == 0, f"{id_trials - bad}/{id_trials} identity words")
-
+    bad_relator = _run_trials(relator, rng, id_trials, g)["bad"]
     # a separate generator keeps the inputs of the two checks above
-    rng = Random(f"theta-oracle-{seed}")
-    oracle_trials = max(1, trials // 5)
-    bad = 0
-    for _ in range(oracle_trials):
-        spec = _specs_for(rng, genera, [1, 2, 3], even_only=rng.random() < 0.5)
-        f = random_framing(rng, spec)
-        a = random_paut(rng, spec, factors=rng.choice([4, 16]))
-        if theta(a, f) != theta_by_factorization(a, f):
-            bad += 1
-    res.add(
-        "theta-equals-factorization",
-        bad == 0,
-        f"{oracle_trials - bad}/{oracle_trials} automorphisms, both regimes",
-    )
-    return res
+    oracle, oracle_trials = Random(f"theta-oracle-{seed}"), max(1, trials // 5)
+    bad_oracle = _run_trials(by_factorization, oracle, oracle_trials, g, even=None)["bad"]
+    return SuiteResult("well-defined", [
+        Check.tally("theta-equals-delta", bad_word, trials, "words"),
+        Check.tally("relators-vanish", bad_relator, id_trials, "identity words"),
+        Check.tally("theta-equals-factorization", bad_oracle, oracle_trials, "automorphisms, both regimes"),
+    ])
 
 
 def suite_stabilizer(g: int | None = None, trials: int = 500, seed: int = 0) -> SuiteResult:
     """Words fixing the framing land in the kernel."""
-    rng = Random(seed)
-    res = SuiteResult("stabilizer")
-    genera = [g] if g else [2, 3]
-    bad_fix = bad_ker = 0
-    for _ in range(trials):
-        spec = _specs_for(rng, genera, [1, 2, 3])
-        f = random_framing(rng, spec)
+
+    def trial(rng: Random, f: Framing) -> dict:
         w = random_parity_zero_word(rng, f, rng.randint(1, 5))
-        if act_framing(w, f) != f:
-            bad_fix += 1
-        if not kernel_test(word_to_paut(w), f):
-            bad_ker += 1
-    res.add("stabilizing-words-fix", bad_fix == 0, f"{trials - bad_fix}/{trials}")
-    res.add("stabilizer-in-kernel", bad_ker == 0, f"{trials - bad_ker}/{trials}")
-    return res
+        return {"moved": act_framing(w, f) != f, "outside": not kernel_test(word_to_paut(w), f)}
+
+    bad = _run_trials(trial, Random(seed), trials, g)
+    return SuiteResult("stabilizer", [
+        Check.tally("stabilizing-words-fix", bad["moved"], trials),
+        Check.tally("stabilizer-in-kernel", bad["outside"], trials),
+    ])
 
 
 def suite_lift(g: int | None = None, trials: int = 200, seed: int = 0) -> SuiteResult:
     """Every primitive transvection lifts to the kernel, or provably cannot."""
-    rng = Random(seed)
-    res = SuiteResult("lift")
-    genera = [g] if g else [2, 3, 4]
-    bad = 0
-    lifted = refused = 0
-    for _ in range(trials):
-        spec = _specs_for(rng, genera, [1, 2, 3], even_only=rng.random() < 0.5)
-        f = random_framing(rng, spec)
-        v = random_primitive_abs(rng, spec)
+
+    def trial(rng: Random, f: Framing) -> dict:
+        v = random_primitive_abs(rng, f.spec)
         try:
             a = lift_transvection(v, f)
         except NoLiftExists:
-            refused += 1
-            even = all(k % 2 == 0 for k in spec.kappa)
+            even = all(k % 2 == 0 for k in f.spec.kappa)
             obstructed = not q_hat(spin_form(f), transvection(v, 1)).is_zero() if even else False
-            if not (even and winding_parity(f, v) == 1 and obstructed):
-                bad += 1
-            continue
-        lifted += 1
-        if not kernel_test(a, f) or a.S != transvection(v, 1):
-            bad += 1
-    res.add(
-        "lift-transvections",
-        bad == 0,
-        f"{lifted} lifted, {refused} provably obstructed, {bad} wrong",
-    )
-    return res
+            return {"refused": 1, "wrong": not (even and winding_parity(f, v) == 1 and obstructed)}
+        return {"lifted": 1, "wrong": not kernel_test(a, f) or a.S != transvection(v, 1)}
+
+    n = _run_trials(trial, Random(seed), trials, g, genera=(2, 3, 4), even=None)
+    detail = f"{n['lifted']} lifted, {n['refused']} provably obstructed, {n['wrong']} wrong"
+    return SuiteResult("lift", [Check("lift-transvections", n["wrong"] == 0, detail)])
 
 
-def suite_census(g: int | None = 2, trials: int = 0, seed: int = 0) -> SuiteResult:
+def suite_census(g: int | None = None, trials: int = 0, seed: int = 0) -> SuiteResult:
     """Group order, quadratic form counts, stabilizers, crossed identity."""
     rng = Random(seed)
-    g = g or 2
+    g = 2 if g is None else g
     res = SuiteResult("census")
     if g in (2, 3):
         group = bruteforce.enumerate_sp2(g)
@@ -226,9 +211,7 @@ def suite_census(g: int | None = 2, trials: int = 0, seed: int = 0) -> SuiteResu
             len(group) == bruteforce.sp2_order(g),
             f"|Sp({2*g},2)| = {len(group)}",
         )
-        res.add("contains-identity", group.matrix(0) == tuple(
-            tuple(1 if i == j else 0 for j in range(2 * g)) for i in range(2 * g)
-        ))
+        res.add("contains-identity", group.matrix(0) == identity_mat(2 * g))
         products = [
             group.mul_gen(group.keys[rng.randrange(len(group))], rng.randrange(len(group.gens)))
             for _ in range(200)
@@ -281,36 +264,27 @@ def suite_kernel_order(g: int | None = 2, trials: int = 0, seed: int = 0) -> Sui
 
 def suite_even_form(g: int | None = None, trials: int = 1000, seed: int = 0) -> SuiteResult:
     """With every kappa even the factorization oracle is the spin-form defect of S."""
-    rng = Random(seed)
-    res = SuiteResult("even-form")
-    genera = [g] if g else [2, 3]
-    bad = 0
-    for _ in range(trials):
-        spec = _specs_for(rng, genera, [1, 2, 3], even_only=True)
-        f = random_framing(rng, spec)
-        a = random_paut(rng, spec)
-        if theta_by_factorization(a, f) != q_hat(spin_form(f), a.S):
-            bad += 1
-    res.add("theta-is-spin-defect", bad == 0, f"{trials - bad}/{trials} automorphisms")
-    return res
+
+    def trial(rng: Random, f: Framing) -> dict:
+        a = random_paut(rng, f.spec)
+        return {"bad": theta_by_factorization(a, f) != q_hat(spin_form(f), a.S)}
+
+    bad = _run_trials(trial, Random(seed), trials, g, even=True)["bad"]
+    return SuiteResult("even-form", [Check.tally("theta-is-spin-defect", bad, trials, "automorphisms")])
 
 
 def suite_relaut(g: int | None = None, trials: int = 1000, seed: int = 0) -> SuiteResult:
     """On the point-transvection block the evaluation is the signature functional,
     evaluated independently basis class by basis class."""
-    rng = Random(seed)
-    res = SuiteResult("relaut")
-    genera = [g] if g else [2, 3, 4]
-    bad = 0
-    for _ in range(trials):
-        spec = _specs_for(rng, genera, [1, 2, 3, 4])
-        f = random_framing(rng, spec)
+
+    def trial(rng: Random, f: Framing) -> dict:
+        spec = f.spec
         m = random_relaut_block(rng, spec)
         a = PAutElem(spec.g, spec.n, identity_mat(spec.abs_rank), m)
-        if theta(a, f) != v_kappa_star_by_pairing(m, spec):
-            bad += 1
-    res.add("relaut-restriction", bad == 0, f"{trials - bad}/{trials} blocks")
-    return res
+        return {"bad": theta(a, f) != v_kappa_star_by_pairing(m, spec)}
+
+    bad = _run_trials(trial, Random(seed), trials, g, genera=(2, 3, 4), ns=(1, 2, 3, 4))["bad"]
+    return SuiteResult("relaut", [Check.tally("relaut-restriction", bad, trials, "blocks")])
 
 
 def _random_move(rng: Random, f: Framing):
@@ -339,39 +313,30 @@ def _random_move(rng: Random, f: Framing):
 
 def suite_moves(g: int | None = None, trials: int = 500, seed: int = 0) -> SuiteResult:
     """Move synthesis reproduces matched framings; every move preserves Arf."""
-    rng = Random(seed)
-    res = SuiteResult("moves")
-    genera = [g] if g else [2, 3, 4]
-    bad_arf = bad_match = 0
-    for _ in range(trials):
-        spec = _specs_for(rng, genera, [1, 2, 3, 4])
-        f = random_framing(rng, spec)
-        h = f
+
+    def trial(rng: Random, f: Framing) -> dict:
+        h, violations = f, 0
         for _ in range(rng.randint(0, 8)):
             h2 = apply_move(h, _random_move(rng, h))
-            if arf(h2) != arf(h):
-                bad_arf += 1
+            violations += arf(h2) != arf(h)
             h = h2
-        moves = match_framings(f, h)
         cur = f
-        for m in moves:
+        for m in match_framings(f, h):
             cur = apply_move(cur, m)
-        if cur != h:
-            bad_match += 1
-    res.add("moves-preserve-arf", bad_arf == 0, f"{bad_arf} violations")
-    res.add("match-roundtrip", bad_match == 0, f"{trials - bad_match}/{trials} pairs")
-    return res
+        return {"arf": violations, "unmatched": cur != h}
+
+    bad = _run_trials(trial, Random(seed), trials, g, genera=(2, 3, 4), ns=(1, 2, 3, 4))
+    return SuiteResult("moves", [
+        Check("moves-preserve-arf", bad["arf"] == 0, f"{bad['arf']} violations"),
+        Check.tally("match-roundtrip", bad["unmatched"], trials, "pairs"),
+    ])
 
 
 def suite_parity(g: int | None = None, trials: int = 500, seed: int = 0) -> SuiteResult:
     """Chained twist-linearity windings reduce mod 2 to the parity form."""
-    rng = Random(seed)
-    res = SuiteResult("parity")
-    genera = [g] if g else [2, 3]
-    bad = 0
-    for _ in range(trials):
-        spec = _specs_for(rng, genera, [1, 2, 3])
-        f = random_framing(rng, spec)
+
+    def trial(rng: Random, f: Framing) -> dict:
+        spec = f.spec
         alphabet = [
             letter
             for name, letter in standard_alphabet(f).items()
@@ -388,30 +353,22 @@ def suite_parity(g: int | None = None, trials: int = 500, seed: int = 0) -> Suit
         else:
             start, w0 = as_rel(y_curve(spec, i)), f.wind_y[i - 1]
         cls, w2 = track_curve(w, start, 2 * w0)
-        from .lattice import AbsVec
-
         v = AbsVec(spec, cls.coords[: spec.abs_rank])
-        if (w2 // 2) % 2 != winding_parity(f, v):
-            bad += 1
-    res.add("parity-oracle", bad == 0, f"{trials - bad}/{trials} tracked curves")
-    return res
+        return {"bad": (w2 // 2) % 2 != winding_parity(f, v)}
+
+    bad = _run_trials(trial, Random(seed), trials, g)["bad"]
+    return SuiteResult("parity", [Check.tally("parity-oracle", bad, trials, "tracked curves")])
 
 
 def suite_arf_action(g: int | None = None, trials: int = 500, seed: int = 0) -> SuiteResult:
     """Arf invariance under the word action on framings."""
-    rng = Random(seed)
-    res = SuiteResult("arf-action")
-    genera = [g] if g else [2, 3]
-    bad = 0
-    for _ in range(trials):
-        spec = _specs_for(rng, genera, [1, 2, 3])
-        f = random_framing(rng, spec)
-        pushes = spec.n == 1
-        w = random_standard_word(rng, f, rng.randint(1, 6), pushes=pushes)
-        if arf(act_framing(w, f)) != arf(f):
-            bad += 1
-    res.add("arf-invariance", bad == 0, f"{trials - bad}/{trials} words")
-    return res
+
+    def trial(rng: Random, f: Framing) -> dict:
+        w = random_standard_word(rng, f, rng.randint(1, 6), pushes=f.spec.n == 1)
+        return {"bad": arf(act_framing(w, f)) != arf(f)}
+
+    bad = _run_trials(trial, Random(seed), trials, g)["bad"]
+    return SuiteResult("arf-action", [Check.tally("arf-invariance", bad, trials, "words")])
 
 
 SUITES = {
@@ -430,6 +387,9 @@ SUITES = {
 
 
 def run_suite(name: str, g: int | None = None, trials: int | None = None, seed: int = 0) -> SuiteResult:
+    """Run one suite; g None means the suite's own genera."""
+    if g is not None and g < 2:
+        raise InvalidSurface(f"genus must be >= 2, got {g}")
     fn = SUITES[name]
     kwargs = {"g": g, "seed": seed}
     if trials is not None:

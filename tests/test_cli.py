@@ -247,6 +247,15 @@ def test_verify_oversized_genus_exit2(capsys):
     assert code == 2 and out == "" and err.startswith("error:") and "exceeds" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("parity", "--g", "0", "--trials", "3"), ("census", "--g", "0"), ("census", "--g", "1")],
+)
+def test_verify_genus_below_two_exit2(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == "" and err.startswith("error:") and "genus" in err
+
+
 @pytest.mark.parametrize("trials", ["-5", "0", str(cli.MAX_TRIALS + 1)])
 def test_verify_trials_out_of_range_exit2(capsys, trials):
     code, out, err = run_cli(capsys, "verify", "parity", "--trials", trials)

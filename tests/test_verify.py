@@ -1,0 +1,68 @@
+"""Every random-trial verify suite reports a broken property.
+
+Each case replaces one function that a suite's comparison reads with one that
+returns a wrong value, and expects the named check to fail with a nonzero
+failure count in its detail.
+"""
+
+import itertools
+import re
+
+import pytest
+
+from framedhom import verify
+from framedhom.lattice import CohomClass
+
+
+def _shifted(orig):
+    """orig with its cohomology class changed on the first basis class."""
+
+    def wrong(*args):
+        c = orig(*args)
+        return CohomClass.from_packed(c.g, c.packed ^ 1)
+
+    return wrong
+
+
+def _never_equal(orig):
+    """A function whose answers never agree with each other."""
+    fresh = itertools.count()
+    return lambda *args: next(fresh)
+
+
+BROKEN = [
+    ("cocycle", "cocycle-identity", "pullback_h1", lambda orig: lambda s, c: c),
+    ("well-defined", "theta-equals-delta", "delta_word", _shifted),
+    ("well-defined", "relators-vanish", "delta_word", _shifted),
+    ("well-defined", "theta-equals-factorization", "theta_by_factorization", _shifted),
+    ("stabilizer", "stabilizing-words-fix", "act_framing", lambda orig: lambda w, f: None),
+    ("stabilizer", "stabilizer-in-kernel", "kernel_test", lambda orig: lambda a, f: False),
+    ("lift", "lift-transvections", "kernel_test", lambda orig: lambda a, f: False),
+    ("even-form", "theta-is-spin-defect", "q_hat", _shifted),
+    ("relaut", "relaut-restriction", "v_kappa_star_by_pairing", _shifted),
+    ("moves", "moves-preserve-arf", "arf", _never_equal),
+    ("moves", "match-roundtrip", "match_framings", lambda orig: lambda f, h: []),
+    ("parity", "parity-oracle", "winding_parity", lambda orig: lambda f, v: 1 - orig(f, v)),
+    ("arf-action", "arf-invariance", "arf", _never_equal),
+]
+
+
+def _failures(detail: str) -> int:
+    m = re.fullmatch(r"(\d+)/(\d+)( .*)?", detail)
+    if m:
+        return int(m[2]) - int(m[1])
+    return int(re.search(r"(\d+) (wrong|violations)$", detail)[1])
+
+
+@pytest.mark.parametrize("suite, check, attr, breaker", BROKEN, ids=[f"{s}/{c}" for s, c, _, _ in BROKEN])
+def test_suite_reports_a_broken_property(monkeypatch, suite, check, attr, breaker):
+    monkeypatch.setattr(verify, attr, breaker(getattr(verify, attr)))
+    result = verify.run_suite(suite, trials=20, seed=0)
+    (named,) = [c for c in result.checks if c.name == check]
+    assert not named.ok and not result.ok
+    assert _failures(named.detail) > 0, named.detail
+
+
+def test_every_random_suite_has_a_broken_case():
+    fixed = {"census", "kernel-order"}
+    assert {s for s, _, _, _ in BROKEN} == set(verify.SUITES) - fixed
