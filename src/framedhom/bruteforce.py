@@ -6,15 +6,18 @@ reduces an integer matrix mod 2 itself.  The group's only index is its keys
 sorted as one uint64 array (Mod2Group.find).  The closure, the Cayley-edge
 certificate, the exhaustive kernel count and the all-pairs sweep are
 vectorized with numpy, imported only inside them; everything else is
-packed-int arithmetic from mod2.  The kernel count reads the theta table of
-every group element for every size it serves; it never falls back on the
-structure formula it is compared with.
+packed-int arithmetic from mod2.  The closure and the theta table work a
+whole BFS level at a time, and the closure and the edge certificate see
+the products with all generators in blocks of about BLOCK, so memory stays
+bounded at g=3.  The kernel count reads the theta table of every group
+element for every size it serves; it never falls back on the structure
+formula it is compared with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Any
 
 from . import mod2
@@ -66,8 +69,11 @@ class Mod2Group:
     keys are in discovery order (identity first); parent/gen_of record, for
     each element, the earlier element and right-multiplied generator that
     produced it, so every element carries an implicit transvection word.
-    ordered holds the keys sorted as uint64 and order the discovery index
-    of each; together they are the group's index (find).
+    levels holds the discovery index at which each BFS level starts, then
+    the group order: level d is keys[levels[d]:levels[d + 1]], and every
+    parent lies in the level before.  ordered holds the keys sorted as
+    uint64 and order the discovery index of each; together they are the
+    group's index (find).
     """
 
     g: int
@@ -75,6 +81,7 @@ class Mod2Group:
     parent: list[int]
     gen_of: list[int]
     gens: list[int]
+    levels: list[int]
     ordered: Any = field(repr=False)
     order: Any = field(repr=False)
 
@@ -84,6 +91,16 @@ class Mod2Group:
     @property
     def w(self) -> int:
         return 2 * self.g
+
+    @cached_property
+    def _tree(self):
+        """parent and gen_of as int arrays, for the level-at-a-time passes."""
+        import numpy as np
+
+        tree = np.array(self.parent, dtype=np.intp), np.array(self.gen_of, dtype=np.intp)
+        for a in tree:
+            a.flags.writeable = False
+        return tree
 
     def matrix(self, i: int) -> Mat:
         cols = key_columns(self.keys[i], self.w)
@@ -110,10 +127,31 @@ def _search(ordered, keys):
     """Positions in the sorted array ordered at which to look for keys, and which hold them."""
     import numpy as np
 
-    by = np.argsort(keys)  # ascending queries search nearby parts of ordered: ~4x faster at g=3
+    by = _sort_order(keys)[1]  # ascending queries search nearby parts of ordered: ~4x faster at g=3
     pos = np.empty(len(keys), dtype=np.intp)
     pos[by] = np.minimum(np.searchsorted(ordered, keys[by]), len(ordered) - 1)
     return pos, ordered[pos] == keys
+
+
+def _sort_order(keys):
+    """keys sorted, and the position in keys of each; equal keys keep their order.
+
+    One sort of key << b | position, b the bits of a position: about ten
+    times faster than a stable argsort, and four times faster than any
+    argsort, of uint64.  The sorted keys are exact for keys below
+    2^(64 - b), as group keys (at most 36 bits) are in every pass here;
+    for other keys the positions are still a permutation, which is all
+    _search needs.
+    """
+    import numpy as np
+
+    b = np.uint64(max(1, (len(keys) - 1).bit_length()))
+    packed = keys << b
+    packed |= np.arange(len(keys), dtype=np.uint64)
+    packed.sort()
+    pos = (packed & ((np.uint64(1) << b) - np.uint64(1))).view(np.intp)
+    packed >>= b
+    return packed, pos
 
 
 def _columns(keys, w: int):
@@ -131,30 +169,89 @@ def _parities(w: int):
     return np.array([u.bit_count() & 1 for u in range(1 << w)], dtype=np.uint8)
 
 
-def _right_products(keys, w: int):
-    """Yield (gi, keys * T_v) for every generator v = gi + 1, keys a uint64 array.
+# products per block of _product_blocks: about 0.5 MB of uint64
+BLOCK = 1 << 16
 
-    Generators come in Gray-code order, so S v changes by one column per
-    step and each product is one multiply and one xor per element.
+
+@lru_cache(maxsize=None)
+def _gray(w: int):
+    """Generator indices in Gray-code order, the column that S v gains at each step, and each spread <., v>."""
+    import numpy as np
+
+    ks = np.arange(1, 1 << w)
+    vs = ks ^ (ks >> 1)
+    low = np.array([(k & -k).bit_length() - 1 for k in ks.tolist()])
+    spreads = np.array([_spread(mod2.dual(v, w), w) for v in vs.tolist()], dtype=np.uint64)
+    out = vs - 1, low, spreads
+    for a in out:  # shared by every caller
+        a.flags.writeable = False
+    return out
+
+
+def _product_blocks(keys, w: int):
+    """Yield (gis, prods): prods[r] = keys * T_v for v = gis[r] + 1, keys a uint64 array.
+
+    Every generator appears once, in Gray-code order, so S v changes by one
+    column per step: the S v of a block are one running xor over those
+    columns.  A block holds about BLOCK products and at least one
+    generator, so no pass holds more than max(BLOCK, len(keys)) of them.
     """
     import numpy as np
 
     cols = _columns(keys, w)
-    sv = np.zeros(len(keys), dtype=np.uint64)
-    for k in range(1, 1 << w):
-        sv ^= cols[(k & -k).bit_length() - 1]
-        v = k ^ (k >> 1)
-        yield v - 1, keys ^ (sv * np.uint64(_spread(mod2.dual(v, w), w)))
+    gis, low, spreads = _gray(w)
+    step = max(1, BLOCK // len(keys))
+    sv = np.zeros(len(keys), dtype=np.uint8)
+    for a in range(0, len(gis), step):
+        blk = slice(a, a + step)
+        svs = np.bitwise_xor.accumulate(cols[low[blk]], axis=0)
+        svs ^= sv
+        sv = svs[-1]
+        prods = svs.astype(np.uint64)
+        prods *= spreads[blk, None]
+        prods ^= keys
+        yield gis[blk], prods
+
+
+def _next_level(seen, level, w: int):
+    """The BFS level after level, seen the sorted uint64 array of the keys met so far.
+
+    Returns seen grown by the new keys, the new keys in discovery order,
+    and for each the position in level of its parent and its generator
+    index.  Per block of products: one sort finds the first occurrence of
+    each distinct product, one search drops those met before, and one
+    sorted insert merges the rest into seen; the first occurrence in
+    generator-major, element-minor order wins.
+    """
+    import numpy as np
+
+    new, src, gen = [], [], []
+    for gis, prods in _product_blocks(level, w):
+        prods = prods.ravel()
+        ordered, by = _sort_order(prods)
+        # new: the first of a run of equal products, and missing from seen
+        new_at = np.empty(len(ordered), dtype=bool)
+        new_at[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=new_at[1:])
+        pos = np.searchsorted(seen, ordered)
+        new_at &= seen.take(pos, mode="clip") != ordered
+        seen = np.insert(seen, pos[new_at], ordered[new_at])
+        first = np.sort(by[new_at])  # discovery order
+        new.append(prods[first])
+        src.append(first % len(level))
+        gen.append(gis[first // len(level)])
+    return seen, np.concatenate(new), np.concatenate(src), np.concatenate(gen)
 
 
 @lru_cache(maxsize=None)
 def enumerate_sp2(g: int) -> Mod2Group:
     """Breadth-first closure of all mod-2 transvections (g = 2 or 3).
 
-    A product is new unless the sorted array of keys met so far holds it;
-    the first occurrence wins.  g=2 (720 elements) closes in
-    milliseconds; g=3 (1 451 520) is opt-in: 13 s and 263 MB peak RSS on a
-    2-core machine with Python 3.11 and numpy 2.4.
+    Each BFS level is one pass (_next_level) over blocks of its products
+    with every generator, generators in Gray-code order (_product_blocks).
+    g=2 (720 elements, six levels) closes in about a millisecond, each
+    level one block; g=3 (1 451 520) is opt-in: 9 s and 253 MB peak RSS
+    on a 2-core machine with Python 3.11 and numpy 2.4.
     """
     if g not in (2, 3):
         raise GenusTooLarge("exhaustive enumeration supports g = 2 and 3 only")
@@ -163,57 +260,59 @@ def enumerate_sp2(g: int) -> Mod2Group:
     w = 2 * g
     level = np.array([sum(1 << (j * w + j) for j in range(w))], dtype=np.uint64)
     seen = level  # every key met so far, sorted
-    keys, parent, gen_of = [level], [np.array([-1])], [np.array([-1])]
-    start = 0  # discovery index of the level's first element
+    keys, parent, gen_of, levels = [level], [np.array([-1])], [np.array([-1])], [0]
     while len(level):
-        new, src, gen = [], [], []
-        for gi, prod in _right_products(level, w):
-            fresh = np.nonzero(~_search(seen, prod)[1])[0]
-            new.append(prod[fresh])
-            met = np.sort(new[-1])
-            seen = np.insert(seen, np.searchsorted(seen, met), met)
-            src.append(fresh + start)
-            gen.append(np.full(len(fresh), gi))
-        start += len(level)
-        level = np.concatenate(new)
+        seen, nxt, src, gen = _next_level(seen, level, w)
+        parent.append(src + levels[-1])
+        levels.append(levels[-1] + len(level))
+        level = nxt
         keys.append(level)
-        parent.append(np.concatenate(src))
-        gen_of.append(np.concatenate(gen))
+        gen_of.append(gen)
 
-    arr = np.concatenate(keys)
-    order = np.argsort(arr)
-    return Mod2Group(
-        g, arr.tolist(), np.concatenate(parent).tolist(), np.concatenate(gen_of).tolist(),
-        list(range(1, 1 << w)), arr[order], order,
-    )
+    # each array becomes a list before the next is built: the lists set the peak RSS at g=3
+    keys = np.concatenate(keys)
+    order = np.empty(len(keys), dtype=np.intp)
+    order[np.searchsorted(seen, keys)] = np.arange(len(keys))  # seen is keys sorted
+    parent = np.concatenate(parent).tolist()
+    gen_of = np.concatenate(gen_of).tolist()
+    return Mod2Group(g, keys.tolist(), parent, gen_of, list(range(1, 1 << w)), levels, seen, order)
 
 
 # ---------------------------------------------------------------------------
 # the crossed homomorphism on the enumerated group
 
 
-def _letter_values(group: Mod2Group, f: Framing) -> list[int]:
-    """Packed value P(v) <., v> of every generator T_v, P the winding parity."""
+def _letters(group: Mod2Group, f: Framing):
+    """Per generator T_v, as uint8 arrays: v, <., v> and the letter value P(v) <., v>, P the winding parity."""
+    import numpy as np
+
     w, qphi = group.w, f.qphi
-    return [0 if mod2.quad(qphi, v, w) else mod2.dual(v, w) for v in group.gens]
+    duals = [mod2.dual(v, w) for v in group.gens]
+    values = [0 if mod2.quad(qphi, v, w) else d for v, d in zip(group.gens, duals)]
+    return (np.array(group.gens, dtype=np.uint8), np.array(duals, dtype=np.uint8),
+            np.array(values, dtype=np.uint8))
 
 
-def theta_table(group: Mod2Group, f: Framing) -> list[int]:
-    """Packed crossed-homomorphism value on every group element.
+def theta_table(group: Mod2Group, f: Framing):
+    """Packed crossed-homomorphism value on every group element, as a uint8 array.
 
-    Values are accumulated along the BFS tree with the cocycle rule; the
-    letter value of T_v is P(v) <., v> for the winding parity P of the
-    framing.  Path-independence is checked separately (check_theta_edges).
+    Values are accumulated along the BFS tree with the cocycle rule, one
+    level at a time: theta(S T_v) = T_v^* theta(S) + P(v) <., v>, where
+    T_v^* f = f + f(v) <., v> and P is the winding parity of the framing.
+    Path-independence is checked separately (check_theta_edges).
     """
     if f.spec.g != group.g:
         raise SpecMismatch("framing genus does not match the enumerated group")
-    w = group.w
-    values = _letter_values(group, f)
-    thetas = [0] * len(group)
-    for idx in range(1, len(group)):
-        gi = group.gen_of[idx]
-        th = mod2.pull_transvection(thetas[group.parent[idx]], group.gens[gi], w)
-        thetas[idx] = th ^ values[gi]
+    import numpy as np
+
+    gens, duals, values = _letters(group, f)
+    parity = _parities(group.w)
+    parent, gen_of = group._tree
+    thetas = np.zeros(len(group), dtype=np.uint8)
+    for a, b in zip(group.levels[1:], group.levels[2:]):
+        gi = gen_of[a:b]
+        th = thetas[parent[a:b]]
+        thetas[a:b] = th ^ parity[th & gens[gi]] * duals[gi] ^ values[gi]
     return thetas
 
 
@@ -221,22 +320,21 @@ def check_theta_edges(group: Mod2Group, f: Framing) -> bool:
     """Verify the cocycle rule on every Cayley edge, not just the BFS tree.
 
     Together with value 0 at the identity this certifies that the table is a
-    well-defined crossed homomorphism on the whole group.
+    well-defined crossed homomorphism on the whole group.  The edges come
+    in the closure's product blocks, one find per block: at g=2 one find
+    covers all of them.
     """
-    import numpy as np
-
     thetas = theta_table(group, f)
-    w = group.w
-    values = _letter_values(group, f)
-    th = np.array(thetas, dtype=np.int64)
-    parity = _parities(w)
-    for gi, prods in _right_products(np.array(group.keys, dtype=np.uint64), w):
-        v = group.gens[gi]
+    gens, duals, values = _letters(group, f)
+    parity = _parities(group.w)
+    th = thetas[group.order]  # aligned with group.ordered
+    for gis, prods in _product_blocks(group.ordered, group.w):
+        v = gens[gis, None]
         # pullback along T_v, then the letter value: the cocycle rule on edge S -> S T_v
-        expected = th ^ parity[th & v] * mod2.dual(v, w) ^ values[gi]
-        if not np.array_equal(th[group.find(prods)], expected):
+        expected = th ^ parity[th & v] * duals[gis, None] ^ values[gis, None]
+        if not (thetas[group.find(prods)] == expected).all():
             return False
-    return thetas[0] == 0
+    return bool(thetas[0] == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +482,7 @@ def kernel_order_mod2(f: Framing, method: str = "auto") -> int:
 
     group = enumerate_sp2(g)
     # aligned with group.ordered
-    thetas = np.array(theta_table(group, f), dtype=np.uint8)[group.order]
+    thetas = theta_table(group, f)[group.order]
     cols = _columns(group.ordered, w)
     # rows[b]: packed row b of every S, i.e. the pullback S^T of the basis functional b
     rows = [np.zeros(len(group), dtype=np.uint8) for _ in range(w)]

@@ -62,7 +62,7 @@ class TooLarge(FramedHomError):
 
 
 class InvalidCount(FramedHomError):
-    """A count given on the command line is below its minimum, e.g. verify --trials 0."""
+    """A count is below its minimum, e.g. verify --trials 0 or run_suite(..., trials=0)."""
 
 
 class WordSyntaxError(FramedHomError):

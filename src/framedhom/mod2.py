@@ -94,10 +94,14 @@ def is_symplectic(cols: Sequence[int], w: int) -> bool:
 
 
 def qhat(q: int, cols: Sequence[int], w: int) -> int:
-    """Defect x -> q(S x) - q(x) of a quadratic form under S, as a functional."""
+    """Defect x -> q(S x) - q(x) of a quadratic form under S, as a functional.
+
+    Bit j is quad(q, c_j, w) + q(b_j) for column c_j, quad written out.
+    """
+    em = _x_bits(w)
     out = 0
     for j, c in enumerate(cols):
-        out |= (quad(q, c, w) ^ ((q >> j) & 1)) << j
+        out |= (((q & c).bit_count() + (c & (c >> 1) & em).bit_count() + (q >> j)) & 1) << j
     return out
 
 

@@ -53,6 +53,43 @@ def test_closure_tree():
     assert len(set(group.keys)) == len(group) == bf.sp2_order(2)
 
 
+def _closure_by_ints(g):
+    """BFS closure of the transvections in packed ints, no numpy: keys, parent, gen_of, level starts.
+
+    Each level takes the generators v in Gray-code order and, for each, the
+    level's elements in order; a product not met before is new.
+    """
+    w = 2 * g
+    ident = sum(1 << (j * w + j) for j in range(w))
+    keys, parent, gen_of, levels = [ident], [-1], [-1], [0]
+    index = {ident: 0}
+    while levels[-1] < len(keys):
+        start, end = levels[-1], len(keys)
+        for k in range(1, 1 << w):
+            v = k ^ (k >> 1)
+            spread = bf._spread(mod2.dual(v, w), w)
+            for i in range(start, end):
+                prod = keys[i] ^ mod2.apply(bf.key_columns(keys[i], w), v) * spread
+                if prod not in index:
+                    index[prod] = len(keys)
+                    keys.append(prod)
+                    parent.append(i)
+                    gen_of.append(v - 1)
+        levels.append(end)
+    return keys, parent, gen_of, levels
+
+
+def test_closure_matches_pure_int_bfs():
+    group = bf.enumerate_sp2(2)
+    keys, parent, gen_of, levels = _closure_by_ints(2)
+    assert group.keys == keys
+    assert group.parent == parent
+    assert group.gen_of == gen_of
+    assert group.levels == levels
+    assert group.ordered.tolist() == sorted(keys)
+    assert [keys[i] for i in group.order.tolist()] == sorted(keys)
+
+
 def test_find_positions_and_outsiders():
     group = bf.enumerate_sp2(2)
     assert group.find(group.keys[5]) == 5
@@ -129,6 +166,17 @@ def test_quad_packed_matches_defining_formula():
                 assert mod2.quad(q, v, w) == _quad_by_definition(qbits, mod2.unpack(v, w))
 
 
+def test_qhat_matches_quad():
+    # bit j of the defect is q(S b_j) - q(b_j)
+    rng = random.Random(11)
+    for w in (4, 6, 10):
+        for _ in range(200):
+            q = rng.randrange(1 << w)
+            cols = [rng.randrange(1 << w) for _ in range(w)]
+            expected = [mod2.quad(q, c, w) ^ mod2.quad(q, 1 << j, w) for j, c in enumerate(cols)]
+            assert mod2.unpack(mod2.qhat(q, cols, w), w) == tuple(expected)
+
+
 def test_arf_matches_zero_count():
     # Arf 0 exactly when q has 2^(g-1) (2^g + 1) zeros, otherwise 2^(g-1) (2^g - 1)
     for g in (2, 3):
@@ -174,6 +222,27 @@ def test_theta_edges_consistent():
         spec = random_spec(rng, 2, rng.choice([1, 2, 3]))
         f = random_framing(rng, spec)
         assert bf.check_theta_edges(group, f)
+
+
+def _theta_by_tree(group, f):
+    """theta on every element by the cocycle rule along the BFS tree, one element at a time."""
+    w, qphi = group.w, f.qphi
+    values = [0 if mod2.quad(qphi, v, w) else mod2.dual(v, w) for v in group.gens]
+    thetas = [0] * len(group)
+    for idx in range(1, len(group)):
+        gi = group.gen_of[idx]
+        th = mod2.pull_transvection(thetas[group.parent[idx]], group.gens[gi], w)
+        thetas[idx] = th ^ values[gi]
+    return thetas
+
+
+@pytest.mark.parametrize("kappa", [(2,), (2, 0), (1, 1), (2, 0, 0), (1, 2, -1)])
+def test_theta_table_matches_per_element_recurrence(kappa):
+    group = bf.enumerate_sp2(2)
+    rng = random.Random(sum(kappa) * 31 + len(kappa))
+    for _ in range(4):
+        f = random_framing(rng, SurfaceSpec(2, kappa))
+        assert bf.theta_table(group, f).tolist() == _theta_by_tree(group, f)
 
 
 def test_theta_table_matches_integer_theta():
@@ -281,7 +350,7 @@ def test_theta_depends_only_on_kappa_mod2():
 
 @pytest.mark.skipif(
     not os.environ.get("FRAMEDHOM_SLOW"),
-    reason="g=3 closure and certificates take about a minute; set FRAMEDHOM_SLOW=1 to run",
+    reason="g=3 closure, certificates and theta oracle take about 30 s; set FRAMEDHOM_SLOW=1 to run",
 )
 def test_enumerate_sp2_genus3():
     group = bf.enumerate_sp2(3)
@@ -290,11 +359,12 @@ def test_enumerate_sp2_genus3():
     assert bf.check_theta_edges(group, Framing.zeros(SurfaceSpec(3, (4,))))
     odd = Framing(SurfaceSpec(3, (3, 1)), (1, 0, 0), (1, 0, 0), (-1,))
     assert bf.check_theta_edges(group, odd)
+    assert bf.theta_table(group, odd).tolist() == _theta_by_tree(group, odd)
 
 
 @pytest.mark.skipif(
     not os.environ.get("FRAMEDHOM_SLOW"),
-    reason="needs the g=3 closure (about 13 s); set FRAMEDHOM_SLOW=1 to run",
+    reason="needs the g=3 closure (about 10 s); set FRAMEDHOM_SLOW=1 to run",
 )
 @pytest.mark.parametrize("f", [
     Framing.zeros(SurfaceSpec(3, (4,))),

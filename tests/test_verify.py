@@ -11,6 +11,7 @@ import re
 import pytest
 
 from framedhom import verify
+from framedhom.errors import InvalidCount
 from framedhom.lattice import CohomClass
 
 
@@ -66,3 +67,16 @@ def test_suite_reports_a_broken_property(monkeypatch, suite, check, attr, breake
 def test_every_random_suite_has_a_broken_case():
     fixed = {"census", "kernel-order"}
     assert {s for s, _, _, _ in BROKEN} == set(verify.SUITES) - fixed
+
+
+@pytest.mark.parametrize("suite", ["parity", "census"])
+@pytest.mark.parametrize("trials", [0, -3])
+def test_run_suite_rejects_trial_counts_below_one(suite, trials):
+    # a check that saw no input must not read as a pass
+    with pytest.raises(InvalidCount):
+        verify.run_suite(suite, trials=trials)
+
+
+def test_run_suite_runs_one_trial():
+    result = verify.run_suite("parity", trials=1)
+    assert result.ok and result.checks[0].detail.startswith("1/1")
