@@ -2,16 +2,20 @@
 
 An element of Sp(2g, Z/2) is keyed by its packed columns (see mod2) side by
 side in one int: column j occupies bits [j*2g, (j+1)*2g); matrix_to_key
-reduces an integer matrix mod 2 itself.  The group's only index is its keys
-sorted as one uint64 array (Mod2Group.find).  The closure, the Cayley-edge
-certificate, the exhaustive kernel count and the all-pairs sweep are
-vectorized with numpy, imported only inside them; everything else is
-packed-int arithmetic from mod2.  The closure and the theta table work a
-whole BFS level at a time, and the closure and the edge certificate see
-the products with all generators in blocks of about BLOCK, so memory stays
-bounded at g=3.  The kernel count reads the theta table of every group
-element for every size it serves; it never falls back on the structure
-formula it is compared with.
+reduces an integer matrix mod 2 itself.  The group's index is its keys
+sorted as one uint64 array (Mod2Group.find); the q-hat certificate sorts
+the keys afresh, so that it checks them and not the closure's index.  The
+closure, the Cayley-edge certificates and the exhaustive kernel count are
+vectorized with numpy, imported only inside them; everything else, the
+census's form orbits included, is packed-int arithmetic from mod2.  The closure and the theta
+table work a whole BFS level at a time, and the closure and the edge
+certificates see the products with all generators in blocks of about
+BLOCK, so memory stays bounded at g=3.  One edge walk (_holds_on_edges)
+certifies both crossed homomorphisms, theta and the q-defect qhat: a
+cocycle rule that holds on every Cayley edge holds on every pair of group
+elements.  The kernel count reads the theta table of every group element
+for every size it serves; it never falls back on the structure formula it
+is compared with.
 """
 
 from __future__ import annotations
@@ -47,6 +51,10 @@ def matrix_to_key(mat: Mat) -> int:
 def key_columns(key: int, w: int) -> list[int]:
     mask = (1 << w) - 1
     return [(key >> (j * w)) & mask for j in range(w)]
+
+
+def _identity_key(w: int) -> int:
+    return sum(1 << (j * w + j) for j in range(w))
 
 
 def _spread(bits: int, w: int) -> int:
@@ -258,7 +266,7 @@ def enumerate_sp2(g: int) -> Mod2Group:
     import numpy as np
 
     w = 2 * g
-    level = np.array([sum(1 << (j * w + j) for j in range(w))], dtype=np.uint64)
+    level = np.array([_identity_key(w)], dtype=np.uint64)
     seen = level  # every key met so far, sorted
     keys, parent, gen_of, levels = [level], [np.array([-1])], [np.array([-1])], [0]
     while len(level):
@@ -282,15 +290,46 @@ def enumerate_sp2(g: int) -> Mod2Group:
 # the crossed homomorphism on the enumerated group
 
 
+@lru_cache(maxsize=None)
+def _transvections(w: int):
+    """Per generator T_v, in the order of Mod2Group.gens, as uint8 arrays: v and <., v>."""
+    import numpy as np
+
+    gens = np.arange(1, 1 << w, dtype=np.uint8)
+    duals = np.array([mod2.dual(v, w) for v in range(1, 1 << w)], dtype=np.uint8)
+    for a in (gens, duals):  # shared by every caller
+        a.flags.writeable = False
+    return gens, duals
+
+
 def _letters(group: Mod2Group, f: Framing):
-    """Per generator T_v, as uint8 arrays: v, <., v> and the letter value P(v) <., v>, P the winding parity."""
+    """The letter value P(v) <., v> of theta on each generator T_v, as uint8, P the winding parity."""
     import numpy as np
 
     w, qphi = group.w, f.qphi
-    duals = [mod2.dual(v, w) for v in group.gens]
-    values = [0 if mod2.quad(qphi, v, w) else d for v, d in zip(group.gens, duals)]
-    return (np.array(group.gens, dtype=np.uint8), np.array(duals, dtype=np.uint8),
-            np.array(values, dtype=np.uint8))
+    return np.array([0 if mod2.quad(qphi, v, w) else mod2.dual(v, w) for v in group.gens], dtype=np.uint8)
+
+
+def _holds_on_edges(ordered, table, values, w: int) -> bool:
+    """Whether table obeys the cocycle rule on every Cayley edge S -> S T_v.
+
+    ordered holds keys sorted as uint64, table a packed functional per key
+    (aligned with ordered) and values one per generator, as uint8 arrays.
+    The rule is table(S T_v) = T_v^* table(S) + values(v): pull back along
+    T_v, where T_v^* f = f + f(v) <., v>, then add the letter value.  The
+    edges come in the closure's product blocks, one search per block: at
+    g=2 one search covers all of them.  A product missing from ordered
+    fails the rule.
+    """
+    gens, duals = _transvections(w)
+    parity = _parities(w)
+    for gis, prods in _product_blocks(ordered, w):
+        expected = table ^ parity[table & gens[gis, None]] * duals[gis, None] ^ values[gis, None]
+        pos, hit = _search(ordered, prods.ravel())
+        if not (hit.all() and (table[pos] == expected.ravel()).all()):
+            return False
+        del pos, hit  # a block's worth of positions: freed before the next block is built (13 MB at g=3)
+    return True
 
 
 def theta_table(group: Mod2Group, f: Framing):
@@ -305,7 +344,8 @@ def theta_table(group: Mod2Group, f: Framing):
         raise SpecMismatch("framing genus does not match the enumerated group")
     import numpy as np
 
-    gens, duals, values = _letters(group, f)
+    gens, duals = _transvections(group.w)
+    values = _letters(group, f)
     parity = _parities(group.w)
     parent, gen_of = group._tree
     thetas = np.zeros(len(group), dtype=np.uint8)
@@ -320,25 +360,20 @@ def check_theta_edges(group: Mod2Group, f: Framing) -> bool:
     """Verify the cocycle rule on every Cayley edge, not just the BFS tree.
 
     Together with value 0 at the identity this certifies that the table is a
-    well-defined crossed homomorphism on the whole group.  The edges come
-    in the closure's product blocks, one find per block: at g=2 one find
-    covers all of them.
+    well-defined crossed homomorphism on the whole group (_holds_on_edges,
+    letter values P(v) <., v>).
     """
     thetas = theta_table(group, f)
-    gens, duals, values = _letters(group, f)
-    parity = _parities(group.w)
-    th = thetas[group.order]  # aligned with group.ordered
-    for gis, prods in _product_blocks(group.ordered, group.w):
-        v = gens[gis, None]
-        # pullback along T_v, then the letter value: the cocycle rule on edge S -> S T_v
-        expected = th ^ parity[th & v] * duals[gis, None] ^ values[gis, None]
-        if not (thetas[group.find(prods)] == expected).all():
-            return False
-    return bool(thetas[0] == 0)
+    edges = _holds_on_edges(group.ordered, thetas[group.order], _letters(group, f), group.w)
+    return edges and bool(thetas[0] == 0)
 
 
 # ---------------------------------------------------------------------------
 # quadratic form census
+
+
+# largest genus the census serves
+CENSUS_MAX_G = 3
 
 
 @dataclass(frozen=True)
@@ -350,15 +385,21 @@ class QFormCensus:
 
 
 def _form_orbit(bits: int, w: int) -> set[int]:
-    """Orbit of a quadratic form under all mod-2 transvections."""
+    """Orbit of a quadratic form under all mod-2 transvections.
+
+    T_v moves the form b to b + <., v> when b(v) = 0.  b(v) is the parity
+    of b & v plus the pairing term c_v = quad(0, v, w), so each call builds
+    one table of moves (v, <., v>, c_v) and tests b(v) inline.
+    """
+    moves = [(v, mod2.dual(v, w), mod2.quad(0, v, w)) for v in range(1, 1 << w)]
     seen = {bits}
     frontier = [bits]
     while frontier:
         nxt = []
         for b in frontier:
-            for v in range(1, 1 << w):
-                if mod2.quad(b, v, w) == 0:
-                    b2 = b ^ mod2.dual(v, w)
+            for v, dv, cv in moves:
+                if not ((b & v).bit_count() + cv) & 1:
+                    b2 = b ^ dv
                     if b2 not in seen:
                         seen.add(b2)
                         nxt.append(b2)
@@ -373,8 +414,8 @@ def qform_census(g: int) -> QFormCensus:
     order; the g=2 values are independently cross-checked against direct
     counting over the enumerated group in the test suite.
     """
-    if g > 3:
-        raise GenusTooLarge("census supports g <= 3")
+    if g > CENSUS_MAX_G:
+        raise GenusTooLarge(f"census supports g <= {CENSUS_MAX_G}")
     w = 2 * g
     order = sp2_order(g)
     orbit_cache: dict[int, int] = {}
@@ -397,50 +438,44 @@ def qform_census(g: int) -> QFormCensus:
 
 
 def verify_qhat_crossed(g: int = 2) -> bool:
-    """Exhaustively check the crossed-homomorphism identity of the q-defect.
+    """Certify the crossed-homomorphism identity of the q-defect on Sp(2g, 2).
 
-    For one even and one odd representative form, over all |Sp(2g,2)|^2
-    pairs: qhat(AB) = pullback(B) qhat(A) + qhat(B).  qhat is evaluated
-    once per element (mod2.qhat); the pairs are checked in blocks of rows A
-    against every B, each product AB looked up in a table indexed by its
-    16-bit key.  A product outside the group fails the check.
+    For one even and one odd representative form q, qhat(S) is the defect
+    x -> q(S x) - q(x) of q under S, evaluated once per element
+    (mod2.qhat).  The identity is qhat(AB) = B^* qhat(A) + qhat(B) for all
+    pairs (A, B), B^* the pullback along B.  It is checked on the Cayley
+    edges A -> A T_v alone, for every key A and generator T_v, the letter
+    value qhat(T_v) read from the table (_holds_on_edges), with every
+    product and every T_v looked up in a sorted index of the group's keys;
+    one missing fails the check.  If the rule holds on every edge:
+
+    * the keys are closed under the generators and hold T_v T_v = I, so
+      they hold every word in the generators: the whole group;
+    * the edge I -> T_v reads qhat(T_v) = T_v^* qhat(I) + qhat(T_v), so
+      qhat(I) = 0, T_v being invertible;
+    * the identity holds at every pair (A, B), by induction on the word
+      length of B: at B = I it reads qhat(A) = qhat(A) + qhat(I), and for
+      B = C T_v the edges at AC and at C give qhat(A C T_v)
+      = T_v^* qhat(AC) + qhat(T_v) = T_v^* (C^* qhat(A) + qhat(C)) + qhat(T_v)
+      = B^* qhat(A) + qhat(B).
     """
     if g != 2:
-        raise GenusTooLarge("the all-pairs sweep is sized for g = 2")
+        raise GenusTooLarge("the q-hat certificate is sized for g = 2")
     import numpy as np
 
     group = enumerate_sp2(g)
-    w, size = group.w, len(group)
-    keys = np.array(group.keys, dtype=np.uint64)
-    cols = _columns(keys, w)
-    parity = _parities(w)
-    vecs = np.arange(1 << w, dtype=np.uint8)
-    # pull[b, p]: pullback along B of the functional p; image[a, u] = A u
-    pull = np.zeros((size, 1 << w), dtype=np.uint8)
-    image = np.zeros((size, 1 << w), dtype=np.uint16)
-    for j, c in enumerate(cols):
-        pull |= parity[c[:, None] & vecs] << j
-        image ^= c[:, None] * ((vecs >> j) & 1)
-    index = np.full(1 << (w * w), -1, dtype=np.int16)
-    index[keys] = np.arange(size)
-    # arf 0 and arf 1 representatives
-    qhats = [
-        np.array([mod2.qhat(rep, key_columns(key, w), w) for key in group.keys], dtype=np.uint8)
-        for rep in (0b0000, 0b0011)
-    ]
-    for start in range(0, size, 60):
-        block = slice(start, start + 60)  # rows A of this block, against every B
-        rows = image[block]
-        # column j of AB is A applied to column j of B
-        ab = np.zeros((len(rows), size), dtype=np.uint16)
-        for j, c in enumerate(cols):
-            ab |= rows[:, c] << (j * w)
-        ab = index[ab]
-        if (ab < 0).any():
+    w = group.w
+    ordered, by = _sort_order(np.array(group.keys, dtype=np.uint64))
+    ident = _identity_key(w)
+    tvs = np.array([group.mul_gen(ident, gi) for gi in range(len(group.gens))], dtype=np.uint64)
+    at_tv, hit = _search(ordered, tvs)
+    if not hit.all():
+        return False
+    cols = [key_columns(key, w) for key in group.keys]
+    for rep in (0b0000, 0b0011):  # arf 0 and arf 1 representatives
+        qhat = np.array([mod2.qhat(rep, c, w) for c in cols], dtype=np.uint8)[by]  # aligned with ordered
+        if not _holds_on_edges(ordered, qhat, qhat[at_tv], w):
             return False
-        for qhat in qhats:
-            if not np.array_equal(qhat[ab], pull[:, qhat[block]].T ^ qhat):
-                return False
     return True
 
 

@@ -235,7 +235,11 @@ def suite_census(g: int | None = None, trials: int = 0, seed: int = 0) -> SuiteR
             census.stabilizer_orders == {0: 72, 1: 120},
             str(census.stabilizer_orders),
         )
-        res.add("qhat-crossed-all-pairs", bruteforce.verify_qhat_crossed(2), "720^2 pairs, both Arf classes")
+        res.add(
+            "qhat-crossed-all-pairs",
+            bruteforce.verify_qhat_crossed(2),
+            "720 x 15 Cayley edges, implying all 720^2 pairs, both Arf classes",
+        )
     return res
 
 

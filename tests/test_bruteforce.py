@@ -105,7 +105,7 @@ def test_find_keeps_the_query_shape():
 
     group = bf.enumerate_sp2(2)
     keys = np.array(group.keys, dtype=np.uint64)
-    # a block of products A B, one row per A, as the all-pairs sweep forms them
+    # a block of products A B, one row per A
     rows = [[bf.matrix_to_key(mat_mul(group.matrix(a), group.matrix(b))) for b in range(0, 720, 9)]
             for a in (0, 3, 500)]
     found = group.find(rows)
@@ -129,6 +129,27 @@ def test_census_counts():
     c3 = bf.qform_census(3)
     assert (c3.even_count, c3.odd_count) == (36, 28)
     assert c3.stabilizer_orders == {0: 1451520 // 36, 1: 1451520 // 28}
+
+
+def _form_orbit_by_quad(bits, w):
+    """Orbit of a form by BFS, b(v) evaluated by mod2.quad for every move."""
+    seen, frontier = {bits}, [bits]
+    while frontier:
+        nxt = []
+        for b in frontier:
+            for v in range(1, 1 << w):
+                b2 = b ^ mod2.dual(v, w)
+                if mod2.quad(b, v, w) == 0 and b2 not in seen:
+                    seen.add(b2)
+                    nxt.append(b2)
+        frontier = nxt
+    return seen
+
+
+def test_form_orbit_matches_bfs_by_quad():
+    for w in (4, 6):
+        for bits in range(1 << w):
+            assert bf._form_orbit(bits, w) == _form_orbit_by_quad(bits, w)
 
 
 def test_census_stabilizers_against_direct_count():
@@ -213,6 +234,82 @@ def test_verify_qhat_crossed_rejects_products_outside_the_group(monkeypatch):
     broken = replace(group, keys=group.keys[:-1] + [0])
     monkeypatch.setattr(bf, "enumerate_sp2", lambda g: broken)
     assert not bf.verify_qhat_crossed(2)
+
+
+def _qhat_crossed_all_pairs():
+    """Reference for verify_qhat_crossed: qhat(AB) = B^* qhat(A) + qhat(B) on all 720^2 pairs.
+
+    The pairs are checked in blocks of rows A against every B, each product
+    AB looked up in a table indexed by its 16-bit key; a product outside
+    the group fails the check.
+    """
+    import numpy as np
+
+    group = bf.enumerate_sp2(2)
+    w, size = group.w, len(group)
+    keys = np.array(group.keys, dtype=np.uint64)
+    cols = bf._columns(keys, w)
+    parity = bf._parities(w)
+    vecs = np.arange(1 << w, dtype=np.uint8)
+    # pull[b, p]: pullback along B of the functional p; image[a, u] = A u
+    pull = np.zeros((size, 1 << w), dtype=np.uint8)
+    image = np.zeros((size, 1 << w), dtype=np.uint16)
+    for j, c in enumerate(cols):
+        pull |= parity[c[:, None] & vecs] << j
+        image ^= c[:, None] * ((vecs >> j) & 1)
+    index = np.full(1 << (w * w), -1, dtype=np.int16)
+    index[keys] = np.arange(size)
+    qhats = [
+        np.array([mod2.qhat(rep, bf.key_columns(key, w), w) for key in group.keys], dtype=np.uint8)
+        for rep in (0b0000, 0b0011)
+    ]
+    for start in range(0, size, 60):
+        block = slice(start, start + 60)
+        rows = image[block]
+        # column j of AB is A applied to column j of B
+        ab = np.zeros((len(rows), size), dtype=np.uint16)
+        for j, c in enumerate(cols):
+            ab |= rows[:, c] << (j * w)
+        ab = index[ab]
+        if (ab < 0).any():
+            return False
+        for qhat in qhats:
+            if not np.array_equal(qhat[ab], pull[:, qhat[block]].T ^ qhat):
+                return False
+    return True
+
+
+def test_qhat_certificate_agrees_with_all_pairs():
+    assert _qhat_crossed_all_pairs() and bf.verify_qhat_crossed(2)
+
+
+def test_qhat_certificate_and_all_pairs_catch_every_flip(monkeypatch):
+    group = bf.enumerate_sp2(2)
+    rng = random.Random(29)
+    # the identity, a transvection (level 1 of the closure), then 18 random elements
+    targets = [0, group.levels[1]] + [rng.randrange(len(group)) for _ in range(18)]
+    true_qhat = mod2.qhat
+    for idx in targets:
+        wrong = bf.key_columns(group.keys[idx], group.w)
+        rep, bit = rng.choice((0b0000, 0b0011)), 1 << rng.randrange(group.w)
+
+        def flipped(q, cols, w):
+            return true_qhat(q, cols, w) ^ (bit if q == rep and list(cols) == wrong else 0)
+
+        monkeypatch.setattr(mod2, "qhat", flipped)
+        assert not bf.verify_qhat_crossed(2), (idx, rep, bit)
+        assert not _qhat_crossed_all_pairs(), (idx, rep, bit)
+
+
+def test_edge_walk_fails_on_a_product_outside_the_keys():
+    import numpy as np
+
+    group = bf.enumerate_sp2(2)
+    zeros = np.zeros(len(group), dtype=np.uint8)
+    letters = np.zeros(len(group.gens), dtype=np.uint8)
+    # the zero table obeys the rule on every edge, so only the lookup can fail
+    assert bf._holds_on_edges(group.ordered, zeros, letters, group.w)
+    assert not bf._holds_on_edges(group.ordered[:-1], zeros[:-1], letters, group.w)
 
 
 def test_theta_edges_consistent():

@@ -256,6 +256,18 @@ def test_verify_genus_below_two_exit2(capsys, argv):
     assert code == 2 and out == "" and err.startswith("error:") and "genus" in err
 
 
+def test_verify_all_above_census_genus_keeps_census_at_its_own(capsys):
+    code, out, _ = run_cli(capsys, "--json", "verify", "all", "--g", "4", "--trials", "2")
+    data = json.loads(out)
+    assert code == 0 and data["ok"] is True
+    assert [s["suite"] for s in data["suites"]] == list(cli.SUITES)
+    (census,) = [s for s in data["suites"] if s["suite"] == "census"]
+    assert census["checks"][0]["detail"] == "|Sp(4,2)| = 720"
+    # alone, census refuses the genus it cannot serve
+    code, out, err = run_cli(capsys, "verify", "census", "--g", "4")
+    assert code == 2 and out == "" and err.startswith("error:") and "census supports g <= 3" in err
+
+
 @pytest.mark.parametrize("trials", ["-5", "0", str(cli.MAX_TRIALS + 1)])
 def test_verify_trials_out_of_range_exit2(capsys, trials):
     code, out, err = run_cli(capsys, "verify", "parity", "--trials", trials)
@@ -327,6 +339,15 @@ def test_cli_import_leaves_numpy_unloaded():
     code = "import sys, framedhom.cli; print('numpy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+
+def test_even_genus3_stratum_leaves_numpy_unloaded():
+    # the g=3 kernel order comes from the census's form orbit, which is pure Python
+    code = "import sys, framedhom.cli as c; c.main(['stratum', '2,2']); print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    *report, loaded = proc.stdout.strip().splitlines()
+    assert proc.returncode == 0 and loaded == "False"
+    assert json.loads("\n".join(report))["report"]["mod2_kernel_order"] > 0
 
 
 def test_console_entry_point():
