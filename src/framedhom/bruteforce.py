@@ -310,23 +310,26 @@ def _letters(group: Mod2Group, f: Framing):
     return np.array([0 if mod2.quad(qphi, v, w) else mod2.dual(v, w) for v in group.gens], dtype=np.uint8)
 
 
-def _holds_on_edges(ordered, table, values, w: int) -> bool:
-    """Whether table obeys the cocycle rule on every Cayley edge S -> S T_v.
+def _holds_on_edges(ordered, tables, values, w: int) -> bool:
+    """Whether each of k tables obeys the cocycle rule on every Cayley edge S -> S T_v.
 
-    ordered holds keys sorted as uint64, table a packed functional per key
-    (aligned with ordered) and values one per generator, as uint8 arrays.
-    The rule is table(S T_v) = T_v^* table(S) + values(v): pull back along
-    T_v, where T_v^* f = f + f(v) <., v>, then add the letter value.  The
-    edges come in the closure's product blocks, one search per block: at
-    g=2 one search covers all of them.  A product missing from ordered
-    fails the rule.
+    ordered holds keys sorted as uint64; tables, k x len(ordered), a packed
+    functional per key (aligned with ordered) for each table, and values,
+    k x generators, one letter value per generator and table, as uint8
+    arrays.  The rule is table(S T_v) = T_v^* table(S) + values(v): pull
+    back along T_v, where T_v^* f = f + f(v) <., v>, then add the letter
+    value.  The edges come in the closure's product blocks, one search per
+    block for all k tables: at g=2 one search covers every edge.  A product
+    missing from ordered fails the rule.
     """
     gens, duals = _transvections(w)
     parity = _parities(w)
+    k = len(tables)
+    stacked = tables[:, None, :]
     for gis, prods in _product_blocks(ordered, w):
-        expected = table ^ parity[table & gens[gis, None]] * duals[gis, None] ^ values[gis, None]
+        expected = stacked ^ parity[stacked & gens[gis, None]] * duals[gis, None] ^ values[:, gis, None]
         pos, hit = _search(ordered, prods.ravel())
-        if not (hit.all() and (table[pos] == expected.ravel()).all()):
+        if not (hit.all() and (tables[:, pos] == expected.reshape(k, -1)).all()):
             return False
         del pos, hit  # a block's worth of positions: freed before the next block is built (13 MB at g=3)
     return True
@@ -361,10 +364,10 @@ def check_theta_edges(group: Mod2Group, f: Framing) -> bool:
 
     Together with value 0 at the identity this certifies that the table is a
     well-defined crossed homomorphism on the whole group (_holds_on_edges,
-    letter values P(v) <., v>).
+    letter values P(v) <., v>, a stack of one table).
     """
     thetas = theta_table(group, f)
-    edges = _holds_on_edges(group.ordered, thetas[group.order], _letters(group, f), group.w)
+    edges = _holds_on_edges(group.ordered, thetas[group.order][None], _letters(group, f)[None], group.w)
     return edges and bool(thetas[0] == 0)
 
 
@@ -445,9 +448,10 @@ def verify_qhat_crossed(g: int = 2) -> bool:
     (mod2.qhat).  The identity is qhat(AB) = B^* qhat(A) + qhat(B) for all
     pairs (A, B), B^* the pullback along B.  It is checked on the Cayley
     edges A -> A T_v alone, for every key A and generator T_v, the letter
-    value qhat(T_v) read from the table (_holds_on_edges), with every
-    product and every T_v looked up in a sorted index of the group's keys;
-    one missing fails the check.  If the rule holds on every edge:
+    value qhat(T_v) read from the table, both forms in one edge walk
+    (_holds_on_edges), with every product and every T_v looked up in a
+    sorted index of the group's keys; one missing fails the check.  If the
+    rule holds on every edge:
 
     * the keys are closed under the generators and hold T_v T_v = I, so
       they hold every word in the generators: the whole group;
@@ -472,11 +476,10 @@ def verify_qhat_crossed(g: int = 2) -> bool:
     if not hit.all():
         return False
     cols = [key_columns(key, w) for key in group.keys]
-    for rep in (0b0000, 0b0011):  # arf 0 and arf 1 representatives
-        qhat = np.array([mod2.qhat(rep, c, w) for c in cols], dtype=np.uint8)[by]  # aligned with ordered
-        if not _holds_on_edges(ordered, qhat, qhat[at_tv], w):
-            return False
-    return True
+    reps = (0b0000, 0b0011)  # arf 0 and arf 1 representatives
+    qhats = np.array([[mod2.qhat(rep, c, w) for c in cols] for rep in reps], dtype=np.uint8)
+    qhats = qhats[:, by]  # one row per form, aligned with ordered
+    return _holds_on_edges(ordered, qhats, qhats[:, at_tv], w)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ import json
 import os
 import re
 import sys
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .bruteforce import CENSUS_MAX_G
+# each command imports the layers it needs, so a cold call loads only those
 from .errors import (
     ArfMismatch,
     FileFormatError,
@@ -23,16 +23,16 @@ from .errors import (
     QVectorMismatch,
     SpecMismatch,
     TooLarge,
+    UnknownSuite,
     WordSyntaxError,
 )
 from .framing import Framing, arf
-from .kernel import StructureReport, kernel_test, lift_transvection, structure_report
 from .lattice import AbsVec, PunctVec, SurfaceSpec
-from .moves import ArcParityTwist, BoundaryTwist, ConnectSum, match_framings
-from .paut import PAutElem, factor_sp
-from .theta import theta
-from .verify import SUITES, run_suite
-from .words import PointPush, Twist, Word, act_framing, standard_alphabet, word_to_paut
+
+if TYPE_CHECKING:
+    from .kernel import StructureReport
+    from .paut import PAutElem
+    from .words import Word
 
 
 # largest genus and largest number of marked points accepted from a file or
@@ -118,6 +118,8 @@ def paut_to_dict(a: PAutElem) -> dict[str, Any]:
 
 
 def paut_from_dict(data: Any) -> PAutElem:
+    from .paut import PAutElem
+
     if not isinstance(data, dict):
         raise FileFormatError("automorphism file must hold one JSON object")
     allowed = {"g", "n", "S", "M"}
@@ -213,6 +215,8 @@ def parse_word(text: str, f: Framing) -> Word:
     explicit twists T(<vec>;w=<int>), point-pushes P(<i>;<vec>); any twist
     takes an optional ^<power>.
     """
+    from .words import PointPush, Twist, Word, standard_alphabet
+
     spec = f.spec
     alphabet = standard_alphabet(f)
     letters = []
@@ -263,6 +267,8 @@ def report_to_dict(report: StructureReport) -> dict[str, Any]:
 
 
 def move_to_dict(m) -> dict[str, Any]:
+    from .moves import ArcParityTwist, BoundaryTwist, ConnectSum
+
     if isinstance(m, ConnectSum):
         return {"move": "connect-sum", "kind": m.kind, "index": m.index,
                 "helper": m.helper, "sign": m.sign}
@@ -294,6 +300,8 @@ def cmd_arf(args) -> int:
 
 
 def cmd_theta(args) -> int:
+    from .theta import theta
+
     a = load_paut(args.paut)
     f = load_framing(args.framing)
     _emit({"theta": list(theta(a, f).bits)})
@@ -301,6 +309,8 @@ def cmd_theta(args) -> int:
 
 
 def cmd_kernel_test(args) -> int:
+    from .kernel import kernel_test
+
     a = load_paut(args.paut)
     f = load_framing(args.framing)
     _emit({"in_kernel": kernel_test(a, f)})
@@ -308,6 +318,8 @@ def cmd_kernel_test(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    from .kernel import lift_transvection
+
     f = load_framing(args.framing)
     v = parse_vector(args.vector, f.spec, punctured=False)
     try:
@@ -320,6 +332,8 @@ def cmd_lift(args) -> int:
 
 
 def cmd_factor_sp(args) -> int:
+    from .paut import factor_sp
+
     a = load_paut(args.paut)
     factors = factor_sp(a.S)
     _emit({"factors": [{"v": list(v), "k": k} for v, k in factors],
@@ -328,6 +342,8 @@ def cmd_factor_sp(args) -> int:
 
 
 def cmd_act(args) -> int:
+    from .words import act_framing, word_to_paut
+
     f = load_framing(args.framing)
     w = parse_word(args.word, f)
     g = act_framing(w, f)
@@ -336,6 +352,8 @@ def cmd_act(args) -> int:
 
 
 def cmd_match(args) -> int:
+    from .moves import match_framings
+
     f = load_framing(args.framing_file)
     h = load_framing(args.target_file)
     moves = match_framings(f, h)
@@ -344,6 +362,8 @@ def cmd_match(args) -> int:
 
 
 def cmd_stratum(args) -> int:
+    from .kernel import structure_report
+
     fields = args.partition.split(",")
     _capped(len(fields), "n")
     try:
@@ -362,6 +382,11 @@ def cmd_stratum(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .bruteforce import CENSUS_MAX_G
+    from .verify import SUITES, run_suite
+
+    if args.suite != "all" and args.suite not in SUITES:
+        raise UnknownSuite(f"unknown suite {args.suite!r}; choose from {', '.join([*SUITES, 'all'])}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     g = None if args.g is None else _capped(args.g, "g")
     trials = None if args.trials is None else _trials(args.trials)
@@ -444,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_stratum)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite", choices=list(SUITES) + ["all"])
+    p.add_argument("suite", help="a suite name, or 'all' for every suite")
     p.add_argument("--g", type=int, default=None)
     p.add_argument("--trials", type=int, default=None, help=f"1 to {MAX_TRIALS}")
     p.add_argument("--seed", type=int, default=0)

@@ -71,3 +71,7 @@ class WordSyntaxError(FramedHomError):
 
 class FileFormatError(FramedHomError):
     """Malformed framing or automorphism file."""
+
+
+class UnknownSuite(FramedHomError):
+    """A verification suite name that is not registered."""

@@ -305,11 +305,11 @@ def test_edge_walk_fails_on_a_product_outside_the_keys():
     import numpy as np
 
     group = bf.enumerate_sp2(2)
-    zeros = np.zeros(len(group), dtype=np.uint8)
-    letters = np.zeros(len(group.gens), dtype=np.uint8)
+    zeros = np.zeros((1, len(group)), dtype=np.uint8)
+    letters = np.zeros((1, len(group.gens)), dtype=np.uint8)
     # the zero table obeys the rule on every edge, so only the lookup can fail
     assert bf._holds_on_edges(group.ordered, zeros, letters, group.w)
-    assert not bf._holds_on_edges(group.ordered[:-1], zeros[:-1], letters, group.w)
+    assert not bf._holds_on_edges(group.ordered[:-1], zeros[:, :-1], letters, group.w)
 
 
 def test_theta_edges_consistent():

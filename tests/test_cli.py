@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from framedhom import cli
+from framedhom import cli, verify
 from framedhom.framing import Framing
 from framedhom.lattice import SurfaceSpec
 from framedhom.paut import PAutElem, identity_mat
@@ -260,7 +260,7 @@ def test_verify_all_above_census_genus_keeps_census_at_its_own(capsys):
     code, out, _ = run_cli(capsys, "--json", "verify", "all", "--g", "4", "--trials", "2")
     data = json.loads(out)
     assert code == 0 and data["ok"] is True
-    assert [s["suite"] for s in data["suites"]] == list(cli.SUITES)
+    assert [s["suite"] for s in data["suites"]] == list(verify.SUITES)
     (census,) = [s for s in data["suites"] if s["suite"] == "census"]
     assert census["checks"][0]["detail"] == "|Sp(4,2)| = 720"
     # alone, census refuses the genus it cannot serve
@@ -318,10 +318,11 @@ def test_verify_json_flag(capsys):
     assert data["ok"] is True and data["suites"][0]["suite"] == "moves"
 
 
-def test_verify_unknown_suite_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "unknown-suite"])
-    assert exc.value.code == 2
+def test_verify_unknown_suite_exits_2(capsys):
+    # a named error, as for every other bad input; the message lists the valid names
+    code, out, err = run_cli(capsys, "verify", "no-such-suite")
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert "'no-such-suite'" in err and all(name in err for name in [*verify.SUITES, "all"])
 
 
 def test_json_roundtrip():
@@ -335,10 +336,23 @@ def test_json_roundtrip():
     assert a.S == b.S and a.M == b.M and (a.g, a.n) == (b.g, b.n)
 
 
+def _loaded_after(code: str, modules: list[str]) -> list[str]:
+    """The modules among `modules` that a fresh interpreter holds after running `code`."""
+    probe = f"{code}\nimport sys; print(*[m for m in {modules!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
 def test_cli_import_leaves_numpy_unloaded():
-    code = "import sys, framedhom.cli; print('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+    heavy = ["numpy", *(f"framedhom.{m}" for m in ("verify", "bruteforce", "sampling", "words", "moves", "kernel"))]
+    assert _loaded_after("import framedhom.cli", heavy) == []
+
+
+def test_arf_command_loads_only_its_layers(f2):
+    code = f"import framedhom.cli as c; assert c.main(['arf', '--framing', {f2!r}]) == 0"
+    layers = [f"framedhom.{m}" for m in ("kernel", "words", "moves", "verify", "bruteforce")]
+    assert _loaded_after(code, layers) == []
 
 
 def test_even_genus3_stratum_leaves_numpy_unloaded():
