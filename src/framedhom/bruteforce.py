@@ -2,26 +2,28 @@
 
 An element of Sp(2g, Z/2) is keyed by its packed columns (see mod2) side by
 side in one int: column j occupies bits [j*2g, (j+1)*2g); matrix_to_key
-reduces an integer matrix mod 2 itself.  The group's index is its keys
-sorted as one uint64 array (Mod2Group.find); the q-hat certificate sorts
-the keys afresh, so that it checks them and not the closure's index.  The
-closure, the Cayley-edge certificates and the exhaustive kernel count are
-vectorized with numpy, imported only inside them; everything else, the
-census's form orbits included, is packed-int arithmetic from mod2.  The closure and the theta
-table work a whole BFS level at a time, and the closure and the edge
-certificates see the products with all generators in blocks of about
-BLOCK, so memory stays bounded at g=3.  One edge walk (_holds_on_edges)
-certifies both crossed homomorphisms, theta and the q-defect qhat: a
-cocycle rule that holds on every Cayley edge holds on every pair of group
-elements.  The kernel count reads the theta table of every group element
-for every size it serves; it never falls back on the structure formula it
-is compared with.
+reduces an integer matrix mod 2 itself.  The group is a set of keys, and
+its index is those keys sorted as one uint64 array (Mod2Group.find); the
+q-hat certificate sorts the keys afresh, so that it checks them and not
+the closure's index.  The closure, the theta table, the Cayley-edge
+certificates and the exhaustive kernel count are vectorized with numpy,
+imported only inside them; everything else, the census's form orbits
+included, is packed-int arithmetic from mod2.  The closure works a whole
+BFS level at a time, and the closure and the edge certificates see the
+products with all generators in blocks of about BLOCK, so memory stays
+bounded at g=3.  theta on the group is Johnson's closed form, the defect
+qhat(q_phi, S) of the framing's quadratic form (theta_table).  One edge
+walk (_holds_on_edges) certifies both crossed homomorphisms, theta with
+its letter values and the q-defect qhat: a cocycle rule that holds on
+every Cayley edge holds on every pair of group elements.  The kernel count
+reads the theta table of every group element for every size it serves; it
+never falls back on the structure formula it is compared with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Any
 
 from . import mod2
@@ -72,24 +74,17 @@ def _spread(bits: int, w: int) -> int:
 
 @dataclass
 class Mod2Group:
-    """BFS closure of the mod-2 transvections, with a factorization tree.
+    """The mod-2 symplectic group as a set of keys, with its sorted index.
 
-    keys are in discovery order (identity first); parent/gen_of record, for
-    each element, the earlier element and right-multiplied generator that
-    produced it, so every element carries an implicit transvection word.
-    levels holds the discovery index at which each BFS level starts, then
-    the group order: level d is keys[levels[d]:levels[d + 1]], and every
-    parent lies in the level before.  ordered holds the keys sorted as
-    uint64 and order the discovery index of each; together they are the
-    group's index (find).
+    keys lists every element once, level by level as the closure met them,
+    identity first; gens are the packed vectors v of the generators T_v.
+    ordered holds the keys sorted as uint64 and order the position in keys
+    of each; together they are the group's index (find).
     """
 
     g: int
     keys: list[int]
-    parent: list[int]
-    gen_of: list[int]
     gens: list[int]
-    levels: list[int]
     ordered: Any = field(repr=False)
     order: Any = field(repr=False)
 
@@ -100,22 +95,12 @@ class Mod2Group:
     def w(self) -> int:
         return 2 * self.g
 
-    @cached_property
-    def _tree(self):
-        """parent and gen_of as int arrays, for the level-at-a-time passes."""
-        import numpy as np
-
-        tree = np.array(self.parent, dtype=np.intp), np.array(self.gen_of, dtype=np.intp)
-        for a in tree:
-            a.flags.writeable = False
-        return tree
-
     def matrix(self, i: int) -> Mat:
         cols = key_columns(self.keys[i], self.w)
         return tuple(tuple((c >> r) & 1 for c in cols) for r in range(self.w))
 
     def find(self, keys):
-        """Discovery index of a key, or an array of them shaped like keys; KeyError outside the group."""
+        """Position in keys of a key, or an array of them shaped like keys; KeyError outside the group."""
         import numpy as np
 
         keys = np.asarray(keys, dtype=np.uint64)
@@ -224,31 +209,23 @@ def _product_blocks(keys, w: int):
 def _next_level(seen, level, w: int):
     """The BFS level after level, seen the sorted uint64 array of the keys met so far.
 
-    Returns seen grown by the new keys, the new keys in discovery order,
-    and for each the position in level of its parent and its generator
-    index.  Per block of products: one sort finds the first occurrence of
-    each distinct product, one search drops those met before, and one
-    sorted insert merges the rest into seen; the first occurrence in
-    generator-major, element-minor order wins.
+    Returns seen grown by the new keys, and the new keys, sorted within
+    each block of products.  Per block: one sort, one search that drops
+    the repeats and the keys met before, and one sorted insert into seen.
     """
     import numpy as np
 
-    new, src, gen = [], [], []
-    for gis, prods in _product_blocks(level, w):
-        prods = prods.ravel()
-        ordered, by = _sort_order(prods)
-        # new: the first of a run of equal products, and missing from seen
-        new_at = np.empty(len(ordered), dtype=bool)
-        new_at[0] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=new_at[1:])
-        pos = np.searchsorted(seen, ordered)
-        new_at &= seen.take(pos, mode="clip") != ordered
-        seen = np.insert(seen, pos[new_at], ordered[new_at])
-        first = np.sort(by[new_at])  # discovery order
-        new.append(prods[first])
-        src.append(first % len(level))
-        gen.append(gis[first // len(level)])
-    return seen, np.concatenate(new), np.concatenate(src), np.concatenate(gen)
+    new = []
+    for _, prods in _product_blocks(level, w):
+        prods = np.sort(prods.ravel())
+        fresh = np.empty(len(prods), dtype=bool)
+        fresh[0] = True
+        np.not_equal(prods[1:], prods[:-1], out=fresh[1:])
+        pos = np.searchsorted(seen, prods)
+        fresh &= seen.take(pos, mode="clip") != prods
+        seen = np.insert(seen, pos[fresh], prods[fresh])
+        new.append(prods[fresh])
+    return seen, np.concatenate(new)
 
 
 @lru_cache(maxsize=None)
@@ -258,8 +235,8 @@ def enumerate_sp2(g: int) -> Mod2Group:
     Each BFS level is one pass (_next_level) over blocks of its products
     with every generator, generators in Gray-code order (_product_blocks).
     g=2 (720 elements, six levels) closes in about a millisecond, each
-    level one block; g=3 (1 451 520) is opt-in: 9 s and 253 MB peak RSS
-    on a 2-core machine with Python 3.11 and numpy 2.4.
+    level one block; g=3 (1 451 520) is opt-in: about 10 s and 135 MB
+    peak RSS on a 2-core machine with Python 3.11 and numpy 2.4.
     """
     if g not in (2, 3):
         raise GenusTooLarge("exhaustive enumeration supports g = 2 and 3 only")
@@ -268,22 +245,14 @@ def enumerate_sp2(g: int) -> Mod2Group:
     w = 2 * g
     level = np.array([_identity_key(w)], dtype=np.uint64)
     seen = level  # every key met so far, sorted
-    keys, parent, gen_of, levels = [level], [np.array([-1])], [np.array([-1])], [0]
+    keys = [level]
     while len(level):
-        seen, nxt, src, gen = _next_level(seen, level, w)
-        parent.append(src + levels[-1])
-        levels.append(levels[-1] + len(level))
-        level = nxt
+        seen, level = _next_level(seen, level, w)
         keys.append(level)
-        gen_of.append(gen)
-
-    # each array becomes a list before the next is built: the lists set the peak RSS at g=3
     keys = np.concatenate(keys)
     order = np.empty(len(keys), dtype=np.intp)
     order[np.searchsorted(seen, keys)] = np.arange(len(keys))  # seen is keys sorted
-    parent = np.concatenate(parent).tolist()
-    gen_of = np.concatenate(gen_of).tolist()
-    return Mod2Group(g, keys.tolist(), parent, gen_of, list(range(1, 1 << w)), levels, seen, order)
+    return Mod2Group(g, keys.tolist(), list(range(1, 1 << w)), seen, order)
 
 
 # ---------------------------------------------------------------------------
@@ -336,35 +305,37 @@ def _holds_on_edges(ordered, tables, values, w: int) -> bool:
 
 
 def theta_table(group: Mod2Group, f: Framing):
-    """Packed crossed-homomorphism value on every group element, as a uint8 array.
+    """Packed crossed-homomorphism value on every group element, as a uint8 array aligned with keys.
 
-    Values are accumulated along the BFS tree with the cocycle rule, one
-    level at a time: theta(S T_v) = T_v^* theta(S) + P(v) <., v>, where
-    T_v^* f = f + f(v) <., v> and P is the winding parity of the framing.
-    Path-independence is checked separately (check_theta_edges).
+    Johnson's closed form theta(S) = qhat(q_phi, S), the defect
+    x -> q_phi(S x) - q_phi(x) (theta.theta with M = 0): bit j is
+    q_phi(S b_j) + q_phi(b_j).  One table of q_phi over all 2^w packed
+    vectors, one gather per column.  check_theta_edges certifies that the
+    table is the crossed homomorphism with letter values P(v) <., v>.
     """
     if f.spec.g != group.g:
         raise SpecMismatch("framing genus does not match the enumerated group")
     import numpy as np
 
-    gens, duals = _transvections(group.w)
-    values = _letters(group, f)
-    parity = _parities(group.w)
-    parent, gen_of = group._tree
-    thetas = np.zeros(len(group), dtype=np.uint8)
-    for a, b in zip(group.levels[1:], group.levels[2:]):
-        gi = gen_of[a:b]
-        th = thetas[parent[a:b]]
-        thetas[a:b] = th ^ parity[th & gens[gi]] * duals[gi] ^ values[gi]
-    return thetas
+    w, qphi = group.w, f.qphi
+    quads = np.array([mod2.quad(qphi, u, w) for u in range(1 << w)], dtype=np.uint8)
+    thetas = np.full(len(group), qphi, dtype=np.uint8)  # the q_phi(b_j) bits
+    for j, col in enumerate(_columns(group.ordered, w)):
+        thetas ^= quads[col] << j
+    out = np.empty_like(thetas)
+    out[group.order] = thetas
+    return out
 
 
 def check_theta_edges(group: Mod2Group, f: Framing) -> bool:
-    """Verify the cocycle rule on every Cayley edge, not just the BFS tree.
+    """Certify theta_table as the crossed homomorphism with letter values P(v) <., v>.
 
-    Together with value 0 at the identity this certifies that the table is a
-    well-defined crossed homomorphism on the whole group (_holds_on_edges,
-    letter values P(v) <., v>, a stack of one table).
+    The cocycle rule theta(S T_v) = T_v^* theta(S) + P(v) <., v> is checked
+    on every Cayley edge (_holds_on_edges, a stack of one table), and value
+    0 at the identity.  Every element is a word in the generators, so these
+    two fix the table: each value is the letter-by-letter value of every
+    word for its element, and the rule holding on every edge makes the
+    table a crossed homomorphism on the whole group.
     """
     thetas = theta_table(group, f)
     edges = _holds_on_edges(group.ordered, thetas[group.order][None], _letters(group, f)[None], group.w)
@@ -497,8 +468,10 @@ def kernel_order_mod2(f: Framing, method: str = "auto") -> int:
     "structure" uses the regime decomposition: spin stabilizer times a free
     M block when every kappa is even, full group times the M solution count
     otherwise.  "auto" enumerates for g = 2 and uses the structure count for
-    g = 3.
+    g = 3.  Any other method raises ValueError before any work.
     """
+    if method not in ("auto", "enumerate", "structure"):
+        raise ValueError(f"unknown method {method!r}; choose from 'auto', 'enumerate', 'structure'")
     spec = f.spec
     if spec.g > 3 or spec.n > 3:
         raise TooLarge("mod-2 kernel counting is sized for g <= 3, n <= 3")

@@ -43,21 +43,13 @@ def test_group_closed_under_inverse():
         assert group.keys[group.find(inv)] == inv
 
 
-def test_closure_tree():
-    # every element is its parent times its generator, parents come first
-    group = bf.enumerate_sp2(2)
-    assert group.parent[0] == group.gen_of[0] == -1
-    for i in range(1, len(group)):
-        assert group.parent[i] < i
-        assert group.mul_gen(group.keys[group.parent[i]], group.gen_of[i]) == group.keys[i]
-    assert len(set(group.keys)) == len(group) == bf.sp2_order(2)
-
-
 def _closure_by_ints(g):
     """BFS closure of the transvections in packed ints, no numpy: keys, parent, gen_of, level starts.
 
     Each level takes the generators v in Gray-code order and, for each, the
-    level's elements in order; a product not met before is new.
+    level's elements in order; a product not met before is new, and its
+    parent and generator index make a tree that reaches every key from the
+    identity.
     """
     w = 2 * g
     ident = sum(1 << (j * w + j) for j in range(w))
@@ -81,13 +73,15 @@ def _closure_by_ints(g):
 
 def test_closure_matches_pure_int_bfs():
     group = bf.enumerate_sp2(2)
-    keys, parent, gen_of, levels = _closure_by_ints(2)
-    assert group.keys == keys
-    assert group.parent == parent
-    assert group.gen_of == gen_of
-    assert group.levels == levels
+    keys, _, _, levels = _closure_by_ints(2)
+    assert group.keys[0] == keys[0]  # the identity first
+    assert len(group.keys) == len(set(group.keys)) == len(keys)
+    # the same levels, each as a set, so the same keys
+    for a, b in zip(levels, levels[1:]):
+        assert set(group.keys[a:b]) == set(keys[a:b])
     assert group.ordered.tolist() == sorted(keys)
-    assert [keys[i] for i in group.order.tolist()] == sorted(keys)
+    assert [group.keys[i] for i in group.order.tolist()] == sorted(keys)
+    assert [group.keys[group.find(key)] for key in keys] == keys
 
 
 def test_find_positions_and_outsiders():
@@ -286,8 +280,9 @@ def test_qhat_certificate_agrees_with_all_pairs():
 def test_qhat_certificate_and_all_pairs_catch_every_flip(monkeypatch):
     group = bf.enumerate_sp2(2)
     rng = random.Random(29)
-    # the identity, a transvection (level 1 of the closure), then 18 random elements
-    targets = [0, group.levels[1]] + [rng.randrange(len(group)) for _ in range(18)]
+    # the identity, a transvection, then 18 random elements
+    transvection = group.find(group.mul_gen(group.keys[0], 0))
+    targets = [0, transvection] + [rng.randrange(len(group)) for _ in range(18)]
     true_qhat = mod2.qhat
     for idx in targets:
         wrong = bf.key_columns(group.keys[idx], group.w)
@@ -321,25 +316,69 @@ def test_theta_edges_consistent():
         assert bf.check_theta_edges(group, f)
 
 
-def _theta_by_tree(group, f):
-    """theta on every element by the cocycle rule along the BFS tree, one element at a time."""
-    w, qphi = group.w, f.qphi
-    values = [0 if mod2.quad(qphi, v, w) else mod2.dual(v, w) for v in group.gens]
-    thetas = [0] * len(group)
-    for idx in range(1, len(group)):
-        gi = group.gen_of[idx]
-        th = mod2.pull_transvection(thetas[group.parent[idx]], group.gens[gi], w)
-        thetas[idx] = th ^ values[gi]
-    return thetas
+def _theta_by_tree(closure, f):
+    """theta on every key of a _closure_by_ints tree, by key, one letter at a time.
+
+    The cocycle rule theta(S T_v) = T_v^* theta(S) + P(v) <., v> along the
+    tree, from value 0 at the identity.
+    """
+    keys, parent, gen_of, _ = closure
+    w, qphi = 2 * f.spec.g, f.qphi
+    thetas = [0] * len(keys)
+    for idx in range(1, len(keys)):
+        v = gen_of[idx] + 1
+        th = mod2.pull_transvection(thetas[parent[idx]], v, w)
+        thetas[idx] = th if mod2.quad(qphi, v, w) else th ^ mod2.dual(v, w)
+    return dict(zip(keys, thetas))
 
 
 @pytest.mark.parametrize("kappa", [(2,), (2, 0), (1, 1), (2, 0, 0), (1, 2, -1)])
 def test_theta_table_matches_per_element_recurrence(kappa):
     group = bf.enumerate_sp2(2)
+    closure = _closure_by_ints(2)
     rng = random.Random(sum(kappa) * 31 + len(kappa))
     for _ in range(4):
         f = random_framing(rng, SurfaceSpec(2, kappa))
-        assert bf.theta_table(group, f).tolist() == _theta_by_tree(group, f)
+        table = bf.theta_table(group, f).tolist()
+        assert dict(zip(group.keys, table)) == _theta_by_tree(closure, f)
+
+
+def _flip_theta_at(monkeypatch, idx, bit):
+    true_table = bf.theta_table
+
+    def flipped(group, framing):
+        table = true_table(group, framing)
+        table[idx] ^= bit
+        return table
+
+    monkeypatch.setattr(bf, "theta_table", flipped)
+
+
+def test_theta_edges_catch_one_wrong_value(monkeypatch):
+    group = bf.enumerate_sp2(2)
+    rng = random.Random(37)
+    f = random_framing(rng, SurfaceSpec(2, (1, 2, -1)))
+    # the identity, then a seeded element
+    for idx in (0, rng.randrange(1, len(group))):
+        with monkeypatch.context() as m:
+            _flip_theta_at(m, idx, 1 << rng.randrange(group.w))
+            assert not bf.check_theta_edges(group, f), idx
+
+
+def test_theta_edges_catch_one_wrong_letter(monkeypatch):
+    group = bf.enumerate_sp2(2)
+    rng = random.Random(41)
+    f = random_framing(rng, SurfaceSpec(2, (2, 0)))
+    true_letters = bf._letters
+    gi, bit = rng.randrange(len(group.gens)), 1 << rng.randrange(group.w)
+
+    def wrong(group, framing):
+        values = true_letters(group, framing)
+        values[gi] ^= bit
+        return values
+
+    monkeypatch.setattr(bf, "_letters", wrong)
+    assert not bf.check_theta_edges(group, f)
 
 
 def test_theta_table_matches_integer_theta():
@@ -382,15 +421,18 @@ def test_kernel_orders_two_ways():
     (Framing.zeros(SurfaceSpec(2, (1, 2, -1))), 1 << 4),
 ])
 def test_kernel_order_enumerate_reads_theta(monkeypatch, f, flip):
-    true_table = bf.theta_table
-
-    def flipped(group, framing):
-        table = true_table(group, framing)
-        table[0] ^= flip  # the identity's value
-        return table
-
-    monkeypatch.setattr(bf, "theta_table", flipped)
+    _flip_theta_at(monkeypatch, 0, flip)  # the identity's value
     assert bf.kernel_order_mod2(f, "enumerate") != bf.kernel_order_mod2(f, "structure")
+
+
+@pytest.mark.parametrize("g, kappa", [(2, (2,)), (3, (4,))])
+def test_kernel_order_rejects_an_unknown_method(monkeypatch, g, kappa):
+    def no_closure(g):
+        raise AssertionError("the closure ran before the method was checked")
+
+    monkeypatch.setattr(bf, "enumerate_sp2", no_closure)
+    with pytest.raises(ValueError, match="'auto', 'enumerate', 'structure'"):
+        bf.kernel_order_mod2(Framing.zeros(SurfaceSpec(g, kappa)), "structur")
 
 
 def test_kernel_order_guard():
@@ -447,16 +489,26 @@ def test_theta_depends_only_on_kappa_mod2():
 
 @pytest.mark.skipif(
     not os.environ.get("FRAMEDHOM_SLOW"),
-    reason="g=3 closure, certificates and theta oracle take about 30 s; set FRAMEDHOM_SLOW=1 to run",
+    reason="g=3 closure, certificates and integer lifts take about 30 s; set FRAMEDHOM_SLOW=1 to run",
 )
 def test_enumerate_sp2_genus3():
+    from framedhom.sampling import random_symplectic
+
     group = bf.enumerate_sp2(3)
     assert len(group) == len(set(group.keys)) == bf.sp2_order(3) == 1451520
-    # the cocycle rule on every Cayley edge, for one framing of each regime
-    assert bf.check_theta_edges(group, Framing.zeros(SurfaceSpec(3, (4,))))
+    assert group.keys[0] == bf._identity_key(6)
+    rng = random.Random(3)
+    even = Framing.zeros(SurfaceSpec(3, (4,)))
     odd = Framing(SurfaceSpec(3, (3, 1)), (1, 0, 0), (1, 0, 0), (-1,))
-    assert bf.check_theta_edges(group, odd)
-    assert bf.theta_table(group, odd).tolist() == _theta_by_tree(group, odd)
+    for f in (even, odd):
+        # the cocycle rule on every Cayley edge, for one framing of each regime
+        assert bf.check_theta_edges(group, f)
+        # the table against the exact theta on seeded integer lifts
+        spec, thetas = f.spec, bf.theta_table(group, f)
+        for _ in range(200):
+            s = random_symplectic(rng, spec)
+            a = PAutElem(3, spec.n, s, zero_mat(6, spec.zero_rank))
+            assert theta(a, f).packed == thetas[group.find(bf.matrix_to_key(s))]
 
 
 @pytest.mark.skipif(
