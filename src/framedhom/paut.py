@@ -6,7 +6,8 @@ classes are transvected into absolute homology.  The trailing identity block
 is the purity constraint and is never stored.
 
 S^T J S = J is checked where a matrix enters from outside: the public
-constructor `PAutElem(...)` (hence the CLI's JSON loader) and `factor_sp`.
+constructor `PAutElem(...)` (hence the CLI's JSON loader), which also
+rejects g < 2 and n < 1 as `SurfaceSpec` does, and `factor_sp`.
 Results built inside the library from elements already checked or from
 transvections -- `compose`, `invert`, `decompose`, `PAutElem.identity`, word
 matrices and kernel lifts -- are symplectic by construction and go through
@@ -20,7 +21,7 @@ from math import gcd
 from typing import Sequence
 
 from . import mod2
-from .errors import DimensionMismatch, NotPrimitive, NotSymplectic, SpecMismatch
+from .errors import DimensionMismatch, InvalidSurface, NotPrimitive, NotSymplectic, SpecMismatch
 from .lattice import AbsVec, CohomClass, RelVec, SurfaceSpec
 
 Mat = tuple[tuple[int, ...], ...]
@@ -103,6 +104,10 @@ class PAutElem:
     M: Mat
 
     def __post_init__(self) -> None:
+        if self.g < 2:
+            raise InvalidSurface(f"genus must be >= 2, got {self.g}")
+        if self.n < 1:
+            raise InvalidSurface(f"need at least one marked point, got n={self.n}")
         object.__setattr__(self, "S", freeze(self.S))
         object.__setattr__(self, "M", freeze(self.M))
         k = 2 * self.g

@@ -1,4 +1,3 @@
-import os
 import random
 
 import pytest
@@ -43,10 +42,10 @@ def test_group_closed_under_inverse():
         assert group.keys[group.find(inv)] == inv
 
 
-def _closure_by_ints(g):
-    """BFS closure of the transvections in packed ints, no numpy: keys, parent, gen_of, level starts.
+def _closure_by_ints(gens, g):
+    """BFS closure of the T_v, v in gens, in packed ints, no numpy: keys, parent, gen_of, level starts.
 
-    Each level takes the generators v in Gray-code order and, for each, the
+    Each level takes the generators in list order and, for each, the
     level's elements in order; a product not met before is new, and its
     parent and generator index make a tree that reaches every key from the
     identity.
@@ -57,8 +56,7 @@ def _closure_by_ints(g):
     index = {ident: 0}
     while levels[-1] < len(keys):
         start, end = levels[-1], len(keys)
-        for k in range(1, 1 << w):
-            v = k ^ (k >> 1)
+        for gi, v in enumerate(gens):
             spread = bf._spread(mod2.dual(v, w), w)
             for i in range(start, end):
                 prod = keys[i] ^ mod2.apply(bf.key_columns(keys[i], w), v) * spread
@@ -66,14 +64,14 @@ def _closure_by_ints(g):
                     index[prod] = len(keys)
                     keys.append(prod)
                     parent.append(i)
-                    gen_of.append(v - 1)
+                    gen_of.append(gi)
         levels.append(end)
     return keys, parent, gen_of, levels
 
 
 def test_closure_matches_pure_int_bfs():
     group = bf.enumerate_sp2(2)
-    keys, _, _, levels = _closure_by_ints(2)
+    keys, _, _, levels = _closure_by_ints(group.gens, 2)
     assert group.keys[0] == keys[0]  # the identity first
     assert len(group.keys) == len(set(group.keys)) == len(keys)
     # the same levels, each as a set, so the same keys
@@ -82,6 +80,20 @@ def test_closure_matches_pure_int_bfs():
     assert group.ordered.tolist() == sorted(keys)
     assert [group.keys[i] for i in group.order.tolist()] == sorted(keys)
     assert [group.keys[group.find(key)] for key in keys] == keys
+
+
+def test_humphries_classes_close_the_same_group():
+    group = bf.enumerate_sp2(2)
+    humphries = bf.closure(bf.humphries(2), 2)
+    assert humphries.gens == [0b0001, 0b0010, 0b0101, 0b1000, 0b0100]  # x1, y1, x1+x2, y2, x2
+    assert set(humphries.keys) == set(group.keys) and humphries.keys[0] == group.keys[0]
+    assert humphries.ordered.tolist() == group.ordered.tolist()
+    # 16 levels, each the same set as the pure-int BFS over the same generators
+    keys, _, _, levels = _closure_by_ints(humphries.gens, 2)
+    assert len(levels) == 17
+    for a, b in zip(levels, levels[1:]):
+        assert set(humphries.keys[a:b]) == set(keys[a:b])
+    assert bf.humphries(3) == [0b000001, 0b000010, 0b000101, 0b001000, 0b010100, 0b100000, 0b000100]
 
 
 def test_find_positions_and_outsiders():
@@ -301,10 +313,9 @@ def test_edge_walk_fails_on_a_product_outside_the_keys():
 
     group = bf.enumerate_sp2(2)
     zeros = np.zeros((1, len(group)), dtype=np.uint8)
-    letters = np.zeros((1, len(group.gens)), dtype=np.uint8)
     # the zero table obeys the rule on every edge, so only the lookup can fail
-    assert bf._holds_on_edges(group.ordered, zeros, letters, group.w)
-    assert not bf._holds_on_edges(group.ordered[:-1], zeros[:, :-1], letters, group.w)
+    assert bf._holds_on_edges(group.ordered, zeros, group.gens, group.w)
+    assert not bf._holds_on_edges(group.ordered[:-1], zeros[:, :-1], group.gens, group.w)
 
 
 def test_theta_edges_consistent():
@@ -316,8 +327,8 @@ def test_theta_edges_consistent():
         assert bf.check_theta_edges(group, f)
 
 
-def _theta_by_tree(closure, f):
-    """theta on every key of a _closure_by_ints tree, by key, one letter at a time.
+def _theta_by_tree(closure, gens, f):
+    """theta on every key of a _closure_by_ints tree over gens, by key, one letter at a time.
 
     The cocycle rule theta(S T_v) = T_v^* theta(S) + P(v) <., v> along the
     tree, from value 0 at the identity.
@@ -326,7 +337,7 @@ def _theta_by_tree(closure, f):
     w, qphi = 2 * f.spec.g, f.qphi
     thetas = [0] * len(keys)
     for idx in range(1, len(keys)):
-        v = gen_of[idx] + 1
+        v = gens[gen_of[idx]]
         th = mod2.pull_transvection(thetas[parent[idx]], v, w)
         thetas[idx] = th if mod2.quad(qphi, v, w) else th ^ mod2.dual(v, w)
     return dict(zip(keys, thetas))
@@ -335,12 +346,12 @@ def _theta_by_tree(closure, f):
 @pytest.mark.parametrize("kappa", [(2,), (2, 0), (1, 1), (2, 0, 0), (1, 2, -1)])
 def test_theta_table_matches_per_element_recurrence(kappa):
     group = bf.enumerate_sp2(2)
-    closure = _closure_by_ints(2)
+    closure = _closure_by_ints(group.gens, 2)
     rng = random.Random(sum(kappa) * 31 + len(kappa))
     for _ in range(4):
         f = random_framing(rng, SurfaceSpec(2, kappa))
         table = bf.theta_table(group, f).tolist()
-        assert dict(zip(group.keys, table)) == _theta_by_tree(closure, f)
+        assert dict(zip(group.keys, table)) == _theta_by_tree(closure, group.gens, f)
 
 
 def _flip_theta_at(monkeypatch, idx, bit):
@@ -372,10 +383,27 @@ def test_theta_edges_catch_one_wrong_letter(monkeypatch):
     true_letters = bf._letters
     gi, bit = rng.randrange(len(group.gens)), 1 << rng.randrange(group.w)
 
-    def wrong(group, framing):
-        values = true_letters(group, framing)
+    def wrong(vs, framing):
+        values = true_letters(vs, framing)
         values[gi] ^= bit
         return values
+
+    monkeypatch.setattr(bf, "_letters", wrong)
+    assert not bf.check_theta_edges(group, f)
+
+
+def test_theta_edges_catch_one_wrong_letter_outside_the_generators(monkeypatch):
+    # on the Humphries group only the transvection lookups see the letter value at v
+    group = bf.closure(bf.humphries(2), 2)
+    rng = random.Random(43)
+    f = random_framing(rng, SurfaceSpec(2, (1, 2, -1)))
+    assert bf.check_theta_edges(group, f)
+    v = rng.choice([u for u in range(1, 1 << group.w) if u not in group.gens])
+    bit = 1 << rng.randrange(group.w)
+    true_letters = bf._letters
+
+    def wrong(vs, framing):
+        return [c ^ (bit if u == v else 0) for u, c in zip(vs, true_letters(vs, framing))]
 
     monkeypatch.setattr(bf, "_letters", wrong)
     assert not bf.check_theta_edges(group, f)
@@ -487,10 +515,6 @@ def test_theta_depends_only_on_kappa_mod2():
         assert theta(a, fa) == theta(b, fb)
 
 
-@pytest.mark.skipif(
-    not os.environ.get("FRAMEDHOM_SLOW"),
-    reason="g=3 closure, certificates and integer lifts take about 30 s; set FRAMEDHOM_SLOW=1 to run",
-)
 def test_enumerate_sp2_genus3():
     from framedhom.sampling import random_symplectic
 
@@ -511,10 +535,6 @@ def test_enumerate_sp2_genus3():
             assert theta(a, f).packed == thetas[group.find(bf.matrix_to_key(s))]
 
 
-@pytest.mark.skipif(
-    not os.environ.get("FRAMEDHOM_SLOW"),
-    reason="needs the g=3 closure (about 10 s); set FRAMEDHOM_SLOW=1 to run",
-)
 @pytest.mark.parametrize("f", [
     Framing.zeros(SurfaceSpec(3, (4,))),
     Framing(SurfaceSpec(3, (3, 1)), (1, 0, 0), (1, 0, 0), (-1,)),

@@ -147,6 +147,17 @@ def test_factor_sp_command(capsys, tmp_path):
     assert data["factors"] == [{"v": [1, 0, 0, 0], "k": 2}]
 
 
+@pytest.mark.parametrize("paut, reason", [
+    ({"g": 0, "n": -5, "S": []}, "genus"),
+    ({"g": 1, "n": 1, "S": [[2, 1], [1, 1]]}, "genus"),
+    ({"g": 2, "n": 0, "S": identity_mat(4)}, "marked point"),
+])
+def test_factor_sp_rejects_a_surface_outside_the_range_exit2(capsys, tmp_path, paut, reason):
+    p = write_json(tmp_path, "p.json", paut)
+    code, out, err = run_cli(capsys, "factor-sp", "--paut", p)
+    assert code == 2 and out == "" and err.startswith("error:") and reason in err
+
+
 def test_act_command(capsys, f2):
     code, out, _ = run_cli(capsys, "act", "--framing", f2, "--word", "Tx1 Ty2^-1")
     assert code == 0
