@@ -105,6 +105,12 @@ class Mod2Group:
         found = self.order[pos].reshape(keys.shape)
         return int(found) if keys.ndim == 0 else found
 
+    def mul(self, a: int, b: int) -> int:
+        """Key of the product AB: its columns are A applied to the columns of B."""
+        w = self.w
+        cols = key_columns(a, w)
+        return sum(mod2.apply(cols, c) << (j * w) for j, c in enumerate(key_columns(b, w)))
+
     def mul_gen(self, key: int, gi: int) -> int:
         """key * T_{gens[gi]} by the rank-one update."""
         v, w = self.gens[gi], self.w

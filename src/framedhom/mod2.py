@@ -20,8 +20,11 @@ from typing import Iterable, Sequence
 from .errors import DimensionMismatch
 
 
-# pack and unpack go through binary strings: linear in the rank, where
-# moving one bit at a time into or out of a big int is quadratic
+# pack parses one binary string of the coordinates' parities and unpack
+# formats one: linear in the length, where moving one bit at a time into
+# or out of a big int is quadratic.  columns does set one bit at a time,
+# row by row, building no string per column: its ints are only as wide as
+# the matrix is tall, so each bit costs about the same.
 
 
 def pack(coords: Iterable[int]) -> int:
@@ -60,8 +63,17 @@ def arf(q: int, w: int) -> int:
 
 
 def columns(mat: Sequence[Sequence[int]]) -> list[int]:
-    """Packed columns of an integer matrix given by rows, reduced mod 2."""
-    return [pack(col) for col in zip(*mat)]
+    """Packed columns of an integer matrix given by rows, reduced mod 2.
+
+    Row r sets bit r of each column where its entry is odd.
+    """
+    cols = [0] * (len(mat[0]) if mat else 0)
+    for r, row in enumerate(mat):
+        bit = 1 << r
+        for j, v in enumerate(row):
+            if v & 1:
+                cols[j] |= bit
+    return cols
 
 
 def apply(cols: Sequence[int], v: int) -> int:

@@ -7,7 +7,10 @@ is the purity constraint and is never stored.
 
 S^T J S = J is checked where a matrix enters from outside: the public
 constructor `PAutElem(...)` (hence the CLI's JSON loader), which also
-rejects g < 2 and n < 1 as `SurfaceSpec` does, and `factor_sp`.
+rejects g < 2 and n < 1 as `SurfaceSpec` does, and `factor_sp`.  The check
+(`is_symplectic`) is the pairing form: the columns of S must pair with each
+other as the basis does, <c_a, c_b> = J[a][b] for a < b, one dot product
+per pair and no product matrix.
 Results built inside the library from elements already checked or from
 transvections -- `compose`, `invert`, `decompose`, `PAutElem.identity`, word
 matrices and kernel lifts -- are symplectic by construction and go through
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 from . import mod2
@@ -76,11 +80,24 @@ def sympl_gram(g: int) -> Mat:
 
 
 def is_symplectic(s: Mat, g: int) -> bool:
-    """Check S^T J S = J exactly."""
-    if len(s) != 2 * g or any(len(row) != 2 * g for row in s):
+    """Check S^T J S = J exactly, as the pairings of S's columns.
+
+    Entry (a, b) of S^T J S is <c_a, c_b>, and <c, c> = 0 for every c, so
+    S^T J S = J holds iff <c_a, c_b> = J[a][b] for every a < b: 1 when
+    (a, b) = (x_h, y_h) and 0 otherwise.
+    """
+    m = 2 * g
+    if len(s) != m or any(len(row) != m for row in s):
         return False
-    j = sympl_gram(g)
-    return mat_mul(mat_mul(transpose(s), j), s) == j
+    cols = list(zip(*s))
+    # J c: the pairing <x, c> is the dot product of x with J c = (c_y, -c_x) per handle
+    jcols = [[v for h in range(0, m, 2) for v in (c[h + 1], -c[h])] for c in cols]
+    for a in range(m - 1):
+        ca = cols[a]
+        for b in range(a + 1, m):
+            if sum(map(mul, ca, jcols[b])) != (b == a + 1 and not a & 1):
+                return False
+    return True
 
 
 def sp_inverse(s: Mat, g: int) -> Mat:
@@ -197,7 +214,8 @@ def transvection(v: AbsVec, k: int = 1) -> Mat:
 
 def pullback_h1(sbar: Mat, theta: CohomClass) -> CohomClass:
     """Precompose a class with the mod-2 action of S (integer or 0/1): bits -> S^T bits."""
-    if len(sbar) != 2 * theta.g:
+    k = 2 * theta.g
+    if len(sbar) != k or any(len(row) != k for row in sbar):
         raise DimensionMismatch("pullback matrix has the wrong size")
     return CohomClass.from_packed(theta.g, mod2.pullback(mod2.columns(sbar), theta.packed))
 
@@ -221,9 +239,13 @@ def factor_sp(s: Mat) -> list[tuple[tuple[int, ...], int]]:
     changes the later columns only in their x_h row, and a final power of
     T_{x_h} clears the x_h slot of column 2h+1.
 
-    The working matrix is updated by rows: T_v^k adds k v_i <., v> to the
-    at most two rows where v is nonzero.  Euclid's quotients depend only on
-    the pivot pair, so each handle's Euclid runs on two integers and its
+    Every class used is a basis vector e_p or a sum e_p + e_q of two on
+    different handles, and the working matrix is updated by rows: T_v^k adds
+    k v_i <., v> to the one or two rows where v is nonzero, and the pairing
+    <., v> reads only the partner rows w[p^1] (and w[q^1]), so each support
+    has its own row kernel.  The vectors come from one table per call, each
+    built once and checked primitive once.  Euclid's quotients depend only
+    on the pivot pair, so each handle's Euclid runs on two integers and its
     accumulated unimodular 2x2 map is applied to rows x_i and y_i once.
     """
     m = len(s)
@@ -235,95 +257,118 @@ def factor_sp(s: Mat) -> list[tuple[tuple[int, ...], int]]:
 
     w = [list(row) for row in s]
     applied: list[tuple[tuple[int, ...], int]] = []
+    emit = applied.append
+    unit = identity_mat(m)
+    pairs: dict[int, tuple[int, ...]] = {}
 
-    def vec(*slots: int) -> tuple[int, ...]:
-        return tuple(1 if i in slots else 0 for i in range(m))
+    def pair(p: int, q: int) -> tuple[int, ...]:
+        v = pairs.get(p * m + q)
+        if v is None:
+            u = [0] * m
+            u[p] = u[q] = 1
+            v = pairs[p * m + q] = tuple(u)
+        return v
 
-    def apply_t(v: tuple[int, ...], k: int) -> None:
-        # left-multiply W by T_v^k: row i gains k v_i <col, v>, and the row of
-        # pairings <col, v> = sum_p (J v)_p W[p] reads the partner rows of v
-        if k == 0:
-            return
-        support = [i for i, c in enumerate(v) if c]
-        pairing = [0] * m
-        for p in support:
-            c = v[p] if p & 1 else -v[p]
-            pairing = [a + c * b for a, b in zip(pairing, w[p ^ 1])]
-        for i in support:
-            f = k * v[i]
-            w[i] = [a + f * b for a, b in zip(w[i], pairing)]
-        applied.append((v, k))
+    def t_one(p: int, k: int) -> None:
+        # left-multiply W by T_{e_p}^k: row p gains k <col, e_p> = -+k row p^1
+        if k:
+            f = k if p & 1 else -k
+            w[p] = [a + f * b for a, b in zip(w[p], w[p ^ 1])]
+            emit((unit[p], k))
+
+    def t_two(p: int, q: int, k: int) -> None:
+        # T_{e_p+e_q}^k with p, q on different handles: rows p and q both gain
+        # k <col, e_p + e_q>, which reads the partner rows p^1 and q^1 only
+        if k:
+            fp = k if p & 1 else -k
+            fq = k if q & 1 else -k
+            d = [fp * b + fq * c for b, c in zip(w[p ^ 1], w[q ^ 1])]
+            w[p] = [a + b for a, b in zip(w[p], d)]
+            w[q] = [a + b for a, b in zip(w[q], d)]
+            emit((pair(p, q), k))
 
     def euclid_handle(j: int, i: int) -> None:
         # zero the y_i slot of column j, gcd collects in the x_i slot; the map
-        # (row x_i, row y_i) -> (p x + q y, r x + t y) accumulates over the steps
+        # (row x_i, row y_i) -> (p x + q y, r x + t y) accumulates over the steps.
+        # T_{x_i}^k takes a to a - k b and T_{y_i}^k takes b to b + k a.  A step
+        # on a runs when a = 0 or |a| > |b|, else a step on b; a step on b
+        # leaves |b| < |a| and a step on a leaves |a| < |b|, so they alternate
+        # once started, with one extra step on a (a -> a + b) when a reaches 0.
         a, b = w[2 * i][j], w[2 * i + 1][j]
         if b == 0:
             return
-        xi, yi = vec(2 * i), vec(2 * i + 1)
+        xi, yi = unit[2 * i], unit[2 * i + 1]
         p, q, r, t = 1, 0, 0, 1
-        while b != 0:
-            if a == 0 or abs(a) > abs(b):
-                k = a // b if a else -1  # T_{x_i}^k: a -> a - k b (a mod b, or a + b)
-                applied.append((xi, k))
-                a, p, q = a - k * b, p - k * r, q - k * t
-            else:
-                k = -(b // a)  # T_{y_i}^k: b -> b + k a = b mod a
-                applied.append((yi, k))
-                b, r, t = b + k * a, r + k * p, t + k * q
+        if a and abs(a) <= abs(b):
+            k, b = divmod(b, a)  # T_{y_i}^{-k}: b -> b mod a
+            emit((yi, -k))
+            r = -k
+        while b:
+            if a:
+                k, a = divmod(a, b)  # T_{x_i}^k: a -> a mod b
+                emit((xi, k))
+                p, q = p - k * r, q - k * t
+            if not a:
+                emit((xi, -1))  # a -> a + b
+                a, p, q = b, p + r, q + t
+            k, b = divmod(b, a)
+            emit((yi, -k))
+            r, t = r - k * p, t - k * q
         x, y = w[2 * i], w[2 * i + 1]
         w[2 * i] = [p * c + q * d for c, d in zip(x, y)]
         w[2 * i + 1] = [r * c + t * d for c, d in zip(x, y)]
 
     def reduce_first(h: int) -> None:
-        j = 2 * h
+        j = xh = 2 * h
+        yh = xh + 1
         for i in range(h, g):
             euclid_handle(j, i)
         # absorb the remaining x_i coefficients into the x_h slot
         for i in range(h + 1, g):
-            while w[2 * i][j] != 0:
-                ah, ai = w[2 * h][j], w[2 * i][j]
+            xi, yi = 2 * i, 2 * i + 1
+            while w[xi][j] != 0:
+                ah, ai = w[xh][j], w[xi][j]
                 if ah == 0:
-                    apply_t(vec(2 * h, 2 * i + 1), 1)
-                    apply_t(vec(2 * i + 1), -1)  # a_h += a_i
-                    apply_t(vec(2 * i, 2 * h + 1), -1)
-                    apply_t(vec(2 * h + 1), 1)  # a_i -= a_h
+                    t_two(xh, yi, 1)
+                    t_one(yi, -1)  # a_h += a_i
+                    t_two(xi, yh, -1)
+                    t_one(yh, 1)  # a_i -= a_h
                 elif abs(ai) >= abs(ah):
                     k = -(ai // ah)
-                    apply_t(vec(2 * i, 2 * h + 1), k)
-                    apply_t(vec(2 * h + 1), -k)  # a_i -> a_i mod a_h
+                    t_two(xi, yh, k)
+                    t_one(yh, -k)  # a_i -> a_i mod a_h
                 else:
                     k = -(ah // ai)
-                    apply_t(vec(2 * h, 2 * i + 1), k)
-                    apply_t(vec(2 * i + 1), -k)  # a_h -> a_h mod a_i
-        if w[2 * h][j] == -1:
-            apply_t(vec(2 * h + 1), 1)
-            apply_t(vec(2 * h), 2)
-            apply_t(vec(2 * h + 1), 1)
-        if tuple(row[j] for row in w) != vec(2 * h):
+                    t_two(xh, yi, k)
+                    t_one(yi, -k)  # a_h -> a_h mod a_i
+        if w[xh][j] == -1:
+            t_one(yh, 1)
+            t_one(xh, 2)
+            t_one(yh, 1)
+        if tuple(row[j] for row in w) != unit[xh]:
             raise AssertionError("column reduction failed; input not symplectic?")
 
     def reduce_second(h: int) -> None:
         # all moves here fix x_h (no y_h component in any transvection class)
-        j = 2 * h + 1
-        for e in range(2 * h + 2, m):
+        xh = 2 * h
+        j = xh + 1
+        for e in range(xh + 2, m):
             k = w[e][j]
             # <col j, x_h> = -1, so this shear takes the e slot from k to 0
-            apply_t(vec(2 * h, e), k)
-            apply_t(vec(2 * h), -k)
-            apply_t(vec(e), -k)
-        apply_t(vec(2 * h), w[2 * h][j])
-        if tuple(row[j] for row in w) != vec(2 * h + 1):
+            t_two(xh, e, k)
+            t_one(xh, -k)
+            t_one(e, -k)
+        t_one(xh, w[xh][j])
+        if tuple(row[j] for row in w) != unit[j]:
             raise AssertionError("column reduction failed; input not symplectic?")
 
     for h in range(g):
         reduce_first(h)
         reduce_second(h)
 
-    # applied transvections satisfy T_m ... T_1 S = I, so
-    # S = T_1^{-1} T_2^{-1} ... T_m^{-1} in application order
-    factors = [(v, -k) for v, k in applied]
-    for v, _ in factors:
+    for v in (*unit, *pairs.values()):
         if gcd(*v) != 1:
             raise NotPrimitive("internal error: emitted non-primitive class")
-    return factors
+    # applied transvections satisfy T_m ... T_1 S = I, so
+    # S = T_1^{-1} T_2^{-1} ... T_m^{-1} in application order
+    return [(v, -k) for v, k in applied]

@@ -31,6 +31,15 @@ def test_group_closed_under_sampled_products():
         assert group.keys[group.find(prod)] == prod
 
 
+def test_mul_is_the_matrix_product():
+    group = bf.enumerate_sp2(2)
+    rng = random.Random(6)
+    for _ in range(100):
+        a, b = rng.randrange(len(group)), rng.randrange(len(group))
+        expected = bf.matrix_to_key(mat_mul(group.matrix(a), group.matrix(b)))
+        assert group.mul(group.keys[a], group.keys[b]) == expected
+
+
 def test_group_closed_under_inverse():
     from framedhom.paut import sp_inverse
 

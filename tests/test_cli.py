@@ -2,6 +2,7 @@ import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +146,19 @@ def test_factor_sp_command(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     assert data["factors"] == [{"v": [1, 0, 0, 0], "k": 2}]
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["factor-sp", "--paut", str(DATA / "paut_g3.json")], "paut_g3.factor-sp.out"),
+    (["theta", "--paut", str(DATA / "paut_g3.json"), "--framing", str(DATA / "framing_g3.json")],
+     "paut_g3.theta.out"),
+])
+def test_recorded_output_bytes(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == (DATA / expected).read_text()
 
 
 @pytest.mark.parametrize("paut, reason", [

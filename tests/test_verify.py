@@ -8,9 +8,10 @@ failure count in its detail.
 import itertools
 import re
 
+import numpy as np
 import pytest
 
-from framedhom import verify
+from framedhom import bruteforce, verify
 from framedhom.errors import InvalidCount
 from framedhom.lattice import CohomClass
 
@@ -80,3 +81,33 @@ def test_run_suite_rejects_trial_counts_below_one(suite, trials):
 def test_run_suite_runs_one_trial():
     result = verify.run_suite("parity", trials=1)
     assert result.ok and result.checks[0].detail.startswith("1/1")
+
+
+def _without_last_level(group):
+    """group with the elements farthest from the identity in its Cayley graph dropped."""
+    dist = {group.keys[0]: 0}
+    frontier = [group.keys[0]]
+    while frontier:
+        reached = []
+        for key in frontier:
+            for gi in range(len(group.gens)):
+                prod = group.mul_gen(key, gi)
+                if prod not in dist:
+                    dist[prod] = dist[key] + 1
+                    reached.append(prod)
+        frontier = reached
+    last = max(dist.values())
+    keys = [key for key in group.keys if dist[key] < last]
+    ordered, order = bruteforce._sort_order(np.array(keys, dtype=np.uint64))
+    return bruteforce.Mod2Group(group.g, keys, group.gens, ordered, order)
+
+
+def test_census_reports_a_group_that_is_not_closed(monkeypatch):
+    # products of two sampled elements must land in the group: one without its
+    # last level of the closure is not closed under multiplication
+    short = _without_last_level(bruteforce.enumerate_sp2(2))
+    assert 0 < len(short) < 720
+    monkeypatch.setattr(bruteforce, "enumerate_sp2", lambda g: short)
+    result = verify.run_suite("census", trials=1, seed=0)
+    (named,) = [c for c in result.checks if c.name == "closure-sample"]
+    assert not named.ok and named.detail == "200 sampled products"
