@@ -2,21 +2,21 @@
 
 An element of Sp(2g, Z/2) is keyed by its packed columns (see mod2) side by
 side in one int: column j occupies bits [j*2g, (j+1)*2g); matrix_to_key
-reduces an integer matrix mod 2 itself.  The group is a set of keys, the
-closure of a list of transvections, and its index is those keys sorted as
-one uint64 array (Mod2Group.find); the q-hat certificate sorts the keys
-afresh, so that it checks them and not the closure's index.  The closure,
-the theta table, the edge certificates and the exhaustive kernel count are
-vectorized with numpy, imported only inside them; the rest is packed-int
-arithmetic from mod2.  The closure and the edge walk take the products
-with the generators in blocks of about BLOCK, so memory stays bounded at
-g=3.  theta on the group is Johnson's closed form (theta_table); one edge
-walk (_holds_on_edges) certifies it and the q-defect qhat.
+reduces an integer matrix mod 2 itself.  The group is one strictly
+increasing uint64 array of keys, the closure of a list of transvections:
+an element's position in it indexes every per-element table
+(Mod2Group.find).  The closure, the theta table, the edge certificates and
+the exhaustive kernel count are vectorized with numpy, imported only inside
+them; the rest is packed-int arithmetic from mod2.  The closure and the
+edge walk take the products with the generators in blocks of about BLOCK,
+so memory stays bounded at g=3.  theta on the group is Johnson's closed
+form (theta_table); one edge walk (_holds_on_edges) certifies it and the
+q-defect qhat.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any
 
@@ -66,22 +66,18 @@ def _spread(bits: int, w: int) -> int:
 # group enumeration
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Mod2Group:
-    """The mod-2 symplectic group as a set of keys, with its sorted index.
+    """The mod-2 symplectic group as one sorted array of keys.
 
-    keys lists every element once, level by level as the closure met them,
-    identity first; gens are the packed vectors v of the transvections T_v
-    it was closed from.
-    ordered holds the keys sorted as uint64 and order the position in keys
-    of each; together they are the group's index (find).
+    keys holds every element once, as a strictly increasing, read-only
+    uint64 array; an element's position in it is its index (find).  gens
+    are the packed vectors v of the transvections T_v it was closed from.
     """
 
     g: int
-    keys: list[int]
+    keys: Any
     gens: list[int]
-    ordered: Any = field(repr=False)
-    order: Any = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -91,7 +87,7 @@ class Mod2Group:
         return 2 * self.g
 
     def matrix(self, i: int) -> Mat:
-        cols = key_columns(self.keys[i], self.w)
+        cols = key_columns(int(self.keys[i]), self.w)
         return tuple(tuple((c >> r) & 1 for c in cols) for r in range(self.w))
 
     def find(self, keys):
@@ -99,11 +95,10 @@ class Mod2Group:
         import numpy as np
 
         keys = np.asarray(keys, dtype=np.uint64)
-        pos, hit = _search(self.ordered, keys.ravel())
+        pos, hit = _search(self.keys, keys.ravel())
         if not hit.all():
             raise KeyError("key outside the enumerated group")
-        found = self.order[pos].reshape(keys.shape)
-        return int(found) if keys.ndim == 0 else found
+        return int(pos[0]) if keys.ndim == 0 else pos.reshape(keys.shape)
 
     def mul(self, a: int, b: int) -> int:
         """Key of the product AB: its columns are A applied to the columns of B."""
@@ -111,31 +106,17 @@ class Mod2Group:
         cols = key_columns(a, w)
         return sum(mod2.apply(cols, c) << (j * w) for j, c in enumerate(key_columns(b, w)))
 
-    def mul_gen(self, key: int, gi: int) -> int:
-        """key * T_{gens[gi]} by the rank-one update."""
-        v, w = self.gens[gi], self.w
-        return key ^ mod2.apply(key_columns(key, w), v) * _spread(mod2.dual(v, w), w)
-
 
 def _search(ordered, keys):
-    """Positions in the sorted array ordered at which to look for keys, and which hold them."""
-    import numpy as np
+    """Positions in the sorted array ordered at which to look for keys, and which hold them.
 
-    by = _sort_order(keys)[1]  # ascending queries search nearby parts of ordered: ~4x faster at g=3
-    pos = np.empty(len(keys), dtype=np.intp)
-    pos[by] = np.minimum(np.searchsorted(ordered, keys[by]), len(ordered) - 1)
-    return pos, ordered[pos] == keys
-
-
-def _sort_order(keys):
-    """keys sorted, and the position in keys of each; equal keys keep their order.
-
-    One sort of key << b | position, b the bits of a position: about ten
-    times faster than a stable argsort, and four times faster than any
-    argsort, of uint64.  The sorted keys are exact for keys below
-    2^(64 - b), as group keys (at most 36 bits) are in every pass here;
-    for other keys the positions are still a permutation, which is all
-    _search needs.
+    The queries are searched in ascending order, which visits nearby parts
+    of ordered in turn: about 4x faster at g=3.  They are sorted by one
+    sort of key << b | position, b the bits of a position, which is about
+    ten times faster than a stable argsort, and four times faster than any
+    argsort, of uint64.  The low bits are a permutation in any case, and
+    the one that sorts keys below 2^(64 - b), as group keys (at most 36
+    bits) are.
     """
     import numpy as np
 
@@ -143,9 +124,10 @@ def _sort_order(keys):
     packed = keys << b
     packed |= np.arange(len(keys), dtype=np.uint64)
     packed.sort()
-    pos = (packed & ((np.uint64(1) << b) - np.uint64(1))).view(np.intp)
-    packed >>= b
-    return packed, pos
+    by = (packed & ((np.uint64(1) << b) - np.uint64(1))).view(np.intp)
+    pos = np.empty(len(keys), dtype=np.intp)
+    pos[by] = np.minimum(np.searchsorted(ordered, keys[by]), len(ordered) - 1)
+    return pos, ordered[pos] == keys
 
 
 def _columns(keys, w: int):
@@ -207,10 +189,11 @@ def closure(gens: list[int], g: int) -> Mod2Group:
     """The subgroup of Sp(2g, 2), g = 2 or 3, that the transvections T_v, v in gens, generate.
 
     Breadth-first from the identity, a level at a time in blocks of
-    products (_product_blocks), each block sorted and its new keys kept in
-    that order.  The generators are involutions, so a product of level k
-    lies in level k - 1, k or k + 1: near, the sorted keys of those levels
-    met so far, is all it is searched in and inserted into.
+    products (_product_blocks), each block sorted and its new keys kept.
+    The generators are involutions, so a product of level k lies in level
+    k - 1, k or k + 1: near, the sorted keys of those levels met so far, is
+    all it is searched in and inserted into.  The levels are sorted into
+    one array at the end.
     """
     if g not in (2, 3):
         raise GenusTooLarge("exhaustive enumeration supports g = 2 and 3 only")
@@ -219,7 +202,7 @@ def closure(gens: list[int], g: int) -> Mod2Group:
     w = 2 * g
     level = np.array([_identity_key(w)], dtype=np.uint64)
     near = level
-    keys = [level]
+    levels = [level]
     while len(level):
         new = []
         for _, prods in _product_blocks(level, gens, w):
@@ -233,10 +216,10 @@ def closure(gens: list[int], g: int) -> Mod2Group:
             new.append(prods[fresh])
         near = np.sort(np.concatenate([level, *new]))  # levels k and k + 1
         level = np.concatenate(new)
-        keys.append(level)
-    keys = np.concatenate(keys)
-    ordered, order = _sort_order(keys)
-    return Mod2Group(g, keys.tolist(), list(gens), ordered, order)
+        levels.append(level)
+    keys = np.sort(np.concatenate(levels))
+    keys.flags.writeable = False
+    return Mod2Group(g, keys, list(gens))
 
 
 def humphries(g: int) -> list[int]:
@@ -257,9 +240,9 @@ def enumerate_sp2(g: int) -> Mod2Group:
     """Sp(2g, 2) for g = 2 or 3, as the closure of a list of transvections.
 
     The lists, measured on a 2-core machine (Python 3.11, numpy 2.4).  g=3:
-    Humphries's 7 classes close 1 451 520 elements in 32 levels, 1.4 s and
-    130 MB peak RSS; all 63 transvections took 10 s, and 63 product blocks
-    per edge walk.  g=2: all 15 transvections close 720 elements in 6
+    Humphries's 7 classes close 1 451 520 elements in 32 levels, 1.0-1.3 s
+    and 76 MB peak RSS for the process; all 63 transvections took 10 s, and
+    63 product blocks per edge walk.  g=2: all 15 transvections close 720 elements in 6
     levels and 1.1 ms, Humphries's 5 in 16 levels and 1.6 ms (medians of
     400 runs); the closure is 10 of the mod2 benchmark's 39 ops.
     """
@@ -279,15 +262,15 @@ def _letters(vs, f: Framing):
     return np.array([0 if mod2.quad(qphi, v, w) else mod2.dual(v, w) for v in vs], dtype=np.uint8)
 
 
-def _holds_on_edges(ordered, tables, gens, w: int) -> bool:
+def _holds_on_edges(keys, tables, gens, w: int) -> bool:
     """Whether each of k tables obeys the cocycle rule on every Cayley edge S -> S T_x, x in gens.
 
-    ordered holds keys sorted as uint64 and tables, k x len(ordered), a
-    packed functional per key (aligned with ordered) for each table, as
-    uint8.  The rule is t(S T_x) = T_x^* t(S) + t(T_x), T_x^* f = f + f(x)
-    <., x> the pullback, each letter value t(T_x) read from the table.  One
-    search per product block serves all k tables; a product or a T_x
-    missing from ordered fails.
+    keys is a sorted uint64 array and tables, k x len(keys), a packed
+    functional per key (by position in keys) for each table, as uint8.
+    The rule is t(S T_x) = T_x^* t(S) + t(T_x), T_x^* f = f + f(x) <., x>
+    the pullback, each letter value t(T_x) read from the table.  One search
+    per product block serves all k tables; a product or a T_x missing from
+    keys fails.
 
     If the keys are the closure of gens, a table t that obeys the rule is a
     crossed homomorphism.  The edge I -> T_x reads t(T_x) = T_x^* t(I)
@@ -298,16 +281,16 @@ def _holds_on_edges(ordered, tables, gens, w: int) -> bool:
     = B^* t(A) + t(B).
     """
     vs, duals, _, _, tx_keys = _generator_table(tuple(gens), w)
-    at_tx, hit = _search(ordered, tx_keys)
+    at_tx, hit = _search(keys, tx_keys)
     if not hit.all():
         return False
     values = tables[:, at_tx]
     parity = _parities(w)
     k = len(tables)
     stacked = tables[:, None, :]
-    for blk, prods in _product_blocks(ordered, gens, w):
+    for blk, prods in _product_blocks(keys, gens, w):
         expected = stacked ^ parity[stacked & vs[blk, None]] * duals[blk, None] ^ values[:, blk, None]
-        pos, hit = _search(ordered, prods.ravel())
+        pos, hit = _search(keys, prods.ravel())
         if not (hit.all() and (tables[:, pos] == expected.reshape(k, -1)).all()):
             return False
         del pos, hit  # a block's worth of positions: freed before the next block is built (13 MB at g=3)
@@ -315,7 +298,7 @@ def _holds_on_edges(ordered, tables, gens, w: int) -> bool:
 
 
 def theta_table(group: Mod2Group, f: Framing):
-    """Packed crossed-homomorphism value on every group element, as a uint8 array aligned with keys.
+    """Packed crossed-homomorphism value on every group element, as a uint8 array by position in keys.
 
     Johnson's closed form theta(S) = qhat(q_phi, S), the defect
     x -> q_phi(S x) - q_phi(x) (theta.theta with M = 0): bit j is
@@ -330,11 +313,9 @@ def theta_table(group: Mod2Group, f: Framing):
     w, qphi = group.w, f.qphi
     quads = np.array([mod2.quad(qphi, u, w) for u in range(1 << w)], dtype=np.uint8)
     thetas = np.full(len(group), qphi, dtype=np.uint8)  # the q_phi(b_j) bits
-    for j, col in enumerate(_columns(group.ordered, w)):
+    for j, col in enumerate(_columns(group.keys, w)):
         thetas ^= quads[col] << j
-    out = np.empty_like(thetas)
-    out[group.order] = thetas
-    return out
+    return thetas
 
 
 def check_theta_edges(group: Mod2Group, f: Framing) -> bool:
@@ -343,21 +324,19 @@ def check_theta_edges(group: Mod2Group, f: Framing) -> bool:
     Three checks on the table t: t(I) = 0; the cocycle rule on every Cayley
     edge S -> S T_x, x in group.gens (_holds_on_edges, a stack of one
     table), which makes t a crossed homomorphism; and t(T_v) = c_v at each
-    of the 2^(2g) - 1 transvections, looked up in the group's index.
-    Together they give t(S T_v) = T_v^* t(S) + t(T_v) = T_v^* t(S) + c_v
-    for every element S and every v: the rule on the edges of all
-    transvections, which fixes t from t(I) = 0 along any word in them.  The
-    crossed homomorphism passes all three, so they certify exactly that.
+    of the 2^(2g) - 1 transvections.  The first and the last are one
+    lookup of every packed v, T_0 = I having c_0 = 0.  Together they give
+    t(S T_v) = T_v^* t(S) + t(T_v) = T_v^* t(S) + c_v for every element S
+    and every v: the rule on the edges of all transvections, which fixes t
+    from t(I) = 0 along any word in them.  The crossed homomorphism passes
+    all three, so they certify exactly that.
     """
-    w, ordered = group.w, group.ordered
+    w, keys = group.w, group.keys
     table = theta_table(group, f)
-    thetas = table[group.order]  # aligned with ordered
-    vs = tuple(range(1, 1 << w))
-    at_tv, hit = _search(ordered, _generator_table(vs, w)[-1])  # the keys of all T_v
-    return (
-        bool(table[0] == 0)
-        and bool(hit.all() and (thetas[at_tv] == _letters(vs, f)).all())
-        and _holds_on_edges(ordered, thetas[None], group.gens, w)
+    vs = tuple(range(1 << w))
+    at, hit = _search(keys, _generator_table(vs, w)[-1])  # the keys of all T_v
+    return bool(hit.all() and (table[at] == _letters(vs, f)).all()) and _holds_on_edges(
+        keys, table[None], group.gens, w
     )
 
 
@@ -438,11 +417,11 @@ def verify_qhat_crossed(g: int = 2) -> bool:
     (mod2.qhat).  The identity is qhat(AB) = B^* qhat(A) + qhat(B) for all
     pairs (A, B), B^* the pullback along B.  It is checked on the Cayley
     edges A -> A T_x alone, x in group.gens, both forms in one edge walk
-    (_holds_on_edges) over a sorted index of the group's keys; a product or
-    a T_x missing from it fails.  The keys are then closed under the
-    generators, which are involutions, so they are the whole group, and
-    the rule on every edge gives the identity at every pair (A, B) by the
-    induction in _holds_on_edges.
+    (_holds_on_edges) over the group's keys; a product or a T_x missing
+    from them fails.  The keys are then closed under the generators, which
+    are involutions, so they are the whole group, and the rule on every
+    edge gives the identity at every pair (A, B) by the induction in
+    _holds_on_edges.
     """
     if g != 2:
         raise GenusTooLarge("the q-hat certificate is sized for g = 2")
@@ -450,12 +429,10 @@ def verify_qhat_crossed(g: int = 2) -> bool:
 
     group = enumerate_sp2(g)
     w = group.w
-    ordered, by = _sort_order(np.array(group.keys, dtype=np.uint64))
-    cols = [key_columns(key, w) for key in group.keys]
+    cols = [key_columns(key, w) for key in group.keys.tolist()]
     reps = (0b0000, 0b0011)  # arf 0 and arf 1 representatives
     qhats = np.array([[mod2.qhat(rep, c, w) for c in cols] for rep in reps], dtype=np.uint8)
-    qhats = qhats[:, by]  # one row per form, aligned with ordered
-    return _holds_on_edges(ordered, qhats, group.gens, w)
+    return _holds_on_edges(group.keys, qhats, group.gens, w)
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +474,8 @@ def kernel_order_mod2(f: Framing, method: str = "auto") -> int:
     import numpy as np
 
     group = enumerate_sp2(g)
-    # aligned with group.ordered
-    thetas = theta_table(group, f)[group.order]
-    cols = _columns(group.ordered, w)
+    thetas = theta_table(group, f)
+    cols = _columns(group.keys, w)
     # rows[b]: packed row b of every S, i.e. the pullback S^T of the basis functional b
     rows = [np.zeros(len(group), dtype=np.uint8) for _ in range(w)]
     for j, c in enumerate(cols):

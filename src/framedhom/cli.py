@@ -24,6 +24,7 @@ from .errors import (
     SpecMismatch,
     TooLarge,
     UnknownSuite,
+    WindingParityMismatch,
     WordSyntaxError,
 )
 from .framing import Framing, arf
@@ -62,7 +63,16 @@ def _trials(value: int) -> int:
 def _int(value: Any, what: str) -> int:
     # bool is a subclass of int, but JSON true/false is not an integer
     if type(value) is not int:
-        raise FileFormatError(f"{what} must be a JSON integer, got {json.dumps(value)}")
+        try:
+            shown = json.dumps(value)
+        except (TypeError, ValueError):  # not JSON, or an integer too long to print
+            shown = f"a {type(value).__name__}"
+        raise FileFormatError(f"{what} must be a JSON integer, got {shown}")
+    # json.load refuses integers of more digits than str() prints; refused here
+    # too, so no later error message fails to format one
+    digits = sys.get_int_max_str_digits()
+    if digits and value.bit_length() > 3 * digits and abs(value) >= 10**digits:
+        raise FileFormatError(f"{what} holds an integer of more than {digits} digits")
     return value
 
 
@@ -213,9 +223,10 @@ def parse_word(text: str, f: Framing) -> Word:
 
     Letters: shorthands Tx1 / Ty2 / Td2 (windings resolved from the framing),
     explicit twists T(<vec>;w=<int>), point-pushes P(<i>;<vec>); any twist
-    takes an optional ^<power>.
+    takes an optional ^<power>.  An explicit twist's winding must have the
+    parity that the framing gives its class (check_twist_winding).
     """
-    from .words import PointPush, Twist, Word, standard_alphabet
+    from .words import PointPush, Twist, Word, check_twist_winding, standard_alphabet
 
     spec = f.spec
     alphabet = standard_alphabet(f)
@@ -238,7 +249,9 @@ def parse_word(text: str, f: Framing) -> Word:
             power = _word_int(m.group(3)) if m.group(3) else 1
             if power == 0:
                 raise WordSyntaxError("twist power must be nonzero")
-            letters.append(Twist(curve, power, _word_int(m.group(2))))
+            letter = Twist(curve, power, _word_int(m.group(2)))
+            check_twist_winding(letter, f)
+            letters.append(letter)
             continue
         m = _PUSH_RE.match(token)
         if m:
@@ -490,7 +503,7 @@ def main(argv: list[str] | None = None) -> int:
         # devnull so the flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (SpecMismatch, ArfMismatch, QVectorMismatch) as exc:
+    except (SpecMismatch, ArfMismatch, QVectorMismatch, WindingParityMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except FramedHomError as exc:

@@ -49,6 +49,10 @@ class QVectorMismatch(FramedHomError):
     """Framings with different basis winding parities cannot be matched."""
 
 
+class WindingParityMismatch(FramedHomError):
+    """A twist letter declares a winding of the wrong parity for the framing's class."""
+
+
 class MoveError(FramedHomError):
     """A basis move's precondition does not hold for this framing."""
 

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from . import mod2
 from .errors import DimensionMismatch, InvalidSurface, NotPrimitive, NotSymplectic, SpecMismatch
-from .lattice import AbsVec, CohomClass, RelVec, SurfaceSpec
+from .lattice import AbsVec, CohomClass, SurfaceSpec
 
 Mat = tuple[tuple[int, ...], ...]
 
@@ -62,23 +62,6 @@ def mat_vec(a: Mat, v: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def transpose(a: Mat) -> Mat:
-    return tuple(zip(*a)) if a else ()
-
-
-def sympl_gram(g: int) -> Mat:
-    """Gram matrix J of the symplectic form in the interleaved basis."""
-    rows = []
-    for i in range(2 * g):
-        row = [0] * (2 * g)
-        if i % 2 == 0:
-            row[i + 1] = 1
-        else:
-            row[i - 1] = -1
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def is_symplectic(s: Mat, g: int) -> bool:
     """Check S^T J S = J exactly, as the pairings of S's columns.
 
@@ -101,10 +84,15 @@ def is_symplectic(s: Mat, g: int) -> bool:
 
 
 def sp_inverse(s: Mat, g: int) -> Mat:
-    """Inverse of a symplectic matrix: -J S^T J (exact over the integers)."""
-    j = sympl_gram(g)
-    inv = mat_mul(mat_mul(j, transpose(s)), j)
-    return tuple(tuple(-v for v in row) for row in inv)
+    """Inverse of a symplectic matrix: -J S^T J, exact over the integers.
+
+    The only nonzero entries of J are J[i][i^1], +1 for an x slot i and -1
+    for a y slot, so entry (i, j) of -J S^T J is (-1)^(i+j) S[j^1][i^1].
+    """
+    return tuple(
+        tuple(-s[j ^ 1][i ^ 1] if (i ^ j) & 1 else s[j ^ 1][i ^ 1] for j in range(2 * g))
+        for i in range(2 * g)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -154,17 +142,6 @@ class PAutElem:
         return self.S == identity_mat(2 * self.g) and all(
             all(v == 0 for v in row) for row in self.M
         )
-
-    def act(self, x: RelVec) -> RelVec:
-        """Apply the block matrix to a relative class."""
-        if x.spec.g != self.g or x.spec.n != self.n:
-            raise SpecMismatch("automorphism and class live over different surfaces")
-        absx = x.coords[: 2 * self.g]
-        arcs = x.coords[2 * self.g :]
-        out = list(mat_vec(self.S, absx))
-        for i, row in enumerate(self.M):
-            out[i] += sum(a * b for a, b in zip(row, arcs))
-        return RelVec(x.spec, tuple(out) + arcs)
 
 
 def compose(a: PAutElem, b: PAutElem) -> PAutElem:

@@ -30,6 +30,7 @@ from .errors import (
     NotPrimitive,
     PointPushOnArcs,
     SpecMismatch,
+    WindingParityMismatch,
 )
 from .framing import Framing
 from .lattice import (
@@ -352,3 +353,24 @@ def standard_alphabet(f: Framing) -> dict[str, Letter]:
             continue
         out[f"Td{i}"] = Twist(loop, 1, spec.delta_winding(i))
     return out
+
+
+def check_twist_winding(letter: Twist, f: Framing) -> None:
+    """Refuse a twist whose declared winding no simple curve in its class has under f.
+
+    A simple closed curve in class c has winding q(c) + 1 mod 2 (Johnson,
+    J. LMS 1980), q the framing's quadratic form on punctured homology mod
+    2: q_phi on the absolute part plus kappa_i for each loop d_i in c.  The
+    loops pair to zero with every class, and d_i has winding -1 - kappa_i.
+    """
+    spec = f.spec
+    if letter.spec != spec:
+        raise SpecMismatch("twist and framing live over different surfaces")
+    loops = mod2.pack(letter.curve.coords[spec.abs_rank :])
+    q = mod2.quad(f.qphi, letter.mod2_image, spec.abs_rank)
+    q ^= (loops & mod2.pack(spec.kappa[1:])).bit_count() & 1
+    if (letter.winding ^ q ^ 1) & 1:
+        raise WindingParityMismatch(
+            f"twist declares a winding of parity {letter.winding & 1}; a simple curve "
+            f"in its class has winding parity {q ^ 1} under this framing"
+        )

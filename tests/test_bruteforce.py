@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from framedhom import bruteforce as bf
@@ -12,10 +13,15 @@ from framedhom.sampling import random_framing, random_paut, random_spec
 from framedhom.theta import theta
 
 
+def _transvection_key(v, w):
+    """Key of T_v mod 2: column j is b_j + <b_j, v> v."""
+    return sum(((1 << j) ^ (v if (mod2.dual(v, w) >> j) & 1 else 0)) << (j * w) for j in range(w))
+
+
 def test_group_order_and_identity():
     group = bf.enumerate_sp2(2)
     assert len(group) == 720 == bf.sp2_order(2)
-    ident = group.matrix(0)
+    ident = group.matrix(group.find(bf._identity_key(4)))
     assert ident == tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
     with pytest.raises(GenusTooLarge):
         bf.enumerate_sp2(4)
@@ -25,9 +31,8 @@ def test_group_closed_under_sampled_products():
     group = bf.enumerate_sp2(2)
     rng = random.Random(0)
     for _ in range(300):
-        key = group.keys[rng.randrange(len(group))]
-        gi = rng.randrange(len(group.gens))
-        prod = group.mul_gen(key, gi)
+        key = int(group.keys[rng.randrange(len(group))])
+        prod = group.mul(key, _transvection_key(rng.choice(group.gens), group.w))
         assert group.keys[group.find(prod)] == prod
 
 
@@ -37,7 +42,7 @@ def test_mul_is_the_matrix_product():
     for _ in range(100):
         a, b = rng.randrange(len(group)), rng.randrange(len(group))
         expected = bf.matrix_to_key(mat_mul(group.matrix(a), group.matrix(b)))
-        assert group.mul(group.keys[a], group.keys[b]) == expected
+        assert group.mul(int(group.keys[a]), int(group.keys[b])) == expected
 
 
 def test_group_closed_under_inverse():
@@ -80,28 +85,23 @@ def _closure_by_ints(gens, g):
 
 def test_closure_matches_pure_int_bfs():
     group = bf.enumerate_sp2(2)
-    keys, _, _, levels = _closure_by_ints(group.gens, 2)
-    assert group.keys[0] == keys[0]  # the identity first
-    assert len(group.keys) == len(set(group.keys)) == len(keys)
-    # the same levels, each as a set, so the same keys
-    for a, b in zip(levels, levels[1:]):
-        assert set(group.keys[a:b]) == set(keys[a:b])
-    assert group.ordered.tolist() == sorted(keys)
-    assert [group.keys[i] for i in group.order.tolist()] == sorted(keys)
-    assert [group.keys[group.find(key)] for key in keys] == keys
+    keys, _, _, _ = _closure_by_ints(group.gens, 2)
+    assert len(keys) == len(set(keys)) == 720
+    # the same key set, sorted
+    assert group.keys.dtype == np.uint64 and group.keys.tolist() == sorted(keys)
+    assert not group.keys.flags.writeable
+    assert [int(group.keys[group.find(key)]) for key in keys] == keys
 
 
 def test_humphries_classes_close_the_same_group():
     group = bf.enumerate_sp2(2)
     humphries = bf.closure(bf.humphries(2), 2)
     assert humphries.gens == [0b0001, 0b0010, 0b0101, 0b1000, 0b0100]  # x1, y1, x1+x2, y2, x2
-    assert set(humphries.keys) == set(group.keys) and humphries.keys[0] == group.keys[0]
-    assert humphries.ordered.tolist() == group.ordered.tolist()
-    # 16 levels, each the same set as the pure-int BFS over the same generators
+    assert humphries.keys.tolist() == group.keys.tolist()
+    # 16 levels in the pure-int BFS over the same generators, the same key set
     keys, _, _, levels = _closure_by_ints(humphries.gens, 2)
     assert len(levels) == 17
-    for a, b in zip(levels, levels[1:]):
-        assert set(humphries.keys[a:b]) == set(keys[a:b])
+    assert humphries.keys.tolist() == sorted(keys)
     assert bf.humphries(3) == [0b000001, 0b000010, 0b000101, 0b001000, 0b010100, 0b100000, 0b000100]
 
 
@@ -116,13 +116,12 @@ def test_find_positions_and_outsiders():
 
 
 def test_find_keeps_the_query_shape():
-    import numpy as np
-
     group = bf.enumerate_sp2(2)
-    keys = np.array(group.keys, dtype=np.uint64)
+    keys = group.keys
+    ident = group.find(bf._identity_key(4))
     # a block of products A B, one row per A
     rows = [[bf.matrix_to_key(mat_mul(group.matrix(a), group.matrix(b))) for b in range(0, 720, 9)]
-            for a in (0, 3, 500)]
+            for a in (ident, 3, 500)]
     found = group.find(rows)
     assert found.shape == (3, 80)
     assert (keys[found] == np.array(rows, dtype=np.uint64)).all()
@@ -173,7 +172,7 @@ def test_census_stabilizers_against_direct_count():
     w = 4
     for bits, a, stab in bf.qform_census(2).per_form:
         direct = 0
-        for key in group.keys:
+        for key in group.keys.tolist():
             cols = bf.key_columns(key, w)
             same = all(
                 mod2.quad(bits, cols[j], w) == mod2.quad(bits, 1 << j, w)
@@ -231,7 +230,7 @@ def test_verify_qhat_crossed():
 
 def test_verify_qhat_crossed_catches_one_wrong_value(monkeypatch):
     group = bf.enumerate_sp2(2)
-    wrong = bf.key_columns(group.keys[100], group.w)
+    wrong = bf.key_columns(int(group.keys[100]), group.w)
     true_qhat = mod2.qhat
 
     def flipped(q, cols, w):
@@ -246,7 +245,8 @@ def test_verify_qhat_crossed_rejects_products_outside_the_group(monkeypatch):
 
     group = bf.enumerate_sp2(2)
     # the last element swapped for the zero matrix: its products with the rest fall outside
-    broken = replace(group, keys=group.keys[:-1] + [0])
+    broken = replace(group, keys=np.concatenate(([0], group.keys[:-1])).astype(np.uint64))
+    assert (broken.keys[1:] > broken.keys[:-1]).all()
     monkeypatch.setattr(bf, "enumerate_sp2", lambda g: broken)
     assert not bf.verify_qhat_crossed(2)
 
@@ -258,11 +258,9 @@ def _qhat_crossed_all_pairs():
     AB looked up in a table indexed by its 16-bit key; a product outside
     the group fails the check.
     """
-    import numpy as np
-
     group = bf.enumerate_sp2(2)
     w, size = group.w, len(group)
-    keys = np.array(group.keys, dtype=np.uint64)
+    keys = group.keys
     cols = bf._columns(keys, w)
     parity = bf._parities(w)
     vecs = np.arange(1 << w, dtype=np.uint8)
@@ -275,7 +273,7 @@ def _qhat_crossed_all_pairs():
     index = np.full(1 << (w * w), -1, dtype=np.int16)
     index[keys] = np.arange(size)
     qhats = [
-        np.array([mod2.qhat(rep, bf.key_columns(key, w), w) for key in group.keys], dtype=np.uint8)
+        np.array([mod2.qhat(rep, bf.key_columns(key, w), w) for key in keys.tolist()], dtype=np.uint8)
         for rep in (0b0000, 0b0011)
     ]
     for start in range(0, size, 60):
@@ -302,11 +300,12 @@ def test_qhat_certificate_and_all_pairs_catch_every_flip(monkeypatch):
     group = bf.enumerate_sp2(2)
     rng = random.Random(29)
     # the identity, a transvection, then 18 random elements
-    transvection = group.find(group.mul_gen(group.keys[0], 0))
-    targets = [0, transvection] + [rng.randrange(len(group)) for _ in range(18)]
+    ident = group.find(bf._identity_key(group.w))
+    transvection = group.find(_transvection_key(group.gens[0], group.w))
+    targets = [ident, transvection] + [rng.randrange(len(group)) for _ in range(18)]
     true_qhat = mod2.qhat
     for idx in targets:
-        wrong = bf.key_columns(group.keys[idx], group.w)
+        wrong = bf.key_columns(int(group.keys[idx]), group.w)
         rep, bit = rng.choice((0b0000, 0b0011)), 1 << rng.randrange(group.w)
 
         def flipped(q, cols, w):
@@ -318,13 +317,11 @@ def test_qhat_certificate_and_all_pairs_catch_every_flip(monkeypatch):
 
 
 def test_edge_walk_fails_on_a_product_outside_the_keys():
-    import numpy as np
-
     group = bf.enumerate_sp2(2)
     zeros = np.zeros((1, len(group)), dtype=np.uint8)
     # the zero table obeys the rule on every edge, so only the lookup can fail
-    assert bf._holds_on_edges(group.ordered, zeros, group.gens, group.w)
-    assert not bf._holds_on_edges(group.ordered[:-1], zeros[:, :-1], group.gens, group.w)
+    assert bf._holds_on_edges(group.keys, zeros, group.gens, group.w)
+    assert not bf._holds_on_edges(group.keys[:-1], zeros[:, :-1], group.gens, group.w)
 
 
 def test_theta_edges_consistent():
@@ -360,7 +357,7 @@ def test_theta_table_matches_per_element_recurrence(kappa):
     for _ in range(4):
         f = random_framing(rng, SurfaceSpec(2, kappa))
         table = bf.theta_table(group, f).tolist()
-        assert dict(zip(group.keys, table)) == _theta_by_tree(closure, group.gens, f)
+        assert dict(zip(group.keys.tolist(), table)) == _theta_by_tree(closure, group.gens, f)
 
 
 def _flip_theta_at(monkeypatch, idx, bit):
@@ -379,7 +376,7 @@ def test_theta_edges_catch_one_wrong_value(monkeypatch):
     rng = random.Random(37)
     f = random_framing(rng, SurfaceSpec(2, (1, 2, -1)))
     # the identity, then a seeded element
-    for idx in (0, rng.randrange(1, len(group))):
+    for idx in (group.find(bf._identity_key(group.w)), rng.randrange(1, len(group))):
         with monkeypatch.context() as m:
             _flip_theta_at(m, idx, 1 << rng.randrange(group.w))
             assert not bf.check_theta_edges(group, f), idx
@@ -458,7 +455,7 @@ def test_kernel_orders_two_ways():
     (Framing.zeros(SurfaceSpec(2, (1, 2, -1))), 1 << 4),
 ])
 def test_kernel_order_enumerate_reads_theta(monkeypatch, f, flip):
-    _flip_theta_at(monkeypatch, 0, flip)  # the identity's value
+    _flip_theta_at(monkeypatch, bf.enumerate_sp2(2).find(bf._identity_key(4)), flip)  # the identity's value
     assert bf.kernel_order_mod2(f, "enumerate") != bf.kernel_order_mod2(f, "structure")
 
 
@@ -528,8 +525,11 @@ def test_enumerate_sp2_genus3():
     from framedhom.sampling import random_symplectic
 
     group = bf.enumerate_sp2(3)
-    assert len(group) == len(set(group.keys)) == bf.sp2_order(3) == 1451520
-    assert group.keys[0] == bf._identity_key(6)
+    keys = group.keys
+    # one strictly increasing uint64 array, so no key twice
+    assert keys.dtype == np.uint64 and keys.shape == (1451520,) and (keys[1:] > keys[:-1]).all()
+    assert len(group) == bf.sp2_order(3) == 1451520
+    assert bf._identity_key(6) in keys
     rng = random.Random(3)
     even = Framing.zeros(SurfaceSpec(3, (4,)))
     odd = Framing(SurfaceSpec(3, (3, 1)), (1, 0, 0), (1, 0, 0), (-1,))

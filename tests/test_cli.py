@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from framedhom import cli, verify
+from framedhom.errors import FileFormatError
 from framedhom.framing import Framing
 from framedhom.lattice import SurfaceSpec
 from framedhom.paut import PAutElem, identity_mat
@@ -187,11 +188,56 @@ def test_act_word_with_explicit_letters(capsys, tmp_path):
         {"g": 2, "kappa": [1, 1], "wind_x": [0, 0], "wind_y": [0, 0]},
     )
     code, out, _ = run_cli(
-        capsys, "act", "--framing", noarc, "--word", "T(x1+2y2;w=-1)^2 P(2;x1)"
+        capsys, "act", "--framing", noarc, "--word", "T(x1+2y2;w=-2)^2 P(2;x1)"
     )
     assert code == 0
     data = json.loads(out)
     assert data["paut"]["M"] != [[0], [0], [0], [0]]
+
+
+@pytest.mark.parametrize(
+    "framing, word",
+    [
+        # x1 winds 0, so a simple curve in its class winds evenly
+        ({"g": 2, "kappa": [2], "wind_x": [0, 0], "wind_y": [0, 0]}, "T(x1;w=1)"),
+        # q(x1 + d2) = q_phi(x1) + kappa_2 = 1 + 1: the winding must be odd
+        ({"g": 2, "kappa": [1, 1], "wind_x": [0, 0], "wind_y": [0, 0]}, "T(x1+d2;w=4)"),
+    ],
+    ids=["x1", "x1+d2"],
+)
+def test_act_twist_of_the_wrong_winding_parity_exit3(capsys, tmp_path, framing, word):
+    # accepted, the first example changed the framing's Arf invariant from 0 to 1
+    path = write_json(tmp_path, "f.json", framing)
+    code, out, err = run_cli(capsys, "act", "--framing", path, "--word", f"Tx1 {word}")
+    assert code == 3 and out == "" and "winding parity" in err
+
+
+def test_act_twist_of_the_right_winding_parity(capsys, f11):
+    code, out, _ = run_cli(capsys, "act", "--framing", f11, "--word", "T(x1+d2;w=5) T(x1;w=-2)")
+    before = cli.arf(cli.load_framing(f11))
+    assert code == 0 and cli.arf(cli.framing_from_dict(json.loads(out)["framing"])) == before
+
+
+@pytest.mark.parametrize(
+    "loader, data",
+    [
+        (cli.framing_from_dict, {"g": [7**6000 + 1], "kappa": [2], "wind_x": [0, 0], "wind_y": [0, 0]}),
+        (cli.framing_from_dict, {"g": -(7**6000) + 1, "kappa": [], "wind_x": [], "wind_y": []}),
+        (cli.paut_from_dict, {"g": -(7**6000) + 1, "n": 1, "S": []}),
+        (cli.framing_from_dict, {"g": 2, "kappa": [2], "wind_x": [10**4300, 0], "wind_y": [0, 0]}),
+        (cli.framing_from_dict, {"g": {2}, "kappa": [2], "wind_x": [0, 0], "wind_y": [0, 0]}),
+    ],
+    ids=["in-a-list", "genus", "paut-genus", "winding", "a-set"],
+)
+def test_loaders_name_values_that_do_not_print_as_json(loader, data):
+    # json.load makes no such value; a Python caller can pass one
+    with pytest.raises(FileFormatError):
+        loader(data)
+
+
+def test_loaders_take_the_longest_printable_integer():
+    f = cli.framing_from_dict({"g": 2, "kappa": [2], "wind_x": [1 - 10**4300, 0], "wind_y": [0, 0]})
+    assert f.wind_x[0] == 1 - 10**4300
 
 
 def test_act_push_on_arcs_rejected(capsys, f11):

@@ -84,22 +84,27 @@ def test_run_suite_runs_one_trial():
 
 
 def _without_last_level(group):
-    """group with the elements farthest from the identity in its Cayley graph dropped."""
-    dist = {group.keys[0]: 0}
-    frontier = [group.keys[0]]
+    """group with the elements farthest from the identity in its Cayley graph dropped.
+
+    Breadth-first from the identity by products with the transvections T_v,
+    v in group.gens, each multiplied as matrices (Mod2Group.mul).
+    """
+    ident = bruteforce._identity_key(group.w)
+    tvs = bruteforce._generator_table(tuple(group.gens), group.w)[-1].tolist()  # the keys of the T_v
+    dist = {ident: 0}
+    frontier = [ident]
     while frontier:
         reached = []
         for key in frontier:
-            for gi in range(len(group.gens)):
-                prod = group.mul_gen(key, gi)
+            for tv in tvs:
+                prod = group.mul(key, tv)
                 if prod not in dist:
                     dist[prod] = dist[key] + 1
                     reached.append(prod)
         frontier = reached
     last = max(dist.values())
-    keys = [key for key in group.keys if dist[key] < last]
-    ordered, order = bruteforce._sort_order(np.array(keys, dtype=np.uint64))
-    return bruteforce.Mod2Group(group.g, keys, group.gens, ordered, order)
+    keys = np.array(sorted(key for key, d in dist.items() if d < last), dtype=np.uint64)
+    return bruteforce.Mod2Group(group.g, keys, group.gens)
 
 
 def test_census_reports_a_group_that_is_not_closed(monkeypatch):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from framedhom.errors import NotPrimitive, PointPushOnArcs, SpecMismatch
+from framedhom.errors import NotPrimitive, PointPushOnArcs, SpecMismatch, WindingParityMismatch
 from framedhom.framing import Framing, arf, q_vector
 from framedhom.lattice import (
     RelVec,
@@ -18,13 +18,21 @@ from framedhom.lattice import (
     y_curve,
 )
 from framedhom.paut import PAutElem, compose, identity_mat, pullback_h1, transvection
-from framedhom.sampling import random_exotic_word, random_framing, random_spec, random_standard_word
+from framedhom.sampling import (
+    random_exotic_word,
+    random_framing,
+    random_paut,
+    random_spec,
+    random_standard_word,
+    refactored_word,
+)
 from framedhom.words import (
     PointPush,
     Twist,
     Word,
     act_framing,
     act_rel,
+    check_twist_winding,
     delta_word,
     standard_alphabet,
     track_curve,
@@ -323,3 +331,27 @@ def test_standard_alphabet_names():
     # n = 1: the puncture loop is nullhomologous, no Td letters
     f1 = Framing(SPEC1, (0, 0), (0, 0))
     assert set(standard_alphabet(f1)) == {"Tx1", "Tx2", "Ty1", "Ty2"}
+
+
+def test_twist_windings_of_the_standard_alphabet_and_refactored_words_pass():
+    rng = random.Random(61)
+    for _ in range(60):
+        spec = random_spec(rng, rng.choice([2, 3, 4]), rng.choice([1, 2, 3, 4]))
+        f = random_framing(rng, spec)
+        for letter in standard_alphabet(f).values():
+            check_twist_winding(letter, f)
+        for letter in refactored_word(f, random_paut(rng, spec, 4)).letters:
+            if isinstance(letter, Twist):
+                check_twist_winding(letter, f)
+
+
+def test_twist_winding_parity_is_checked_against_the_class():
+    spec = SurfaceSpec(2, (1, 1))
+    f = Framing.zeros(spec)
+    x1_d2 = as_punct(x_curve(spec, 1)) + point_loop(spec, 2)
+    check_twist_winding(Twist(x1_d2, 1, 5), f)
+    for bad in (Twist(x1_d2, 1, 4), Twist(as_punct(x_curve(spec, 1)), 3, 1)):
+        with pytest.raises(WindingParityMismatch):
+            check_twist_winding(bad, f)
+    with pytest.raises(SpecMismatch):
+        check_twist_winding(Twist(as_punct(x_curve(SPEC1, 1)), 1, 0), f)
