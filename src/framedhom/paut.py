@@ -51,15 +51,13 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     if a and len(a[0]) != len(b):
         raise DimensionMismatch("matrix product shape mismatch")
     bt = tuple(zip(*b)) if b else ()
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(a: Mat, v: Sequence[int]) -> tuple[int, ...]:
     if a and len(a[0]) != len(v):
         raise DimensionMismatch("matrix/vector shape mismatch")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def is_symplectic(s: Mat, g: int) -> bool:

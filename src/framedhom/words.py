@@ -11,17 +11,21 @@ x -> x + phi(x) u, with u an absolute class and phi a functional on relative
 coordinates: a twist about c with power k has u = c-bar (c with its loop part
 dropped) and phi = k <., c>; a push of point p_i has u = the loop and phi =
 the coefficient of p_i in the boundary.  `_letter_map` is the one place that
-builds this pair.  Each letter keeps its pair in `rank_one`, and the packed
-mod-2 image of u in `mod2_image`, both filled on first use; `act_rel`,
-`track_curve`, `act_framing`, `word_to_paut` and `delta_word` read them
-from there.
+builds this pair, as two sparse supports: u as ((i, u_i), ...) over its
+nonzero absolute slots and phi as ((i, phi_i), ...) over its nonzero
+relative slots.  A basis twist has one slot in each, a puncture twist none
+in u, a push one arc slot in phi (every arc slot for p_1).  Each letter
+keeps its pair in `rank_one`, and the packed mod-2 image of u in
+`mod2_image`, both built on first use.  `act_rel`, `track_curve`,
+`act_framing` and `word_to_paut` read only these supports and update
+coordinate lists in place (c = phi(x), then x_i += c u_i); `delta_word`
+reads `mod2_image`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from operator import mul
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Union
 
 from . import mod2
@@ -41,28 +45,49 @@ from .lattice import (
     SurfaceSpec,
     as_punct,
     point_loop,
-    sympl,
     x_curve,
     y_curve,
 )
 from .paut import PAutElem
 
 
-class _RankOne:
-    """A letter's map x -> x + phi(x) u, built once on first use.
+Support = tuple[tuple[int, int], ...]
 
-    The cached values live in the instance dict, outside the dataclass
-    fields, so they take no part in equality, hashing or repr.
+
+@dataclass(frozen=True, slots=True)
+class _Letter:
+    """What every letter keeps: its map and u mod 2, each built on first use.
+
+    Both caches are slots kept out of comparison and repr, so they take no
+    part in equality, hashing or repr; slots leave a letter no instance dict.
     """
 
-    @cached_property
-    def rank_one(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The pair (u, phi); see `_letter_map`."""
-        return _letter_map(self)
+    _map: tuple[Support, Support] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _image: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def rank_one(self) -> tuple[Support, Support]:
+        """The supports of (u, phi); see `_letter_map`."""
+        m = self._map
+        if m is None:
+            m = _letter_map(self)
+            object.__setattr__(self, "_map", m)
+        return m
+
+    @property
+    def mod2_image(self) -> int:
+        """u mod 2, packed: bit i for each odd u_i."""
+        m = self._image
+        if m is None:
+            m = sum(1 << i for i, v in self.rank_one[0] if v & 1)
+            object.__setattr__(self, "_image", m)
+        return m
 
 
-@dataclass(frozen=True)
-class Twist(_RankOne):
+@dataclass(frozen=True, slots=True)
+class Twist(_Letter):
     """Dehn twist about a curve with a caller-declared winding number.
 
     Its map has u = the curve with its loop part dropped and phi = power
@@ -84,17 +109,12 @@ class Twist(_RankOne):
     def spec(self) -> SurfaceSpec:
         return self.curve.spec
 
-    @cached_property
-    def mod2_image(self) -> int:
-        """The curve mod 2 with its loop part dropped, packed (u mod 2)."""
-        return mod2.pack(self.curve.coords[: self.spec.abs_rank])
-
     def inverse(self) -> "Twist":
         return Twist(self.curve, -self.power, self.winding)
 
 
-@dataclass(frozen=True)
-class PointPush(_RankOne):
+@dataclass(frozen=True, slots=True)
+class PointPush(_Letter):
     """Push of marked point `point` (1-based) around a primitive loop.
 
     Its map has u = the loop and phi = the coefficient of the point in the
@@ -115,11 +135,6 @@ class PointPush(_RankOne):
     @property
     def spec(self) -> SurfaceSpec:
         return self.loop.spec
-
-    @cached_property
-    def mod2_image(self) -> int:
-        """The loop mod 2, packed (u mod 2)."""
-        return mod2.pack(self.loop.coords)
 
     def inverse(self) -> "PointPush":
         return PointPush(self.point, -self.loop)
@@ -160,49 +175,52 @@ class Word:
 # lattice action
 
 
-def _letter_map(letter: Letter) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The pair (u, phi) of the letter's map x -> x + phi(x) u.
+def _letter_map(letter: Letter) -> tuple[Support, Support]:
+    """The supports (u, phi) of the letter's map x -> x + phi(x) u.
 
-    u holds absolute coordinates only, phi one coefficient per relative
-    coordinate.  The boundary coefficient of p_i is that of a_i for i >= 2
-    and minus the sum of all arc coefficients for i = 1.
+    Each is ((i, value), ...) over the nonzero slots in increasing order: u
+    over absolute coordinates only, phi over relative ones.  On the
+    symplectic block <x, c> reads slot i of x against c's partner slot i ^ 1
+    (x_h pairs with y_h).  The boundary coefficient of p_i is that of a_i
+    for i >= 2 and minus the sum of all arc coefficients for i = 1.
     """
     spec = letter.spec
     k = spec.abs_rank
     if isinstance(letter, Twist):
         c, p = letter.curve.coords, letter.power
-        phi = []
-        for i in range(0, k, 2):
-            phi.append(p * c[i + 1])
-            phi.append(-p * c[i])
-        return c[:k], tuple(phi) + tuple(p * d for d in c[k:])
+        u = tuple(_entry(i, v) for i, v in enumerate(c[:k]) if v)
+        pairing = sorted(_entry(i ^ 1, p * v if i & 1 else -p * v) for i, v in u)
+        loops = [_entry(i, p * v) for i, v in enumerate(c[k:], k) if v]
+        return u, tuple(pairing + loops)
+    u = tuple(_entry(i, v) for i, v in enumerate(letter.loop.coords) if v)
     if letter.point >= 2:
-        arcs = tuple(int(j == letter.point - 2) for j in range(spec.zero_rank))
-    else:
-        arcs = (-1,) * spec.zero_rank
-    return letter.loop.coords, (0,) * k + arcs
+        return u, (_entry(k + letter.point - 2, 1),)
+    return u, tuple(_entry(i, -1) for i in range(k, spec.rel_rank))
 
 
-def _dot(a, b) -> int:
-    """Sum of products over the shorter of the two sequences."""
-    return sum(map(mul, a, b))
+@lru_cache(maxsize=1024)
+def _entry(i: int, v: int) -> tuple[int, int]:
+    """The support entry (i, v), one object shared by the letters that hold it.
 
-
-def _shift(coords: tuple[int, ...], c: int, u: tuple[int, ...]) -> tuple[int, ...]:
-    """coords + c u, where u has only absolute coordinates."""
-    if not c:
-        return coords
-    return tuple(x + c * v for x, v in zip(coords, u)) + coords[len(u) :]
+    Letters mostly draw on a few small coefficients, so sharing keeps a
+    map of pairs about as small as a dense tuple of its coordinates.
+    """
+    return (i, v)
 
 
 def act_rel(word: Word, x: RelVec) -> RelVec:
     """Apply the word to a relative class (rightmost letter first)."""
     if x.spec != word.spec:
         raise SpecMismatch("word and class live over different surfaces")
-    coords = x.coords
+    coords = list(x.coords)
     for letter in reversed(word.letters):
         u, phi = letter.rank_one
-        coords = _shift(coords, _dot(phi, coords), u)
+        c = 0
+        for i, v in phi:
+            c += v * coords[i]
+        if c:
+            for i, v in u:
+                coords[i] += c * v
     return RelVec(x.spec, coords)
 
 
@@ -211,17 +229,21 @@ def word_to_paut(word: Word) -> PAutElem:
 
     Folds the letters left to right into the rows P = [S | M]: right
     multiplication by I + u phi^T is P <- P + (P u) phi^T, and P u = S u
-    because u has no arc part.
+    because u has no arc part.  Each row reads u's slots and changes in
+    phi's slots only.
     """
     spec = word.spec
     k = spec.abs_rank
     rows = [[int(i == j) for j in range(spec.rel_rank)] for i in range(k)]
     for letter in word.letters:
         u, phi = letter.rank_one
-        for i, row in enumerate(rows):
-            c = _dot(row, u)
+        for row in rows:
+            c = 0
+            for i, v in u:
+                c += row[i] * v
             if c:
-                rows[i] = [x + c * p for x, p in zip(row, phi)]
+                for i, v in phi:
+                    row[i] += c * v
     return PAutElem._trusted(
         spec.g, spec.n, tuple(tuple(r[:k]) for r in rows), tuple(tuple(r[k:]) for r in rows)
     )
@@ -234,28 +256,42 @@ def word_to_paut(word: Word) -> PAutElem:
 def _transport(spec: SurfaceSpec, letters, curves: list, w2: list, sign: int) -> None:
     """Push curves and their doubled windings through letters, in place.
 
-    Each letter acts as itself (sign 1) or as its inverse (sign -1), on all
-    curves before the next letter: the inverse of a twist is (u, -phi) with
-    the same declared winding, that of a push (-u, phi).  Twist letters
-    update the winding by twist-linearity with the letter's declared
-    winding; point-push letters use the mod-2-pinned increment
-    kappa_i * <loop, class> (exact by the fixed convention).
+    Curves are coordinate lists.  Each letter acts as itself (sign 1) or
+    as its inverse (sign -1), on all curves before the next letter: the
+    inverse of a twist is (u, -phi) with the same declared winding, that of
+    a push (-u, phi).  Twist letters update the winding by twist-linearity
+    with the letter's declared winding; point-push letters use the
+    mod-2-pinned increment kappa_i * <loop, class> (exact by the fixed
+    convention), reading <u, x> from the partner slots i ^ 1 of u's support.
     """
-    k = spec.abs_rank
     for letter in letters:
         u, phi = letter.rank_one
         if isinstance(letter, Twist):
             d = 2 * letter.winding
             for j, x in enumerate(curves):
-                c = sign * _dot(phi, x)
+                c = 0
+                for i, v in phi:
+                    c += v * x[i]
                 if c:
+                    c *= sign
                     w2[j] += d * c
-                    curves[j] = _shift(x, c, u)
+                    for i, v in u:
+                        x[i] += c * v
         else:
             d = 2 * sign * spec.kappa[letter.point - 1]
             for j, x in enumerate(curves):
-                w2[j] += d * sympl(u, x[:k])
-                curves[j] = _shift(x, sign * _dot(phi, x), u)
+                if d:
+                    pairing = 0
+                    for i, v in u:
+                        pairing += -v * x[i ^ 1] if i & 1 else v * x[i ^ 1]
+                    w2[j] += d * pairing
+                c = 0
+                for i, v in phi:
+                    c += v * x[i]
+                if c:
+                    c *= sign
+                    for i, v in u:
+                        x[i] += c * v
 
 
 def track_curve(
@@ -268,7 +304,7 @@ def track_curve(
     """
     if start.spec != word.spec:
         raise SpecMismatch("word and curve live over different surfaces")
-    curves, w2 = [start.coords], [winding2]
+    curves, w2 = [list(start.coords)], [winding2]
     _transport(word.spec, reversed(word.letters), curves, w2, 1)
     return RelVec(word.spec, curves[0]), w2[0]
 
@@ -289,7 +325,7 @@ def act_framing(word: Word, f: Framing) -> Framing:
         )
     k = spec.abs_rank
     r = spec.rel_rank
-    curves = [tuple(int(i == j) for i in range(r)) for j in range(r if f.has_arc_data else k)]
+    curves = [[int(i == j) for i in range(r)] for j in range(r if f.has_arc_data else k)]
     w2 = [2 * w for pair in zip(f.wind_x, f.wind_y) for w in pair] + list(f.arc2 or ())
     _transport(spec, word.letters, curves, w2, -1)
     return Framing(

@@ -156,6 +156,9 @@ DATA = Path(__file__).parent / "data"
     (["factor-sp", "--paut", str(DATA / "paut_g3.json")], "paut_g3.factor-sp.out"),
     (["theta", "--paut", str(DATA / "paut_g3.json"), "--framing", str(DATA / "framing_g3.json")],
      "paut_g3.theta.out"),
+    (["act", "--framing", str(DATA / "framing_g3.json"),
+      "--word", "Tx1 Ty2^-1 Td2 T(x1+2y2-d2;w=-2)^2 Tx3^2 T(y1+x3;w=4) Ty3^-1"],
+     "framing_g3.act.out"),
 ])
 def test_recorded_output_bytes(capsys, argv, expected):
     code, out, _ = run_cli(capsys, *argv)

@@ -1,7 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
+from framedhom import mod2
 from framedhom.errors import NotPrimitive, PointPushOnArcs, SpecMismatch, WindingParityMismatch
 from framedhom.framing import Framing, arf, q_vector
 from framedhom.lattice import (
@@ -10,6 +12,7 @@ from framedhom.lattice import (
     arc_class,
     as_punct,
     as_rel,
+    boundary,
     point_loop,
     project_punct,
     rel_punct_pairing,
@@ -65,9 +68,65 @@ def test_cached_maps_stay_out_of_equality():
         assert a.rank_one == b.rank_one and a.mod2_image == b.mod2_image
         fresh = make()
         assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
-        assert "rank_one" not in repr(a)
-    assert tw(SPEC, x1).rank_one == ((1, 0, 0, 0), (0, -1, 0, 0, 0))
-    assert PointPush(1, x1).rank_one == ((1, 0, 0, 0), (0, 0, 0, 0, -1))
+        assert "_map" not in repr(a) and "_image" not in repr(a)
+    # dense (1, 0, 0, 0), (0, -1, 0, 0, 0) and (1, 0, 0, 0), (0, 0, 0, 0, -1)
+    assert tw(SPEC, x1).rank_one == (((0, 1),), ((1, -1),))
+    assert PointPush(1, x1).rank_one == (((0, 1),), ((4, -1),))
+
+
+def _dense_map(letter):
+    """(u, phi) of the letter as full coordinate tuples, from the definitions.
+
+    A twist about c with power k: u = c-bar, phi(x) = k <x, c> (the
+    intersection form on the symplectic block, <a_i, d_j> = delta_ij on
+    arcs against loops).  A push of p_i around u: phi(x) = the coefficient
+    of p_i in the boundary of x.
+    """
+    spec = letter.spec
+    r = spec.rel_rank
+    basis = [RelVec(spec, tuple(int(i == j) for i in range(r))) for j in range(r)]
+    if isinstance(letter, Twist):
+        u = project_punct(letter.curve).coords
+        phi = tuple(letter.power * rel_punct_pairing(e, letter.curve) for e in basis)
+    else:
+        u = letter.loop.coords
+        phi = tuple(boundary(e).coords[letter.point - 2] if letter.point >= 2
+                    else -sum(boundary(e).coords) for e in basis)
+    return u, phi
+
+
+def _densify(support, rank):
+    out = [0] * rank
+    for i, v in support:
+        assert v != 0 and out[i] == 0
+        out[i] = v
+    return tuple(out)
+
+
+def test_rank_one_supports_match_the_definitions():
+    rng = random.Random(83)
+    seen = set()
+    for _ in range(150):
+        spec = random_spec(rng, rng.choice([2, 3, 4]), rng.choice([1, 2, 3]))
+        f = random_framing(rng, spec)
+        letters = list(random_exotic_word(rng, spec, 6).letters)
+        letters += standard_alphabet(f).values()
+        letters += [PointPush(p, x_curve(spec, 1)) for p in range(1, spec.n + 1)]
+        for letter in letters:
+            u, phi = letter.rank_one
+            assert [i for i, _ in u] == sorted({i for i, _ in u})
+            assert [i for i, _ in phi] == sorted({i for i, _ in phi})
+            dense = _dense_map(letter)
+            assert dense == (_densify(u, spec.abs_rank), _densify(phi, spec.rel_rank))
+            assert letter.mod2_image == mod2.pack(dense[0])
+            if 0 in dense[0] + dense[1]:
+                seen.add("zero coefficient")
+            if isinstance(letter, Twist) and not u:
+                seen.add("empty u")
+            if isinstance(letter, PointPush) and letter.point == 1 and spec.n >= 3:
+                assert phi == tuple((i, -1) for i in range(spec.abs_rank, spec.rel_rank))
+                seen.add("push of p_1")
+    assert seen == {"zero coefficient", "empty u", "push of p_1"}
 
 
 def test_act_rel_examples():
@@ -355,3 +414,53 @@ def test_twist_winding_parity_is_checked_against_the_class():
             check_twist_winding(bad, f)
     with pytest.raises(SpecMismatch):
         check_twist_winding(Twist(as_punct(x_curve(SPEC1, 1)), 1, 0), f)
+
+
+def _word_cases(rng, count):
+    """Seeded (word, framing) pairs over g 2-4, n 1-3, cycling through word kinds.
+
+    Kinds: standard words with pushes, standard words without, exotic words;
+    framings alternate with and without arc data.  A framing with arc data
+    meets a pushing word only at n = 1, where pushes act on it.
+    """
+    for trial in range(count):
+        spec = random_spec(rng, 2 + trial % 3, 1 + (trial // 3) % 3)
+        f = random_framing(rng, spec, with_arcs=trial % 2 == 0)
+        length = rng.randint(0, 16)
+        kind = trial % 3
+        if kind == 2:
+            w = random_exotic_word(rng, spec, length)
+        else:
+            w = random_standard_word(rng, f, length, pushes=kind == 0)
+        if f.has_arc_data and spec.n >= 2 and w.has_pushes():
+            f = Framing(spec, f.wind_x, f.wind_y, None)
+        yield w, f
+
+
+def test_word_actions_are_pinned():
+    # sha256 of word_to_paut, act_rel on every relative basis vector,
+    # track_curve, act_framing and delta_word on 360 seeded words, recorded
+    # before the letters' maps became sparse supports: the results must not
+    # change
+    rng = random.Random(1717)
+    digest = hashlib.sha256()
+    for w, f in _word_cases(rng, 360):
+        spec = w.spec
+        r = spec.rel_rank
+        a = word_to_paut(w)
+        basis = [RelVec(spec, tuple(int(i == j) for i in range(r))) for j in range(r)]
+        start = RelVec(spec, tuple(rng.randint(-4, 4) for _ in range(r)))
+        w2 = 2 * rng.randint(-5, 5)
+        digest.update(
+            repr(
+                (
+                    a.S,
+                    a.M,
+                    [act_rel(w, x).coords for x in basis],
+                    track_curve(w, start, w2),
+                    act_framing(w, f),
+                    delta_word(w, f).packed,
+                )
+            ).encode()
+        )
+    assert digest.hexdigest() == "23d8bcf981578e741331b3da2c7a2bf644b7920db73ec1155fcae1f1f6fa4e85"
