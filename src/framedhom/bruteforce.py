@@ -11,7 +11,9 @@ them; the rest is packed-int arithmetic from mod2.  The closure and the
 edge walk take the products with the generators in blocks of about BLOCK,
 so memory stays bounded at g=3.  theta on the group is Johnson's closed
 form (theta_table); one edge walk (_holds_on_edges) certifies it and the
-q-defect qhat.
+q-defect qhat.  The kernel count (kernel_order_mod2 "enumerate") and the
+form census are the oracles of kernel.structure_report's regime formula;
+only verification code loads this module.
 """
 
 from __future__ import annotations
@@ -22,17 +24,11 @@ from typing import Any
 
 from . import mod2
 from .errors import GenusTooLarge, SpecMismatch, TooLarge
-from .framing import Framing, spin_form
+from .framing import Framing
+from .kernel import structure_report
+from .mod2 import sp2_order
 
 Mat = tuple[tuple[int, ...], ...]
-
-
-def sp2_order(g: int) -> int:
-    """Order of the symplectic group over Z/2: 2^(g^2) * prod(4^i - 1)."""
-    out = 1 << (g * g)
-    for i in range(1, g + 1):
-        out *= 4**i - 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +379,11 @@ def qform_census(g: int) -> QFormCensus:
     """Count quadratic refinements by Arf value and compute stabilizer orders.
 
     Stabilizers come from orbit-stabilizer against the closed-form group
-    order; the g=2 values are independently cross-checked against direct
-    counting over the enumerated group in the test suite.
+    order, each orbit found by search (_form_orbit): so the census checks
+    that the Arf value classifies the forms, which the regime formula of
+    kernel.structure_report assumes.  The g=2 values are independently
+    cross-checked against direct counting over the enumerated group in the
+    test suite.
     """
     if g > CENSUS_MAX_G:
         raise GenusTooLarge(f"census supports g <= {CENSUS_MAX_G}")
@@ -439,40 +438,30 @@ def verify_qhat_crossed(g: int = 2) -> bool:
 # kernel orders
 
 
-def kernel_order_mod2(f: Framing, method: str = "auto") -> int:
+def kernel_order_mod2(f: Framing, method: str) -> int:
     """Exact number of mod-2 pairs (S, M) in the kernel, for g <= 3, n <= 3.
 
     method "enumerate" counts the pairs with theta(S, M) = 0, i.e.
     S^T <M vbar, .> = theta(S) for the theta table of the framing: the M
     blocks are enumerated literally and binned by their value M vbar, then
     for each value met the condition is tested on every group element at
-    once, reading theta(S) for every S; there is no shortcut branch.
-    "structure" uses the regime decomposition: spin stabilizer times a free
-    M block when every kappa is even, full group times the M solution count
-    otherwise.  "auto" enumerates for g = 2 and uses the structure count for
-    g = 3.  Any other method raises ValueError before any work.
+    once, reading theta(S) for every S; there is no shortcut branch.  It is
+    the oracle for "structure", the regime formula of kernel.structure_report
+    (its mod2_kernel_order).  Any other method raises ValueError before any
+    work.
     """
-    if method not in ("auto", "enumerate", "structure"):
-        raise ValueError(f"unknown method {method!r}; choose from 'auto', 'enumerate', 'structure'")
+    if method not in ("enumerate", "structure"):
+        raise ValueError(f"unknown method {method!r}; choose from 'enumerate', 'structure'")
     spec = f.spec
     if spec.g > 3 or spec.n > 3:
         raise TooLarge("mod-2 kernel counting is sized for g <= 3, n <= 3")
-    if method == "auto":
-        method = "enumerate" if spec.g <= 2 else "structure"
-    even = all(k % 2 == 0 for k in spec.kappa)
+    if method == "structure":
+        return structure_report(f).mod2_kernel_order
+    import numpy as np
+
     g, n = spec.g, spec.n
     w = 2 * g
     mfree = 1 << (w * (n - 1))
-
-    if method == "structure":
-        if even:
-            stab = sp2_order(g) // len(_form_orbit(spin_form(f).packed, w))
-            return stab * mfree
-        # odd regime: every symplectic part admits exactly this many M blocks
-        return sp2_order(g) * (1 << (w * (n - 2)))
-
-    import numpy as np
-
     group = enumerate_sp2(g)
     thetas = theta_table(group, f)
     cols = _columns(group.keys, w)

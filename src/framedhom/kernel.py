@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from .errors import NoLiftExists, NotPrimitive, SpecMismatch
 from .framing import Framing, QForm, arf_of_form, spin_form, winding_parity
 from .lattice import AbsVec
+from .mod2 import sp2_order
 from .paut import PAutElem, transvection, zero_mat
 from .theta import theta
 
@@ -72,16 +73,23 @@ class StructureReport:
 
 
 def structure_report(f: Framing) -> StructureReport:
-    """Regime, invariants, and (for small surfaces) the exact mod-2 kernel order."""
-    spec = f.spec
-    even = all(k % 2 == 0 for k in spec.kappa)
-    order = None
-    if spec.g <= 3 and spec.n <= 3:
-        from . import bruteforce
+    """Regime, invariants, and (for g <= 3, n <= 3) the exact mod-2 kernel order.
 
-        order = bruteforce.kernel_order_mod2(f)
-    if even:
+    The order is the regime formula, with w = 2g.  Even regime: the spin
+    stabilizer, |Sp(2g, 2)| over the 2^(g-1) (2^g + (-1)^Arf) forms of the
+    spin form's Arf value (Sp(2g, 2) is transitive on them), times all
+    2^(w(n-1)) mod-2 M blocks.  Odd regime: every S, each with the
+    2^(w(n-2)) M blocks that solve S^T <M vbar, .> = theta(S).
+    bruteforce.kernel_order_mod2(f, "enumerate") counts the pairs one by one.
+    """
+    spec = f.spec
+    g, n, w = spec.g, spec.n, spec.abs_rank
+    counted = g <= 3 and n <= 3
+    if all(k % 2 == 0 for k in spec.kappa):
         q = spin_form(f)
-        return StructureReport("even", q=q, arf=arf_of_form(q), mod2_kernel_order=order)
-    v_bar = tuple(k & 1 for k in spec.kappa[1:])
-    return StructureReport("odd", v_bar=v_bar, mod2_kernel_order=order)
+        arf = arf_of_form(q)
+        forms = (1 << (g - 1)) * ((1 << g) + (-1) ** arf)
+        order = (sp2_order(g) // forms) << (w * (n - 1)) if counted else None
+        return StructureReport("even", q=q, arf=arf, mod2_kernel_order=order)
+    order = sp2_order(g) << (w * (n - 2)) if counted else None
+    return StructureReport("odd", v_bar=tuple(k & 1 for k in spec.kappa[1:]), mod2_kernel_order=order)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
+from typing import ClassVar, Sequence
 
 from . import mod2
 from .errors import DimensionMismatch, InvalidSurface, SpecMismatch
@@ -61,24 +61,24 @@ class SurfaceSpec:
         return -1 - self.kappa[i - 1]
 
 
-def _as_coords(values: Iterable[int]) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
+@dataclass(frozen=True, slots=True)
+class _Vec:
+    """Exact integer vector over a surface; a subclass names its rank (a SurfaceSpec property) in _rank."""
 
-
-class _VecOps:
-    """Shared exact-integer vector arithmetic; subclasses fix the expected rank."""
-
+    _rank: ClassVar[str]
     spec: SurfaceSpec
     coords: tuple[int, ...]
 
-    def _check_len(self, rank: int) -> None:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coords", tuple(int(v) for v in self.coords))
+        rank = getattr(self.spec, self._rank)
         if len(self.coords) != rank:
             raise DimensionMismatch(
                 f"{type(self).__name__} over g={self.spec.g}, n={self.spec.n} "
                 f"needs {rank} coordinates, got {len(self.coords)}"
             )
 
-    def _same_spec(self, other: "_VecOps") -> None:
+    def _same_spec(self, other: "_Vec") -> None:
         if self.spec != other.spec:
             raise SpecMismatch("vectors live over different surfaces")
 
@@ -104,52 +104,32 @@ class _VecOps:
         return gcd(*self.coords) == 1 if any(self.coords) else False
 
 
-@dataclass(frozen=True)
-class AbsVec(_VecOps):
+class AbsVec(_Vec):
     """Class in the absolute first homology of the closed surface."""
 
-    spec: SurfaceSpec
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", _as_coords(self.coords))
-        self._check_len(self.spec.abs_rank)
+    __slots__ = ()
+    _rank = "abs_rank"
 
 
-@dataclass(frozen=True)
-class RelVec(_VecOps):
+class RelVec(_Vec):
     """Class in the homology of the surface relative to its marked points."""
 
-    spec: SurfaceSpec
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", _as_coords(self.coords))
-        self._check_len(self.spec.rel_rank)
+    __slots__ = ()
+    _rank = "rel_rank"
 
 
-@dataclass(frozen=True)
-class PunctVec(_VecOps):
+class PunctVec(_Vec):
     """Class in the first homology of the surface minus its marked points."""
 
-    spec: SurfaceSpec
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", _as_coords(self.coords))
-        self._check_len(self.spec.rel_rank)
+    __slots__ = ()
+    _rank = "rel_rank"
 
 
-@dataclass(frozen=True)
-class ZeroChain(_VecOps):
+class ZeroChain(_Vec):
     """Reduced zero-homology of the marked point set, basis e_i = [p_i] - [p_1]."""
 
-    spec: SurfaceSpec
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", _as_coords(self.coords))
-        self._check_len(self.spec.zero_rank)
+    __slots__ = ()
+    _rank = "zero_rank"
 
 
 # ---------------------------------------------------------------------------

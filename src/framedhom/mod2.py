@@ -62,6 +62,14 @@ def arf(q: int, w: int) -> int:
     return (q & (q >> 1) & _x_bits(w)).bit_count() & 1
 
 
+def sp2_order(g: int) -> int:
+    """Order of the symplectic group Sp(2g, Z/2): 2^(g^2) * prod(4^i - 1)."""
+    out = 1 << (g * g)
+    for i in range(1, g + 1):
+        out *= 4**i - 1
+    return out
+
+
 def columns(mat: Sequence[Sequence[int]]) -> list[int]:
     """Packed columns of an integer matrix given by rows, reduced mod 2.
 

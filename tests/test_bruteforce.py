@@ -7,6 +7,7 @@ from framedhom import bruteforce as bf
 from framedhom import mod2
 from framedhom.errors import GenusTooLarge, TooLarge
 from framedhom.framing import Framing
+from framedhom.kernel import structure_report
 from framedhom.lattice import SurfaceSpec, sympl
 from framedhom.paut import PAutElem, mat_mul, zero_mat
 from framedhom.sampling import random_framing, random_paut, random_spec
@@ -445,6 +446,27 @@ def test_kernel_orders_two_ways():
     for f, expected in cases:
         assert bf.kernel_order_mod2(f, "enumerate") == expected
         assert bf.kernel_order_mod2(f, "structure") == expected
+    # every g=2 form as the framing's q_phi, at n = 1, 2, 3 in each regime that exists there
+    seen = set()
+    for kappa in [(2,), (2, 0), (1, 1), (2, 0, 0), (1, 2, -1)]:
+        spec = SurfaceSpec(2, kappa)
+        for bits in range(16):
+            winds = [1 - ((bits >> j) & 1) for j in range(4)]
+            f = Framing(spec, winds[0::2], winds[1::2], (-1,) * (spec.n - 1))
+            assert f.qphi == bits
+            assert bf.kernel_order_mod2(f, "enumerate") == bf.kernel_order_mod2(f, "structure")
+            seen.add((spec.n, kappa[0] % 2, mod2.arf(bits, 4)))
+    assert seen == {(n, odd, a) for n in (1, 2, 3) for odd in (0, 1) for a in (0, 1)} - {(1, 1, 0), (1, 1, 1)}
+
+
+def test_regime_formula_counts_the_form_orbits():
+    # the even-regime order is |Sp(2g, 2)| / #forms of the Arf value: Sp(2g, 2) is transitive on them
+    for g in (2, 3):
+        w = 2 * g
+        for bits in range(1 << w):
+            winds = [1 - ((bits >> j) & 1) for j in range(w)]
+            f = Framing(SurfaceSpec(g, (2 * g - 2,)), winds[0::2], winds[1::2])
+            assert structure_report(f).mod2_kernel_order == bf.sp2_order(g) // len(bf._form_orbit(bits, w))
 
 
 @pytest.mark.parametrize("f, flip", [
@@ -465,15 +487,17 @@ def test_kernel_order_rejects_an_unknown_method(monkeypatch, g, kappa):
         raise AssertionError("the closure ran before the method was checked")
 
     monkeypatch.setattr(bf, "enumerate_sp2", no_closure)
-    with pytest.raises(ValueError, match="'auto', 'enumerate', 'structure'"):
-        bf.kernel_order_mod2(Framing.zeros(SurfaceSpec(g, kappa)), "structur")
+    for method in ("structur", "auto"):
+        with pytest.raises(ValueError, match=r"unknown method .*; choose from 'enumerate', 'structure'$"):
+            bf.kernel_order_mod2(Framing.zeros(SurfaceSpec(g, kappa)), method)
 
 
 def test_kernel_order_guard():
-    with pytest.raises(TooLarge):
-        bf.kernel_order_mod2(Framing.zeros(SurfaceSpec(4, (6,))))
-    with pytest.raises(TooLarge):
-        bf.kernel_order_mod2(Framing.zeros(SurfaceSpec(2, (1, 1, 0, 0))))
+    for method in ("enumerate", "structure"):
+        with pytest.raises(TooLarge):
+            bf.kernel_order_mod2(Framing.zeros(SurfaceSpec(4, (6,))), method)
+        with pytest.raises(TooLarge):
+            bf.kernel_order_mod2(Framing.zeros(SurfaceSpec(2, (1, 1, 0, 0))), method)
 
 
 def test_theta_depends_only_on_mod2_data():

@@ -159,10 +159,21 @@ DATA = Path(__file__).parent / "data"
     (["act", "--framing", str(DATA / "framing_g3.json"),
       "--word", "Tx1 Ty2^-1 Td2 T(x1+2y2-d2;w=-2)^2 Tx3^2 T(y1+x3;w=4) Ty3^-1"],
      "framing_g3.act.out"),
+    # the mod-2 kernel order at g=2 and g=3, in both regimes
+    (["stratum", "1,1"], "stratum_1_1.out"),
+    (["stratum", "2"], "stratum_2.out"),
+    (["stratum", "2,2"], "stratum_2_2.out"),
+    (["stratum", "1,1,2"], "stratum_1_1_2.out"),
 ])
 def test_recorded_output_bytes(capsys, argv, expected):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out == (DATA / expected).read_text()
+
+
+def test_match_over_the_move_cap_exit2(capsys):
+    # a winding gap of 2 * 10^9 on x1: 10^9 connect-sums, refused before any is built
+    code, out, err = run_cli(capsys, "match", str(DATA / "framing_g3.json"), str(DATA / "framing_g3.far.json"))
+    assert code == 2 and out == "" and "1000000000 moves, above the supported maximum" in err
 
 
 @pytest.mark.parametrize("paut, reason", [
@@ -429,13 +440,11 @@ def test_arf_command_loads_only_its_layers(f2):
     assert _loaded_after(code, layers) == []
 
 
-def test_even_genus3_stratum_leaves_numpy_unloaded():
-    # the g=3 kernel order comes from the census's form orbit, which is pure Python
-    code = "import sys, framedhom.cli as c; c.main(['stratum', '2,2']); print('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    *report, loaded = proc.stdout.strip().splitlines()
-    assert proc.returncode == 0 and loaded == "False"
-    assert json.loads("\n".join(report))["report"]["mod2_kernel_order"] > 0
+def test_stratum_leaves_numpy_and_bruteforce_unloaded():
+    # the mod-2 kernel order is the regime formula in kernel.py, at g=2 as at g=3
+    for partition in ("1,1", "2,2"):
+        code = f"import framedhom.cli as c; assert c.main(['stratum', {partition!r}]) == 0"
+        assert _loaded_after(code, ["numpy", "framedhom.bruteforce"]) == []
 
 
 def test_console_entry_point():

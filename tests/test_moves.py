@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from framedhom.errors import ArfMismatch, MissingArcData, MoveError, QVectorMismatch, SpecMismatch
+from framedhom.errors import ArfMismatch, MissingArcData, MoveError, QVectorMismatch, SpecMismatch, TooLarge
 from framedhom.framing import Framing, arf, q_vector
 from framedhom.lattice import SurfaceSpec
-from framedhom.moves import ArcParityTwist, BoundaryTwist, ConnectSum, apply_move, match_framings
+from framedhom.moves import MAX_MOVES, ArcParityTwist, BoundaryTwist, ConnectSum, apply_move, match_framings
 from framedhom.sampling import random_framing, random_spec
 from framedhom.verify import _random_move
 
@@ -87,6 +87,27 @@ def test_match_arf_mismatch():
     assert q_vector(f) == q_vector(h) and arf(f) != arf(h)
     with pytest.raises(ArfMismatch):
         match_framings(f, h)
+
+
+def test_match_refuses_a_sequence_above_the_cap_before_building_it():
+    spec = SurfaceSpec(2, (1, 1))
+    far = Framing(spec, (2 * 10**9, 0), (0, 0), (-1,))
+    with pytest.raises(TooLarge, match="1000000000 moves"):
+        match_framings(Framing.zeros(spec), far)
+
+
+def test_match_returns_a_sequence_of_exactly_the_cap():
+    # curve connect-sums, one boundary-twist repair and arc connect-sums, MAX_MOVES in all
+    spec = SurfaceSpec(2, (2, 0))
+    f = Framing.zeros(spec)
+    arcs = 1000
+    curves = MAX_MOVES - 1 - arcs
+    h = Framing(spec, (2 * curves, 0), (0, 0), (-1 - 2 + 4 * arcs,))
+    moves = match_framings(f, h)
+    assert len(moves) == MAX_MOVES
+    assert moves[curves] == BoundaryTwist(2) and moves[-1] == ConnectSum("a", 2, 1, 1)
+    with pytest.raises(TooLarge):
+        match_framings(f, Framing(spec, (2 * curves + 2, 0), (0, 0), h.arc2))
 
 
 def test_match_spec_mismatch():
