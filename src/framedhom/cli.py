@@ -100,16 +100,20 @@ def framing_to_dict(f: Framing) -> dict[str, Any]:
     return out
 
 
-def framing_from_dict(data: Any) -> Framing:
+def _keys(data: Any, what: str, required: tuple[str, ...], optional: str) -> None:
+    """Refuse anything but one JSON object with all required and no unknown keys."""
     if not isinstance(data, dict):
-        raise FileFormatError("framing file must hold one JSON object")
-    allowed = {"g", "kappa", "wind_x", "wind_y", "arc2"}
-    unknown = set(data) - allowed
+        raise FileFormatError(f"{what} file must hold one JSON object")
+    unknown = set(data) - {*required, optional}
     if unknown:
-        raise FileFormatError(f"unknown framing keys: {sorted(unknown)}")
-    for key in ("g", "kappa", "wind_x", "wind_y"):
+        raise FileFormatError(f"unknown {what} keys: {sorted(unknown)}")
+    for key in required:
         if key not in data:
-            raise FileFormatError(f"framing file is missing {key!r}")
+            raise FileFormatError(f"{what} file is missing {key!r}")
+
+
+def framing_from_dict(data: Any) -> Framing:
+    _keys(data, "framing", ("g", "kappa", "wind_x", "wind_y"), "arc2")
     g = _capped(_int(data["g"], "g"), "g")
     kappa = _ints(data["kappa"], "kappa")
     _capped(len(kappa), "n")
@@ -130,15 +134,7 @@ def paut_to_dict(a: PAutElem) -> dict[str, Any]:
 def paut_from_dict(data: Any) -> PAutElem:
     from .paut import PAutElem
 
-    if not isinstance(data, dict):
-        raise FileFormatError("automorphism file must hold one JSON object")
-    allowed = {"g", "n", "S", "M"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise FileFormatError(f"unknown automorphism keys: {sorted(unknown)}")
-    for key in ("g", "n", "S"):
-        if key not in data:
-            raise FileFormatError(f"automorphism file is missing {key!r}")
+    _keys(data, "automorphism", ("g", "n", "S"), "M")
     g, n = _capped(_int(data["g"], "g"), "g"), _capped(_int(data["n"], "n"), "n")
     s = _int_rows(data["S"], "S")
     m = _int_rows(data.get("M", []), "M")

@@ -66,11 +66,18 @@ class Framing:
 
     def curve_windings(self) -> tuple[int, ...]:
         """Windings on the absolute basis in order x_1, y_1, ..., x_g, y_g."""
-        out = []
-        for wx, wy in zip(self.wind_x, self.wind_y):
-            out.append(wx)
-            out.append(wy)
-        return tuple(out)
+        return tuple([w for pair in zip(self.wind_x, self.wind_y) for w in pair])
+
+    def doubled(self) -> tuple[int, ...]:
+        """Doubled windings x_1, y_1, ..., x_g, y_g, then arc2 when present."""
+        return tuple([2 * w for w in self.curve_windings()]) + (self.arc2 or ())
+
+    @classmethod
+    def from_doubled(cls, spec: SurfaceSpec, w2: Sequence[int]) -> "Framing":
+        """Framing with doubled() == w2; no arc tail means no arc data."""
+        k = spec.abs_rank
+        halves = [v // 2 for v in w2[:k]]
+        return cls(spec, halves[0::2], halves[1::2], tuple(w2[k:]) or None)
 
     @property
     def qphi(self) -> int:

@@ -323,17 +323,10 @@ def act_framing(word: Word, f: Framing) -> Framing:
         raise PointPushOnArcs(
             "point-push letters do not act on framings carrying arc data"
         )
-    k = spec.abs_rank
-    r = spec.rel_rank
-    curves = [[int(i == j) for i in range(r)] for j in range(r if f.has_arc_data else k)]
-    w2 = [2 * w for pair in zip(f.wind_x, f.wind_y) for w in pair] + list(f.arc2 or ())
+    w2 = list(f.doubled())
+    curves = [[int(i == j) for i in range(spec.rel_rank)] for j in range(len(w2))]
     _transport(spec, word.letters, curves, w2, -1)
-    return Framing(
-        spec,
-        tuple(v // 2 for v in w2[0:k:2]),
-        tuple(v // 2 for v in w2[1:k:2]),
-        tuple(w2[k:]) if f.has_arc_data else None,
-    )
+    return Framing.from_doubled(spec, w2)
 
 
 # ---------------------------------------------------------------------------

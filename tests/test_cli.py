@@ -164,6 +164,10 @@ DATA = Path(__file__).parent / "data"
     (["stratum", "2"], "stratum_2.out"),
     (["stratum", "2,2"], "stratum_2_2.out"),
     (["stratum", "1,1,2"], "stratum_1_1_2.out"),
+    # curve and arc connect-sums; then a certificate holding a boundary-twist repair
+    (["match", str(DATA / "framing_g3.json"), str(DATA / "framing_g3.near.json")], "framing_g3.match.out"),
+    (["match", str(DATA / "framing_g2_20.json"), str(DATA / "framing_g2_20.target.json")],
+     "framing_g2_20.match.out"),
 ])
 def test_recorded_output_bytes(capsys, argv, expected):
     code, out, _ = run_cli(capsys, *argv)
@@ -247,6 +251,23 @@ def test_loaders_name_values_that_do_not_print_as_json(loader, data):
     # json.load makes no such value; a Python caller can pass one
     with pytest.raises(FileFormatError):
         loader(data)
+
+
+@pytest.mark.parametrize(
+    "loader, data, message",
+    [
+        (cli.framing_from_dict, [], "framing file must hold one JSON object"),
+        (cli.paut_from_dict, None, "automorphism file must hold one JSON object"),
+        (cli.framing_from_dict, {"zz": 1, "M": 2, "arc2": [1]}, "unknown framing keys: ['M', 'zz']"),
+        (cli.paut_from_dict, {"arc2": 1, "M": []}, "unknown automorphism keys: ['arc2']"),
+        (cli.framing_from_dict, {"g": 2, "kappa": [2], "wind_y": [0, 0]}, "framing file is missing 'wind_x'"),
+        (cli.paut_from_dict, {"g": 2, "S": []}, "automorphism file is missing 'n'"),
+    ],
+)
+def test_loaders_name_the_shape_fault(loader, data, message):
+    with pytest.raises(FileFormatError) as exc:
+        loader(data)
+    assert str(exc.value) == message
 
 
 def test_loaders_take_the_longest_printable_integer():

@@ -1,13 +1,28 @@
+import hashlib
 import random
+import re
 
 import pytest
 
-from framedhom.errors import ArfMismatch, MissingArcData, MoveError, QVectorMismatch, SpecMismatch, TooLarge
+from framedhom import moves as moves_module
+from framedhom.errors import (
+    ArfMismatch,
+    FramedHomError,
+    MissingArcData,
+    MoveError,
+    QVectorMismatch,
+    SpecMismatch,
+    TooLarge,
+)
 from framedhom.framing import Framing, arf, q_vector
 from framedhom.lattice import SurfaceSpec
 from framedhom.moves import MAX_MOVES, ArcParityTwist, BoundaryTwist, ConnectSum, apply_move, match_framings
 from framedhom.sampling import random_framing, random_spec
 from framedhom.verify import _random_move
+
+
+def _exactly(message):
+    return f"^{re.escape(message)}$"
 
 
 def test_connect_sum_examples():
@@ -19,9 +34,9 @@ def test_connect_sum_examples():
     assert g2.wind_x == (4, 0)  # phi(b) -> phi(b) + 2 each time
     a = apply_move(f, ConnectSum("a", 2, 1, -1))
     assert a.arc2 == (-5,)  # arc winding moved by -2, stored doubled
-    with pytest.raises(MoveError):
+    with pytest.raises(MoveError, match=_exactly("connect-sum helper must be a different handle")):
         apply_move(f, ConnectSum("x", 1, 1, 1))
-    with pytest.raises(MoveError):
+    with pytest.raises(MoveError, match=_exactly("unknown connect-sum target kind 'z'")):
         apply_move(f, ConnectSum("z", 1, 2, 1))
 
 
@@ -30,7 +45,7 @@ def test_boundary_twist_example():
     f = Framing.zeros(spec)
     g = apply_move(f, BoundaryTwist(2))  # kappa_2 = 0, phi(Delta_2) = -1
     assert g.arc2 == (f.arc2[0] - 2,)
-    with pytest.raises(MoveError):
+    with pytest.raises(MoveError, match=_exactly("boundary twist needs an even kappa entry (odd signature)")):
         apply_move(Framing.zeros(SurfaceSpec(2, (1, 1))), BoundaryTwist(2))
 
 
@@ -40,19 +55,19 @@ def test_arc_parity_twist_example():
     g = apply_move(f, ArcParityTwist(2, 3))
     # w_d = kappa_2 + kappa_3 + 1 = 3, both arcs shift by 6
     assert g.arc2 == (f.arc2[0] + 6, f.arc2[1] + 6)
-    with pytest.raises(MoveError):
-        apply_move(f, ArcParityTwist(2, 4))  # arc 4 out of range
-    with pytest.raises(MoveError):
+    with pytest.raises(MoveError, match=_exactly("arc index 4 out of range 2..3")):
+        apply_move(f, ArcParityTwist(2, 4))
+    with pytest.raises(MoveError, match=_exactly("pants twist needs both kappa entries odd")):
         # kappa_2 even: the pants hypothesis fails
         apply_move(Framing.zeros(SurfaceSpec(3, (1, 2, 1))), ArcParityTwist(2, 3))
-    with pytest.raises(MoveError):
+    with pytest.raises(MoveError, match=_exactly("pants twist needs two distinct arcs")):
         ArcParityTwist(2, 2)
 
 
 def test_moves_need_arc_data():
     spec = SurfaceSpec(2, (1, 1))
     f = Framing(spec, (0, 0), (0, 0), None)
-    with pytest.raises(MissingArcData):
+    with pytest.raises(MissingArcData, match=_exactly("move touches arc windings but the framing has none")):
         apply_move(f, ConnectSum("a", 2, 1, 1))
 
 
@@ -110,6 +125,24 @@ def test_match_returns_a_sequence_of_exactly_the_cap():
         match_framings(f, Framing(spec, (2 * curves + 2, 0), (0, 0), h.arc2))
 
 
+def test_match_certificate_catches_a_wrong_slot_map(monkeypatch):
+    # match_framings writes each connect-sum from its slot and certifies the
+    # list through _shifts, the reverse map: an x connect-sum that _shifts
+    # lands on the y slot must make the certificate fail
+    shifts = moves_module._shifts
+
+    def x_on_y(f, m):
+        out = shifts(f, m)
+        if isinstance(m, ConnectSum) and m.kind == "x":
+            return tuple((slot + 1, change) for slot, change in out)
+        return out
+
+    monkeypatch.setattr(moves_module, "_shifts", x_on_y)
+    spec = SurfaceSpec(2, (1, 1))
+    with pytest.raises(AssertionError, match="did not reach the target framing"):
+        match_framings(Framing.zeros(spec), Framing(spec, (2, 0), (0, 0), (-1,)))
+
+
 def test_match_spec_mismatch():
     with pytest.raises(SpecMismatch):
         match_framings(Framing.zeros(SurfaceSpec(2, (1, 1))), Framing.zeros(SurfaceSpec(2, (2, 0))))
@@ -135,3 +168,42 @@ def test_match_roundtrip_random():
             gap += sum(abs(a - b) // 2 for a, b in zip(f.arc2, h.arc2))
         allowance = 2 * spec.n + sum(abs(k) + 1 for k in spec.kappa)
         assert len(moves) <= gap // 2 + allowance
+
+
+def _any_move(rng, spec):
+    """A move drawn without regard to its legality on spec."""
+    kind = rng.choice(["cs", "apt", "bt"])
+    if kind == "cs":
+        kind, index, helper = rng.choice("xya"), rng.randint(0, spec.g + 1), rng.randint(0, spec.g + 1)
+        return ConnectSum(kind, index, helper, rng.choice([1, -1]))
+    if kind == "apt":
+        j1, j2 = rng.sample(range(1, spec.n + 2), 2)
+        return ArcParityTwist(j1, j2)
+    return BoundaryTwist(rng.randint(1, spec.n + 1))
+
+
+def test_moves_are_pinned():
+    # sha256 of apply_move on random legal moves and on moves drawn without
+    # regard to legality (the result, or the error class and message), and of
+    # match_framings on the pairs so made, over 600 seeded framings; recorded
+    # before moves became fixed shifts of the doubled winding vector
+    rng = random.Random(1919)
+    digest = hashlib.sha256()
+    for _ in range(600):
+        spec = random_spec(rng, rng.choice([2, 3, 4]), rng.choice([1, 2, 3, 4]))
+        f = random_framing(rng, spec, with_arcs=rng.random() < 0.9)
+        outcomes = []
+        for _ in range(3):
+            try:
+                outcomes.append(apply_move(f, _any_move(rng, spec)))
+            except FramedHomError as exc:
+                outcomes.append((type(exc).__name__, str(exc)))
+        if not f.has_arc_data:
+            digest.update(repr(outcomes).encode())
+            continue
+        h = f
+        for _ in range(rng.randint(0, 8)):
+            h = apply_move(h, _random_move(rng, h))
+            outcomes.append(h)
+        digest.update(repr((outcomes, match_framings(f, h))).encode())
+    assert digest.hexdigest() == "a8b2142669dcb6bc3f3744851295c4ba20f33efbb7d62c5fc545a390e952a240"
