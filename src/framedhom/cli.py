@@ -11,6 +11,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import fields
 from typing import TYPE_CHECKING, Any
 
 # each command imports the layers it needs, so a cold call loads only those
@@ -222,10 +223,10 @@ def parse_word(text: str, f: Framing) -> Word:
     takes an optional ^<power>.  An explicit twist's winding must have the
     parity that the framing gives its class (check_twist_winding).
     """
-    from .words import PointPush, Twist, Word, check_twist_winding, standard_alphabet
+    from .words import PointPush, Twist, Word, check_twist_winding, standard_twists
 
     spec = f.spec
-    alphabet = standard_alphabet(f)
+    alphabet = {name: (curve, winding) for name, curve, winding in standard_twists(f)}
     letters = []
     for token in text.split():
         m = _SHORT_RE.match(token)
@@ -233,11 +234,11 @@ def parse_word(text: str, f: Framing) -> Word:
             name = f"T{m.group(1)}{m.group(2)}"
             if name not in alphabet:
                 raise WordSyntaxError(f"unknown alphabet letter {name}")
-            base = alphabet[name]
+            curve, winding = alphabet[name]
             power = _word_int(m.group(3)) if m.group(3) else 1
             if power == 0:
                 raise WordSyntaxError("twist power must be nonzero")
-            letters.append(Twist(base.curve, power, base.winding))
+            letters.append(Twist(curve, power, winding))
             continue
         m = _TWIST_RE.match(token)
         if m:
@@ -276,16 +277,8 @@ def report_to_dict(report: StructureReport) -> dict[str, Any]:
 
 
 def move_to_dict(m) -> dict[str, Any]:
-    from .moves import ArcParityTwist, BoundaryTwist, ConnectSum
-
-    if isinstance(m, ConnectSum):
-        return {"move": "connect-sum", "kind": m.kind, "index": m.index,
-                "helper": m.helper, "sign": m.sign}
-    if isinstance(m, ArcParityTwist):
-        return {"move": "arc-parity-twist", "j1": m.j1, "j2": m.j2}
-    if isinstance(m, BoundaryTwist):
-        return {"move": "boundary-twist", "j": m.j}
-    raise FramedHomError(f"unknown move {m!r}")
+    """The move's name, then its fields in declaration order."""
+    return {"move": m.name, **{fld.name: getattr(m, fld.name) for fld in fields(m)}}
 
 
 def _emit(obj: Any) -> None:

@@ -11,7 +11,7 @@ flipping their half-integer parity classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 from .errors import (
     ArfMismatch,
@@ -32,6 +32,7 @@ class ConnectSum:
     is the handle the connect-sum travels through.
     """
 
+    name: ClassVar[str] = "connect-sum"
     kind: str
     index: int
     helper: int
@@ -48,6 +49,7 @@ class ConnectSum:
 class ArcParityTwist:
     """Pants twist flipping the parity classes of two odd-kappa arcs."""
 
+    name: ClassVar[str] = "arc-parity-twist"
     j1: int
     j2: int
 
@@ -60,6 +62,7 @@ class ArcParityTwist:
 class BoundaryTwist:
     """Twist about one puncture loop, flipping that arc's parity class."""
 
+    name: ClassVar[str] = "boundary-twist"
     j: int
 
 

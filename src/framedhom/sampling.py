@@ -8,7 +8,7 @@ from random import Random
 from .framing import Framing, winding_parity
 from .lattice import AbsVec, PunctVec, SurfaceSpec, as_punct, x_curve, y_curve
 from .paut import Mat, PAutElem, factor_sp
-from .words import PointPush, Twist, Word, standard_alphabet, word_to_paut
+from .words import PointPush, Twist, Word, standard_twists, word_to_paut
 
 
 def random_kappa(rng: Random, g: int, n: int, even_only: bool = False) -> tuple[int, ...]:
@@ -78,14 +78,14 @@ def random_standard_word(
 ) -> Word:
     """Word in the standard alphabet of f (basis and puncture twists, pushes)."""
     spec = f.spec
-    letters = list(standard_alphabet(f).values())
+    twists = standard_twists(f)
     out = []
     for _ in range(length):
-        if pushes and spec.n >= 1 and rng.random() < 0.25:
+        if pushes and rng.random() < 0.25:
             out.append(PointPush(rng.randint(1, spec.n), random_primitive_abs(rng, spec)))
         else:
-            base = rng.choice(letters)
-            out.append(Twist(base.curve, rng.choice([-2, -1, 1, 2]), base.winding))
+            _, curve, winding = rng.choice(twists)
+            out.append(Twist(curve, rng.choice([-2, -1, 1, 2]), winding))
     return Word(spec, tuple(out))
 
 

@@ -35,7 +35,7 @@ from .sampling import (
     refactored_word,
 )
 from .theta import q_hat, theta, v_kappa_star
-from .words import Twist, Word, act_framing, delta_word, standard_alphabet, track_curve, word_to_paut
+from .words import Twist, Word, act_framing, delta_word, standard_twists, track_curve, word_to_paut
 
 
 @dataclass
@@ -345,14 +345,10 @@ def suite_parity(g: int | None = None, trials: int = 500, seed: int = 0) -> Suit
 
     def trial(rng: Random, f: Framing) -> dict:
         spec = f.spec
-        alphabet = [
-            letter
-            for name, letter in standard_alphabet(f).items()
-            if name.startswith(("Tx", "Ty"))
-        ]
+        basis = standard_twists(f)[: spec.abs_rank]
         letters = tuple(
-            Twist(l.curve, rng.choice([-2, -1, 1, 2]), l.winding)
-            for l in (rng.choice(alphabet) for _ in range(rng.randint(1, 8)))
+            Twist(curve, rng.choice([-2, -1, 1, 2]), winding)
+            for _, curve, winding in (rng.choice(basis) for _ in range(rng.randint(1, 8)))
         )
         w = Word(spec, letters)
         i = rng.randint(1, spec.g)

@@ -7,19 +7,15 @@ simple representative; point-push letters carry the pushed point and the
 primitive absolute class of the pushing loop.
 
 On relative homology every letter is a rank-one unipotent map
-x -> x + phi(x) u, with u an absolute class and phi a functional on relative
-coordinates: a twist about c with power k has u = c-bar (c with its loop part
-dropped) and phi = k <., c>; a push of point p_i has u = the loop and phi =
-the coefficient of p_i in the boundary.  `_letter_map` is the one place that
-builds this pair, as two sparse supports: u as ((i, u_i), ...) over its
-nonzero absolute slots and phi as ((i, phi_i), ...) over its nonzero
-relative slots.  A basis twist has one slot in each, a puncture twist none
-in u, a push one arc slot in phi (every arc slot for p_1).  Each letter
-keeps its pair in `rank_one`, and the packed mod-2 image of u in
-`mod2_image`, both built on first use.  `act_rel`, `track_curve`,
-`act_framing` and `word_to_paut` read only these supports and update
-coordinate lists in place (c = phi(x), then x_i += c u_i); `delta_word`
-reads `mod2_image`.
+x -> x + phi(x) u, u an absolute class and phi a functional on relative
+coordinates; it changes a curve's doubled winding by a phi(x) + omega(x),
+the paper's change of winding numbers.  `_letter_map` builds these four,
+with u, phi and omega as sparse supports ((i, value), ...), and is the
+only code that tells a twist from a push for the actions.  Each letter
+keeps them in `rank_one` and their reduction mod 2 in `packed`, both built
+on first use.  `act_rel` and `word_to_paut` read (u, phi), `track_curve`
+and `act_framing` all four through `_transport`, each updating coordinate
+lists in place (c = phi(x), then x_i += c u_i); `delta_word` reads `packed`.
 """
 
 from __future__ import annotations
@@ -52,24 +48,23 @@ from .paut import PAutElem
 
 
 Support = tuple[tuple[int, int], ...]
+LetterMap = tuple[Support, Support, int, Support]
 
 
 @dataclass(frozen=True, slots=True)
 class _Letter:
-    """What every letter keeps: its map and u mod 2, each built on first use.
+    """What every letter keeps: its map and that map mod 2, each built on first use.
 
     Both caches are slots kept out of comparison and repr, so they take no
     part in equality, hashing or repr; slots leave a letter no instance dict.
     """
 
-    _map: tuple[Support, Support] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _image: int | None = field(default=None, init=False, repr=False, compare=False)
+    _map: LetterMap | None = field(default=None, init=False, repr=False, compare=False)
+    _packed: tuple[int, int, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
-    def rank_one(self) -> tuple[Support, Support]:
-        """The supports of (u, phi); see `_letter_map`."""
+    def rank_one(self) -> LetterMap:
+        """The supports of (u, phi) and the winding change (a, omega); see `_letter_map`."""
         m = self._map
         if m is None:
             m = _letter_map(self)
@@ -77,12 +72,15 @@ class _Letter:
         return m
 
     @property
-    def mod2_image(self) -> int:
-        """u mod 2, packed: bit i for each odd u_i."""
-        m = self._image
+    def packed(self) -> tuple[int, int, int]:
+        """u, phi and (a phi + omega) / 2 mod 2 on the absolute slots, packed."""
+        m = self._packed
         if m is None:
-            m = sum(1 << i for i, v in self.rank_one[0] if v & 1)
-            object.__setattr__(self, "_image", m)
+            u, phi, a, omega = self.rank_one
+            k = self.spec.abs_rank
+            phi2 = _pack(phi, k, 1)
+            m = (_pack(u, k, 1), phi2, (phi2 if a & 2 else 0) ^ _pack(omega, k, 2))
+            object.__setattr__(self, "_packed", m)
         return m
 
 
@@ -175,27 +173,46 @@ class Word:
 # lattice action
 
 
-def _letter_map(letter: Letter) -> tuple[Support, Support]:
-    """The supports (u, phi) of the letter's map x -> x + phi(x) u.
+def _letter_map(letter: Letter) -> LetterMap:
+    """The map x -> x + phi(x) u and doubled-winding change a phi(x) + omega(x).
 
-    Each is ((i, value), ...) over the nonzero slots in increasing order: u
-    over absolute coordinates only, phi over relative ones.  On the
-    symplectic block <x, c> reads slot i of x against c's partner slot i ^ 1
-    (x_h pairs with y_h).  The boundary coefficient of p_i is that of a_i
-    for i >= 2 and minus the sum of all arc coefficients for i = 1.
+    u, phi and omega are ((i, value), ...) over the nonzero slots in
+    increasing order, phi over relative coordinates, u and omega over
+    absolute ones.  A twist about c with power k and winding w has u =
+    c-bar, phi = k <., c>, a = 2w and no omega (twist-linearity); a push of
+    p_i has u = the loop, phi = the coefficient of p_i in the boundary
+    (minus the sum of all arc coefficients for i = 1), a = 0 and omega =
+    2 kappa_i <u, .>.
     """
     spec = letter.spec
     k = spec.abs_rank
     if isinstance(letter, Twist):
         c, p = letter.curve.coords, letter.power
         u = tuple(_entry(i, v) for i, v in enumerate(c[:k]) if v)
-        pairing = sorted(_entry(i ^ 1, p * v if i & 1 else -p * v) for i, v in u)
-        loops = [_entry(i, p * v) for i, v in enumerate(c[k:], k) if v]
-        return u, tuple(pairing + loops)
+        loops = tuple(_entry(i, p * v) for i, v in enumerate(c[k:], k) if v)
+        return u, _pairing(u, p) + loops, 2 * letter.winding, ()
     u = tuple(_entry(i, v) for i, v in enumerate(letter.loop.coords) if v)
     if letter.point >= 2:
-        return u, (_entry(k + letter.point - 2, 1),)
-    return u, tuple(_entry(i, -1) for i in range(k, spec.rel_rank))
+        phi = (_entry(k + letter.point - 2, 1),)
+    else:
+        phi = tuple(_entry(i, -1) for i in range(k, spec.rel_rank))
+    return u, phi, 0, _pairing(u, -2 * spec.kappa[letter.point - 1])
+
+
+def _pairing(u: Support, scale: int) -> Support:
+    """The support of scale * <., u> on the symplectic block.
+
+    <x, u> reads each slot i of u against x's partner slot i ^ 1 (x_h
+    pairs with y_h), with +u_i for a y slot (odd i) and -u_i for an x slot.
+    """
+    if not scale:
+        return ()
+    return tuple(sorted(_entry(i ^ 1, scale * v if i & 1 else -scale * v) for i, v in u))
+
+
+def _pack(support: Support, k: int, bit: int) -> int:
+    """Bit i for each slot i < k whose value has `bit` set (1: v mod 2; 2: v / 2 mod 2 of an even v)."""
+    return sum(1 << i for i, v in support if i < k and v & bit)
 
 
 @lru_cache(maxsize=1024)
@@ -214,7 +231,7 @@ def act_rel(word: Word, x: RelVec) -> RelVec:
         raise SpecMismatch("word and class live over different surfaces")
     coords = list(x.coords)
     for letter in reversed(word.letters):
-        u, phi = letter.rank_one
+        u, phi, _, _ = letter.rank_one
         c = 0
         for i, v in phi:
             c += v * coords[i]
@@ -236,7 +253,7 @@ def word_to_paut(word: Word) -> PAutElem:
     k = spec.abs_rank
     rows = [[int(i == j) for j in range(spec.rel_rank)] for i in range(k)]
     for letter in word.letters:
-        u, phi = letter.rank_one
+        u, phi, _, _ = letter.rank_one
         for row in rows:
             c = 0
             for i, v in u:
@@ -253,45 +270,31 @@ def word_to_paut(word: Word) -> PAutElem:
 # framing action via chained twist-linearity
 
 
-def _transport(spec: SurfaceSpec, letters, curves: list, w2: list, sign: int) -> None:
+def _transport(letters, curves: list, w2: list, sign: int) -> None:
     """Push curves and their doubled windings through letters, in place.
 
     Curves are coordinate lists.  Each letter acts as itself (sign 1) or
-    as its inverse (sign -1), on all curves before the next letter: the
-    inverse of a twist is (u, -phi) with the same declared winding, that of
-    a push (-u, phi).  Twist letters update the winding by twist-linearity
-    with the letter's declared winding; point-push letters use the
-    mod-2-pinned increment kappa_i * <loop, class> (exact by the fixed
-    convention), reading <u, x> from the partner slots i ^ 1 of u's support.
+    as its inverse (sign -1, which negates phi of a twist and u and omega
+    of a push), on all curves before the next letter: with d = omega(x)
+    and c = phi(x), x += sign c u and the doubled winding gains
+    sign (a c + d); an empty omega (every twist) is skipped.
     """
     for letter in letters:
-        u, phi = letter.rank_one
-        if isinstance(letter, Twist):
-            d = 2 * letter.winding
-            for j, x in enumerate(curves):
-                c = 0
-                for i, v in phi:
-                    c += v * x[i]
-                if c:
-                    c *= sign
-                    w2[j] += d * c
-                    for i, v in u:
-                        x[i] += c * v
-        else:
-            d = 2 * sign * spec.kappa[letter.point - 1]
-            for j, x in enumerate(curves):
-                if d:
-                    pairing = 0
-                    for i, v in u:
-                        pairing += -v * x[i ^ 1] if i & 1 else v * x[i ^ 1]
-                    w2[j] += d * pairing
-                c = 0
-                for i, v in phi:
-                    c += v * x[i]
-                if c:
-                    c *= sign
-                    for i, v in u:
-                        x[i] += c * v
+        u, phi, a, omega = letter.rank_one
+        for j, x in enumerate(curves):
+            if omega:
+                d = 0
+                for i, v in omega:
+                    d += v * x[i]
+                w2[j] += sign * d
+            c = 0
+            for i, v in phi:
+                c += v * x[i]
+            if c:
+                c *= sign
+                w2[j] += a * c
+                for i, v in u:
+                    x[i] += c * v
 
 
 def track_curve(
@@ -305,7 +308,7 @@ def track_curve(
     if start.spec != word.spec:
         raise SpecMismatch("word and curve live over different surfaces")
     curves, w2 = [list(start.coords)], [winding2]
-    _transport(word.spec, reversed(word.letters), curves, w2, 1)
+    _transport(reversed(word.letters), curves, w2, 1)
     return RelVec(word.spec, curves[0]), w2[0]
 
 
@@ -325,7 +328,7 @@ def act_framing(word: Word, f: Framing) -> Framing:
         )
     w2 = list(f.doubled())
     curves = [[int(i == j) for i in range(spec.rel_rank)] for j in range(len(w2))]
-    _transport(spec, word.letters, curves, w2, -1)
+    _transport(word.letters, curves, w2, -1)
     return Framing.from_doubled(spec, w2)
 
 
@@ -338,50 +341,45 @@ def delta_word(word: Word, f: Framing) -> CohomClass:
 
     Processes letters with the crossed-homomorphism rule
     value(fg) = pullback(g) value(f) + value(g), rightmost letter acting
-    first; twist letters contribute k <., c> w(c), point-pushes kappa_i <u, .>.
-    A twist about c pulls back along the mod-2 transvection about c when its
-    power is odd and trivially when it is even; pushes pull back trivially.
+    first.  Mod 2, a letter's map x -> x + phi(x) u pulls a functional f
+    back to f + f(u) phi, and its value is its winding change
+    (a phi + omega) / 2, both read off the letter's `packed` triple.
     """
     if f.spec != word.spec:
         raise SpecMismatch("word and framing live over different surfaces")
-    spec = word.spec
-    w = spec.abs_rank
     out = 0
     for letter in word.letters:
-        image = letter.mod2_image
-        if isinstance(letter, Twist):
-            if letter.power & 1:
-                out = mod2.pull_transvection(out, image, w)
-            scale = letter.power * letter.winding
-        else:
-            scale = spec.kappa[letter.point - 1]
-        if scale & 1:
-            out ^= mod2.dual(image, w)
-    return CohomClass.from_packed(spec.g, out)
+        u, phi, value = letter.packed
+        if (out & u).bit_count() & 1:
+            out ^= phi
+        out ^= value
+    return CohomClass.from_packed(word.spec.g, out)
 
 
 # ---------------------------------------------------------------------------
 # standard alphabet
 
 
-def standard_alphabet(f: Framing) -> dict[str, Letter]:
-    """Power-one letters consistent with the framing.
+def standard_twists(f: Framing) -> list[tuple[str, PunctVec, int]]:
+    """(name, curve, winding) of each standard letter, in the alphabet's order.
 
-    Basis twists Tx_i / Ty_i carry the framing's windings; puncture twists
-    Td_i carry the signature winding -1-kappa_i (Td1 exists only for n >= 2,
-    where the loop class is nonzero).
+    Basis twists Tx_1, Ty_1, ..., Tx_g, Ty_g carry the framing's windings;
+    for n >= 2, where every loop class is nonzero, the puncture twists
+    Td_1, ..., Td_n follow with the signature winding -1-kappa_i.
     """
     spec = f.spec
-    out: dict[str, Letter] = {}
+    out = []
     for i in range(1, spec.g + 1):
-        out[f"Tx{i}"] = Twist(as_punct(x_curve(spec, i)), 1, f.wind_x[i - 1])
-        out[f"Ty{i}"] = Twist(as_punct(y_curve(spec, i)), 1, f.wind_y[i - 1])
-    for i in range(1, spec.n + 1):
-        loop = point_loop(spec, i)
-        if loop.is_zero():
-            continue
-        out[f"Td{i}"] = Twist(loop, 1, spec.delta_winding(i))
+        out.append((f"Tx{i}", as_punct(x_curve(spec, i)), f.wind_x[i - 1]))
+        out.append((f"Ty{i}", as_punct(y_curve(spec, i)), f.wind_y[i - 1]))
+    if spec.n >= 2:
+        out += [(f"Td{i}", point_loop(spec, i), spec.delta_winding(i)) for i in range(1, spec.n + 1)]
     return out
+
+
+def standard_alphabet(f: Framing) -> dict[str, Letter]:
+    """Power-one letters consistent with the framing, by name (see `standard_twists`)."""
+    return {name: Twist(curve, 1, winding) for name, curve, winding in standard_twists(f)}
 
 
 def check_twist_winding(letter: Twist, f: Framing) -> None:
@@ -396,7 +394,7 @@ def check_twist_winding(letter: Twist, f: Framing) -> None:
     if letter.spec != spec:
         raise SpecMismatch("twist and framing live over different surfaces")
     loops = mod2.pack(letter.curve.coords[spec.abs_rank :])
-    q = mod2.quad(f.qphi, letter.mod2_image, spec.abs_rank)
+    q = mod2.quad(f.qphi, letter.packed[0], spec.abs_rank)
     q ^= (loops & mod2.pack(spec.kappa[1:])).bit_count() & 1
     if (letter.winding ^ q ^ 1) & 1:
         raise WindingParityMismatch(

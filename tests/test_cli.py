@@ -168,6 +168,10 @@ DATA = Path(__file__).parent / "data"
     (["match", str(DATA / "framing_g3.json"), str(DATA / "framing_g3.near.json")], "framing_g3.match.out"),
     (["match", str(DATA / "framing_g2_20.json"), str(DATA / "framing_g2_20.target.json")],
      "framing_g2_20.match.out"),
+    # pushes of p_1 (every arc), p_2 and p_3 (kappa 0) among twists, on a framing without arc data
+    (["act", "--framing", str(DATA / "framing_g3.noarc.json"), "--word",
+      "P(1;x1+y2) Tx1 P(2;y1-x3) Td2 T(x2+y3+d3;w=2)^-1 Ty3^2 P(3;x2) Tx2^-1 P(2;x1-2y1) Ty1"],
+     "framing_g3.noarc.act.out"),
 ])
 def test_recorded_output_bytes(capsys, argv, expected):
     code, out, _ = run_cli(capsys, *argv)

@@ -7,6 +7,7 @@ from framedhom import mod2
 from framedhom.errors import NotPrimitive, PointPushOnArcs, SpecMismatch, WindingParityMismatch
 from framedhom.framing import Framing, arf, q_vector
 from framedhom.lattice import (
+    AbsVec,
     RelVec,
     SurfaceSpec,
     arc_class,
@@ -65,34 +66,39 @@ def test_cached_maps_stay_out_of_equality():
     x1 = x_curve(SPEC, 1)
     for make in (lambda: tw(SPEC, x1, 2, 5), lambda: PointPush(2, x1)):
         a, b = make(), make()
-        assert a.rank_one == b.rank_one and a.mod2_image == b.mod2_image
+        assert a.rank_one == b.rank_one and a.packed == b.packed
         fresh = make()
         assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
-        assert "_map" not in repr(a) and "_image" not in repr(a)
-    # dense (1, 0, 0, 0), (0, -1, 0, 0, 0) and (1, 0, 0, 0), (0, 0, 0, 0, -1)
-    assert tw(SPEC, x1).rank_one == (((0, 1),), ((1, -1),))
-    assert PointPush(1, x1).rank_one == (((0, 1),), ((4, -1),))
+        assert "_map" not in repr(a) and "_packed" not in repr(a)
+    # (u, phi) dense (1, 0, 0, 0), (0, -1, 0, 0, 0) and (1, 0, 0, 0), (0, 0, 0, 0, -1);
+    # winding 0 gives a = 0, and kappa_1 = 1 the push's omega = 2 <x_1, .>, 2 on y_1
+    assert tw(SPEC, x1).rank_one == (((0, 1),), ((1, -1),), 0, ())
+    assert PointPush(1, x1).rank_one == (((0, 1),), ((4, -1),), 0, ((1, 2),))
 
 
 def _dense_map(letter):
-    """(u, phi) of the letter as full coordinate tuples, from the definitions.
+    """(u, phi, a, omega) of the letter, u, phi and omega as full coordinate tuples.
 
-    A twist about c with power k: u = c-bar, phi(x) = k <x, c> (the
-    intersection form on the symplectic block, <a_i, d_j> = delta_ij on
-    arcs against loops).  A push of p_i around u: phi(x) = the coefficient
-    of p_i in the boundary of x.
+    From the definitions: a twist about c with power k and winding w has
+    u = c-bar, phi(x) = k <x, c> (the intersection form on the symplectic
+    block, <a_i, d_j> = delta_ij on arcs against loops), a = 2w and omega
+    = 0.  A push of p_i around u has phi(x) = the coefficient of p_i in
+    the boundary of x, a = 0 and omega = 2 kappa_i <u, .>.
     """
     spec = letter.spec
-    r = spec.rel_rank
+    k, r = spec.abs_rank, spec.rel_rank
     basis = [RelVec(spec, tuple(int(i == j) for i in range(r))) for j in range(r)]
     if isinstance(letter, Twist):
         u = project_punct(letter.curve).coords
         phi = tuple(letter.power * rel_punct_pairing(e, letter.curve) for e in basis)
-    else:
-        u = letter.loop.coords
-        phi = tuple(boundary(e).coords[letter.point - 2] if letter.point >= 2
-                    else -sum(boundary(e).coords) for e in basis)
-    return u, phi
+        return u, phi, 2 * letter.winding, (0,) * k
+    u = letter.loop.coords
+    phi = tuple(boundary(e).coords[letter.point - 2] if letter.point >= 2
+                else -sum(boundary(e).coords) for e in basis)
+    kappa = spec.kappa[letter.point - 1]
+    omega = tuple(2 * kappa * symplectic_pairing(letter.loop, AbsVec(spec, e.coords[:k]))
+                  for e in basis[:k])
+    return u, phi, 0, omega
 
 
 def _densify(support, rank):
@@ -108,25 +114,43 @@ def test_rank_one_supports_match_the_definitions():
     seen = set()
     for _ in range(150):
         spec = random_spec(rng, rng.choice([2, 3, 4]), rng.choice([1, 2, 3]))
+        k = spec.abs_rank
         f = random_framing(rng, spec)
         letters = list(random_exotic_word(rng, spec, 6).letters)
         letters += standard_alphabet(f).values()
         letters += [PointPush(p, x_curve(spec, 1)) for p in range(1, spec.n + 1)]
         for letter in letters:
-            u, phi = letter.rank_one
-            assert [i for i, _ in u] == sorted({i for i, _ in u})
-            assert [i for i, _ in phi] == sorted({i for i, _ in phi})
+            u, phi, a, omega = letter.rank_one
+            for support in (u, phi, omega):
+                assert [i for i, _ in support] == sorted({i for i, _ in support})
             dense = _dense_map(letter)
-            assert dense == (_densify(u, spec.abs_rank), _densify(phi, spec.rel_rank))
-            assert letter.mod2_image == mod2.pack(dense[0])
+            assert dense == (_densify(u, k), _densify(phi, spec.rel_rank), a, _densify(omega, k))
+            # mod 2 on the absolute slots: u, phi and the winding change (a phi + omega) / 2
+            du, dphi, _, domega = dense
+            value = mod2.pack((a * p + o) // 2 for p, o in zip(dphi[:k], domega))
+            assert letter.packed == (mod2.pack(du), mod2.pack(dphi[:k]), value)
+            # the same triple by each kind's own rule: a twist with odd power pulls
+            # back along the transvection about c-bar and adds power * winding <., c>;
+            # a push pulls back trivially and adds kappa_i <u, .>
+            dual = mod2.dual(mod2.pack(du), k)
+            if isinstance(letter, Twist):
+                odd = (letter.power & 1, letter.power * letter.winding & 1)
+            else:
+                odd = (0, spec.kappa[letter.point - 1] & 1)
+            assert letter.packed[1:] == tuple(dual if b else 0 for b in odd)
             if 0 in dense[0] + dense[1]:
                 seen.add("zero coefficient")
             if isinstance(letter, Twist) and not u:
                 seen.add("empty u")
-            if isinstance(letter, PointPush) and letter.point == 1 and spec.n >= 3:
-                assert phi == tuple((i, -1) for i in range(spec.abs_rank, spec.rel_rank))
-                seen.add("push of p_1")
-    assert seen == {"zero coefficient", "empty u", "push of p_1"}
+            if isinstance(letter, PointPush):
+                seen.add("push with omega" if omega else "push without omega")
+                if letter.point == 1 and spec.n >= 3:
+                    assert phi == tuple((i, -1) for i in range(k, spec.rel_rank))
+                    seen.add("push of p_1")
+            if letter.packed[2] and letter.packed[1] != letter.packed[2]:
+                seen.add("value apart from phi")
+    assert seen == {"zero coefficient", "empty u", "push with omega", "push without omega",
+                    "push of p_1", "value apart from phi"}
 
 
 def test_act_rel_examples():
