@@ -6,15 +6,10 @@ relative homology, and membership in its kernel, which is the homological
 monodromy group of the corresponding stratum of abelian differentials.
 
 Public names are imported from their submodule on first use (PEP 562), so
-``import framedhom`` loads only the layers that ``theta`` needs.
+``import framedhom`` loads no submodule.
 """
 
 from importlib import import_module as _import_module
-
-# eager: the function theta shadows the submodule framedhom.theta, and any
-# import of that submodule (kernel runs `from .theta import theta`) would bind
-# the attribute to the module before a lazy lookup could run
-from .theta import q_hat, theta, v_kappa_star
 
 # submodule -> the public names it provides; each submodule is a public name too
 _EXPORTS = {
@@ -36,7 +31,15 @@ _EXPORTS = {
         "TooLarge",
     ),
     "framing": ("Framing", "QForm", "QVector", "arf", "arf_of_form", "q_vector", "spin_form", "winding_parity"),
-    "kernel": ("StructureReport", "kernel_test", "lift_transvection", "structure_report"),
+    "kernel": (
+        "StructureReport",
+        "kernel_test",
+        "lift_transvection",
+        "q_hat",
+        "structure_report",
+        "theta",
+        "v_kappa_star",
+    ),
     "lattice": (
         "AbsVec",
         "CohomClass",
@@ -76,7 +79,7 @@ _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = sorted([*_EXPORTS, *_SOURCE, "q_hat", "theta", "v_kappa_star"])
+__all__ = sorted([*_EXPORTS, *_SOURCE])
 
 
 def __getattr__(name: str):

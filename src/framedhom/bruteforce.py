@@ -107,12 +107,16 @@ def _search(ordered, keys):
     """Positions in the sorted array ordered at which to look for keys, and which hold them.
 
     The queries are searched in ascending order, which visits nearby parts
-    of ordered in turn: about 4x faster at g=3.  They are sorted by one
-    sort of key << b | position, b the bits of a position, which is about
-    ten times faster than a stable argsort, and four times faster than any
-    argsort, of uint64.  The low bits are a permutation in any case, and
-    the one that sorts keys below 2^(64 - b), as group keys (at most 36
-    bits) are.
+    of ordered in turn.  Against one plain searchsorted (2-core machine,
+    numpy 2.4) that wins on queries in no order, such as the 1 451 520 g=3
+    keys shuffled (116 ms against 676 ms), and on a g=2 product block of
+    10 800 queries (0.47-0.77 ms against 0.59-1.23 ms), but loses on a g=3
+    product block keys * T_v of 1 451 520 queries (107-139 ms against
+    62-82 ms).  The queries are sorted by one sort of key << b | position,
+    b the bits of a position, which is about ten times faster than a stable
+    argsort, and four times faster than any argsort, of uint64.  The low
+    bits are a permutation in any case, and the one that sorts keys below
+    2^(64 - b), as group keys (at most 36 bits) are.
     """
     import numpy as np
 
@@ -297,7 +301,7 @@ def theta_table(group: Mod2Group, f: Framing):
     """Packed crossed-homomorphism value on every group element, as a uint8 array by position in keys.
 
     Johnson's closed form theta(S) = qhat(q_phi, S), the defect
-    x -> q_phi(S x) - q_phi(x) (theta.theta with M = 0): bit j is
+    x -> q_phi(S x) - q_phi(x) (kernel.theta with M = 0): bit j is
     q_phi(S b_j) + q_phi(b_j).  One table of q_phi over all 2^w packed
     vectors, one gather per column.  check_theta_edges certifies that the
     table is the crossed homomorphism with letter values P(v) <., v>.

@@ -236,16 +236,12 @@ def parse_word(text: str, f: Framing) -> Word:
                 raise WordSyntaxError(f"unknown alphabet letter {name}")
             curve, winding = alphabet[name]
             power = _word_int(m.group(3)) if m.group(3) else 1
-            if power == 0:
-                raise WordSyntaxError("twist power must be nonzero")
             letters.append(Twist(curve, power, winding))
             continue
         m = _TWIST_RE.match(token)
         if m:
             curve = parse_vector(m.group(1), spec, punctured=True)
             power = _word_int(m.group(3)) if m.group(3) else 1
-            if power == 0:
-                raise WordSyntaxError("twist power must be nonzero")
             letter = Twist(curve, power, _word_int(m.group(2)))
             check_twist_winding(letter, f)
             letters.append(letter)
@@ -302,7 +298,7 @@ def cmd_arf(args) -> int:
 
 
 def cmd_theta(args) -> int:
-    from .theta import theta
+    from .kernel import theta
 
     a = load_paut(args.paut)
     f = load_framing(args.framing)

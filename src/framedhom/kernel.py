@@ -1,4 +1,18 @@
-"""Membership in the kernel of the crossed homomorphism, lifts, and structure reports.
+"""The change-of-winding crossed homomorphism, its kernel, lifts, and structure reports.
+
+Write an automorphism as A = (S, M): S the symplectic block, M the
+point-transvection block.  Let q_phi be the quadratic refinement of the mod-2
+intersection form with basis values phi(b) + 1; the winding parity of a
+simple closed curve in class v is q_phi(v) + 1.  Then, in both parity regimes,
+
+    theta(A) = S^T v_kappa*(M) + q_hat(q_phi, S)      (mod 2),
+
+where v_kappa*(M) is the functional x -> <M (kappa_2, ..., kappa_n), x> and
+q_hat(q, S) is the defect x -> q(S x) - q(x) of q under S (D. Johnson, "Spin
+structures and quadratic forms on surfaces", J. London Math. Soc. 1980).  The
+value is a few packed mod-2 operations whatever the size of S's entries; the
+letter-by-letter evaluation over `factor_sp` is kept in
+`framedhom.verify.theta_by_factorization` as the independent oracle.
 
 The kernel is the homological image of the framing's stabilizer in the
 mapping class group, and equals the homological monodromy group of the
@@ -9,12 +23,54 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NoLiftExists, NotPrimitive, SpecMismatch
+from . import mod2
+from .errors import NoLiftExists, NotPrimitive, NotSymplectic, SpecMismatch
 from .framing import Framing, QForm, arf_of_form, spin_form, winding_parity
-from .lattice import AbsVec
-from .mod2 import sp2_order
-from .paut import PAutElem, transvection, zero_mat
-from .theta import theta
+from .lattice import AbsVec, CohomClass, SurfaceSpec
+from .paut import Mat, PAutElem, mat_vec, transvection, zero_mat
+
+
+def v_kappa_star(m: Mat, spec: SurfaceSpec) -> CohomClass:
+    """Pairing functional against the pushed signature vector, x -> <M v, x>.
+
+    v is the reduced mod-2 signature vector (kappa_2, ..., kappa_n); the
+    result is identically zero when every kappa entry is even or when n = 1.
+    """
+    if spec.n == 1:
+        return CohomClass.zero(spec.g)
+    if len(m) != spec.abs_rank or any(len(row) != spec.zero_rank for row in m):
+        raise SpecMismatch(f"M must be {spec.abs_rank}x{spec.zero_rank}")
+    vbar = tuple(k & 1 for k in spec.kappa[1:])
+    w = mat_vec(m, vbar)
+    return CohomClass.from_packed(spec.g, mod2.dual(mod2.pack(w), spec.abs_rank))
+
+
+def q_hat(q: QForm, sbar: Mat) -> CohomClass:
+    """Change x -> q(Sx) - q(x) of a quadratic form under S mod 2 (S integer or 0/1)."""
+    k = 2 * q.g
+    if len(sbar) != k or any(len(row) != k for row in sbar):
+        raise SpecMismatch(f"matrix must be {k}x{k}")
+    cols = mod2.columns(sbar)
+    if not mod2.is_symplectic(cols, k):
+        raise NotSymplectic("q_hat needs a mod-2 symplectic matrix")
+    return CohomClass.from_packed(q.g, mod2.qhat(q.packed, cols, k))
+
+
+def theta(a: PAutElem, f: Framing) -> CohomClass:
+    """Value of the crossed homomorphism on an automorphism, for this framing.
+
+    Closed form theta(A) = S^T v_kappa*(M) + q_hat(q_phi, S) mod 2; see the
+    module docstring.  S was checked symplectic where A was built, so it is
+    not checked again here.
+    """
+    spec = f.spec
+    if not a.matches(spec):
+        raise SpecMismatch(
+            f"automorphism is for g={a.g}, n={a.n}; framing for g={spec.g}, n={spec.n}"
+        )
+    cols = mod2.columns(a.S)
+    th_rel = mod2.pullback(cols, v_kappa_star(a.M, spec).packed)
+    return CohomClass.from_packed(spec.g, th_rel ^ mod2.qhat(f.qphi, cols, spec.abs_rank))
 
 
 def kernel_test(a: PAutElem, f: Framing) -> bool:
@@ -89,7 +145,7 @@ def structure_report(f: Framing) -> StructureReport:
         q = spin_form(f)
         arf = arf_of_form(q)
         forms = (1 << (g - 1)) * ((1 << g) + (-1) ** arf)
-        order = (sp2_order(g) // forms) << (w * (n - 1)) if counted else None
+        order = (mod2.sp2_order(g) // forms) << (w * (n - 1)) if counted else None
         return StructureReport("even", q=q, arf=arf, mod2_kernel_order=order)
-    order = sp2_order(g) << (w * (n - 2)) if counted else None
+    order = mod2.sp2_order(g) << (w * (n - 2)) if counted else None
     return StructureReport("odd", v_bar=tuple(k & 1 for k in spec.kappa[1:]), mod2_kernel_order=order)

@@ -19,7 +19,7 @@ from random import Random
 from . import bruteforce, mod2
 from .errors import InvalidCount, InvalidSurface, NoLiftExists, SpecMismatch
 from .framing import Framing, arf, spin_form, winding_parity
-from .kernel import kernel_test, lift_transvection
+from .kernel import kernel_test, lift_transvection, q_hat, theta, v_kappa_star
 from .lattice import AbsVec, CohomClass, SurfaceSpec, abs_basis, as_rel, sympl, x_curve, y_curve
 from .moves import ArcParityTwist, BoundaryTwist, ConnectSum, apply_move, match_framings
 from .paut import Mat, PAutElem, factor_sp, identity_mat, pullback_h1, transvection
@@ -34,7 +34,6 @@ from .sampling import (
     random_standard_word,
     refactored_word,
 )
-from .theta import q_hat, theta, v_kappa_star
 from .words import Twist, Word, act_framing, delta_word, standard_twists, track_curve, word_to_paut
 
 
@@ -68,7 +67,8 @@ def theta_by_factorization(a: PAutElem, f: Framing) -> CohomClass:
     """Oracle for `theta`: fold in a transvection factorization of S letter by letter.
 
     Split A = R * S~; the R block evaluates through v_kappa_star, the S~ block
-    through `factor_sp` with letter values k <., v> P(v), combined as
+    through `factor_sp` with letter values k <., v> P(v), since q_phi(T_v x) -
+    q_phi(x) = <x, v> (q_phi(v) + 1).  The two combine as
     value(A) = pullback(S~) value(R) + value(S~).
     """
     spec = f.spec
@@ -192,7 +192,10 @@ def suite_lift(g: int | None = None, trials: int = 200, seed: int = 0) -> SuiteR
             even = all(k % 2 == 0 for k in f.spec.kappa)
             obstructed = not q_hat(spin_form(f), transvection(v, 1)).is_zero() if even else False
             return {"refused": 1, "wrong": not (even and winding_parity(f, v) == 1 and obstructed)}
-        return {"lifted": 1, "wrong": not kernel_test(a, f) or a.S != transvection(v, 1)}
+        # column j of T_v is b_j + <b_j, v> v, from the pairing, not from paut
+        c = v.coords
+        tv = [tuple(bi + sympl(b.coords, c) * ci for bi, ci in zip(b.coords, c)) for b in abs_basis(f.spec)]
+        return {"lifted": 1, "wrong": not kernel_test(a, f) or list(zip(*a.S)) != tv}
 
     n = _run_trials(trial, Random(seed), trials, g, genera=(2, 3, 4), even=None)
     detail = f"{n['lifted']} lifted, {n['refused']} provably obstructed, {n['wrong']} wrong"

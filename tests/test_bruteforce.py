@@ -7,11 +7,10 @@ from framedhom import bruteforce as bf
 from framedhom import mod2
 from framedhom.errors import GenusTooLarge, TooLarge
 from framedhom.framing import Framing
-from framedhom.kernel import structure_report
+from framedhom.kernel import structure_report, theta
 from framedhom.lattice import SurfaceSpec, sympl
 from framedhom.paut import PAutElem, mat_mul, zero_mat
 from framedhom.sampling import random_framing, random_paut, random_spec
-from framedhom.theta import theta
 
 
 def _transvection_key(v, w):

@@ -152,28 +152,14 @@ def test_factor_sp_command(capsys, tmp_path):
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("argv, expected", [
-    (["factor-sp", "--paut", str(DATA / "paut_g3.json")], "paut_g3.factor-sp.out"),
-    (["theta", "--paut", str(DATA / "paut_g3.json"), "--framing", str(DATA / "framing_g3.json")],
-     "paut_g3.theta.out"),
-    (["act", "--framing", str(DATA / "framing_g3.json"),
-      "--word", "Tx1 Ty2^-1 Td2 T(x1+2y2-d2;w=-2)^2 Tx3^2 T(y1+x3;w=4) Ty3^-1"],
-     "framing_g3.act.out"),
-    # the mod-2 kernel order at g=2 and g=3, in both regimes
-    (["stratum", "1,1"], "stratum_1_1.out"),
-    (["stratum", "2"], "stratum_2.out"),
-    (["stratum", "2,2"], "stratum_2_2.out"),
-    (["stratum", "1,1,2"], "stratum_1_1_2.out"),
-    # curve and arc connect-sums; then a certificate holding a boundary-twist repair
-    (["match", str(DATA / "framing_g3.json"), str(DATA / "framing_g3.near.json")], "framing_g3.match.out"),
-    (["match", str(DATA / "framing_g2_20.json"), str(DATA / "framing_g2_20.target.json")],
-     "framing_g2_20.match.out"),
-    # pushes of p_1 (every arc), p_2 and p_3 (kappa 0) among twists, on a framing without arc data
-    (["act", "--framing", str(DATA / "framing_g3.noarc.json"), "--word",
-      "P(1;x1+y2) Tx1 P(2;y1-x3) Td2 T(x2+y3+d3;w=2)^-1 Ty3^2 P(3;x2) Tx2^-1 P(2;x1-2y1) Ty1"],
-     "framing_g3.noarc.act.out"),
-])
-def test_recorded_output_bytes(capsys, argv, expected):
+# each case's command line (paths relative to tests/data) and recorded stdout;
+# CI runs the same cases through the installed framedhom script
+RECORDED = json.loads((DATA / "recorded.json").read_text())
+
+
+@pytest.mark.parametrize("argv, expected", [(case["argv"], case["expected"]) for case in RECORDED])
+def test_recorded_output_bytes(capsys, monkeypatch, argv, expected):
+    monkeypatch.chdir(DATA)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out == (DATA / expected).read_text()
 
@@ -287,6 +273,12 @@ def test_act_push_on_arcs_rejected(capsys, f11):
 def test_act_word_syntax_error(capsys, f2):
     code, _, err = run_cli(capsys, "act", "--framing", f2, "--word", "Q(nope)")
     assert code == 2
+
+
+@pytest.mark.parametrize("word", ["Tx1^0", "T(x1;w=0)^0"])
+def test_act_twist_power_zero_exit2(capsys, f2, word):
+    code, out, err = run_cli(capsys, "act", "--framing", f2, "--word", word)
+    assert (code, out, err) == (2, "", "error: twist power must be nonzero\n")
 
 
 NINES = "9" * 5000  # more digits than int() converts
@@ -461,7 +453,7 @@ def test_cli_import_leaves_numpy_unloaded():
 
 def test_arf_command_loads_only_its_layers(f2):
     code = f"import framedhom.cli as c; assert c.main(['arf', '--framing', {f2!r}]) == 0"
-    layers = [f"framedhom.{m}" for m in ("kernel", "words", "moves", "verify", "bruteforce")]
+    layers = [f"framedhom.{m}" for m in ("paut", "kernel", "words", "moves", "verify", "bruteforce")]
     assert _loaded_after(code, layers) == []
 
 

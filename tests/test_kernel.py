@@ -4,11 +4,10 @@ import pytest
 
 from framedhom.errors import NoLiftExists, NotPrimitive
 from framedhom.framing import Framing, spin_form, winding_parity
-from framedhom.kernel import kernel_test, lift_transvection, structure_report
+from framedhom.kernel import kernel_test, lift_transvection, q_hat, structure_report
 from framedhom.lattice import SurfaceSpec, x_curve
 from framedhom.paut import PAutElem, compose, identity_mat, invert, transvection, zero_mat
 from framedhom.sampling import random_framing, random_paut, random_primitive_abs, random_spec
-from framedhom.theta import q_hat
 
 SPEC11 = SurfaceSpec(2, (1, 1))
 SPEC2 = SurfaceSpec(2, (2,))

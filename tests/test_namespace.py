@@ -1,5 +1,6 @@
 """The public namespace of the package: its names, and their import on first use."""
 
+import importlib.util
 import subprocess
 import sys
 import types
@@ -54,9 +55,15 @@ def test_unknown_attribute_raises_attribute_error():
         framedhom.no_such_name
 
 
+def test_import_loads_no_submodule():
+    code = "import sys, framedhom; print(*[m for m in sys.modules if m.startswith('framedhom.')])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.strip() == "", proc.stdout + proc.stderr
+
+
 def test_theta_stays_the_function_after_its_submodule_loads():
-    # framedhom.theta names both a function and a submodule; importing a
-    # submodule that imports theta first must not leave the module bound
+    # theta is kernel's function; no submodule framedhom.theta exists to shadow it
+    assert importlib.util.find_spec("framedhom.theta") is None
     code = "import framedhom.kernel; import framedhom; print(type(framedhom.theta).__name__)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout.strip() == "function", proc.stderr

@@ -1,11 +1,11 @@
-import importlib
 import random
 
 import pytest
 
+from framedhom import kernel, paut
 from framedhom.errors import NotSymplectic, SpecMismatch
 from framedhom.framing import Framing, spin_form, winding_parity
-from framedhom.kernel import kernel_test
+from framedhom.kernel import kernel_test, q_hat, theta, v_kappa_star
 from framedhom.lattice import CohomClass, SurfaceSpec, x_curve, y_curve
 from framedhom.paut import (
     PAutElem,
@@ -23,7 +23,6 @@ from framedhom.sampling import (
     random_spec,
     random_standard_word,
 )
-from framedhom.theta import q_hat, theta, v_kappa_star
 from framedhom.verify import theta_by_factorization, v_kappa_star_by_pairing
 from framedhom.words import delta_word, word_to_paut
 
@@ -169,9 +168,7 @@ def test_theta_never_factors(monkeypatch):
     f = random_framing(rng, spec)
     a = random_paut(rng, spec, factors=16)
     expected = theta_by_factorization(a, f)
-    # the package re-exports the function theta, so reach the module by its import name
-    monkeypatch.setattr(importlib.import_module("framedhom.paut"), "factor_sp", refuse)
-    theta_module = importlib.import_module("framedhom.theta")
-    monkeypatch.setattr(theta_module, "factor_sp", refuse, raising=False)
+    monkeypatch.setattr(paut, "factor_sp", refuse)
+    monkeypatch.setattr(kernel, "factor_sp", refuse, raising=False)
     assert theta(a, f) == expected
     assert kernel_test(a, f) == expected.is_zero()

@@ -11,9 +11,10 @@ import re
 import numpy as np
 import pytest
 
-from framedhom import bruteforce, verify
+from framedhom import bruteforce, kernel, paut, verify
 from framedhom.errors import InvalidCount
-from framedhom.lattice import CohomClass
+from framedhom.framing import Framing
+from framedhom.lattice import CohomClass, SurfaceSpec, x_curve
 
 
 def _shifted(orig):
@@ -68,6 +69,21 @@ def test_suite_reports_a_broken_property(monkeypatch, suite, check, attr, breake
 def test_every_random_suite_has_a_broken_case():
     fixed = {"census", "kernel-order"}
     assert {s for s, _, _, _ in BROKEN} == set(verify.SUITES) - fixed
+
+
+def test_lift_check_does_not_trust_the_transvection_builder(monkeypatch):
+    # a builder that makes T_v^-1, the same matrix mod 2: each lift still
+    # passes kernel_test and equals what the builder makes of v, so only a
+    # comparison that does not call the builder can tell
+    build = paut.transvection
+    for module in (paut, kernel, verify):
+        monkeypatch.setattr(module, "transvection", lambda v, k=1: build(v, -k))
+    f = Framing(SurfaceSpec(2, (2,)), (0, 0), (0, 0))
+    v = x_curve(f.spec, 1)
+    a = kernel.lift_transvection(v, f)
+    assert kernel.kernel_test(a, f) and a.S == verify.transvection(v, 1) != build(v, 1)
+    (named,) = verify.run_suite("lift", trials=20, seed=0).checks
+    assert not named.ok and _failures(named.detail) > 0, named.detail
 
 
 @pytest.mark.parametrize("suite", ["parity", "census"])
