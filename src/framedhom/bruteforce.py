@@ -11,9 +11,9 @@ them; the rest is packed-int arithmetic from mod2.  The closure and the
 edge walk take the products with the generators in blocks of about BLOCK,
 so memory stays bounded at g=3.  theta on the group is Johnson's closed
 form (theta_table); one edge walk (_holds_on_edges) certifies it and the
-q-defect qhat.  The kernel count (kernel_order_mod2 "enumerate") and the
-form census are the oracles of kernel.structure_report's regime formula;
-only verification code loads this module.
+q-defect qhat.  The kernel count (kernel_order_mod2 "enumerate", one solve
+per element) and the form census are the oracles of kernel.structure_report's
+regime formula; only verification code loads this module.
 """
 
 from __future__ import annotations
@@ -383,11 +383,13 @@ def qform_census(g: int) -> QFormCensus:
     """Count quadratic refinements by Arf value and compute stabilizer orders.
 
     Stabilizers come from orbit-stabilizer against the closed-form group
-    order, each orbit found by search (_form_orbit): so the census checks
-    that the Arf value classifies the forms, which the regime formula of
-    kernel.structure_report assumes.  The g=2 values are independently
-    cross-checked against direct counting over the enumerated group in the
-    test suite.
+    order, each orbit found by search (_form_orbit): per_form holds every
+    form's, stabilizer_orders one form's per Arf value.  The census suite
+    checks each per_form entry against |Sp(2g, 2)| over the count of its
+    Arf value, which holds iff each Arf value is one orbit, as the regime
+    formula of kernel.structure_report assumes.  The g=2 values are
+    independently cross-checked against direct counting over the enumerated
+    group in the test suite.
     """
     if g > CENSUS_MAX_G:
         raise GenusTooLarge(f"census supports g <= {CENSUS_MAX_G}")
@@ -432,7 +434,7 @@ def verify_qhat_crossed(g: int = 2) -> bool:
 
     group = enumerate_sp2(g)
     w = group.w
-    cols = [key_columns(key, w) for key in group.keys.tolist()]
+    cols = _columns(group.keys, w).T.tolist()
     reps = (0b0000, 0b0011)  # arf 0 and arf 1 representatives
     qhats = np.array([[mod2.qhat(rep, c, w) for c in cols] for rep in reps], dtype=np.uint8)
     return _holds_on_edges(group.keys, qhats, group.gens, w)
@@ -447,12 +449,12 @@ def kernel_order_mod2(f: Framing, method: str) -> int:
 
     method "enumerate" counts the pairs with theta(S, M) = 0, i.e.
     S^T <M vbar, .> = theta(S) for the theta table of the framing: the M
-    blocks are enumerated literally and binned by their value M vbar, then
-    for each value met the condition is tested on every group element at
-    once, reading theta(S) for every S; there is no shortcut branch.  It is
-    the oracle for "structure", the regime formula of kernel.structure_report
-    (its mod2_kernel_order).  Any other method raises ValueError before any
-    work.
+    blocks are enumerated literally and binned by their value M vbar.  As
+    S^-T = J S J mod 2, only v_S = S J theta(S) can solve it at S: for every
+    S at once, the bin of v_S counts where S^T <v_S, .> equals theta(S), a
+    comparison no shortcut skips.  It is the oracle for "structure", the
+    regime formula of kernel.structure_report (its mod2_kernel_order).  Any
+    other method raises ValueError before any work.
     """
     if method not in ("enumerate", "structure"):
         raise ValueError(f"unknown method {method!r}; choose from 'enumerate', 'structure'")
@@ -468,12 +470,6 @@ def kernel_order_mod2(f: Framing, method: str) -> int:
     mfree = 1 << (w * (n - 1))
     group = enumerate_sp2(g)
     thetas = theta_table(group, f)
-    cols = _columns(group.keys, w)
-    # rows[b]: packed row b of every S, i.e. the pullback S^T of the basis functional b
-    rows = [np.zeros(len(group), dtype=np.uint8) for _ in range(w)]
-    for j, c in enumerate(cols):
-        for b in range(w):
-            rows[b] |= ((c >> b) & 1) << j
     # blocks[v]: number of mod-2 M blocks with M vbar = v
     mkeys = np.arange(mfree)
     mvbar = np.zeros(mfree, dtype=np.intp)
@@ -481,14 +477,7 @@ def kernel_order_mod2(f: Framing, method: str) -> int:
         if spec.kappa[t + 1] & 1:
             mvbar ^= (mkeys >> (t * w)) & ((1 << w) - 1)
     blocks = np.bincount(mvbar, minlength=1 << w)
-    # S^T <v, .> is linear in v: walk v in Gray-code order, one xor per step;
-    # flipping bit b of v flips bit b ^ 1 of the functional <v, .>
-    pulled = np.zeros(len(group), dtype=np.uint8)
-    count = int(blocks[0]) * int(np.count_nonzero(thetas == 0))
-    for k in range(1, 1 << w):
-        b = (k & -k).bit_length() - 1
-        pulled ^= rows[b ^ 1]
-        v = k ^ (k >> 1)
-        if blocks[v]:
-            count += int(blocks[v]) * int(np.count_nonzero(pulled == thetas))
-    return count
+    cols, bits = _columns(group.keys, w), np.arange(w, dtype=np.uint8)[:, None]
+    v = np.bitwise_xor.reduce(cols * (mod2.dual(thetas, w) >> bits & 1), axis=0)
+    pulled = np.bitwise_or.reduce(_parities(w)[cols & mod2.dual(v, w)] << bits, axis=0)
+    return int(blocks[v][pulled == thetas].sum())

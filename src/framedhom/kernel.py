@@ -36,10 +36,10 @@ def v_kappa_star(m: Mat, spec: SurfaceSpec) -> CohomClass:
     v is the reduced mod-2 signature vector (kappa_2, ..., kappa_n); the
     result is identically zero when every kappa entry is even or when n = 1.
     """
-    if spec.n == 1:
-        return CohomClass.zero(spec.g)
     if len(m) != spec.abs_rank or any(len(row) != spec.zero_rank for row in m):
         raise SpecMismatch(f"M must be {spec.abs_rank}x{spec.zero_rank}")
+    if spec.n == 1:
+        return CohomClass.zero(spec.g)
     vbar = tuple(k & 1 for k in spec.kappa[1:])
     w = mat_vec(m, vbar)
     return CohomClass.from_packed(spec.g, mod2.dual(mod2.pack(w), spec.abs_rank))
@@ -136,7 +136,7 @@ def structure_report(f: Framing) -> StructureReport:
     spin form's Arf value (Sp(2g, 2) is transitive on them), times all
     2^(w(n-1)) mod-2 M blocks.  Odd regime: every S, each with the
     2^(w(n-2)) M blocks that solve S^T <M vbar, .> = theta(S).
-    bruteforce.kernel_order_mod2(f, "enumerate") counts the pairs one by one.
+    bruteforce.kernel_order_mod2(f, "enumerate") solves it for M vbar per S.
     """
     spec = f.spec
     g, n, w = spec.g, spec.n, spec.abs_rank

@@ -7,6 +7,7 @@ from random import Random
 
 from .framing import Framing, winding_parity
 from .lattice import AbsVec, PunctVec, SurfaceSpec, as_punct, x_curve, y_curve
+from .moves import ArcParityTwist, BoundaryTwist, ConnectSum, Move
 from .paut import Mat, PAutElem, factor_sp
 from .words import PointPush, Twist, Word, standard_twists, word_to_paut
 
@@ -32,20 +33,24 @@ def random_framing(rng: Random, spec: SurfaceSpec, with_arcs: bool = True) -> Fr
     return Framing(spec, wind_x, wind_y, arc2)
 
 
-def random_primitive_abs(rng: Random, spec: SurfaceSpec, bound: int = 2) -> AbsVec:
-    while True:
-        coords = [rng.randint(-bound, bound) for _ in range(spec.abs_rank)]
-        if any(coords):
-            d = gcd(*coords)
-            return AbsVec(spec, tuple(c // d for c in coords))
+# the entries of a drawn class or M block lie in [-BOUND, BOUND]
+BOUND = 2
 
 
-def random_primitive_punct(rng: Random, spec: SurfaceSpec, bound: int = 2) -> PunctVec:
+def _random_primitive(rng: Random, rank: int) -> tuple[int, ...]:
     while True:
-        coords = [rng.randint(-bound, bound) for _ in range(spec.rel_rank)]
+        coords = [rng.randint(-BOUND, BOUND) for _ in range(rank)]
         if any(coords):
             d = gcd(*coords)
-            return PunctVec(spec, tuple(c // d for c in coords))
+            return tuple(c // d for c in coords)
+
+
+def random_primitive_abs(rng: Random, spec: SurfaceSpec) -> AbsVec:
+    return AbsVec(spec, _random_primitive(rng, spec.abs_rank))
+
+
+def random_primitive_punct(rng: Random, spec: SurfaceSpec) -> PunctVec:
+    return PunctVec(spec, _random_primitive(rng, spec.rel_rank))
 
 
 def random_symplectic(rng: Random, spec: SurfaceSpec, factors: int = 8) -> Mat:
@@ -57,9 +62,9 @@ def random_symplectic(rng: Random, spec: SurfaceSpec, factors: int = 8) -> Mat:
     return word_to_paut(Word(spec, tuple(letters))).S
 
 
-def random_relaut_block(rng: Random, spec: SurfaceSpec, bound: int = 2) -> Mat:
+def random_relaut_block(rng: Random, spec: SurfaceSpec) -> Mat:
     return tuple(
-        tuple(rng.randint(-bound, bound) for _ in range(spec.zero_rank))
+        tuple(rng.randint(-BOUND, BOUND) for _ in range(spec.zero_rank))
         for _ in range(spec.abs_rank)
     )
 
@@ -71,6 +76,24 @@ def random_paut(rng: Random, spec: SurfaceSpec, factors: int = 6) -> PAutElem:
         random_symplectic(rng, spec, factors),
         random_relaut_block(rng, spec),
     )
+
+
+def random_move(rng: Random, f: Framing) -> Move:
+    """A move legal for the framing's kappa: connect-sum, arc connect-sum, boundary or arc-parity twist."""
+    spec = f.spec
+    evens = [j for j in range(2, spec.n + 1) if spec.kappa[j - 1] % 2 == 0]
+    odds = [j for j in range(2, spec.n + 1) if spec.kappa[j - 1] % 2]
+    kind = rng.choice(["cs"] + ["csa"] * (spec.n >= 2) + ["bt"] * bool(evens) + ["apt"] * (len(odds) >= 2))
+    if kind == "cs":
+        i = rng.randint(1, spec.g)
+        helper = rng.choice([j for j in range(1, spec.g + 1) if j != i])
+        return ConnectSum(rng.choice("xy"), i, helper, rng.choice([1, -1]))
+    if kind == "csa":
+        return ConnectSum("a", rng.randint(2, spec.n), 1, rng.choice([1, -1]))
+    if kind == "bt":
+        return BoundaryTwist(rng.choice(evens))
+    j1, j2 = sorted(rng.sample(odds, 2))
+    return ArcParityTwist(j1, j2)
 
 
 def random_standard_word(

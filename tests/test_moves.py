@@ -17,8 +17,7 @@ from framedhom.errors import (
 from framedhom.framing import Framing, arf, q_vector
 from framedhom.lattice import SurfaceSpec
 from framedhom.moves import MAX_MOVES, ArcParityTwist, BoundaryTwist, ConnectSum, apply_move, match_framings
-from framedhom.sampling import random_framing, random_spec
-from framedhom.verify import _random_move
+from framedhom.sampling import random_framing, random_move, random_spec
 
 
 def _exactly(message):
@@ -76,7 +75,7 @@ def test_every_move_preserves_arf():
     for _ in range(300):
         spec = random_spec(rng, rng.choice([2, 3, 4]), rng.choice([1, 2, 3, 4]))
         f = random_framing(rng, spec)
-        m = _random_move(rng, f)
+        m = random_move(rng, f)
         g = apply_move(f, m)
         assert arf(g) == arf(f)
         assert q_vector(g) == q_vector(f)
@@ -155,7 +154,7 @@ def test_match_roundtrip_random():
         f = random_framing(rng, spec)
         h = f
         for _ in range(rng.randint(0, 8)):
-            h = apply_move(h, _random_move(rng, h))
+            h = apply_move(h, random_move(rng, h))
         moves = match_framings(f, h)
         cur = f
         for m in moves:
@@ -203,7 +202,7 @@ def test_moves_are_pinned():
             continue
         h = f
         for _ in range(rng.randint(0, 8)):
-            h = apply_move(h, _random_move(rng, h))
+            h = apply_move(h, random_move(rng, h))
             outcomes.append(h)
         digest.update(repr((outcomes, match_framings(f, h))).encode())
     assert digest.hexdigest() == "a8b2142669dcb6bc3f3744851295c4ba20f33efbb7d62c5fc545a390e952a240"

@@ -41,6 +41,13 @@ def test_v_kappa_star_examples():
     assert v_kappa_star(zero_mat(4, 0), SPEC2).is_zero()
 
 
+@pytest.mark.parametrize("m", [((1,), (0,), (0,), (0,)), ()])
+def test_v_kappa_star_checks_the_shape_at_one_puncture(m):
+    # at n = 1 the value is zero whatever M holds, but a block of another shape is refused first
+    with pytest.raises(SpecMismatch, match=r"M must be 4x0"):
+        v_kappa_star(m, SPEC2)
+
+
 def test_q_hat_examples():
     q = spin_form(Framing(SPEC2, (1, 0), (0, 0)))
     assert q_hat(q, identity_mat(4)).is_zero()

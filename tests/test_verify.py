@@ -132,3 +132,16 @@ def test_census_reports_a_group_that_is_not_closed(monkeypatch):
     result = verify.run_suite("census", trials=1, seed=0)
     (named,) = [c for c in result.checks if c.name == "closure-sample"]
     assert not named.ok and named.detail == "200 sampled products"
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_census_reports_an_arf_value_split_into_two_orbits(monkeypatch, g):
+    # the zero form alone in its orbit: its stabilizer is the whole group, which
+    # stabilizer_orders, one form per Arf value, does not show
+    true_orbit = bruteforce._form_orbit
+    monkeypatch.setattr(bruteforce, "_form_orbit", lambda bits, w: {0} if bits == 0 else true_orbit(bits, w))
+    census = bruteforce.qform_census(g)
+    assert census.per_form[0] == (0, 0, bruteforce.sp2_order(g))
+    assert census.stabilizer_orders[0] == bruteforce.sp2_order(g) // census.even_count
+    (named,) = [c for c in verify.run_suite("census", g=g, seed=0).checks if c.name == "stabilizer-orders"]
+    assert not named.ok
