@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from random import Random
 
 from . import bruteforce, mod2
-from .errors import InvalidCount, InvalidSurface, NoLiftExists, SpecMismatch
+from .errors import InvalidCount, InvalidSurface, NoLiftExists, SpecMismatch, UnknownSuite
 from .framing import Framing, arf, spin_form, winding_parity
 from .kernel import kernel_test, lift_transvection, q_hat, theta, v_kappa_star
 from .lattice import AbsVec, CohomClass, SurfaceSpec, abs_basis, as_rel, sympl, x_curve, y_curve
@@ -373,6 +373,8 @@ SUITES = {
 
 def run_suite(name: str, g: int | None = None, trials: int | None = None, seed: int = 0) -> SuiteResult:
     """Run one suite; g None means the suite's own genera, trials None its own count."""
+    if name not in SUITES:
+        raise UnknownSuite(f"unknown suite {name!r}; choose from {', '.join([*SUITES, 'all'])}")
     if g is not None and g < 2:
         raise InvalidSurface(f"genus must be >= 2, got {g}")
     if trials is not None and trials < 1:

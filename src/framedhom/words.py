@@ -13,9 +13,12 @@ the paper's change of winding numbers.  `_letter_map` builds these four,
 with u, phi and omega as sparse supports ((i, value), ...), and is the
 only code that tells a twist from a push for the actions.  Each letter
 keeps them in `rank_one` and their reduction mod 2 in `packed`, both built
-on first use.  `act_rel` and `word_to_paut` read (u, phi), `track_curve`
-and `act_framing` all four through `_transport`, each updating coordinate
-lists in place (c = phi(x), then x_i += c u_i); `delta_word` reads `packed`.
+on first use.  `act_rel` and `word_to_paut` read (u, phi), updating
+coordinate lists in place (c = phi(x), then x_i += c u_i).  By
+twist-linearity a word's winding change is one integral functional on
+relative coordinates; `_winding_change` folds it into a row from all four,
+and `track_curve` and `act_framing` read that row.  `delta_word` reads
+`packed`: it is the same row halved mod 2 on the absolute slots.
 """
 
 from __future__ import annotations
@@ -270,54 +273,54 @@ def word_to_paut(word: Word) -> PAutElem:
 # framing action via chained twist-linearity
 
 
-def _transport(letters, curves: list, w2: list, sign: int) -> None:
-    """Push curves and their doubled windings through letters, in place.
+def _winding_change(letters, rank: int, sign: int) -> list[int]:
+    """The doubled-winding change of a word as a row over relative coordinates.
 
-    Curves are coordinate lists.  Each letter acts as itself (sign 1) or
-    as its inverse (sign -1, which negates phi of a twist and u and omega
-    of a push), on all curves before the next letter: with d = omega(x)
-    and c = phi(x), x += sign c u and the doubled winding gains
-    sign (a c + d); an empty omega (every twist) is skipped.
+    Folds the letters left to right: appending x -> x + phi(x) u with
+    change a phi + omega to a word with change acc gives
+    acc + (acc . u + a) phi + omega.  Sign -1 folds each letter's inverse
+    (negated phi of a twist, negated u and omega of a push), which
+    negates that increment.
     """
+    acc = [0] * rank
     for letter in letters:
         u, phi, a, omega = letter.rank_one
-        for j, x in enumerate(curves):
-            if omega:
-                d = 0
-                for i, v in omega:
-                    d += v * x[i]
-                w2[j] += sign * d
-            c = 0
+        c = a
+        for i, v in u:
+            c += acc[i] * v
+        if c:
+            c *= sign
             for i, v in phi:
-                c += v * x[i]
-            if c:
-                c *= sign
-                w2[j] += a * c
-                for i, v in u:
-                    x[i] += c * v
+                acc[i] += c * v
+        for i, v in omega:
+            acc[i] += sign * v
+    return acc
 
 
 def track_curve(
     word: Word, start: RelVec, winding2: int
 ) -> tuple[RelVec, int]:
-    """Push a curve (class + doubled winding) through the word's letters.
+    """The word's image of a curve (class + doubled winding).
 
-    Rightmost letter first, with the updates of `_transport`.  Doubled
-    values keep arc half-integers integral.
+    The class goes through `act_rel`; the doubled winding gains the word's
+    winding change read at the starting class.  Doubled values keep arc
+    half-integers integral.
     """
     if start.spec != word.spec:
         raise SpecMismatch("word and curve live over different surfaces")
-    curves, w2 = [list(start.coords)], [winding2]
-    _transport(reversed(word.letters), curves, w2, 1)
-    return RelVec(word.spec, curves[0]), w2[0]
+    acc = _winding_change(word.letters, word.spec.rel_rank, 1)
+    return act_rel(word, start), winding2 + sum(c * x for c, x in zip(acc, start.coords))
 
 
 def act_framing(word: Word, f: Framing) -> Framing:
     """Transport a framing: (w . phi)(b) = phi(w^{-1}(b)) on every basis element.
 
-    The basis curves x_1, y_1, ..., x_g, y_g (and a_2, ..., a_n with arc
-    data) go, with their doubled windings, through the inverse letters of w
-    in word order, all curves in one pass over the letters.
+    Basis element j (x_1, y_1, ..., x_g, y_g, then a_2, ..., a_n with arc
+    data) is relative coordinate j, so its new doubled winding is the old
+    one plus entry j of the winding change of w^{-1}: the letters reversed,
+    each inverted.  A twist's declared winding is read as its curve's
+    winding under f, so w1 acting on w2 . f takes w1's twists declared
+    under w2 . f.
     """
     if f.spec != word.spec:
         raise SpecMismatch("word and framing live over different surfaces")
@@ -326,10 +329,8 @@ def act_framing(word: Word, f: Framing) -> Framing:
         raise PointPushOnArcs(
             "point-push letters do not act on framings carrying arc data"
         )
-    w2 = list(f.doubled())
-    curves = [[int(i == j) for i in range(spec.rel_rank)] for j in range(len(w2))]
-    _transport(word.letters, curves, w2, -1)
-    return Framing.from_doubled(spec, w2)
+    acc = _winding_change(reversed(word.letters), spec.rel_rank, -1)
+    return Framing.from_doubled(spec, [w + c for w, c in zip(f.doubled(), acc)])
 
 
 # ---------------------------------------------------------------------------

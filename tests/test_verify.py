@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from framedhom import bruteforce, kernel, paut, verify
-from framedhom.errors import InvalidCount
+from framedhom.errors import InvalidCount, UnknownSuite
 from framedhom.framing import Framing
 from framedhom.lattice import CohomClass, SurfaceSpec, x_curve
 
@@ -92,6 +92,13 @@ def test_run_suite_rejects_trial_counts_below_one(suite, trials):
     # a check that saw no input must not read as a pass
     with pytest.raises(InvalidCount):
         verify.run_suite(suite, trials=trials)
+
+
+def test_run_suite_names_an_unknown_suite():
+    # a named error listing the suites, not a bare KeyError
+    with pytest.raises(UnknownSuite, match="'no-such-suite'") as info:
+        verify.run_suite("no-such-suite")
+    assert all(suite in str(info.value) for suite in verify.SUITES)
 
 
 def test_run_suite_runs_one_trial():

@@ -374,17 +374,71 @@ def test_delta_cocycle_property():
 
 
 def test_delta_matches_framing_action():
-    # evaluated on a basis class b, the defect is phi(w(b)) - phi(b) mod 2
+    # evaluated on a basis class b, the defect is phi(w(b)) - phi(b) mod 2:
+    # delta_word folds the letters' packed mod-2 triples, track_curve reads
+    # the integral winding-change row
     rng = random.Random(13)
-    for _ in range(60):
-        spec = random_spec(rng, 2, rng.choice([1, 2]))
-        f = random_framing(rng, spec)
-        w = random_standard_word(rng, f, rng.randint(1, 5), pushes=False)
-        th = delta_word(w, f)
-        for i in range(1, spec.g + 1):
-            for curve, wind in ((x_curve(spec, i), f.wind_x[i - 1]), (y_curve(spec, i), f.wind_y[i - 1])):
-                _, w2 = track_curve(w, as_rel(curve), 2 * wind)
-                assert ((w2 // 2 - wind) % 2) == th.evaluate(curve)
+    for trial in range(120):
+        spec = random_spec(rng, 2 + trial % 3, 1 + (trial // 3) % 3)
+        f = random_framing(rng, spec, with_arcs=False)
+        words = [random_standard_word(rng, f, rng.randint(1, 5), pushes=False), *_push_words(rng, f, 3)]
+        for w in words:
+            th = delta_word(w, f)
+            for i in range(1, spec.g + 1):
+                for curve, wind in ((x_curve(spec, i), f.wind_x[i - 1]), (y_curve(spec, i), f.wind_y[i - 1])):
+                    _, w2 = track_curve(w, as_rel(curve), 2 * wind)
+                    assert ((w2 // 2 - wind) % 2) == th.evaluate(curve)
+
+
+def _rewound(word, v):
+    """The word's twists declared under f redeclared under v . f, by the oracle `_transport`.
+
+    A twist letter's winding is that of its curve under the framing it acts
+    on; under v . f a curve c has winding f(v^{-1} c).
+    """
+    letters = []
+    for letter in word.letters:
+        if isinstance(letter, Twist):
+            c = as_rel(project_punct(letter.curve))
+            _, w2 = _transport(v, c, 2 * letter.winding, inverse=True)
+            letter = Twist(letter.curve, letter.power, w2 // 2)
+        letters.append(letter)
+    return Word(word.spec, tuple(letters))
+
+
+def _action_cases(rng, count):
+    """(w1, w2, f): twist-only words if f has arc data, words with pushes if not."""
+    for trial in range(count):
+        spec = random_spec(rng, 2 + trial % 3, 1 + (trial // 3) % 3)
+        if trial % 2:
+            f = random_framing(rng, spec, with_arcs=False)
+            w1, w2 = _push_words(rng, f, 2)
+        else:
+            f = random_framing(rng, spec)
+            w1, w2 = (
+                Word(spec, tuple(l for l in w.letters if isinstance(l, Twist)))
+                for w in (random_exotic_word(rng, spec, rng.randint(0, 12)),
+                          random_standard_word(rng, f, rng.randint(0, 12), pushes=False))
+            )
+        yield w1, w2, f
+
+
+def test_act_framing_is_a_left_action():
+    # (w1 w2) . f = w1 . (w2 . f), once w1's twists declare their windings
+    # under w2 . f; the inverse word undoes w, in one word or in two steps
+    rng = random.Random(83)
+    for w1, w2, f in _action_cases(rng, 120):
+        f2 = act_framing(w2, f)
+        assert act_framing(w1 + w2, f) == act_framing(_rewound(w1, w2), f2)
+        assert act_framing(w2 + w2.inverse(), f) == f == act_framing(w2.inverse() + w2, f)
+        assert act_framing(_rewound(w2.inverse(), w2), f2) == f
+    # a twist keeps its declared winding: Tx1 declared under f acts on
+    # Ty1 . f, where x_1 winds 0 - <x_1, y_1> 3 = -3, not as in Tx1 Ty1
+    f = Framing(SPEC1, (0, 0), (3, 0))
+    x1, y1 = x_curve(SPEC1, 1), y_curve(SPEC1, 1)
+    tx, ty = Word(SPEC1, (tw(SPEC1, x1, 1, 0),)), Word(SPEC1, (tw(SPEC1, y1, 1, 3),))
+    assert _rewound(tx, ty) == Word(SPEC1, (tw(SPEC1, x1, 1, -3),))
+    assert act_framing(tx + ty, f) != act_framing(tx, act_framing(ty, f))
 
 
 def test_boundary_twist_changes_arc_winding():
