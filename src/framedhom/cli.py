@@ -24,6 +24,7 @@ from .errors import (
     QVectorMismatch,
     SpecMismatch,
     TooLarge,
+    UnknownSuite,
     WindingParityMismatch,
     WordSyntaxError,
 )
@@ -385,6 +386,8 @@ def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     g = None if args.g is None else _capped(args.g, "g")
     trials = None if args.trials is None else _trials(args.trials)
+    if args.suite != "all" and args.suite not in SUITES:
+        raise UnknownSuite(f"unknown suite {args.suite!r}; choose from {', '.join([*SUITES, 'all'])}")
     # under `all` a --g beyond the census leaves census at its own genus; alone it exits 2
     census_g = None if args.suite == "all" and g is not None and g > CENSUS_MAX_G else g
     results = [

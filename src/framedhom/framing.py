@@ -81,8 +81,14 @@ class Framing:
 
     @property
     def qphi(self) -> int:
-        """Packed basis values phi(b) + 1 of the quadratic refinement q_phi."""
-        return mod2.pack(w + 1 for w in self.curve_windings())
+        """Packed basis values phi(b) + 1 of the quadratic refinement q_phi.
+
+        Bit 2i is set when phi(x_i) is even and bit 2i+1 when phi(y_i) is.
+        """
+        q = 0
+        for i, (wx, wy) in enumerate(zip(self.wind_x, self.wind_y)):
+            q |= ((wx + 1) & 1) << 2 * i | ((wy + 1) & 1) << 2 * i + 1
+        return q
 
 
 class QVector(mod2.Bits):

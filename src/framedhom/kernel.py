@@ -27,7 +27,7 @@ from . import mod2
 from .errors import NoLiftExists, NotPrimitive, NotSymplectic, SpecMismatch
 from .framing import Framing, QForm, arf_of_form, spin_form, winding_parity
 from .lattice import AbsVec, CohomClass, SurfaceSpec
-from .paut import Mat, PAutElem, mat_vec, transvection, zero_mat
+from .paut import Mat, PAutElem, transvection, zero_mat
 
 
 def v_kappa_star(m: Mat, spec: SurfaceSpec) -> CohomClass:
@@ -36,13 +36,19 @@ def v_kappa_star(m: Mat, spec: SurfaceSpec) -> CohomClass:
     v is the reduced mod-2 signature vector (kappa_2, ..., kappa_n); the
     result is identically zero when every kappa entry is even or when n = 1.
     """
-    if len(m) != spec.abs_rank or any(len(row) != spec.zero_rank for row in m):
-        raise SpecMismatch(f"M must be {spec.abs_rank}x{spec.zero_rank}")
-    if spec.n == 1:
+    rank, cols = spec.abs_rank, spec.zero_rank
+    if len(m) != rank or any(len(row) != cols for row in m):
+        raise SpecMismatch(f"M must be {rank}x{cols}")
+    if cols == 0:  # n = 1
         return CohomClass.zero(spec.g)
-    vbar = tuple(k & 1 for k in spec.kappa[1:])
-    w = mat_vec(m, vbar)
-    return CohomClass.from_packed(spec.g, mod2.dual(mod2.pack(w), spec.abs_rank))
+    # M vbar mod 2, packed: the sum of M's odd-kappa columns
+    w = 0
+    for j, k in enumerate(spec.kappa[1:]):
+        if k & 1:
+            for i, row in enumerate(m):
+                if row[j] & 1:
+                    w ^= 1 << i
+    return CohomClass.from_packed(spec.g, mod2.dual(w, rank))
 
 
 def q_hat(q: QForm, sbar: Mat) -> CohomClass:

@@ -107,10 +107,20 @@ def pull_transvection(f: int, v: int, w: int) -> int:
 
 
 def is_symplectic(cols: Sequence[int], w: int) -> bool:
-    """S^T J S = J mod 2: the columns pair with each other like the basis does."""
-    return len(cols) == w and all(
-        pullback(cols, dual(c, w)) == dual(1 << i, w) for i, c in enumerate(cols)
-    )
+    """S^T J S = J mod 2: the columns pair with each other like the basis does.
+
+    The form is alternating mod 2, so each pair a < b is checked once:
+    <c_a, c_b> must be 1 for (a, b) = (x_h, y_h) and 0 otherwise.
+    """
+    if len(cols) != w:
+        return False
+    duals = [dual(c, w) for c in cols]
+    for a in range(w - 1):
+        ca = cols[a]
+        for b in range(a + 1, w):
+            if (ca & duals[b]).bit_count() & 1 != (b == a + 1 and not a & 1):
+                return False
+    return True
 
 
 def qhat(q: int, cols: Sequence[int], w: int) -> int:

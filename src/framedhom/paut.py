@@ -175,16 +175,16 @@ def decompose(a: PAutElem) -> tuple[PAutElem, PAutElem]:
 def transvection(v: AbsVec, k: int = 1) -> Mat:
     """Matrix of x -> x + k <x, v> v in the absolute basis."""
     c = v.coords
-    m = len(c)
-    jv = []
-    for i in range(0, m, 2):
-        jv.append(c[i + 1])
-        jv.append(-c[i])
-    # <x, v> = sum_j jv[j] x_j with jv = (v_y, -v_x) per handle
-    return tuple(
-        tuple((1 if i == j else 0) + k * c[i] * jv[j] for j in range(m))
-        for i in range(m)
-    )
+    # <x, v> = sum_j jv[j] x_j with jv = (v_y, -v_x) per handle, so row i is
+    # k c_i jv with 1 added on the diagonal
+    jv = [u for i in range(0, len(c), 2) for u in (c[i + 1], -c[i])]
+    rows = []
+    for i, ci in enumerate(c):
+        f = k * ci
+        row = [f * u for u in jv]
+        row[i] += 1
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def pullback_h1(sbar: Mat, theta: CohomClass) -> CohomClass:
@@ -203,7 +203,9 @@ def factor_sp(s: Mat) -> list[tuple[tuple[int, ...], int]]:
     list is one valid factorization, not a canonical one.  The reduction is
     symplectic Gaussian elimination: bring each basis column pair to
     (e_{2h}, e_{2h+1}) with transvections supported on the remaining
-    handles, then recurse.
+    handles, then recurse.  Each applied transvection T^k is recorded as its
+    inverse T^{-k}: the applied ones satisfy T_m ... T_1 S = I, so
+    S = T_1^{-1} T_2^{-1} ... T_m^{-1} in application order.
 
     Column 2h is brought to x_h by Euclid on each later handle's (x_i, y_i)
     slots, then by steps that move the x_i slots into the x_h slot.  Column
@@ -217,11 +219,28 @@ def factor_sp(s: Mat) -> list[tuple[tuple[int, ...], int]]:
     Every class used is a basis vector e_p or a sum e_p + e_q of two on
     different handles, and the working matrix is updated by rows: T_v^k adds
     k v_i <., v> to the one or two rows where v is nonzero, and the pairing
-    <., v> reads only the partner rows w[p^1] (and w[q^1]), so each support
-    has its own row kernel.  The vectors come from one table per call, each
-    built once and checked primitive once.  Euclid's quotients depend only
-    on the pivot pair, so each handle's Euclid runs on two integers and its
-    accumulated unimodular 2x2 map is applied to rows x_i and y_i once.
+    <., v> reads only the partner rows w[p^1] (and w[q^1]).  A shear is two
+    row updates: row e gains -k row y_h and row x_h gains k <., e>, a
+    multiple of row e^1.  Each step of the x_i absorption,
+    T_{x_a+y_b}^k T_{y_b}^{-k}, is two as well: row y_b gains -k row y_a,
+    and row x_a gains the same plus k row x_b.  The vectors come from one
+    table per call, each built once and checked primitive once.  Euclid's
+    quotients depend only on the pivot pair, so each handle's Euclid runs on
+    two integers and its accumulated unimodular 2x2 map is applied to rows
+    x_i and y_i once.
+
+    The working matrix shrinks as handles finish.  Later transvections read
+    and change only the rows of later handles, and those rows are 0 in the
+    finished columns, so both finished rows and finished columns are
+    dropped: at handle h each row holds the 2(g-h) entries of the columns
+    2h onwards, and emitted vectors keep their global slots.  Each finished
+    column is compared with its unit vector on the rows still held, and
+    rows x_h and y_h are checked to be 0 in the later columns before they
+    go, so the whole working matrix is still checked against I.
+    Symplecticity forces those zeros: every later column pairs to 0 with
+    columns 2h and 2h+1, which are now x_h and y_h.  Without the row check,
+    an input that slipped past `is_symplectic` could come back as a wrong
+    list instead of an error.
     """
     m = len(s)
     if m % 2 != 0 or any(len(row) != m for row in s):
@@ -230,9 +249,10 @@ def factor_sp(s: Mat) -> list[tuple[tuple[int, ...], int]]:
     if not is_symplectic(s, g):
         raise NotSymplectic("factor_sp input must be symplectic over the integers")
 
+    # w[r] holds row r of the working matrix from column 2h on, at handle h
     w = [list(row) for row in s]
-    applied: list[tuple[tuple[int, ...], int]] = []
-    emit = applied.append
+    out: list[tuple[tuple[int, ...], int]] = []
+    emit = out.append
     unit = identity_mat(m)
     pairs: dict[int, tuple[int, ...]] = {}
 
@@ -249,101 +269,108 @@ def factor_sp(s: Mat) -> list[tuple[tuple[int, ...], int]]:
         if k:
             f = k if p & 1 else -k
             w[p] = [a + f * b for a, b in zip(w[p], w[p ^ 1])]
-            emit((unit[p], k))
+            emit((unit[p], -k))
 
-    def t_two(p: int, q: int, k: int) -> None:
-        # T_{e_p+e_q}^k with p, q on different handles: rows p and q both gain
-        # k <col, e_p + e_q>, which reads the partner rows p^1 and q^1 only
+    def absorb(x: int, y: int, k: int) -> None:
+        # T_{x+y}^k T_y^{-k} for an x slot x and a y slot y on different
+        # handles: row y gains k <col, x> = -k row x^1, row x gains
+        # k <col, x + y>, the same plus k row y^1
         if k:
-            fp = k if p & 1 else -k
-            fq = k if q & 1 else -k
-            d = [fp * b + fq * c for b, c in zip(w[p ^ 1], w[q ^ 1])]
-            w[p] = [a + b for a, b in zip(w[p], d)]
-            w[q] = [a + b for a, b in zip(w[q], d)]
-            emit((pair(p, q), k))
+            d = [-k * b for b in w[x + 1]]
+            w[y] = [a + b for a, b in zip(w[y], d)]
+            w[x] = [a + b + k * c for a, b, c in zip(w[x], d, w[y - 1])]
+            emit((pair(x, y), -k))
+            emit((unit[y], k))
 
-    def euclid_handle(j: int, i: int) -> None:
-        # zero the y_i slot of column j, gcd collects in the x_i slot; the map
+    def check_column(xh: int, c: int) -> None:
+        # column 2h + c must be e_{x_h + c} on the rows still held
+        if any(w[r][c] != (r == xh + c) for r in range(xh, m)):
+            raise AssertionError("column reduction failed; input not symplectic?")
+
+    def euclid_handle(i: int) -> None:
+        # zero the y_i slot of column 2h, gcd collects in the x_i slot; the map
         # (row x_i, row y_i) -> (p x + q y, r x + t y) accumulates over the steps.
         # T_{x_i}^k takes a to a - k b and T_{y_i}^k takes b to b + k a.  A step
         # on a runs when a = 0 or |a| > |b|, else a step on b; a step on b
         # leaves |b| < |a| and a step on a leaves |a| < |b|, so they alternate
         # once started, with one extra step on a (a -> a + b) when a reaches 0.
-        a, b = w[2 * i][j], w[2 * i + 1][j]
+        x, y = w[2 * i], w[2 * i + 1]
+        a0, b0 = a, b = x[0], y[0]
         if b == 0:
             return
         xi, yi = unit[2 * i], unit[2 * i + 1]
-        p, q, r, t = 1, 0, 0, 1
+        # only the map's first column (p, r) is tracked; the map takes (a0, b0)
+        # to (a, 0), which gives its second column (q, t) at the end (b0 != 0)
+        p, r = 1, 0
         if a and abs(a) <= abs(b):
             k, b = divmod(b, a)  # T_{y_i}^{-k}: b -> b mod a
-            emit((yi, -k))
+            emit((yi, k))
             r = -k
         while b:
             if a:
                 k, a = divmod(a, b)  # T_{x_i}^k: a -> a mod b
-                emit((xi, k))
-                p, q = p - k * r, q - k * t
+                emit((xi, -k))
+                p -= k * r
             if not a:
-                emit((xi, -1))  # a -> a + b
-                a, p, q = b, p + r, q + t
+                emit((xi, 1))  # T_{x_i}^{-1}: a -> a + b
+                a, p = b, p + r
             k, b = divmod(b, a)
-            emit((yi, -k))
-            r, t = r - k * p, t - k * q
-        x, y = w[2 * i], w[2 * i + 1]
+            emit((yi, k))
+            r -= k * p
+        q, t = (a - p * a0) // b0, -(r * a0) // b0
         w[2 * i] = [p * c + q * d for c, d in zip(x, y)]
         w[2 * i + 1] = [r * c + t * d for c, d in zip(x, y)]
 
     def reduce_first(h: int) -> None:
-        j = xh = 2 * h
+        xh = 2 * h
         yh = xh + 1
         for i in range(h, g):
-            euclid_handle(j, i)
+            euclid_handle(i)
         # absorb the remaining x_i coefficients into the x_h slot
         for i in range(h + 1, g):
             xi, yi = 2 * i, 2 * i + 1
-            while w[xi][j] != 0:
-                ah, ai = w[xh][j], w[xi][j]
+            while w[xi][0] != 0:
+                ah, ai = w[xh][0], w[xi][0]
                 if ah == 0:
-                    t_two(xh, yi, 1)
-                    t_one(yi, -1)  # a_h += a_i
-                    t_two(xi, yh, -1)
-                    t_one(yh, 1)  # a_i -= a_h
+                    absorb(xh, yi, 1)  # a_h += a_i
+                    absorb(xi, yh, -1)  # a_i -= a_h
                 elif abs(ai) >= abs(ah):
-                    k = -(ai // ah)
-                    t_two(xi, yh, k)
-                    t_one(yh, -k)  # a_i -> a_i mod a_h
+                    absorb(xi, yh, -(ai // ah))  # a_i -> a_i mod a_h
                 else:
-                    k = -(ah // ai)
-                    t_two(xh, yi, k)
-                    t_one(yi, -k)  # a_h -> a_h mod a_i
-        if w[xh][j] == -1:
+                    absorb(xh, yi, -(ah // ai))  # a_h -> a_h mod a_i
+        if w[xh][0] == -1:
             t_one(yh, 1)
             t_one(xh, 2)
             t_one(yh, 1)
-        if tuple(row[j] for row in w) != unit[xh]:
-            raise AssertionError("column reduction failed; input not symplectic?")
+        check_column(xh, 0)
 
     def reduce_second(h: int) -> None:
         # all moves here fix x_h (no y_h component in any transvection class)
         xh = 2 * h
-        j = xh + 1
+        row_xh, row_yh = w[xh], w[xh + 1]
         for e in range(xh + 2, m):
-            k = w[e][j]
-            # <col j, x_h> = -1, so this shear takes the e slot from k to 0
-            t_two(xh, e, k)
-            t_one(xh, -k)
-            t_one(e, -k)
-        t_one(xh, w[xh][j])
-        if tuple(row[j] for row in w) != unit[j]:
-            raise AssertionError("column reduction failed; input not symplectic?")
+            k = w[e][1]
+            if k:
+                # <col 2h+1, x_h> = -1, so this shear takes the e slot from k to 0
+                w[e] = [a - k * b for a, b in zip(w[e], row_yh)]
+                f = k if e & 1 else -k
+                row_xh = [a + f * b for a, b in zip(row_xh, w[e ^ 1])]
+                emit((pair(xh, e), -k))
+                emit((unit[xh], k))
+                emit((unit[e], k))
+        w[xh] = row_xh
+        t_one(xh, row_xh[1])
+        check_column(xh, 1)
+        if any(w[xh][2:]) or any(row_yh[2:]):
+            raise AssertionError("finished handle's rows not clear; input not symplectic?")
 
     for h in range(g):
         reduce_first(h)
         reduce_second(h)
+        for r in range(2 * h + 2, m):
+            del w[r][:2]
 
     for v in (*unit, *pairs.values()):
         if gcd(*v) != 1:
             raise NotPrimitive("internal error: emitted non-primitive class")
-    # applied transvections satisfy T_m ... T_1 S = I, so
-    # S = T_1^{-1} T_2^{-1} ... T_m^{-1} in application order
-    return [(v, -k) for v, k in applied]
+    return out

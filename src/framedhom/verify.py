@@ -374,7 +374,7 @@ SUITES = {
 def run_suite(name: str, g: int | None = None, trials: int | None = None, seed: int = 0) -> SuiteResult:
     """Run one suite; g None means the suite's own genera, trials None its own count."""
     if name not in SUITES:
-        raise UnknownSuite(f"unknown suite {name!r}; choose from {', '.join([*SUITES, 'all'])}")
+        raise UnknownSuite(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     if g is not None and g < 2:
         raise InvalidSurface(f"genus must be >= 2, got {g}")
     if trials is not None and trials < 1:

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framedhom import mod2
 from framedhom.errors import InvalidSurface, MissingArcData, SomeKappaOdd
 from framedhom.framing import (
     Framing,
@@ -122,3 +125,17 @@ def test_even_regime_parity_matches_spin_form():
 def test_qvector_shape():
     with pytest.raises(Exception):
         QVector((1, 0, 1))
+
+
+def test_qphi_packs_the_winding_parities_plus_one():
+    # bit j of q_phi is phi(b_j) + 1 mod 2, negative windings included
+    rng = random.Random(31)
+    for g in (2, 3, 4, 5):
+        spec = SurfaceSpec(g, (2 * g - 2,))
+        cases = [Framing(spec, (-1,) * g, (-2,) * g)]
+        cases += [
+            Framing(spec, [rng.randint(-9, 9) for _ in range(g)], [rng.randint(-9, 9) for _ in range(g)])
+            for _ in range(20)
+        ]
+        for f in cases:
+            assert f.qphi == mod2.pack(w + 1 for w in f.curve_windings())

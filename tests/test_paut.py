@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from framedhom import paut
 from framedhom.errors import NotSymplectic, SpecMismatch
 from framedhom.lattice import AbsVec, CohomClass, SurfaceSpec, sympl, x_curve, y_curve
 from framedhom.paut import (
@@ -11,6 +12,7 @@ from framedhom.paut import (
     compose,
     decompose,
     factor_sp,
+    freeze,
     identity_mat,
     invert,
     is_symplectic,
@@ -85,6 +87,21 @@ def test_transvection_examples():
     assert mat_vec(tv, v.coords) == v.coords  # T_v(v) = v
     assert mat_mul(transvection(x1, 1), transvection(x1, 1)) == transvection(x1, 2)
     assert is_symplectic(tv, 2)
+
+
+def test_transvection_columns_match_the_pairing_formula():
+    # column b of T_v^k is T_v^k(b) = b + k <b, v> v, with the pairing from lattice
+    rng = random.Random(75)
+    for g in (2, 3, 4, 5):
+        spec = SurfaceSpec(g, (2 * g - 2,))
+        for _ in range(12):
+            v = random_primitive_abs(rng, spec).coords
+            k = rng.choice([-3, -2, -1, 1, 2, 3])
+            t = transvection(AbsVec(spec, v), k)
+            for j, col in enumerate(zip(*t)):
+                b = [int(i == j) for i in range(2 * g)]
+                p = k * sympl(b, v)
+                assert list(col) == [x + p * y for x, y in zip(b, v)]
 
 
 def test_sp_inverse():
@@ -210,6 +227,36 @@ def test_factor_sp_lists_are_pinned():
         s = random_symplectic(rng, SurfaceSpec(g, (2 * g - 2,)), rng.randint(2, 20))
         digest.update(repr(factor_sp(s)).encode())
     assert digest.hexdigest() == "d5d3dbcb6e18937e44f53322630c43d8d627e198ffe9b0727dd1f47186508261"
+
+
+def test_factor_sp_refuses_a_non_symplectic_matrix_past_its_entry_check(monkeypatch):
+    # with is_symplectic bypassed, the reduction's own checks must catch a
+    # unimodular matrix that is not symplectic.  A product of transvections is
+    # symplectic, so no list can multiply back to such an S: the only right
+    # outcome is an error, never a list
+    rng = random.Random(404)
+    monkeypatch.setattr(paut, "is_symplectic", lambda s, g: True)
+    refused = 0
+    for trial in range(300):
+        g = 2 + trial % 3
+        m = 2 * g
+        rows = [list(r) for r in random_symplectic(rng, SurfaceSpec(g, (2 * g - 2,)), rng.randint(1, 6))]
+        # one to three elementary row or column operations keep det = +-1
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.sample(range(m), 2)
+            k = rng.choice([-2, -1, 1, 2])
+            if rng.random() < 0.5:
+                rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+            else:
+                for row in rows:
+                    row[i] += k * row[j]
+        s = freeze(rows)
+        if _symplectic_by_product(s, g):
+            continue
+        with pytest.raises(AssertionError, match="not symplectic"):
+            factor_sp(s)
+        refused += 1
+    assert refused > 250
 
 
 def _gram(g):

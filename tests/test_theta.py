@@ -1,9 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
-from framedhom import kernel, paut
-from framedhom.errors import NotSymplectic, SpecMismatch
+from framedhom import kernel, mod2, paut
+from framedhom.errors import NoLiftExists, NotSymplectic, SpecMismatch
 from framedhom.framing import Framing, spin_form, winding_parity
 from framedhom.kernel import kernel_test, q_hat, theta, v_kappa_star
 from framedhom.lattice import CohomClass, SurfaceSpec, x_curve, y_curve
@@ -19,6 +20,7 @@ from framedhom.paut import (
 from framedhom.sampling import (
     random_framing,
     random_paut,
+    random_primitive_abs,
     random_relaut_block,
     random_spec,
     random_standard_word,
@@ -179,3 +181,46 @@ def test_theta_never_factors(monkeypatch):
     monkeypatch.setattr(kernel, "factor_sp", refuse, raising=False)
     assert theta(a, f) == expected
     assert kernel_test(a, f) == expected.is_zero()
+
+
+def test_theta_path_is_pinned():
+    # sha256 of theta, kernel_test, lift_transvection, q_hat (and the mod-2
+    # symplectic check behind it), v_kappa_star, Framing.qphi and
+    # transvection on 112 seeded cases: g 2-5, n 1-4, both regimes, elements
+    # of 4 and 16 factors, windings in [-3, 3].  Recorded before theta's
+    # inputs stopped going through string packing: the results must not change
+    rng = random.Random(2424)
+    digest = hashlib.sha256()
+    for g in (2, 3, 4, 5):
+        for n in (1, 2, 3, 4):
+            for regime in ("even", "odd") if n > 1 else ("even",):
+                for factors in (4, 16, 4, 16):
+                    spec = random_spec(rng, g, n, even_only=regime == "even")
+                    while regime == "odd" and not any(k & 1 for k in spec.kappa):
+                        spec = random_spec(rng, g, n)
+                    f = random_framing(rng, spec)
+                    a = random_paut(rng, spec, factors)
+                    v = random_primitive_abs(rng, spec)
+                    try:
+                        lift = kernel.lift_transvection(v, f)
+                        lifted = (lift.S, lift.M)
+                    except NoLiftExists:
+                        lifted = None
+                    q = spin_form(Framing(SurfaceSpec(g, (2 * g - 2,)), f.wind_x, f.wind_y))
+                    cols = mod2.columns(a.S)
+                    cols[rng.randrange(2 * g)] ^= 1 << rng.randrange(2 * g)
+                    digest.update(
+                        repr(
+                            (
+                                theta(a, f).bits,
+                                kernel_test(a, f),
+                                lifted,
+                                q_hat(q, a.S).bits,
+                                mod2.is_symplectic(cols, 2 * g),
+                                v_kappa_star(a.M, spec).bits,
+                                f.qphi,
+                                transvection(v, rng.choice([-3, -2, -1, 1, 2, 3])),
+                            )
+                        ).encode()
+                    )
+    assert digest.hexdigest() == "688805395d74475e02f7db03b59a99ccdf7e6635e47c9117b288d236bfe674fc"

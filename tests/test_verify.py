@@ -99,6 +99,8 @@ def test_run_suite_names_an_unknown_suite():
     with pytest.raises(UnknownSuite, match="'no-such-suite'") as info:
         verify.run_suite("no-such-suite")
     assert all(suite in str(info.value) for suite in verify.SUITES)
+    # run_suite takes one suite: `all` belongs to the CLI and is not offered
+    assert "all" not in str(info.value).split("choose from ")[1].split(", ")
 
 
 def test_run_suite_runs_one_trial():
