@@ -3,17 +3,18 @@
 An element of Sp(2g, Z/2) is keyed by its packed columns (see mod2) side by
 side in one int: column j occupies bits [j*2g, (j+1)*2g); matrix_to_key
 reduces an integer matrix mod 2 itself.  The group is one strictly
-increasing uint64 array of keys, the closure of a list of transvections:
-an element's position in it indexes every per-element table
-(Mod2Group.find).  The closure, the theta table, the edge certificates and
-the exhaustive kernel count are vectorized with numpy, imported only inside
-them; the rest is packed-int arithmetic from mod2.  The closure and the
-edge walk take the products with the generators in blocks of about BLOCK,
-so memory stays bounded at g=3.  theta on the group is Johnson's closed
-form (theta_table); one edge walk (_holds_on_edges) certifies it and the
-q-defect qhat.  The kernel count (kernel_order_mod2 "enumerate", one solve
-per element) and the form census are the oracles of kernel.structure_report's
-regime formula; only verification code loads this module.
+increasing uint64 array of keys, every symplectic frame enumerated column
+by column (enumerate_sp2): an element's position in it indexes every
+per-element table (Mod2Group.find).  The enumeration, the theta table, the
+edge certificates and the exhaustive kernel count are vectorized with
+numpy, imported only inside them; the rest is packed-int arithmetic from
+mod2.  The enumeration and the edge walk work in blocks of about BLOCK
+keys or products, so memory stays bounded at g=3.  theta on the group is
+Johnson's closed form (theta_table); one edge walk (_holds_on_edges) along
+Humphries's generators certifies it and the q-defect qhat.  The kernel
+count (kernel_order_mod2 "enumerate", one solve per element) and the form
+census are the oracles of kernel.structure_report's regime formula; only
+verification code loads this module.
 """
 
 from __future__ import annotations
@@ -68,7 +69,8 @@ class Mod2Group:
 
     keys holds every element once, as a strictly increasing, read-only
     uint64 array; an element's position in it is its index (find).  gens
-    are the packed vectors v of the transvections T_v it was closed from.
+    are the packed vectors v of transvections T_v that generate it, the
+    edges the certificates walk (_holds_on_edges).
     """
 
     g: int
@@ -91,7 +93,7 @@ class Mod2Group:
         import numpy as np
 
         keys = np.asarray(keys, dtype=np.uint64)
-        pos, hit = _search(self.keys, keys.ravel())
+        pos, hit = _locate(self.keys, keys.ravel())
         if not hit.all():
             raise KeyError("key outside the enumerated group")
         return int(pos[0]) if keys.ndim == 0 else pos.reshape(keys.shape)
@@ -103,30 +105,11 @@ class Mod2Group:
         return sum(mod2.apply(cols, c) << (j * w) for j, c in enumerate(key_columns(b, w)))
 
 
-def _search(ordered, keys):
-    """Positions in the sorted array ordered at which to look for keys, and which hold them.
-
-    The queries are searched in ascending order, which visits nearby parts
-    of ordered in turn.  Against one plain searchsorted (2-core machine,
-    numpy 2.4) that wins on queries in no order, such as the 1 451 520 g=3
-    keys shuffled (116 ms against 676 ms), and on a g=2 product block of
-    10 800 queries (0.47-0.77 ms against 0.59-1.23 ms), but loses on a g=3
-    product block keys * T_v of 1 451 520 queries (107-139 ms against
-    62-82 ms).  The queries are sorted by one sort of key << b | position,
-    b the bits of a position, which is about ten times faster than a stable
-    argsort, and four times faster than any argsort, of uint64.  The low
-    bits are a permutation in any case, and the one that sorts keys below
-    2^(64 - b), as group keys (at most 36 bits) are.
-    """
+def _locate(ordered, keys):
+    """Positions in the sorted array ordered at which to look for keys, and which hold them."""
     import numpy as np
 
-    b = np.uint64(max(1, (len(keys) - 1).bit_length()))
-    packed = keys << b
-    packed |= np.arange(len(keys), dtype=np.uint64)
-    packed.sort()
-    by = (packed & ((np.uint64(1) << b) - np.uint64(1))).view(np.intp)
-    pos = np.empty(len(keys), dtype=np.intp)
-    pos[by] = np.minimum(np.searchsorted(ordered, keys[by]), len(ordered) - 1)
+    pos = np.minimum(np.searchsorted(ordered, keys), len(ordered) - 1)
     return pos, ordered[pos] == keys
 
 
@@ -145,11 +128,12 @@ def _parities(w: int):
     return np.array([u.bit_count() & 1 for u in range(1 << w)], dtype=np.uint8)
 
 
-# products per block of _product_blocks: about 0.5 MB of uint64
+# new keys per block of enumerate_sp2, products per block of _product_blocks:
+# about 0.5 MB of uint64
 BLOCK = 1 << 16
 
 
-@lru_cache(maxsize=8)  # keyed by generator list: bounded, as closure takes any list
+@lru_cache(maxsize=8)  # keyed by generator list: bounded, as callers may pass any list
 def _generator_table(gens: tuple[int, ...], w: int):
     """Read-only arrays per T_v, v in gens: v, <., v>, bits of v (k x w x 1), spread of <., v>, key of T_v."""
     import numpy as np
@@ -185,43 +169,6 @@ def _product_blocks(keys, gens, w: int):
         yield blk, prods
 
 
-def closure(gens: list[int], g: int) -> Mod2Group:
-    """The subgroup of Sp(2g, 2), g = 2 or 3, that the transvections T_v, v in gens, generate.
-
-    Breadth-first from the identity, a level at a time in blocks of
-    products (_product_blocks), each block sorted and its new keys kept.
-    The generators are involutions, so a product of level k lies in level
-    k - 1, k or k + 1: near, the sorted keys of those levels met so far, is
-    all it is searched in and inserted into.  The levels are sorted into
-    one array at the end.
-    """
-    if g not in (2, 3):
-        raise GenusTooLarge("exhaustive enumeration supports g = 2 and 3 only")
-    import numpy as np
-
-    w = 2 * g
-    level = np.array([_identity_key(w)], dtype=np.uint64)
-    near = level
-    levels = [level]
-    while len(level):
-        new = []
-        for _, prods in _product_blocks(level, gens, w):
-            prods = np.sort(prods.ravel())
-            fresh = np.empty(len(prods), dtype=bool)
-            fresh[0] = True
-            np.not_equal(prods[1:], prods[:-1], out=fresh[1:])
-            pos = np.searchsorted(near, prods)
-            fresh &= near.take(pos, mode="clip") != prods
-            near = np.insert(near, pos[fresh], prods[fresh])
-            new.append(prods[fresh])
-        near = np.sort(np.concatenate([level, *new]))  # levels k and k + 1
-        level = np.concatenate(new)
-        levels.append(level)
-    keys = np.sort(np.concatenate(levels))
-    keys.flags.writeable = False
-    return Mod2Group(g, keys, list(gens))
-
-
 def humphries(g: int) -> list[int]:
     """Packed classes of Humphries's 2g+1 generating twists (S. Humphries, 1979).
 
@@ -235,19 +182,79 @@ def humphries(g: int) -> list[int]:
     return chain + [0b0100]
 
 
+def _set_bits(masks, w: int):
+    """(rows, vs): every set bit v of masks[row], rows ascending and each row's v ascending.
+
+    masks is a uint64 array of 2^w-bit masks, 8 <= 2^w <= 64.
+    """
+    import numpy as np
+
+    octets = masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)[:, : (1 << w) // 8]
+    rows, vs = np.nonzero(np.unpackbits(octets, axis=1, bitorder="little"))
+    return rows, vs.astype(np.uint64)
+
+
 @lru_cache(maxsize=None)
 def enumerate_sp2(g: int) -> Mod2Group:
-    """Sp(2g, 2) for g = 2 or 3, as the closure of a list of transvections.
+    """Sp(2g, 2) for g = 2 or 3, every element as its frame of columns, with Humphries's generators.
 
-    The lists, measured on a 2-core machine (Python 3.11, numpy 2.4).  g=3:
-    Humphries's 7 classes close 1 451 520 elements in 32 levels, 1.0-1.3 s
-    and 76 MB peak RSS for the process; all 63 transvections took 10 s, and
-    63 product blocks per edge walk.  g=2: all 15 transvections close 720 elements in 6
-    levels and 1.1 ms, Humphries's 5 in 16 levels and 1.6 ms (medians of
-    400 runs); the closure is 10 of the mod2 benchmark's 39 ops.
+    An element is a list of columns c_0 ... c_{w-1} with <c_a, c_b> = 1
+    exactly when {a, b} = {x_h, y_h}.  The columns are chosen from the top
+    slot (y_g) down, the highest bits of a key: a y slot takes the nonzero
+    vectors orthogonal to every column chosen, an x slot the vectors that
+    pair to 1 with its y and are orthogonal to the later handles.  Each
+    candidate set is one AND of 2^w-bit masks (pair[c], the v with
+    <v, c> = 1, or orth[c], its complement), expanded in ascending order
+    (_set_bits), so the partial keys stay strictly increasing with no sort.
+    Every partial frame extends, and a frame's Gram matrix is J, so the
+    keys are the whole group; a count other than sp2_order(g) raises
+    AssertionError.  A stage takes its partial keys in blocks of about
+    BLOCK children, a partial key for slot j having about 2^(j+1)
+    candidates.
+
+    Measured on a 2-core machine (Python 3.11, numpy 2.4): g=2 in
+    0.17-0.22 ms against 0.7-0.85 ms for the breadth-first closure of the
+    15 transvections it replaced (medians of 15); g=3 in 0.35-0.53 s and
+    67 MB peak RSS for the process, against 0.9-1.1 s and 77 MB for the
+    closure of Humphries's 7 classes.  The enumeration is 10 of the mod2
+    benchmark's 39 ops.
     """
-    gens = humphries(g) if g == 3 else list(range(1, 1 << 2 * g))
-    return closure(gens, g)
+    if g not in (2, 3):
+        raise GenusTooLarge("exhaustive enumeration supports g = 2 and 3 only")
+    import numpy as np
+
+    w = 2 * g
+    u = np.arange(1 << w, dtype=np.uint8)
+    octets = np.zeros((1 << w, 8), dtype=np.uint8)
+    pairs = _parities(w)[mod2.dual(u, w)[:, None] & u]  # pairs[c, v] = <v, c>
+    octets[:, : (1 << w) // 8] = np.packbits(pairs, axis=1, bitorder="little")
+    pair = octets.view("<u8").ravel().astype(np.uint64)
+    every = np.uint64((1 << (1 << w)) - 1)
+    orth = pair ^ every
+    low = np.uint64((1 << w) - 1)
+    keys = np.zeros(1, dtype=np.uint64)
+    done = np.array([every], dtype=np.uint64)  # the v orthogonal to every handle chosen
+    for j in reversed(range(w)):
+        shift = np.uint64(j * w)
+        step = max(1, BLOCK >> (j + 1))
+        out_keys, out_done = [], []
+        for a in range(0, len(keys), step):
+            part, seen = keys[a : a + step], done[a : a + step]
+            if j & 1:  # a y slot: the handle stays open
+                rows, vs = _set_bits(seen & ~np.uint64(1), w)
+                out_done.append(seen[rows])
+            else:  # an x slot: pair to 1 with its y, then the handle is done
+                y = (part >> (shift + np.uint64(w))) & low
+                rows, vs = _set_bits(seen & pair[y], w)
+                if j:
+                    out_done.append(seen[rows] & orth[y[rows]] & orth[vs])
+            out_keys.append(part[rows] | vs << shift)
+        keys = np.concatenate(out_keys)
+        done = np.concatenate(out_done) if j else None
+    if len(keys) != sp2_order(g):
+        raise AssertionError("frame enumeration did not reach |Sp(2g, 2)|")
+    keys.flags.writeable = False
+    return Mod2Group(g, keys, humphries(g))
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +279,16 @@ def _holds_on_edges(keys, tables, gens, w: int) -> bool:
     per product block serves all k tables; a product or a T_x missing from
     keys fails.
 
-    If the keys are the closure of gens, a table t that obeys the rule is a
-    crossed homomorphism.  The edge I -> T_x reads t(T_x) = T_x^* t(I)
-    + t(T_x), so t(I) = 0, T_x being invertible.  Then t(AB) = B^* t(A)
+    If the gens generate the group the keys hold, a table t that obeys the
+    rule is a crossed homomorphism.  The edge I -> T_x reads
+    t(T_x) = T_x^* t(I) + t(T_x), so t(I) = 0, T_x being invertible.  Then t(AB) = B^* t(A)
     + t(B) by induction on the length of B as a word in gens: at B = I it
     reads t(I) = 0, and for B = C T_x the edges at AC and at C give
     t(A C T_x) = T_x^* t(AC) + t(T_x) = T_x^* (C^* t(A) + t(C)) + t(T_x)
     = B^* t(A) + t(B).
     """
     vs, duals, _, _, tx_keys = _generator_table(tuple(gens), w)
-    at_tx, hit = _search(keys, tx_keys)
+    at_tx, hit = _locate(keys, tx_keys)
     if not hit.all():
         return False
     values = tables[:, at_tx]
@@ -290,7 +297,7 @@ def _holds_on_edges(keys, tables, gens, w: int) -> bool:
     stacked = tables[:, None, :]
     for blk, prods in _product_blocks(keys, gens, w):
         expected = stacked ^ parity[stacked & vs[blk, None]] * duals[blk, None] ^ values[:, blk, None]
-        pos, hit = _search(keys, prods.ravel())
+        pos, hit = _locate(keys, prods.ravel())
         if not (hit.all() and (tables[:, pos] == expected.reshape(k, -1)).all()):
             return False
         del pos, hit  # a block's worth of positions: freed before the next block is built (13 MB at g=3)
@@ -334,7 +341,7 @@ def check_theta_edges(group: Mod2Group, f: Framing) -> bool:
     w, keys = group.w, group.keys
     table = theta_table(group, f)
     vs = tuple(range(1 << w))
-    at, hit = _search(keys, _generator_table(vs, w)[-1])  # the keys of all T_v
+    at, hit = _locate(keys, _generator_table(vs, w)[-1])  # the keys of all T_v
     return bool(hit.all() and (table[at] == _letters(vs, f)).all()) and _holds_on_edges(
         keys, table[None], group.gens, w
     )
@@ -423,10 +430,9 @@ def verify_qhat_crossed(g: int = 2) -> bool:
     pairs (A, B), B^* the pullback along B.  It is checked on the Cayley
     edges A -> A T_x alone, x in group.gens, both forms in one edge walk
     (_holds_on_edges) over the group's keys; a product or a T_x missing
-    from them fails.  The keys are then closed under the generators, which
-    are involutions, so they are the whole group, and the rule on every
-    edge gives the identity at every pair (A, B) by the induction in
-    _holds_on_edges.
+    from them fails.  The keys are the whole group and the generators
+    generate it (enumerate_sp2), so the rule on every edge gives the
+    identity at every pair (A, B) by the induction in _holds_on_edges.
     """
     if g != 2:
         raise GenusTooLarge("the q-hat certificate is sized for g = 2")

@@ -218,7 +218,7 @@ def suite_census(g: int | None = None, trials: int = 0, seed: int = 0) -> SuiteR
         identity = bruteforce.matrix_to_key(identity_mat(2 * g))
         res.add("contains-identity", bool(identity in group.keys))
         # products of two elements, not of an element and a generator: the
-        # closure is closed under its generators by construction
+        # edge walks of the certificates look up every one of those
         keys = group.keys
         products = [
             group.mul(int(keys[rng.randrange(len(keys))]), int(keys[rng.randrange(len(keys))]))
@@ -247,7 +247,8 @@ def suite_census(g: int | None = None, trials: int = 0, seed: int = 0) -> SuiteR
         res.add(
             "qhat-crossed-all-pairs",
             bruteforce.verify_qhat_crossed(2),
-            "720 x 15 Cayley edges, implying all 720^2 pairs, both Arf classes",
+            f"{len(group)} x {len(group.gens)} Cayley edges, implying all {len(group)}^2 pairs,"
+            " both Arf classes",
         )
     return res
 

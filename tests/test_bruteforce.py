@@ -85,7 +85,7 @@ def _closure_by_ints(gens, g):
 
 def test_closure_matches_pure_int_bfs():
     group = bf.enumerate_sp2(2)
-    keys, _, _, _ = _closure_by_ints(group.gens, 2)
+    keys, _, _, _ = _closure_by_ints(range(1, 16), 2)  # all 15 transvections
     assert len(keys) == len(set(keys)) == 720
     # the same key set, sorted
     assert group.keys.dtype == np.uint64 and group.keys.tolist() == sorted(keys)
@@ -95,14 +95,29 @@ def test_closure_matches_pure_int_bfs():
 
 def test_humphries_classes_close_the_same_group():
     group = bf.enumerate_sp2(2)
-    humphries = bf.closure(bf.humphries(2), 2)
-    assert humphries.gens == [0b0001, 0b0010, 0b0101, 0b1000, 0b0100]  # x1, y1, x1+x2, y2, x2
-    assert humphries.keys.tolist() == group.keys.tolist()
-    # 16 levels in the pure-int BFS over the same generators, the same key set
-    keys, _, _, levels = _closure_by_ints(humphries.gens, 2)
+    # x1, y1, x1+x2, y2, x2
+    assert group.gens == bf.humphries(2) == [0b0001, 0b0010, 0b0101, 0b1000, 0b0100]
+    # 16 levels in the pure-int BFS over Humphries's generators, the same key set
+    keys, _, _, levels = _closure_by_ints(group.gens, 2)
     assert len(levels) == 17
-    assert humphries.keys.tolist() == sorted(keys)
+    assert group.keys.tolist() == sorted(keys)
+    assert bf.enumerate_sp2(3).gens == bf.humphries(3)
     assert bf.humphries(3) == [0b000001, 0b000010, 0b000101, 0b001000, 0b010100, 0b100000, 0b000100]
+
+
+def test_frames_are_symplectic():
+    group = bf.enumerate_sp2(2)
+    assert all(mod2.is_symplectic(bf.key_columns(key, 4), 4) for key in group.keys.tolist())
+    keys = bf.enumerate_sp2(3).keys
+    rng = random.Random(47)
+    sample = [int(keys[rng.randrange(len(keys))]) for _ in range(2000)]
+    assert all(mod2.is_symplectic(bf.key_columns(key, 6), 6) for key in sample)
+
+
+def test_enumeration_asserts_its_count(monkeypatch):
+    monkeypatch.setattr(bf, "sp2_order", lambda g: 719)
+    with pytest.raises(AssertionError):
+        bf.enumerate_sp2.__wrapped__(2)  # past the cache
 
 
 def test_find_positions_and_outsiders():
@@ -400,7 +415,7 @@ def test_theta_edges_catch_one_wrong_letter(monkeypatch):
 
 def test_theta_edges_catch_one_wrong_letter_outside_the_generators(monkeypatch):
     # on the Humphries group only the transvection lookups see the letter value at v
-    group = bf.closure(bf.humphries(2), 2)
+    group = bf.enumerate_sp2(2)
     rng = random.Random(43)
     f = random_framing(rng, SurfaceSpec(2, (1, 2, -1)))
     assert bf.check_theta_edges(group, f)
@@ -553,6 +568,10 @@ def test_enumerate_sp2_genus3():
     assert keys.dtype == np.uint64 and keys.shape == (1451520,) and (keys[1:] > keys[:-1]).all()
     assert len(group) == bf.sp2_order(3) == 1451520
     assert bf._identity_key(6) in keys
+    # every product of a key with a Humphries generator is a key: with the
+    # identity among them, the keys hold the group the generators generate
+    zeros = np.zeros((1, len(group)), dtype=np.uint8)
+    assert bf._holds_on_edges(keys, zeros, bf.humphries(3), 6)
     rng = random.Random(3)
     even = Framing.zeros(SurfaceSpec(3, (4,)))
     odd = Framing(SurfaceSpec(3, (3, 1)), (1, 0, 0), (1, 0, 0), (-1,))

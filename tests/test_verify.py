@@ -111,11 +111,14 @@ def test_run_suite_runs_one_trial():
 def _without_last_level(group):
     """group with the elements farthest from the identity in its Cayley graph dropped.
 
-    Breadth-first from the identity by products with the transvections T_v,
-    v in group.gens, each multiplied as matrices (Mod2Group.mul).
+    Breadth-first from the identity by products with all 2^w - 1
+    transvections T_v, each multiplied as matrices (Mod2Group.mul).  Along
+    Humphries's generators alone the farthest level is too small for 200
+    sampled products to hit.
     """
     ident = bruteforce._identity_key(group.w)
-    tvs = bruteforce._generator_table(tuple(group.gens), group.w)[-1].tolist()  # the keys of the T_v
+    vs = tuple(range(1, 1 << group.w))
+    tvs = bruteforce._generator_table(vs, group.w)[-1].tolist()  # the keys of the T_v
     dist = {ident: 0}
     frontier = [ident]
     while frontier:
