@@ -17,7 +17,6 @@ _EXPORTS = {
         "ArfMismatch",
         "DimensionMismatch",
         "FramedHomError",
-        "GenusTooLarge",
         "InvalidSurface",
         "MissingArcData",
         "MoveError",
@@ -62,7 +61,7 @@ _EXPORTS = {
     ),
     "mod2": (),
     "moves": ("ArcParityTwist", "BoundaryTwist", "ConnectSum", "apply_move", "match_framings"),
-    "paut": ("PAutElem", "compose", "decompose", "factor_sp", "invert", "pullback_h1", "transvection"),
+    "paut": ("PAutElem", "compose", "factor_sp", "invert", "pullback_h1", "transvection"),
     "words": (
         "PointPush",
         "Twist",

@@ -7,14 +7,15 @@ increasing uint64 array of keys, every symplectic frame enumerated column
 by column (enumerate_sp2): an element's position in it indexes every
 per-element table (Mod2Group.find).  The enumeration, the theta table, the
 edge certificates and the exhaustive kernel count are vectorized with
-numpy, imported only inside them; the rest is packed-int arithmetic from
+numpy, imported with this module; the rest is packed-int arithmetic from
 mod2.  The enumeration and the edge walk work in blocks of about BLOCK
 keys or products, so memory stays bounded at g=3.  theta on the group is
 Johnson's closed form (theta_table); one edge walk (_holds_on_edges) along
 Humphries's generators certifies it and the q-defect qhat.  The kernel
 count (kernel_order_mod2 "enumerate", one solve per element) and the form
-census are the oracles of kernel.structure_report's regime formula; only
-verification code loads this module.
+census are the oracles of kernel.structure_report's regime formula, up to
+the sizes kernel.MOD2_MAX_G and MOD2_MAX_N.  Only the census and
+kernel-order suites of framedhom.verify load this module, and with it numpy.
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any
 
+import numpy as np
+
 from . import mod2
-from .errors import GenusTooLarge, SpecMismatch, TooLarge
+from .errors import SpecMismatch, TooLarge
 from .framing import Framing
-from .kernel import structure_report
+from .kernel import MOD2_MAX_G, MOD2_MAX_N, mod2_countable, structure_report
 from .mod2 import sp2_order
 
 Mat = tuple[tuple[int, ...], ...]
@@ -90,8 +93,6 @@ class Mod2Group:
 
     def find(self, keys):
         """Position in keys of a key, or an array of them shaped like keys; KeyError outside the group."""
-        import numpy as np
-
         keys = np.asarray(keys, dtype=np.uint64)
         pos, hit = _locate(self.keys, keys.ravel())
         if not hit.all():
@@ -107,24 +108,18 @@ class Mod2Group:
 
 def _locate(ordered, keys):
     """Positions in the sorted array ordered at which to look for keys, and which hold them."""
-    import numpy as np
-
     pos = np.minimum(np.searchsorted(ordered, keys), len(ordered) - 1)
     return pos, ordered[pos] == keys
 
 
 def _columns(keys, w: int):
     """Packed columns of every key in the uint64 array keys: row j holds column j, as uint8."""
-    import numpy as np
-
     mask = np.uint64((1 << w) - 1)
     return np.stack([((keys >> np.uint64(j * w)) & mask).astype(np.uint8) for j in range(w)])
 
 
 def _parities(w: int):
     """parity[u]: the number of set bits of u mod 2, for every packed vector u, as uint8."""
-    import numpy as np
-
     return np.array([u.bit_count() & 1 for u in range(1 << w)], dtype=np.uint8)
 
 
@@ -136,8 +131,6 @@ BLOCK = 1 << 16
 @lru_cache(maxsize=8)  # keyed by generator list: bounded, as callers may pass any list
 def _generator_table(gens: tuple[int, ...], w: int):
     """Read-only arrays per T_v, v in gens: v, <., v>, bits of v (k x w x 1), spread of <., v>, key of T_v."""
-    import numpy as np
-
     vs = np.array(gens, dtype=np.uint8)
     duals = np.array([mod2.dual(v, w) for v in gens], dtype=np.uint8)
     picks = (vs[:, None, None] >> np.arange(w, dtype=np.uint8)[:, None]) & 1
@@ -156,8 +149,6 @@ def _product_blocks(keys, gens, w: int):
     block holds about BLOCK products and at least one generator, so no
     pass holds more than max(BLOCK, len(keys)) of them.
     """
-    import numpy as np
-
     cols = _columns(keys, w)
     _, _, picks, spreads, _ = _generator_table(tuple(gens), w)
     step = max(1, BLOCK // len(keys))
@@ -187,8 +178,6 @@ def _set_bits(masks, w: int):
 
     masks is a uint64 array of 2^w-bit masks, 8 <= 2^w <= 64.
     """
-    import numpy as np
-
     octets = masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)[:, : (1 << w) // 8]
     rows, vs = np.nonzero(np.unpackbits(octets, axis=1, bitorder="little"))
     return rows, vs.astype(np.uint64)
@@ -196,7 +185,7 @@ def _set_bits(masks, w: int):
 
 @lru_cache(maxsize=None)
 def enumerate_sp2(g: int) -> Mod2Group:
-    """Sp(2g, 2) for g = 2 or 3, every element as its frame of columns, with Humphries's generators.
+    """Sp(2g, 2), 2 <= g <= MOD2_MAX_G, every element as its frame of columns, with Humphries's generators.
 
     An element is a list of columns c_0 ... c_{w-1} with <c_a, c_b> = 1
     exactly when {a, b} = {x_h, y_h}.  The columns are chosen from the top
@@ -219,10 +208,8 @@ def enumerate_sp2(g: int) -> Mod2Group:
     closure of Humphries's 7 classes.  The enumeration is 10 of the mod2
     benchmark's 39 ops.
     """
-    if g not in (2, 3):
-        raise GenusTooLarge("exhaustive enumeration supports g = 2 and 3 only")
-    import numpy as np
-
+    if not 2 <= g <= MOD2_MAX_G:
+        raise TooLarge(f"exhaustive enumeration supports g = 2 and {MOD2_MAX_G} only")
     w = 2 * g
     u = np.arange(1 << w, dtype=np.uint8)
     octets = np.zeros((1 << w, 8), dtype=np.uint8)
@@ -263,8 +250,6 @@ def enumerate_sp2(g: int) -> Mod2Group:
 
 def _letters(vs, f: Framing):
     """The letter value P(v) <., v> of theta at T_v for each packed v in vs, as uint8, P the winding parity."""
-    import numpy as np
-
     w, qphi = 2 * f.spec.g, f.qphi
     return np.array([0 if mod2.quad(qphi, v, w) else mod2.dual(v, w) for v in vs], dtype=np.uint8)
 
@@ -315,8 +300,6 @@ def theta_table(group: Mod2Group, f: Framing):
     """
     if f.spec.g != group.g:
         raise SpecMismatch("framing genus does not match the enumerated group")
-    import numpy as np
-
     w, qphi = group.w, f.qphi
     quads = np.array([mod2.quad(qphi, u, w) for u in range(1 << w)], dtype=np.uint8)
     thetas = np.full(len(group), qphi, dtype=np.uint8)  # the q_phi(b_j) bits
@@ -349,10 +332,6 @@ def check_theta_edges(group: Mod2Group, f: Framing) -> bool:
 
 # ---------------------------------------------------------------------------
 # quadratic form census
-
-
-# largest genus the census serves
-CENSUS_MAX_G = 3
 
 
 @dataclass(frozen=True)
@@ -398,8 +377,8 @@ def qform_census(g: int) -> QFormCensus:
     independently cross-checked against direct counting over the enumerated
     group in the test suite.
     """
-    if g > CENSUS_MAX_G:
-        raise GenusTooLarge(f"census supports g <= {CENSUS_MAX_G}")
+    if g > MOD2_MAX_G:
+        raise TooLarge(f"census supports g <= {MOD2_MAX_G}")
     w = 2 * g
     order = sp2_order(g)
     orbit_cache: dict[int, int] = {}
@@ -421,7 +400,7 @@ def qform_census(g: int) -> QFormCensus:
     return QFormCensus(even, odd, stabs, tuple(per_form))
 
 
-def verify_qhat_crossed(g: int = 2) -> bool:
+def verify_qhat_crossed(g: int) -> bool:
     """Certify the crossed-homomorphism identity of the q-defect on Sp(2g, 2).
 
     For one even and one odd representative form q, qhat(S) is the defect
@@ -435,9 +414,7 @@ def verify_qhat_crossed(g: int = 2) -> bool:
     identity at every pair (A, B) by the induction in _holds_on_edges.
     """
     if g != 2:
-        raise GenusTooLarge("the q-hat certificate is sized for g = 2")
-    import numpy as np
-
+        raise TooLarge("the q-hat certificate is sized for g = 2")
     group = enumerate_sp2(g)
     w = group.w
     cols = _columns(group.keys, w).T.tolist()
@@ -451,7 +428,7 @@ def verify_qhat_crossed(g: int = 2) -> bool:
 
 
 def kernel_order_mod2(f: Framing, method: str) -> int:
-    """Exact number of mod-2 pairs (S, M) in the kernel, for g <= 3, n <= 3.
+    """Exact number of mod-2 pairs (S, M) in the kernel, for g <= MOD2_MAX_G, n <= MOD2_MAX_N.
 
     method "enumerate" counts the pairs with theta(S, M) = 0, i.e.
     S^T <M vbar, .> = theta(S) for the theta table of the framing: the M
@@ -465,12 +442,10 @@ def kernel_order_mod2(f: Framing, method: str) -> int:
     if method not in ("enumerate", "structure"):
         raise ValueError(f"unknown method {method!r}; choose from 'enumerate', 'structure'")
     spec = f.spec
-    if spec.g > 3 or spec.n > 3:
-        raise TooLarge("mod-2 kernel counting is sized for g <= 3, n <= 3")
+    if not mod2_countable(spec):
+        raise TooLarge(f"mod-2 kernel counting is sized for g <= {MOD2_MAX_G}, n <= {MOD2_MAX_N}")
     if method == "structure":
         return structure_report(f).mod2_kernel_order
-    import numpy as np
-
     g, n = spec.g, spec.n
     w = 2 * g
     mfree = 1 << (w * (n - 1))

@@ -380,7 +380,7 @@ def cmd_stratum(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .bruteforce import CENSUS_MAX_G
+    from .kernel import MOD2_MAX_G
     from .verify import SUITES, run_suite
 
     names = list(SUITES) if args.suite == "all" else [args.suite]
@@ -389,7 +389,7 @@ def cmd_verify(args) -> int:
     if args.suite != "all" and args.suite not in SUITES:
         raise UnknownSuite(f"unknown suite {args.suite!r}; choose from {', '.join([*SUITES, 'all'])}")
     # under `all` a --g beyond the census leaves census at its own genus; alone it exits 2
-    census_g = None if args.suite == "all" and g is not None and g > CENSUS_MAX_G else g
+    census_g = None if args.suite == "all" and g is not None and g > MOD2_MAX_G else g
     results = [
         run_suite(n, g=census_g if n == "census" else g, trials=trials, seed=args.seed) for n in names
     ]

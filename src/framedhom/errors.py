@@ -57,10 +57,6 @@ class MoveError(FramedHomError):
     """A basis move's precondition does not hold for this framing."""
 
 
-class GenusTooLarge(FramedHomError):
-    """Exhaustive enumeration is only supported for small genus."""
-
-
 class TooLarge(FramedHomError):
     """Requested exhaustive computation exceeds the supported size."""
 

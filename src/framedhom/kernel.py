@@ -117,6 +117,19 @@ def lift_transvection(v: AbsVec, f: Framing) -> PAutElem:
     return out
 
 
+# The largest genus and number of marked points that the exhaustive mod-2
+# engine (bruteforce) serves: structure_report carries mod2_kernel_order
+# exactly where bruteforce.kernel_order_mod2 can count it.  The genus is
+# also where enumerate_sp2's 2^(2g)-bit masks still fit one uint64.
+MOD2_MAX_G = 3
+MOD2_MAX_N = 3
+
+
+def mod2_countable(spec: SurfaceSpec) -> bool:
+    """Whether the exhaustive mod-2 kernel count serves spec: g <= MOD2_MAX_G, n <= MOD2_MAX_N."""
+    return spec.g <= MOD2_MAX_G and spec.n <= MOD2_MAX_N
+
+
 @dataclass(frozen=True)
 class StructureReport:
     """Shape of the kernel in the two parity regimes.
@@ -135,7 +148,7 @@ class StructureReport:
 
 
 def structure_report(f: Framing) -> StructureReport:
-    """Regime, invariants, and (for g <= 3, n <= 3) the exact mod-2 kernel order.
+    """Regime, invariants, and (for g <= MOD2_MAX_G, n <= MOD2_MAX_N) the exact mod-2 kernel order.
 
     The order is the regime formula, with w = 2g.  Even regime: the spin
     stabilizer, |Sp(2g, 2)| over the 2^(g-1) (2^g + (-1)^Arf) forms of the
@@ -146,7 +159,7 @@ def structure_report(f: Framing) -> StructureReport:
     """
     spec = f.spec
     g, n, w = spec.g, spec.n, spec.abs_rank
-    counted = g <= 3 and n <= 3
+    counted = mod2_countable(spec)
     if all(k % 2 == 0 for k in spec.kappa):
         q = spin_form(f)
         arf = arf_of_form(q)

@@ -12,7 +12,7 @@ rejects g < 2 and n < 1 as `SurfaceSpec` does, and `factor_sp`.  The check
 other as the basis does, <c_a, c_b> = J[a][b] for a < b, one dot product
 per pair and no product matrix.
 Results built inside the library from elements already checked or from
-transvections -- `compose`, `invert`, `decompose`, `PAutElem.identity`, word
+transvections -- `compose`, `invert`, `PAutElem.identity`, word
 matrices and kernel lifts -- are symplectic by construction and go through
 the unchecked `PAutElem._trusted`.
 """
@@ -161,18 +161,11 @@ def invert(a: PAutElem) -> PAutElem:
     return PAutElem._trusted(a.g, a.n, sinv, tuple(tuple(-v for v in row) for row in m))
 
 
-def decompose(a: PAutElem) -> tuple[PAutElem, PAutElem]:
-    """Split A = R * S~ with R = (I, M) point-transvection part, S~ = (S, 0)."""
-    r = PAutElem._trusted(a.g, a.n, identity_mat(2 * a.g), a.M)
-    st = PAutElem._trusted(a.g, a.n, a.S, zero_mat(2 * a.g, a.n - 1))
-    return r, st
-
-
 # ---------------------------------------------------------------------------
 # transvections and their factorization
 
 
-def transvection(v: AbsVec, k: int = 1) -> Mat:
+def transvection(v: AbsVec, k: int) -> Mat:
     """Matrix of x -> x + k <x, v> v in the absolute basis."""
     c = v.coords
     # <x, v> = sum_j jv[j] x_j with jv = (v_y, -v_x) per handle, so row i is

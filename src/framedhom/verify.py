@@ -16,10 +16,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from random import Random
 
-from . import bruteforce, mod2
+from . import mod2
 from .errors import InvalidCount, InvalidSurface, NoLiftExists, SpecMismatch, UnknownSuite
 from .framing import Framing, arf, spin_form, winding_parity
-from .kernel import kernel_test, lift_transvection, q_hat, theta, v_kappa_star
+from .kernel import MOD2_MAX_G, kernel_test, lift_transvection, q_hat, theta, v_kappa_star
 from .lattice import AbsVec, CohomClass, SurfaceSpec, abs_basis, as_rel, sympl, x_curve, y_curve
 from .moves import apply_move, match_framings
 from .paut import Mat, PAutElem, factor_sp, identity_mat, pullback_h1, transvection
@@ -205,10 +205,12 @@ def suite_lift(g: int | None = None, trials: int = 200, seed: int = 0) -> SuiteR
 
 def suite_census(g: int | None = None, trials: int = 0, seed: int = 0) -> SuiteResult:
     """Group order, quadratic form counts, stabilizers, crossed identity."""
+    from . import bruteforce  # loads numpy
+
     rng = Random(seed)
     g = 2 if g is None else g
     res = SuiteResult("census")
-    if g in (2, 3):
+    if 2 <= g <= MOD2_MAX_G:
         group = bruteforce.enumerate_sp2(g)
         res.add(
             "group-order",
@@ -255,6 +257,8 @@ def suite_census(g: int | None = None, trials: int = 0, seed: int = 0) -> SuiteR
 
 def suite_kernel_order(g: int | None = 2, trials: int = 0, seed: int = 0) -> SuiteResult:
     """Exact mod-2 kernel orders, each computed two independent ways."""
+    from . import bruteforce  # loads numpy
+
     res = SuiteResult("kernel-order")
     cases = [
         ("kappa=(2,0) winds 0", Framing.zeros(SurfaceSpec(2, (2, 0))), 1152),

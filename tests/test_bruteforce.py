@@ -5,7 +5,7 @@ import pytest
 
 from framedhom import bruteforce as bf
 from framedhom import mod2
-from framedhom.errors import GenusTooLarge, TooLarge
+from framedhom.errors import TooLarge
 from framedhom.framing import Framing
 from framedhom.kernel import structure_report, theta
 from framedhom.lattice import SurfaceSpec, sympl
@@ -23,7 +23,7 @@ def test_group_order_and_identity():
     assert len(group) == 720 == bf.sp2_order(2)
     ident = group.matrix(group.find(bf._identity_key(4)))
     assert ident == tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
-    with pytest.raises(GenusTooLarge):
+    with pytest.raises(TooLarge):
         bf.enumerate_sp2(4)
 
 

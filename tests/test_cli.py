@@ -189,6 +189,17 @@ def test_act_command(capsys, f2):
     assert data["paut"]["S"][0][1] == -1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["act", "--word", "P(0;x1)"], ["lift", "x0"]],
+    ids=["push-point-0", "handle-0"],
+)
+def test_index_zero_exit2(capsys, argv):
+    # marked points and handles count from 1; index 0 must not wrap to the last
+    code, out, err = run_cli(capsys, *argv, "--framing", str(DATA / "framing_g3.noarc.json"))
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_act_word_with_explicit_letters(capsys, tmp_path):
     # no arc data, so point-push letters are allowed to act
     noarc = write_json(
@@ -462,6 +473,14 @@ def test_stratum_leaves_numpy_and_bruteforce_unloaded():
     for partition in ("1,1", "2,2"):
         code = f"import framedhom.cli as c; assert c.main(['stratum', {partition!r}]) == 0"
         assert _loaded_after(code, ["numpy", "framedhom.bruteforce"]) == []
+
+
+def test_verify_loads_numpy_only_for_the_exhaustive_suites():
+    # numpy comes with framedhom.bruteforce, which only the census and kernel-order suites import
+    probe = "import framedhom.cli as c; assert c.main(['verify', {!r}, '--trials', '1']) == 0"
+    watched = ["numpy", "framedhom.bruteforce"]
+    assert _loaded_after(probe.format("cocycle"), watched) == []
+    assert _loaded_after(probe.format("census"), watched) == watched
 
 
 def test_console_entry_point():

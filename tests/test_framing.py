@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framedhom import mod2
-from framedhom.errors import InvalidSurface, MissingArcData, SomeKappaOdd
+from framedhom.errors import DimensionMismatch, InvalidSurface, MissingArcData, SomeKappaOdd
 from framedhom.framing import (
     Framing,
     QForm,
@@ -120,6 +120,19 @@ def test_even_regime_parity_matches_spin_form():
         coords = tuple((c >> i) & 1 for i in range(4))
         v = AbsVec(spec, coords)
         assert (winding_parity(f, v) + 1) % 2 == q.evaluate(v)
+
+
+def test_qform_evaluate_at_genus_three():
+    # q(sum c_j b_j) = sum c_j q(b_j) + sum_h c_{x_h} c_{y_h}; at g = 2, 2 + g == 2g,
+    # so only g >= 3 tells the rank 2g from 2 + g
+    q = QForm((1, 0, 1), (0, 0, 1))
+    for c in range(64):
+        coords = tuple((c >> j) & 1 for j in range(6))
+        linear = sum(b * x for b, x in zip(q.basis_bits(), coords))
+        pairs = sum(coords[2 * h] * coords[2 * h + 1] for h in range(3))
+        assert q.evaluate(coords) == (linear + pairs) % 2, coords
+    with pytest.raises(DimensionMismatch):
+        q.evaluate((1, 0, 0, 0, 0))
 
 
 def test_qvector_shape():

@@ -155,6 +155,24 @@ def test_pairing_matrix_unimodular(spec):
     assert det in (1, -1)
 
 
+@pytest.mark.parametrize("build", [x_curve, y_curve, point_loop], ids=lambda b: b.__name__)
+def test_basis_indices_start_at_one(build):
+    assert build(SPEC, 1).spec == SPEC
+    with pytest.raises(DimensionMismatch, match=r"index 0 out of range 1\.\."):
+        build(SPEC, 0)
+
+
+def test_cohom_evaluate_at_genus_three():
+    # at g = 2, 2 + g == 2g: only g >= 3 tells the rank 2g from 2 + g
+    spec = SurfaceSpec(3, (4,))
+    th = CohomClass((1, 0, 1, 1, 0, 1))
+    for c in range(64):
+        coords = tuple((c >> j) & 1 for j in range(6))
+        assert th.evaluate(AbsVec(spec, coords)) == sum(t * x for t, x in zip(th.bits, coords)) % 2
+    with pytest.raises(DimensionMismatch):
+        th.evaluate((1, 0, 0, 0, 0))
+
+
 def test_dual_bits_and_cohom():
     x1 = x_curve(SPEC, 1)
     th = CohomClass.pairing_with(x1)

@@ -12,12 +12,12 @@ import framedhom
 # every name the package exported when it imported each submodule eagerly
 EXPORTED = [
     "AbsVec", "ArcParityTwist", "ArfMismatch", "BoundaryTwist", "CohomClass", "ConnectSum",
-    "DimensionMismatch", "FramedHomError", "Framing", "GenusTooLarge", "InvalidSurface",
+    "DimensionMismatch", "FramedHomError", "Framing", "InvalidSurface",
     "MissingArcData", "MoveError", "NoLiftExists", "NotPrimitive", "NotSymplectic", "PAutElem",
     "PointPush", "PointPushOnArcs", "PunctVec", "QForm", "QVector", "QVectorMismatch", "RelVec",
     "SomeKappaOdd", "SpecMismatch", "StructureReport", "SurfaceSpec", "TooLarge", "Twist", "Word",
     "ZeroChain", "abs_basis", "act_framing", "act_rel", "apply_move", "arc_class", "arf",
-    "arf_of_form", "as_punct", "as_rel", "boundary", "compose", "decompose", "delta_word",
+    "arf_of_form", "as_punct", "as_rel", "boundary", "compose", "delta_word",
     "errors", "factor_sp", "framing", "invert", "kernel", "kernel_test", "lattice",
     "lift_transvection", "match_framings", "mod2", "moves", "paut", "point_class", "point_loop",
     "project_punct", "pullback_h1", "q_hat", "q_vector", "rel_punct_pairing", "spin_form",

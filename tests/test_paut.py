@@ -10,7 +10,6 @@ from framedhom.lattice import AbsVec, CohomClass, SurfaceSpec, sympl, x_curve, y
 from framedhom.paut import (
     PAutElem,
     compose,
-    decompose,
     factor_sp,
     freeze,
     identity_mat,
@@ -59,22 +58,6 @@ def test_compose_examples():
 def test_compose_spec_mismatch():
     with pytest.raises(SpecMismatch):
         compose(PAutElem.identity(2, 2), PAutElem.identity(2, 1))
-
-
-def test_decompose_examples():
-    rng = random.Random(3)
-    a = random_paut(rng, SPEC)
-    r, st = decompose(a)
-    assert r.S == identity_mat(4) and r.M == a.M
-    assert st.S == a.S and all(all(v == 0 for v in row) for row in st.M)
-    back = compose(r, st)
-    assert back.S == a.S and back.M == a.M
-    ident = PAutElem.identity(2, 2)
-    r0, s0 = decompose(PAutElem(2, 2, a.S, zero_mat(4, 1)))
-    assert r0.is_identity() and s0.S == a.S
-    r1, s1 = decompose(PAutElem(2, 2, identity_mat(4), a.M))
-    assert s1.is_identity() and r1.M == a.M
-    assert decompose(ident)[0].is_identity()
 
 
 def test_transvection_examples():

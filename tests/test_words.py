@@ -4,7 +4,13 @@ import random
 import pytest
 
 from framedhom import mod2
-from framedhom.errors import NotPrimitive, PointPushOnArcs, SpecMismatch, WindingParityMismatch
+from framedhom.errors import (
+    DimensionMismatch,
+    NotPrimitive,
+    PointPushOnArcs,
+    SpecMismatch,
+    WindingParityMismatch,
+)
 from framedhom.framing import Framing, arf, q_vector
 from framedhom.lattice import (
     AbsVec,
@@ -58,6 +64,10 @@ def test_letter_validation():
         Twist(as_punct(x_curve(SPEC, 1)), 0, 0)
     with pytest.raises(NotPrimitive):
         PointPush(2, 2 * x_curve(SPEC, 1))
+    # marked points count from 1
+    assert PointPush(1, x_curve(SPEC, 1)).point == 1
+    with pytest.raises(DimensionMismatch, match="marked point 0 out of range 1"):
+        PointPush(0, x_curve(SPEC, 1))
     with pytest.raises(SpecMismatch):
         Word(SPEC, (tw(SPEC1, x_curve(SPEC1, 1)),))
 
