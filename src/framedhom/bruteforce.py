@@ -10,8 +10,9 @@ edge certificates and the exhaustive kernel count are vectorized with
 numpy, imported with this module; the rest is packed-int arithmetic from
 mod2.  The enumeration and the edge walk work in blocks of about BLOCK
 keys or products, so memory stays bounded at g=3.  theta on the group is
-Johnson's closed form (theta_table); one edge walk (_holds_on_edges) along
-Humphries's generators certifies it and the q-defect qhat.  The kernel
+Johnson's closed form (theta_table), the q-defect of q_phi; one certificate
+(check_theta_edges), an edge walk along Humphries's generators, checks it,
+and verify_qhat_crossed runs it on one form of each Arf class.  The kernel
 count (kernel_order_mod2 "enumerate", one solve per element) and the form
 census are the oracles of kernel.structure_report's regime formula, up to
 the sizes kernel.MOD2_MAX_G and MOD2_MAX_N.  Only the census and
@@ -30,6 +31,7 @@ from . import mod2
 from .errors import SpecMismatch, TooLarge
 from .framing import Framing
 from .kernel import MOD2_MAX_G, MOD2_MAX_N, mod2_countable, structure_report
+from .lattice import SurfaceSpec
 from .mod2 import sp2_order
 
 Mat = tuple[tuple[int, ...], ...]
@@ -254,15 +256,13 @@ def _letters(vs, f: Framing):
     return np.array([0 if mod2.quad(qphi, v, w) else mod2.dual(v, w) for v in vs], dtype=np.uint8)
 
 
-def _holds_on_edges(keys, tables, gens, w: int) -> bool:
-    """Whether each of k tables obeys the cocycle rule on every Cayley edge S -> S T_x, x in gens.
+def _holds_on_edges(keys, table, gens, w: int) -> bool:
+    """Whether table obeys the cocycle rule on every Cayley edge S -> S T_x, x in gens.
 
-    keys is a sorted uint64 array and tables, k x len(keys), a packed
-    functional per key (by position in keys) for each table, as uint8.
-    The rule is t(S T_x) = T_x^* t(S) + t(T_x), T_x^* f = f + f(x) <., x>
-    the pullback, each letter value t(T_x) read from the table.  One search
-    per product block serves all k tables; a product or a T_x missing from
-    keys fails.
+    keys is a sorted uint64 array and table a packed functional per key (by
+    position in keys), as uint8.  The rule is t(S T_x) = T_x^* t(S) + t(T_x),
+    T_x^* f = f + f(x) <., x> the pullback, each letter value t(T_x) read
+    from the table.  A product or a T_x missing from keys fails.
 
     If the gens generate the group the keys hold, a table t that obeys the
     rule is a crossed homomorphism.  The edge I -> T_x reads
@@ -276,14 +276,12 @@ def _holds_on_edges(keys, tables, gens, w: int) -> bool:
     at_tx, hit = _locate(keys, tx_keys)
     if not hit.all():
         return False
-    values = tables[:, at_tx]
+    values = table[at_tx]
     parity = _parities(w)
-    k = len(tables)
-    stacked = tables[:, None, :]
     for blk, prods in _product_blocks(keys, gens, w):
-        expected = stacked ^ parity[stacked & vs[blk, None]] * duals[blk, None] ^ values[:, blk, None]
+        expected = table ^ parity[table & vs[blk, None]] * duals[blk, None] ^ values[blk, None]
         pos, hit = _locate(keys, prods.ravel())
-        if not (hit.all() and (tables[:, pos] == expected.reshape(k, -1)).all()):
+        if not (hit.all() and (table[pos] == expected.ravel()).all()):
             return False
         del pos, hit  # a block's worth of positions: freed before the next block is built (13 MB at g=3)
     return True
@@ -312,10 +310,10 @@ def check_theta_edges(group: Mod2Group, f: Framing) -> bool:
     """Certify theta_table as the crossed homomorphism with letter values c_v = P(v) <., v>.
 
     Three checks on the table t: t(I) = 0; the cocycle rule on every Cayley
-    edge S -> S T_x, x in group.gens (_holds_on_edges, a stack of one
-    table), which makes t a crossed homomorphism; and t(T_v) = c_v at each
-    of the 2^(2g) - 1 transvections.  The first and the last are one
-    lookup of every packed v, T_0 = I having c_0 = 0.  Together they give
+    edge S -> S T_x, x in group.gens (_holds_on_edges), which makes t a
+    crossed homomorphism; and t(T_v) = c_v at each of the 2^(2g) - 1
+    transvections.  The first and the last are one lookup of every packed
+    v, T_0 = I having c_0 = 0.  Together they give
     t(S T_v) = T_v^* t(S) + t(T_v) = T_v^* t(S) + c_v for every element S
     and every v: the rule on the edges of all transvections, which fixes t
     from t(I) = 0 along any word in them.  The crossed homomorphism passes
@@ -326,7 +324,7 @@ def check_theta_edges(group: Mod2Group, f: Framing) -> bool:
     vs = tuple(range(1 << w))
     at, hit = _locate(keys, _generator_table(vs, w)[-1])  # the keys of all T_v
     return bool(hit.all() and (table[at] == _letters(vs, f)).all()) and _holds_on_edges(
-        keys, table[None], group.gens, w
+        keys, table, group.gens, w
     )
 
 
@@ -403,24 +401,19 @@ def qform_census(g: int) -> QFormCensus:
 def verify_qhat_crossed(g: int) -> bool:
     """Certify the crossed-homomorphism identity of the q-defect on Sp(2g, 2).
 
-    For one even and one odd representative form q, qhat(S) is the defect
-    x -> q(S x) - q(x) of q under S, evaluated once per element
-    (mod2.qhat).  The identity is qhat(AB) = B^* qhat(A) + qhat(B) for all
-    pairs (A, B), B^* the pullback along B.  It is checked on the Cayley
-    edges A -> A T_x alone, x in group.gens, both forms in one edge walk
-    (_holds_on_edges) over the group's keys; a product or a T_x missing
-    from them fails.  The keys are the whole group and the generators
-    generate it (enumerate_sp2), so the rule on every edge gives the
-    identity at every pair (A, B) by the induction in _holds_on_edges.
+    The defect of a form q under S is x -> q(S x) - q(x), and the identity
+    is qhat(AB) = B^* qhat(A) + qhat(B) for all pairs (A, B), B^* the
+    pullback along B.  theta_table is that defect for q = q_phi, so
+    check_theta_edges certifies the identity for q_phi, at every pair by
+    the induction in _holds_on_edges.  The certificate runs on one framing
+    per Arf class, g = 2 and kappa = (2): windings 1 on every class give
+    q_phi = 0 (Arf 0), windings 0 on x1, y1 and 1 on x2, y2 give
+    q_phi = 0b0011 (Arf 1).
     """
     if g != 2:
         raise TooLarge("the q-hat certificate is sized for g = 2")
-    group = enumerate_sp2(g)
-    w = group.w
-    cols = _columns(group.keys, w).T.tolist()
-    reps = (0b0000, 0b0011)  # arf 0 and arf 1 representatives
-    qhats = np.array([[mod2.qhat(rep, c, w) for c in cols] for rep in reps], dtype=np.uint8)
-    return _holds_on_edges(group.keys, qhats, group.gens, w)
+    group, spec = enumerate_sp2(g), SurfaceSpec(2, (2,))
+    return all(check_theta_edges(group, Framing(spec, wind, wind)) for wind in ((1, 1), (0, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -362,9 +362,12 @@ def cmd_match(args) -> int:
 def cmd_stratum(args) -> int:
     from .kernel import structure_report
 
-    fields = args.partition.split(",")
+    fields = [p.strip() for p in args.partition.split(",")]
     _capped(len(fields), "n")
     try:
+        # ASCII digits only: int() also takes underscores, signs and other scripts' digits
+        if not all(p.isascii() and p.isdigit() for p in fields):
+            raise ValueError
         parts = tuple(int(p) for p in fields)
     except ValueError as exc:
         raise FileFormatError(f"cannot parse partition {args.partition!r}") from exc

@@ -244,15 +244,11 @@ def test_verify_qhat_crossed():
 
 
 def test_verify_qhat_crossed_catches_one_wrong_value(monkeypatch):
-    group = bf.enumerate_sp2(2)
-    wrong = bf.key_columns(int(group.keys[100]), group.w)
-    true_qhat = mod2.qhat
-
-    def flipped(q, cols, w):
-        return true_qhat(q, cols, w) ^ (1 if list(cols) == wrong else 0)
-
-    monkeypatch.setattr(mod2, "qhat", flipped)
-    assert not bf.verify_qhat_crossed(2)
+    # one entry of one representative form's table, for each of the two forms
+    for rep in (0b0000, 0b0011):
+        with monkeypatch.context() as m:
+            _flip_theta_at(m, 100, 1, qphi=rep)
+            assert not bf.verify_qhat_crossed(2), rep
 
 
 def test_verify_qhat_crossed_rejects_products_outside_the_group(monkeypatch):
@@ -312,6 +308,8 @@ def test_qhat_certificate_agrees_with_all_pairs():
 
 
 def test_qhat_certificate_and_all_pairs_catch_every_flip(monkeypatch):
+    # the certificate reads theta_table, the all-pairs reference mod2.qhat:
+    # the same entry is flipped in both
     group = bf.enumerate_sp2(2)
     rng = random.Random(29)
     # the identity, a transvection, then 18 random elements
@@ -326,17 +324,53 @@ def test_qhat_certificate_and_all_pairs_catch_every_flip(monkeypatch):
         def flipped(q, cols, w):
             return true_qhat(q, cols, w) ^ (bit if q == rep and list(cols) == wrong else 0)
 
-        monkeypatch.setattr(mod2, "qhat", flipped)
-        assert not bf.verify_qhat_crossed(2), (idx, rep, bit)
-        assert not _qhat_crossed_all_pairs(), (idx, rep, bit)
+        with monkeypatch.context() as m:
+            _flip_theta_at(m, idx, bit, qphi=rep)
+            m.setattr(mod2, "qhat", flipped)
+            assert not bf.verify_qhat_crossed(2), (idx, rep, bit)
+            assert not _qhat_crossed_all_pairs(), (idx, rep, bit)
+
+
+def _framing_with_form(q: int) -> Framing:
+    """A g=2, kappa=(2) framing whose q_phi is the packed form q: winding parity 1 - q(b)."""
+    wind_x, wind_y = [tuple(1 - ((q >> (2 * i + o)) & 1) for i in range(2)) for o in (0, 1)]
+    f = Framing(SurfaceSpec(2, (2,)), wind_x, wind_y)
+    assert f.qphi == q
+    return f
+
+
+def _forms_where_qhat_differs_from_the_theta_table():
+    """The g=2 forms q at which mod2.qhat and theta_table disagree at some element."""
+    group = bf.enumerate_sp2(2)
+    cols = [bf.key_columns(key, group.w) for key in group.keys.tolist()]
+    return [
+        q for q in range(1 << group.w)
+        if bf.theta_table(group, _framing_with_form(q)).tolist() != [mod2.qhat(q, c, group.w) for c in cols]
+    ]
+
+
+def test_qhat_matches_the_theta_table_everywhere():
+    # the scalar defect against the vectorized table at all 720 elements, for all 16 forms
+    assert _forms_where_qhat_differs_from_the_theta_table() == []
+
+
+def test_qhat_equality_catches_a_flipped_qhat(monkeypatch):
+    true_qhat = mod2.qhat
+    wrong = bf.key_columns(int(bf.enumerate_sp2(2).keys[100]), 4)
+
+    def flipped(q, cols, w):
+        return true_qhat(q, cols, w) ^ (1 if q == 0b0011 and list(cols) == wrong else 0)
+
+    monkeypatch.setattr(mod2, "qhat", flipped)
+    assert _forms_where_qhat_differs_from_the_theta_table() == [0b0011]
 
 
 def test_edge_walk_fails_on_a_product_outside_the_keys():
     group = bf.enumerate_sp2(2)
-    zeros = np.zeros((1, len(group)), dtype=np.uint8)
+    zeros = np.zeros(len(group), dtype=np.uint8)
     # the zero table obeys the rule on every edge, so only the lookup can fail
     assert bf._holds_on_edges(group.keys, zeros, group.gens, group.w)
-    assert not bf._holds_on_edges(group.keys[:-1], zeros[:, :-1], group.gens, group.w)
+    assert not bf._holds_on_edges(group.keys[:-1], zeros[:-1], group.gens, group.w)
 
 
 def test_theta_edges_consistent():
@@ -375,12 +409,14 @@ def test_theta_table_matches_per_element_recurrence(kappa):
         assert dict(zip(group.keys.tolist(), table)) == _theta_by_tree(closure, group.gens, f)
 
 
-def _flip_theta_at(monkeypatch, idx, bit):
+def _flip_theta_at(monkeypatch, idx, bit, qphi=None):
+    """Flip bit of theta_table's entry idx, for every framing or only those with this q_phi."""
     true_table = bf.theta_table
 
     def flipped(group, framing):
         table = true_table(group, framing)
-        table[idx] ^= bit
+        if qphi is None or framing.qphi == qphi:
+            table[idx] ^= bit
         return table
 
     monkeypatch.setattr(bf, "theta_table", flipped)
@@ -570,7 +606,7 @@ def test_enumerate_sp2_genus3():
     assert bf._identity_key(6) in keys
     # every product of a key with a Humphries generator is a key: with the
     # identity among them, the keys hold the group the generators generate
-    zeros = np.zeros((1, len(group)), dtype=np.uint8)
+    zeros = np.zeros(len(group), dtype=np.uint8)
     assert bf._holds_on_edges(keys, zeros, bf.humphries(3), 6)
     rng = random.Random(3)
     even = Framing.zeros(SurfaceSpec(3, (4,)))

@@ -334,6 +334,7 @@ def test_stratum_command(capsys):
     code, out, _ = run_cli(capsys, "stratum", "1,1")
     data = json.loads(out)
     assert code == 0 and data["report"]["regime"] == "odd"
+    assert run_cli(capsys, "stratum", " 1, 1 ") == (0, out, "")
     code, out, _ = run_cli(capsys, "stratum", "3,1")
     data = json.loads(out)
     assert code == 0 and data["framing"]["g"] == 3 and data["report"]["regime"] == "odd"
@@ -341,6 +342,13 @@ def test_stratum_command(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "stratum", "0,4")
     assert code == 2
+
+
+@pytest.mark.parametrize("partition", ["2_0", "+2", "\u0662", "1,+1", "1,1_", " ", "1,,1"])
+def test_stratum_takes_only_ascii_digits(capsys, partition):
+    # int() would read "2_0" as 20 and "\u0662" (Arabic-Indic two) as 2
+    code, out, err = run_cli(capsys, "stratum", partition)
+    assert code == 2 and out == "" and err.startswith("error: cannot parse partition")
 
 
 def test_oversized_surface_exit2(capsys, tmp_path):

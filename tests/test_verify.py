@@ -66,8 +66,27 @@ def test_suite_reports_a_broken_property(monkeypatch, suite, check, attr, breake
     assert _failures(named.detail) > 0, named.detail
 
 
+# the fixed suites read theta_table: one wrong entry must fail the named check
+FIXED_BROKEN = [("census", "qhat-crossed-all-pairs"), ("kernel-order", "mod2-well-defined")]
+
+
+@pytest.mark.parametrize("suite, check", FIXED_BROKEN, ids=[f"{s}/{c}" for s, c in FIXED_BROKEN])
+def test_fixed_suite_reports_a_flipped_theta_entry(monkeypatch, suite, check):
+    true_table = bruteforce.theta_table
+
+    def flipped(group, f):
+        table = true_table(group, f)
+        table[100] ^= 1  # an element other than the identity
+        return table
+
+    monkeypatch.setattr(bruteforce, "theta_table", flipped)
+    result = verify.run_suite(suite, seed=0)
+    (named,) = [c for c in result.checks if c.name == check]
+    assert not named.ok and not result.ok
+
+
 def test_every_random_suite_has_a_broken_case():
-    fixed = {"census", "kernel-order"}
+    fixed = {s for s, _ in FIXED_BROKEN}
     assert {s for s, _, _, _ in BROKEN} == set(verify.SUITES) - fixed
 
 
