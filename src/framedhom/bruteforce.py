@@ -11,12 +11,14 @@ numpy, imported with this module; the rest is packed-int arithmetic from
 mod2.  The enumeration and the edge walk work in blocks of about BLOCK
 keys or products, so memory stays bounded at g=3.  theta on the group is
 Johnson's closed form (theta_table), the q-defect of q_phi; one certificate
-(check_theta_edges), an edge walk along Humphries's generators, checks it,
-and verify_qhat_crossed runs it on one form of each Arf class.  The kernel
-count (kernel_order_mod2 "enumerate", one solve per element) and the form
-census are the oracles of kernel.structure_report's regime formula, up to
-the sizes kernel.MOD2_MAX_G and MOD2_MAX_N.  Only the census and
-kernel-order suites of framedhom.verify load this module, and with it numpy.
+(check_theta_edges), an edge walk along Humphries's generators that sorts
+each row of products against the keys, checks it, and verify_qhat_crossed
+runs it on one form of each Arf class.  The kernel count (kernel_order_mod2
+"enumerate", one solve per element) and the form census, its orbits walked
+along the same generators, are the oracles of kernel.structure_report's
+regime formula, up to the sizes kernel.MOD2_MAX_G and MOD2_MAX_N.  Only the
+census and kernel-order suites of framedhom.verify load this module, and
+with it numpy.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ class Mod2Group:
 
 
 def _locate(ordered, keys):
-    """Positions in the sorted array ordered at which to look for keys, and which hold them."""
+    """Binary-search positions in the sorted array ordered at which to look for keys, and which hold them."""
     pos = np.minimum(np.searchsorted(ordered, keys), len(ordered) - 1)
     return pos, ordered[pos] == keys
 
@@ -259,18 +261,20 @@ def _letters(vs, f: Framing):
 def _holds_on_edges(keys, table, gens, w: int) -> bool:
     """Whether table obeys the cocycle rule on every Cayley edge S -> S T_x, x in gens.
 
-    keys is a sorted uint64 array and table a packed functional per key (by
-    position in keys), as uint8.  The rule is t(S T_x) = T_x^* t(S) + t(T_x),
-    T_x^* f = f + f(x) <., x> the pullback, each letter value t(T_x) read
-    from the table.  A product or a T_x missing from keys fails.
+    keys is a strictly increasing uint64 array, table a packed functional
+    per key (by position), as uint8.  The rule is t(S T_x) = T_x^* t(S) +
+    t(T_x), T_x^* f = f + f(x) <., x> the pullback, t(T_x) read from the
+    table (a T_x outside keys fails).  Keys (at most 36 bits) and products
+    are tagged with their values (at most 6 bits) as key << 8 | value: a
+    sorted row of tagged products S T_x equals the tagged keys iff right
+    multiplication by T_x permutes the keys and carries the rule.
 
     If the gens generate the group the keys hold, a table t that obeys the
-    rule is a crossed homomorphism.  The edge I -> T_x reads
-    t(T_x) = T_x^* t(I) + t(T_x), so t(I) = 0, T_x being invertible.  Then t(AB) = B^* t(A)
-    + t(B) by induction on the length of B as a word in gens: at B = I it
-    reads t(I) = 0, and for B = C T_x the edges at AC and at C give
-    t(A C T_x) = T_x^* t(AC) + t(T_x) = T_x^* (C^* t(A) + t(C)) + t(T_x)
-    = B^* t(A) + t(B).
+    rule is a crossed homomorphism.  The edge I -> T_x reads t(T_x) =
+    T_x^* t(I) + t(T_x), so t(I) = 0.  Then t(AB) = B^* t(A) + t(B) by
+    induction on the length of B as a word in gens: for B = C T_x the edges
+    at AC and at C give t(A C T_x) = T_x^* t(AC) + t(T_x) = T_x^* (C^* t(A)
+    + t(C)) + t(T_x) = B^* t(A) + t(B).
     """
     vs, duals, _, _, tx_keys = _generator_table(tuple(gens), w)
     at_tx, hit = _locate(keys, tx_keys)
@@ -278,12 +282,13 @@ def _holds_on_edges(keys, table, gens, w: int) -> bool:
         return False
     values = table[at_tx]
     parity = _parities(w)
+    tagged = keys << np.uint64(8) | table
     for blk, prods in _product_blocks(keys, gens, w):
-        expected = table ^ parity[table & vs[blk, None]] * duals[blk, None] ^ values[blk, None]
-        pos, hit = _locate(keys, prods.ravel())
-        if not (hit.all() and (table[pos] == expected.ravel()).all()):
+        prods <<= np.uint64(8)
+        prods |= table ^ parity[table & vs[blk, None]] * duals[blk, None] ^ values[blk, None]
+        prods.sort(axis=1)
+        if not (prods == tagged).all():
             return False
-        del pos, hit  # a block's worth of positions: freed before the next block is built (13 MB at g=3)
     return True
 
 
@@ -340,14 +345,15 @@ class QFormCensus:
     per_form: tuple[tuple[int, int, int], ...]  # (packed basis bits, arf, stab)
 
 
-def _form_orbit(bits: int, w: int) -> set[int]:
-    """Orbit of a quadratic form under all mod-2 transvections.
+def _form_orbit(bits: int, w: int, gens: list[int]) -> set[int]:
+    """Orbit of a quadratic form under the group generated by the transvections T_v, v in gens.
 
     T_v moves the form b to b + <., v> when b(v) = 0.  b(v) is the parity
     of b & v plus the pairing term c_v = quad(0, v, w), so each call builds
-    one table of moves (v, <., v>, c_v) and tests b(v) inline.
+    one table of moves (v, <., v>, c_v) and tests b(v) inline.  The group is
+    finite, so closing under these moves alone reaches the orbit.
     """
-    moves = [(v, mod2.dual(v, w), mod2.quad(0, v, w)) for v in range(1, 1 << w)]
+    moves = [(v, mod2.dual(v, w), mod2.quad(0, v, w)) for v in gens]
     seen = {bits}
     frontier = [bits]
     while frontier:
@@ -367,35 +373,29 @@ def qform_census(g: int) -> QFormCensus:
     """Count quadratic refinements by Arf value and compute stabilizer orders.
 
     Stabilizers come from orbit-stabilizer against the closed-form group
-    order, each orbit found by search (_form_orbit): per_form holds every
-    form's, stabilizer_orders one form's per Arf value.  The census suite
-    checks each per_form entry against |Sp(2g, 2)| over the count of its
-    Arf value, which holds iff each Arf value is one orbit, as the regime
-    formula of kernel.structure_report assumes.  The g=2 values are
-    independently cross-checked against direct counting over the enumerated
-    group in the test suite.
+    order, each orbit found by search along the 2g+1 moves of humphries(g)
+    (_form_orbit): per_form holds every form's, stabilizer_orders one form's
+    per Arf value.  The census suite checks each per_form entry against
+    |Sp(2g, 2)| over the count of its Arf value, which holds iff each Arf
+    value is one orbit, as the regime formula of kernel.structure_report
+    assumes; generators of a smaller group would split an orbit and fail it.
+    The g=2 values are cross-checked against direct counting over the
+    enumerated group in the test suite.
     """
     if g > MOD2_MAX_G:
         raise TooLarge(f"census supports g <= {MOD2_MAX_G}")
-    w = 2 * g
+    w, gens = 2 * g, humphries(g)
     order = sp2_order(g)
     orbit_cache: dict[int, int] = {}
     per_form = []
-    even = odd = 0
     for bits in range(1 << w):
-        a = mod2.arf(bits, w)
-        if a:
-            odd += 1
-        else:
-            even += 1
         if bits not in orbit_cache:
-            orbit = _form_orbit(bits, w)
-            size = len(orbit)
-            for b in orbit:
-                orbit_cache[b] = size
-        per_form.append((bits, a, order // orbit_cache[bits]))
+            orbit = _form_orbit(bits, w, gens)
+            orbit_cache.update(dict.fromkeys(orbit, len(orbit)))
+        per_form.append((bits, mod2.arf(bits, w), order // orbit_cache[bits]))
+    odd = sum(a for _, a, _ in per_form)
     stabs = {a: stab for bits, a, stab in per_form}
-    return QFormCensus(even, odd, stabs, tuple(per_form))
+    return QFormCensus((1 << w) - odd, odd, stabs, tuple(per_form))
 
 
 def verify_qhat_crossed(g: int) -> bool:

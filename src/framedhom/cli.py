@@ -168,10 +168,11 @@ def load_paut(path: str) -> PAutElem:
 # word grammar
 
 
-_TERM_RE = re.compile(r"([+-]?)(\d*)\*?([xyd])(\d+)")
-_SHORT_RE = re.compile(r"^T([xyd])(\d+)(?:\^(-?\d+))?$")
-_TWIST_RE = re.compile(r"^T\(([^;]+);w=(-?\d+)\)(?:\^(-?\d+))?$")
-_PUSH_RE = re.compile(r"^P\((\d+);([^;)]+)\)$")
+# re.ASCII: a str pattern's \d would take every script's digits, which int() converts
+_TERM_RE = re.compile(r"([+-]?)(\d*)\*?([xyd])(\d+)", re.ASCII)
+_SHORT_RE = re.compile(r"^T([xyd])(\d+)(?:\^(-?\d+))?$", re.ASCII)
+_TWIST_RE = re.compile(r"^T\(([^;]+);w=(-?\d+)\)(?:\^(-?\d+))?$", re.ASCII)
+_PUSH_RE = re.compile(r"^P\((\d+);([^;)]+)\)$", re.ASCII)
 
 
 def _word_int(digits: str) -> int:

@@ -176,9 +176,10 @@ def _form_orbit_by_quad(bits, w):
 
 
 def test_form_orbit_matches_bfs_by_quad():
+    # Humphries's 2g+1 moves against all 2^(2g) - 1 transvections
     for w in (4, 6):
         for bits in range(1 << w):
-            assert bf._form_orbit(bits, w) == _form_orbit_by_quad(bits, w)
+            assert bf._form_orbit(bits, w, bf.humphries(w // 2)) == _form_orbit_by_quad(bits, w)
 
 
 def test_census_stabilizers_against_direct_count():
@@ -373,6 +374,22 @@ def test_edge_walk_fails_on_a_product_outside_the_keys():
     assert not bf._holds_on_edges(group.keys[:-1], zeros[:-1], group.gens, group.w)
 
 
+def test_edge_walk_fails_on_a_product_row_that_repeats_a_key(monkeypatch):
+    # every product is a key and the zero table gives every one the value the
+    # rule expects, so only the check that T_x permutes the keys can fail
+    group = bf.enumerate_sp2(2)
+    zeros = np.zeros(len(group), dtype=np.uint8)
+    true_blocks = bf._product_blocks
+
+    def repeating(keys, gens, w):
+        for blk, prods in true_blocks(keys, gens, w):
+            prods[0, 1] = prods[0, 0]  # one key twice, another never
+            yield blk, prods
+
+    monkeypatch.setattr(bf, "_product_blocks", repeating)
+    assert not bf._holds_on_edges(group.keys, zeros, group.gens, group.w)
+
+
 def test_theta_edges_consistent():
     group = bf.enumerate_sp2(2)
     rng = random.Random(1)
@@ -516,7 +533,8 @@ def test_regime_formula_counts_the_form_orbits():
         for bits in range(1 << w):
             winds = [1 - ((bits >> j) & 1) for j in range(w)]
             f = Framing(SurfaceSpec(g, (2 * g - 2,)), winds[0::2], winds[1::2])
-            assert structure_report(f).mod2_kernel_order == bf.sp2_order(g) // len(bf._form_orbit(bits, w))
+            orbit = bf._form_orbit(bits, w, bf.humphries(g))
+            assert structure_report(f).mod2_kernel_order == bf.sp2_order(g) // len(orbit)
 
 
 @pytest.mark.parametrize("f, flip", [

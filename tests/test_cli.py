@@ -281,6 +281,23 @@ def test_act_push_on_arcs_rejected(capsys, f11):
     assert code == 2 and "point-push" in err.lower()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["act", "--word", "T(x\u0661;w=0)"],
+        ["act", "--word", "Tx1^\u0661"],
+        ["act", "--word", "P(\u0661;x1)"],
+        ["lift", "x\u0661"],
+        ["lift", "\u0661x1"],
+    ],
+    ids=["twist-class", "twist-power", "push-point", "handle", "coefficient"],
+)
+def test_word_takes_only_ascii_digits(capsys, f2, argv):
+    # Arabic-Indic one: int() reads it as 1, the word grammar must not
+    code, out, err = run_cli(capsys, *argv, "--framing", f2)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_act_word_syntax_error(capsys, f2):
     code, _, err = run_cli(capsys, "act", "--framing", f2, "--word", "Q(nope)")
     assert code == 2

@@ -169,6 +169,28 @@ def test_match_roundtrip_random():
         assert len(moves) <= gap // 2 + allowance
 
 
+@pytest.mark.parametrize("kappa", [(0, 1, 1, 1, 1), (0, 1, 1, 1, 1, 2)])
+def test_match_repairs_four_flipped_odd_arcs(kappa):
+    # every odd-kappa arc (2..5) in the other parity class: match must pair
+    # the four into two pants twists, whichever two the target was made with
+    spec = SurfaceSpec(sum(kappa) // 2 + 1, kappa)
+    rng = random.Random(len(kappa))
+    for _ in range(40):
+        f = random_framing(rng, spec)
+        a, b, c, d = rng.sample(range(2, 6), 4)
+        h = apply_move(apply_move(f, ArcParityTwist(a, b)), ArcParityTwist(c, d))
+        for _ in range(rng.randint(0, 4)):
+            m = random_move(rng, h)
+            if not isinstance(m, ArcParityTwist):  # leave the four flips in place
+                h = apply_move(h, m)
+        moves = match_framings(f, h)
+        assert sum(isinstance(m, ArcParityTwist) for m in moves) == 2
+        cur = f
+        for m in moves:
+            cur = apply_move(cur, m)
+        assert cur == h
+
+
 def _any_move(rng, spec):
     """A move drawn without regard to its legality on spec."""
     kind = rng.choice(["cs", "apt", "bt"])

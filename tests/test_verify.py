@@ -170,9 +170,23 @@ def test_census_reports_an_arf_value_split_into_two_orbits(monkeypatch, g):
     # the zero form alone in its orbit: its stabilizer is the whole group, which
     # stabilizer_orders, one form per Arf value, does not show
     true_orbit = bruteforce._form_orbit
-    monkeypatch.setattr(bruteforce, "_form_orbit", lambda bits, w: {0} if bits == 0 else true_orbit(bits, w))
+    monkeypatch.setattr(
+        bruteforce, "_form_orbit", lambda bits, w, gens: {0} if bits == 0 else true_orbit(bits, w, gens)
+    )
     census = bruteforce.qform_census(g)
     assert census.per_form[0] == (0, 0, bruteforce.sp2_order(g))
     assert census.stabilizer_orders[0] == bruteforce.sp2_order(g) // census.even_count
+    (named,) = [c for c in verify.run_suite("census", g=g, seed=0).checks if c.name == "stabilizer-orders"]
+    assert not named.ok
+
+
+@pytest.mark.parametrize("g, sizes", [(2, {1, 5, 10}), (3, {1, 7, 21, 35})])
+def test_census_reports_orbits_split_by_too_few_generators(monkeypatch, g, sizes):
+    # without x2, Humphries's classes generate a smaller group, whose orbits
+    # split each Arf value (10 even and 6 odd forms at g=2, 36 and 28 at g=3)
+    w, fewer = 2 * g, bruteforce.humphries(g)[:-1]
+    assert {len(bruteforce._form_orbit(bits, w, fewer)) for bits in range(1 << w)} == sizes
+    true_orbit = bruteforce._form_orbit
+    monkeypatch.setattr(bruteforce, "_form_orbit", lambda bits, w, gens: true_orbit(bits, w, gens[:-1]))
     (named,) = [c for c in verify.run_suite("census", g=g, seed=0).checks if c.name == "stabilizer-orders"]
     assert not named.ok
