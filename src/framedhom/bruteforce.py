@@ -23,7 +23,6 @@ with it numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any
 
@@ -35,6 +34,7 @@ from .framing import Framing
 from .kernel import MOD2_MAX_G, MOD2_MAX_N, mod2_countable, structure_report
 from .lattice import SurfaceSpec
 from .mod2 import sp2_order
+from .value import Value, _set
 
 Mat = tuple[tuple[int, ...], ...]
 
@@ -70,19 +70,27 @@ def _spread(bits: int, w: int) -> int:
 # group enumeration
 
 
-@dataclass(frozen=True, eq=False)
-class Mod2Group:
+class Mod2Group(Value):
     """The mod-2 symplectic group as one sorted array of keys.
 
     keys holds every element once, as a strictly increasing, read-only
     uint64 array; an element's position in it is its index (find).  gens
     are the packed vectors v of transvections T_v that generate it, the
-    edges the certificates walk (_holds_on_edges).
+    edges the certificates walk (_holds_on_edges).  Two groups compare by
+    identity.
     """
 
+    __slots__ = _fields = ("g", "keys", "gens")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
     g: int
     keys: Any
     gens: list[int]
+
+    def __init__(self, g: int, keys: Any, gens: list[int]) -> None:
+        _set(self, "g", g)
+        _set(self, "keys", keys)
+        _set(self, "gens", gens)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -164,13 +172,21 @@ def _product_blocks(keys, gens, w: int):
         yield blk, prods
 
 
+def _check_genus(g: int, what: str) -> None:
+    """TooLarge unless 2 <= g <= MOD2_MAX_G, the genera the exhaustive engine serves."""
+    if not 2 <= g <= MOD2_MAX_G:
+        raise TooLarge(f"{what} supports g <= {MOD2_MAX_G} (and g >= 2), got g = {g}")
+
+
 def humphries(g: int) -> list[int]:
     """Packed classes of Humphries's 2g+1 generating twists (S. Humphries, 1979).
 
     The chain x1, y1, x1+x2, y2, ..., x_{g-1}+x_g, y_g, each class meeting
     the next once, then x2, meeting only y2.  The twists generate the
-    mapping class group, so their transvections generate Sp(2g, 2).
+    mapping class group, so their transvections generate Sp(2g, 2).  Below
+    g = 2 there is no x2, so the engine's genera are required.
     """
+    _check_genus(g, "Humphries's generating set")
     chain = [0b01, 0b10]
     for i in range(1, g):
         chain += [0b0101 << (2 * i - 2), 0b10 << (2 * i)]  # x_i + x_{i+1}, y_{i+1}
@@ -212,8 +228,7 @@ def enumerate_sp2(g: int) -> Mod2Group:
     closure of Humphries's 7 classes.  The enumeration is 10 of the mod2
     benchmark's 39 ops.
     """
-    if not 2 <= g <= MOD2_MAX_G:
-        raise TooLarge(f"exhaustive enumeration supports g = 2 and {MOD2_MAX_G} only")
+    _check_genus(g, "exhaustive enumeration")
     w = 2 * g
     u = np.arange(1 << w, dtype=np.uint8)
     octets = np.zeros((1 << w, 8), dtype=np.uint8)
@@ -337,12 +352,24 @@ def check_theta_edges(group: Mod2Group, f: Framing) -> bool:
 # quadratic form census
 
 
-@dataclass(frozen=True)
-class QFormCensus:
+class QFormCensus(Value):
+    __slots__ = _fields = ("even_count", "odd_count", "stabilizer_orders", "per_form")
     even_count: int
     odd_count: int
     stabilizer_orders: dict[int, int]  # arf value -> stabilizer order
     per_form: tuple[tuple[int, int, int], ...]  # (packed basis bits, arf, stab)
+
+    def __init__(
+        self,
+        even_count: int,
+        odd_count: int,
+        stabilizer_orders: dict[int, int],
+        per_form: tuple[tuple[int, int, int], ...],
+    ) -> None:
+        _set(self, "even_count", even_count)
+        _set(self, "odd_count", odd_count)
+        _set(self, "stabilizer_orders", stabilizer_orders)
+        _set(self, "per_form", per_form)
 
 
 def _form_orbit(bits: int, w: int, gens: list[int]) -> set[int]:
@@ -382,8 +409,7 @@ def qform_census(g: int) -> QFormCensus:
     The g=2 values are cross-checked against direct counting over the
     enumerated group in the test suite.
     """
-    if g > MOD2_MAX_G:
-        raise TooLarge(f"census supports g <= {MOD2_MAX_G}")
+    _check_genus(g, "census")
     w, gens = 2 * g, humphries(g)
     order = sp2_order(g)
     orbit_cache: dict[int, int] = {}

@@ -11,7 +11,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import fields
 from typing import TYPE_CHECKING, Any
 
 # each command imports the layers it needs, so a cold call loads only those
@@ -49,6 +48,21 @@ def _capped(value: int, what: str, limit: int = MAX_SURFACE_SIZE) -> int:
     if value > limit:
         raise TooLarge(f"{what} = {value} exceeds the supported maximum {limit}")
     return value
+
+
+def _ascii_int(text: str, what: str) -> int:
+    """text as an integer: ASCII digits, with an optional leading '-'.
+
+    int() also takes underscores, a '+', surrounding whitespace and other
+    scripts' digits.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    try:
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError
+        return int(text)
+    except ValueError as exc:  # also more digits than the interpreter converts
+        raise FileFormatError(f"cannot parse {what}") from exc
 
 
 def _trials(value: int) -> int:
@@ -275,7 +289,7 @@ def report_to_dict(report: StructureReport) -> dict[str, Any]:
 
 def move_to_dict(m) -> dict[str, Any]:
     """The move's name, then its fields in declaration order."""
-    return {"move": m.name, **{fld.name: getattr(m, fld.name) for fld in fields(m)}}
+    return {"move": m.name, **{name: getattr(m, name) for name in m._fields}}
 
 
 def _emit(obj: Any) -> None:
@@ -365,13 +379,7 @@ def cmd_stratum(args) -> int:
 
     fields = [p.strip() for p in args.partition.split(",")]
     _capped(len(fields), "n")
-    try:
-        # ASCII digits only: int() also takes underscores, signs and other scripts' digits
-        if not all(p.isascii() and p.isdigit() for p in fields):
-            raise ValueError
-        parts = tuple(int(p) for p in fields)
-    except ValueError as exc:
-        raise FileFormatError(f"cannot parse partition {args.partition!r}") from exc
+    parts = tuple(_ascii_int(p, f"partition {args.partition!r}") for p in fields)
     if not parts or any(k < 1 for k in parts):
         raise FileFormatError("stratum partitions need every entry >= 1")
     total = sum(parts)
@@ -388,14 +396,15 @@ def cmd_verify(args) -> int:
     from .verify import SUITES, run_suite
 
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    g = None if args.g is None else _capped(args.g, "g")
-    trials = None if args.trials is None else _trials(args.trials)
+    g = None if args.g is None else _capped(_ascii_int(args.g, f"--g {args.g!r}"), "g")
+    trials = None if args.trials is None else _trials(_ascii_int(args.trials, f"--trials {args.trials!r}"))
+    seed = _ascii_int(args.seed, f"--seed {args.seed!r}")
     if args.suite != "all" and args.suite not in SUITES:
         raise UnknownSuite(f"unknown suite {args.suite!r}; choose from {', '.join([*SUITES, 'all'])}")
     # under `all` a --g beyond the census leaves census at its own genus; alone it exits 2
     census_g = None if args.suite == "all" and g is not None and g > MOD2_MAX_G else g
     results = [
-        run_suite(n, g=census_g if n == "census" else g, trials=trials, seed=args.seed) for n in names
+        run_suite(n, g=census_g if n == "census" else g, trials=trials, seed=seed) for n in names
     ]
     if args.json:
         _emit(
@@ -472,9 +481,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", help="a suite name, or 'all' for every suite")
-    p.add_argument("--g", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None, help=f"1 to {MAX_TRIALS}")
-    p.add_argument("--seed", type=int, default=0)
+    # integers in ASCII digits, parsed by cmd_verify (_ascii_int)
+    p.add_argument("--g", default=None)
+    p.add_argument("--trials", default=None, help=f"1 to {MAX_TRIALS}")
+    p.add_argument("--seed", default="0")
     p.set_defaults(fn=cmd_verify)
 
     return parser

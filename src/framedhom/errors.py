@@ -70,7 +70,7 @@ class WordSyntaxError(FramedHomError):
 
 
 class FileFormatError(FramedHomError):
-    """Malformed framing or automorphism file."""
+    """Malformed framing or automorphism file, or a malformed number on the command line."""
 
 
 class UnknownSuite(FramedHomError):

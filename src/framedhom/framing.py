@@ -8,7 +8,6 @@ exact integer (the doubled value is always odd).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import mod2
@@ -20,39 +19,49 @@ from .errors import (
     SpecMismatch,
 )
 from .lattice import AbsVec, SurfaceSpec
+from .value import Value, _set
 
 
-@dataclass(frozen=True)
-class Framing:
+class Framing(Value):
     """Winding numbers of a framing on the distinguished geometric basis.
 
     arc2 holds 2*phi(a_i) for i = 2..n; None means the relative data is
     absent (only legal when it is never consulted, or when n = 1).
     """
 
+    __slots__ = _fields = ("spec", "wind_x", "wind_y", "arc2")
     spec: SurfaceSpec
     wind_x: tuple[int, ...]
     wind_y: tuple[int, ...]
-    arc2: tuple[int, ...] | None = None
+    arc2: tuple[int, ...] | None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "wind_x", tuple(int(v) for v in self.wind_x))
-        object.__setattr__(self, "wind_y", tuple(int(v) for v in self.wind_y))
-        g = self.spec.g
-        if len(self.wind_x) != g or len(self.wind_y) != g:
+    def __init__(
+        self,
+        spec: SurfaceSpec,
+        wind_x: Sequence[int],
+        wind_y: Sequence[int],
+        arc2: Sequence[int] | None = None,
+    ) -> None:
+        wind_x = tuple(int(v) for v in wind_x)
+        wind_y = tuple(int(v) for v in wind_y)
+        g = spec.g
+        if len(wind_x) != g or len(wind_y) != g:
             raise DimensionMismatch(f"need {g} x- and y-windings")
-        if self.arc2 is None and self.spec.n == 1:
-            object.__setattr__(self, "arc2", ())
-        if self.arc2 is not None:
-            arc2 = tuple(int(v) for v in self.arc2)
-            if len(arc2) != self.spec.n - 1:
-                raise DimensionMismatch(f"need {self.spec.n - 1} doubled arc windings")
+        if arc2 is None and spec.n == 1:
+            arc2 = ()
+        if arc2 is not None:
+            arc2 = tuple(int(v) for v in arc2)
+            if len(arc2) != spec.n - 1:
+                raise DimensionMismatch(f"need {spec.n - 1} doubled arc windings")
             for v in arc2:
                 if v % 2 == 0:
                     raise InvalidSurface(
                         f"arc windings are half-integral: doubled value {v} must be odd"
                     )
-            object.__setattr__(self, "arc2", arc2)
+        _set(self, "spec", spec)
+        _set(self, "wind_x", wind_x)
+        _set(self, "wind_y", wind_y)
+        _set(self, "arc2", arc2)
 
     @classmethod
     def zeros(cls, spec: SurfaceSpec) -> "Framing":
@@ -94,9 +103,13 @@ class Framing:
 class QVector(mod2.Bits):
     """Basis winding parities, in order (x_1, y_1, ..., x_g, y_g)."""
 
+    __slots__ = ()
+
 
 class QForm(mod2.Bits):
     """Quadratic refinement of the mod-2 intersection form, by basis values."""
+
+    __slots__ = ()
 
     def __init__(self, qx: Sequence[int], qy: Sequence[int]) -> None:
         if len(qx) != len(qy):

@@ -21,13 +21,12 @@ corresponding stratum of abelian differentials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import mod2
 from .errors import NoLiftExists, NotPrimitive, NotSymplectic, SpecMismatch
 from .framing import Framing, QForm, arf_of_form, spin_form, winding_parity
 from .lattice import AbsVec, CohomClass, SurfaceSpec
 from .paut import Mat, PAutElem, transvection, zero_mat
+from .value import Value, _set
 
 
 def v_kappa_star(m: Mat, spec: SurfaceSpec) -> CohomClass:
@@ -130,8 +129,7 @@ def mod2_countable(spec: SurfaceSpec) -> bool:
     return spec.g <= MOD2_MAX_G and spec.n <= MOD2_MAX_N
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(Value):
     """Shape of the kernel in the two parity regimes.
 
     Even regime (all kappa even): the kernel is the spin stabilizer extended
@@ -140,11 +138,26 @@ class StructureReport:
     out on the point-transvection side by the reduced signature vector.
     """
 
+    __slots__ = _fields = ("regime", "q", "arf", "v_bar", "mod2_kernel_order")
     regime: str  # "even" or "odd"
-    q: QForm | None = None
-    arf: int | None = None
-    v_bar: tuple[int, ...] | None = None
-    mod2_kernel_order: int | None = None
+    q: QForm | None
+    arf: int | None
+    v_bar: tuple[int, ...] | None
+    mod2_kernel_order: int | None
+
+    def __init__(
+        self,
+        regime: str,
+        q: QForm | None = None,
+        arf: int | None = None,
+        v_bar: tuple[int, ...] | None = None,
+        mod2_kernel_order: int | None = None,
+    ) -> None:
+        _set(self, "regime", regime)
+        _set(self, "q", q)
+        _set(self, "arf", arf)
+        _set(self, "v_bar", v_bar)
+        _set(self, "mod2_kernel_order", mod2_kernel_order)
 
 
 def structure_report(f: Framing) -> StructureReport:

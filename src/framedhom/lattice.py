@@ -12,31 +12,33 @@ with <x_i, y_i> = 1 and <a_i, d_i> = 1.  All arithmetic is exact integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import ClassVar, Sequence
 
 from . import mod2
 from .errors import DimensionMismatch, InvalidSurface, SpecMismatch
+from .value import Value, _set
 
 
-@dataclass(frozen=True)
-class SurfaceSpec:
+class SurfaceSpec(Value):
     """Genus, marked points and their signature partition."""
 
+    __slots__ = _fields = ("g", "kappa")
     g: int
     kappa: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kappa", tuple(int(k) for k in self.kappa))
-        if self.g < 2:
-            raise InvalidSurface(f"genus must be >= 2, got {self.g}")
-        if len(self.kappa) < 1:
+    def __init__(self, g: int, kappa: Sequence[int]) -> None:
+        kappa = tuple(int(k) for k in kappa)
+        if g < 2:
+            raise InvalidSurface(f"genus must be >= 2, got {g}")
+        if len(kappa) < 1:
             raise InvalidSurface("need at least one marked point")
-        if sum(self.kappa) != 2 * self.g - 2:
+        if sum(kappa) != 2 * g - 2:
             raise InvalidSurface(
-                f"kappa sum must equal 2g-2 = {2 * self.g - 2}, got {sum(self.kappa)}"
+                f"kappa sum must equal 2g-2 = {2 * g - 2}, got {sum(kappa)}"
             )
+        _set(self, "g", g)
+        _set(self, "kappa", kappa)
 
     @property
     def n(self) -> int:
@@ -61,22 +63,24 @@ class SurfaceSpec:
         return -1 - self.kappa[i - 1]
 
 
-@dataclass(frozen=True, slots=True)
-class _Vec:
+class _Vec(Value):
     """Exact integer vector over a surface; a subclass names its rank (a SurfaceSpec property) in _rank."""
 
+    __slots__ = _fields = ("spec", "coords")
     _rank: ClassVar[str]
     spec: SurfaceSpec
     coords: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(int(v) for v in self.coords))
-        rank = getattr(self.spec, self._rank)
-        if len(self.coords) != rank:
+    def __init__(self, spec: SurfaceSpec, coords: Sequence[int]) -> None:
+        coords = tuple(int(v) for v in coords)
+        rank = getattr(spec, self._rank)
+        if len(coords) != rank:
             raise DimensionMismatch(
-                f"{type(self).__name__} over g={self.spec.g}, n={self.spec.n} "
-                f"needs {rank} coordinates, got {len(self.coords)}"
+                f"{type(self).__name__} over g={spec.g}, n={spec.n} "
+                f"needs {rank} coordinates, got {len(coords)}"
             )
+        _set(self, "spec", spec)
+        _set(self, "coords", coords)
 
     def _same_spec(self, other: "_Vec") -> None:
         if self.spec != other.spec:
@@ -258,6 +262,8 @@ class CohomClass(mod2.Bits):
     Packed (see mod2) as its evaluation table against the absolute basis; the
     value on a class is the parity of the table masked by its mod-2 coordinates.
     """
+
+    __slots__ = ()
 
     @classmethod
     def zero(cls, g: int) -> "CohomClass":

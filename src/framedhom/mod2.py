@@ -14,10 +14,10 @@ Bit tuples appear only as read-only views (`Bits.bits`), for JSON output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
+from .value import Value, _set
 
 
 # pack parses one binary string of the coordinates' parities and unpack
@@ -135,10 +135,10 @@ def qhat(q: int, cols: Sequence[int], w: int) -> int:
     return out
 
 
-@dataclass(frozen=True, init=False)
-class Bits:
+class Bits(Value):
     """Packed mod-2 vector of rank 2g, built from its bit tuple or packed int."""
 
+    __slots__ = _fields = ("g", "packed")
     g: int
     packed: int
 
@@ -146,14 +146,14 @@ class Bits:
         bits = tuple(bits)
         if len(bits) % 2 != 0:
             raise DimensionMismatch(f"{type(self).__name__} needs 2g bits")
-        object.__setattr__(self, "g", len(bits) // 2)
-        object.__setattr__(self, "packed", pack(bits))
+        _set(self, "g", len(bits) // 2)
+        _set(self, "packed", pack(bits))
 
     @classmethod
     def from_packed(cls, g: int, packed: int):
         out = object.__new__(cls)
-        object.__setattr__(out, "g", g)
-        object.__setattr__(out, "packed", packed)
+        _set(out, "g", g)
+        _set(out, "packed", packed)
         return out
 
     @property

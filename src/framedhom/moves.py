@@ -10,8 +10,7 @@ flipping their half-integer parity classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import Union
 
 from .errors import (
     ArfMismatch,
@@ -22,48 +21,58 @@ from .errors import (
     TooLarge,
 )
 from .framing import Framing, arf, q_vector
+from .value import Value, _set
 
 
-@dataclass(frozen=True)
-class ConnectSum:
+class ConnectSum(Value):
     """Shift the winding of one basis element by 2*sign via a handle sum.
 
     kind is "x", "y" (curves, index 1..g) or "a" (arcs, index 2..n); helper
     is the handle the connect-sum travels through.
     """
 
-    name: ClassVar[str] = "connect-sum"
+    name = "connect-sum"
+    __slots__ = _fields = ("kind", "index", "helper", "sign")
     kind: str
     index: int
     helper: int
-    sign: int = 1
+    sign: int
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("x", "y", "a"):
-            raise MoveError(f"unknown connect-sum target kind {self.kind!r}")
-        if self.sign not in (1, -1):
+    def __init__(self, kind: str, index: int, helper: int, sign: int = 1) -> None:
+        if kind not in ("x", "y", "a"):
+            raise MoveError(f"unknown connect-sum target kind {kind!r}")
+        if sign not in (1, -1):
             raise MoveError("connect-sum sign must be +1 or -1")
+        _set(self, "kind", kind)
+        _set(self, "index", index)
+        _set(self, "helper", helper)
+        _set(self, "sign", sign)
 
 
-@dataclass(frozen=True)
-class ArcParityTwist:
+class ArcParityTwist(Value):
     """Pants twist flipping the parity classes of two odd-kappa arcs."""
 
-    name: ClassVar[str] = "arc-parity-twist"
+    name = "arc-parity-twist"
+    __slots__ = _fields = ("j1", "j2")
     j1: int
     j2: int
 
-    def __post_init__(self) -> None:
-        if self.j1 == self.j2:
+    def __init__(self, j1: int, j2: int) -> None:
+        if j1 == j2:
             raise MoveError("pants twist needs two distinct arcs")
+        _set(self, "j1", j1)
+        _set(self, "j2", j2)
 
 
-@dataclass(frozen=True)
-class BoundaryTwist:
+class BoundaryTwist(Value):
     """Twist about one puncture loop, flipping that arc's parity class."""
 
-    name: ClassVar[str] = "boundary-twist"
+    name = "boundary-twist"
+    __slots__ = _fields = ("j",)
     j: int
+
+    def __init__(self, j: int) -> None:
+        _set(self, "j", j)
 
 
 Move = Union[ConnectSum, ArcParityTwist, BoundaryTwist]

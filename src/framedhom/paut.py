@@ -19,7 +19,6 @@ the unchecked `PAutElem._trusted`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
 from typing import Sequence
@@ -27,6 +26,7 @@ from typing import Sequence
 from . import mod2
 from .errors import DimensionMismatch, InvalidSurface, NotPrimitive, NotSymplectic, SpecMismatch
 from .lattice import AbsVec, CohomClass, SurfaceSpec
+from .value import Value, _set
 
 Mat = tuple[tuple[int, ...], ...]
 
@@ -97,36 +97,41 @@ def sp_inverse(s: Mat, g: int) -> Mat:
 # the group
 
 
-@dataclass(frozen=True)
-class PAutElem:
+class PAutElem(Value):
     """Block automorphism of the relative lattice of a genus-g, n-point surface."""
 
+    __slots__ = _fields = ("g", "n", "S", "M")
     g: int
     n: int
     S: Mat
     M: Mat
 
-    def __post_init__(self) -> None:
-        if self.g < 2:
-            raise InvalidSurface(f"genus must be >= 2, got {self.g}")
-        if self.n < 1:
-            raise InvalidSurface(f"need at least one marked point, got n={self.n}")
-        object.__setattr__(self, "S", freeze(self.S))
-        object.__setattr__(self, "M", freeze(self.M))
-        k = 2 * self.g
-        if len(self.S) != k or any(len(row) != k for row in self.S):
+    def __init__(self, g: int, n: int, S: Sequence[Sequence[int]], M: Sequence[Sequence[int]]) -> None:
+        if g < 2:
+            raise InvalidSurface(f"genus must be >= 2, got {g}")
+        if n < 1:
+            raise InvalidSurface(f"need at least one marked point, got n={n}")
+        S, M = freeze(S), freeze(M)
+        k = 2 * g
+        if len(S) != k or any(len(row) != k for row in S):
             raise DimensionMismatch(f"S must be {k}x{k}")
-        if len(self.M) != k or any(len(row) != self.n - 1 for row in self.M):
-            raise DimensionMismatch(f"M must be {k}x{self.n - 1}")
-        if not is_symplectic(self.S, self.g):
+        if len(M) != k or any(len(row) != n - 1 for row in M):
+            raise DimensionMismatch(f"M must be {k}x{n - 1}")
+        if not is_symplectic(S, g):
             raise NotSymplectic("S does not preserve the intersection pairing")
+        _set(self, "g", g)
+        _set(self, "n", n)
+        _set(self, "S", S)
+        _set(self, "M", M)
 
     @classmethod
     def _trusted(cls, g: int, n: int, s: Mat, m: Mat) -> "PAutElem":
         """Element from blocks that are well shaped and symplectic by construction."""
         out = object.__new__(cls)
-        for name, value in (("g", g), ("n", n), ("S", s), ("M", m)):
-            object.__setattr__(out, name, value)
+        _set(out, "g", g)
+        _set(out, "n", n)
+        _set(out, "S", s)
+        _set(out, "M", m)
         return out
 
     @classmethod

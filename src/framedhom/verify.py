@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from random import Random
 
 from . import mod2
 from .errors import InvalidCount, InvalidSurface, NoLiftExists, SpecMismatch, UnknownSuite
 from .framing import Framing, arf, spin_form, winding_parity
-from .kernel import MOD2_MAX_G, kernel_test, lift_transvection, q_hat, theta, v_kappa_star
+from .kernel import kernel_test, lift_transvection, q_hat, theta, v_kappa_star
 from .lattice import AbsVec, CohomClass, SurfaceSpec, abs_basis, as_rel, sympl, x_curve, y_curve
 from .moves import apply_move, match_framings
 from .paut import Mat, PAutElem, factor_sp, identity_mat, pullback_h1, transvection
@@ -35,14 +34,20 @@ from .sampling import (
     random_standard_word,
     refactored_word,
 )
+from .value import Value, _set
 from .words import Twist, Word, act_framing, delta_word, standard_twists, track_curve, word_to_paut
 
 
-@dataclass
-class Check:
+class Check(Value):
+    __slots__ = _fields = ("name", "ok", "detail")
     name: str
     ok: bool
-    detail: str = ""
+    detail: str
+
+    def __init__(self, name: str, ok: bool, detail: str = "") -> None:
+        _set(self, "name", name)
+        _set(self, "ok", ok)
+        _set(self, "detail", detail)
 
     @classmethod
     def tally(cls, name: str, failed: int, trials: int, noun: str = "") -> "Check":
@@ -50,11 +55,17 @@ class Check:
         return cls(name, failed == 0, f"{trials - failed}/{trials} {noun}".rstrip())
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(Value):
+    __slots__ = _fields = ("suite", "checks", "elapsed")
     suite: str
-    checks: list[Check] = field(default_factory=list)
-    elapsed: float = 0.0
+    checks: list[Check]
+    elapsed: float
+
+    def __init__(self, suite: str, checks: list[Check] | None = None, elapsed: float = 0.0) -> None:
+        # a fresh list per result, never a shared default
+        _set(self, "suite", suite)
+        _set(self, "checks", [] if checks is None else checks)
+        _set(self, "elapsed", elapsed)
 
     @property
     def ok(self) -> bool:
@@ -210,29 +221,28 @@ def suite_census(g: int | None = None, trials: int = 0, seed: int = 0) -> SuiteR
     rng = Random(seed)
     g = 2 if g is None else g
     res = SuiteResult("census")
-    if 2 <= g <= MOD2_MAX_G:
-        group = bruteforce.enumerate_sp2(g)
-        res.add(
-            "group-order",
-            len(group) == bruteforce.sp2_order(g),
-            f"|Sp({2*g},2)| = {len(group)}",
-        )
-        identity = bruteforce.matrix_to_key(identity_mat(2 * g))
-        res.add("contains-identity", bool(identity in group.keys))
-        # products of two elements, not of an element and a generator: the
-        # edge walks of the certificates look up every one of those
-        keys = group.keys
-        products = [
-            group.mul(int(keys[rng.randrange(len(keys))]), int(keys[rng.randrange(len(keys))]))
-            for _ in range(200)
-        ]
-        try:
-            group.find(products)
-            closed = True
-        except KeyError:
-            closed = False
-        res.add("closure-sample", closed, "200 sampled products")
-    census = bruteforce.qform_census(g)
+    census = bruteforce.qform_census(g)  # refuses a genus the engine does not serve
+    group = bruteforce.enumerate_sp2(g)
+    res.add(
+        "group-order",
+        len(group) == bruteforce.sp2_order(g),
+        f"|Sp({2*g},2)| = {len(group)}",
+    )
+    identity = bruteforce.matrix_to_key(identity_mat(2 * g))
+    res.add("contains-identity", bool(identity in group.keys))
+    # products of two elements, not of an element and a generator: the
+    # edge walks of the certificates look up every one of those
+    keys = group.keys
+    products = [
+        group.mul(int(keys[rng.randrange(len(keys))]), int(keys[rng.randrange(len(keys))]))
+        for _ in range(200)
+    ]
+    try:
+        group.find(products)
+        closed = True
+    except KeyError:
+        closed = False
+    res.add("closure-sample", closed, "200 sampled products")
     expected = (2 ** (g - 1) * (2**g + 1), 2 ** (g - 1) * (2**g - 1))
     res.add(
         "form-counts",
@@ -390,5 +400,4 @@ def run_suite(name: str, g: int | None = None, trials: int | None = None, seed: 
         kwargs["trials"] = trials
     start = time.perf_counter()
     result = fn(**kwargs)
-    result.elapsed = time.perf_counter() - start
-    return result
+    return SuiteResult(result.suite, result.checks, time.perf_counter() - start)

@@ -23,7 +23,6 @@ and `track_curve` and `act_framing` read that row.  `delta_word` reads
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Union
 
@@ -48,22 +47,21 @@ from .lattice import (
     y_curve,
 )
 from .paut import PAutElem
+from .value import Value, _set
 
 
 Support = tuple[tuple[int, int], ...]
 LetterMap = tuple[Support, Support, int, Support]
 
 
-@dataclass(frozen=True, slots=True)
-class _Letter:
+class _Letter(Value):
     """What every letter keeps: its map and that map mod 2, each built on first use.
 
-    Both caches are slots kept out of comparison and repr, so they take no
-    part in equality, hashing or repr; slots leave a letter no instance dict.
+    Both caches are slots outside `_fields`, set to None by each letter's
+    __init__, so they take no part in equality, hashing or repr.
     """
 
-    _map: LetterMap | None = field(default=None, init=False, repr=False, compare=False)
-    _packed: tuple[int, int, int] | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("_map", "_packed")
 
     @property
     def rank_one(self) -> LetterMap:
@@ -71,7 +69,7 @@ class _Letter:
         m = self._map
         if m is None:
             m = _letter_map(self)
-            object.__setattr__(self, "_map", m)
+            _set(self, "_map", m)
         return m
 
     @property
@@ -83,11 +81,10 @@ class _Letter:
             k = self.spec.abs_rank
             phi2 = _pack(phi, k, 1)
             m = (_pack(u, k, 1), phi2, (phi2 if a & 2 else 0) ^ _pack(omega, k, 2))
-            object.__setattr__(self, "_packed", m)
+            _set(self, "_packed", m)
         return m
 
 
-@dataclass(frozen=True, slots=True)
 class Twist(_Letter):
     """Dehn twist about a curve with a caller-declared winding number.
 
@@ -96,15 +93,21 @@ class Twist(_Letter):
     the same declared winding.
     """
 
+    __slots__ = _fields = ("curve", "power", "winding")
     curve: PunctVec
-    power: int = 1
-    winding: int = 0
+    power: int
+    winding: int
 
-    def __post_init__(self) -> None:
-        if self.power == 0:
+    def __init__(self, curve: PunctVec, power: int = 1, winding: int = 0) -> None:
+        if power == 0:
             raise DimensionMismatch("twist power must be nonzero")
-        if not self.curve.is_primitive():
+        if not curve.is_primitive():
             raise NotPrimitive("twist curve class must be primitive")
+        _set(self, "curve", curve)
+        _set(self, "power", power)
+        _set(self, "winding", winding)
+        _set(self, "_map", None)
+        _set(self, "_packed", None)
 
     @property
     def spec(self) -> SurfaceSpec:
@@ -114,7 +117,6 @@ class Twist(_Letter):
         return Twist(self.curve, -self.power, self.winding)
 
 
-@dataclass(frozen=True, slots=True)
 class PointPush(_Letter):
     """Push of marked point `point` (1-based) around a primitive loop.
 
@@ -122,16 +124,21 @@ class PointPush(_Letter):
     boundary; the inverse push has (-u, phi).
     """
 
+    __slots__ = _fields = ("point", "loop")
     point: int
     loop: AbsVec
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.point <= self.loop.spec.n:
+    def __init__(self, point: int, loop: AbsVec) -> None:
+        if not 1 <= point <= loop.spec.n:
             raise DimensionMismatch(
-                f"marked point {self.point} out of range 1..{self.loop.spec.n}"
+                f"marked point {point} out of range 1..{loop.spec.n}"
             )
-        if not self.loop.is_primitive():
+        if not loop.is_primitive():
             raise NotPrimitive("point-push loop class must be primitive")
+        _set(self, "point", point)
+        _set(self, "loop", loop)
+        _set(self, "_map", None)
+        _set(self, "_packed", None)
 
     @property
     def spec(self) -> SurfaceSpec:
@@ -144,18 +151,20 @@ class PointPush(_Letter):
 Letter = Union[Twist, PointPush]
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Value):
     """Composable sequence of letters over one surface; leftmost acts last."""
 
+    __slots__ = _fields = ("spec", "letters")
     spec: SurfaceSpec
-    letters: tuple[Letter, ...] = ()
+    letters: tuple[Letter, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for letter in self.letters:
-            if letter.spec != self.spec:
+    def __init__(self, spec: SurfaceSpec, letters: tuple[Letter, ...] = ()) -> None:
+        letters = tuple(letters)
+        for letter in letters:
+            if letter.spec != spec:
                 raise SpecMismatch("all letters of a word must share one surface")
+        _set(self, "spec", spec)
+        _set(self, "letters", letters)
 
     def __add__(self, other: "Word") -> "Word":
         if self.spec != other.spec:

@@ -27,6 +27,14 @@ def test_group_order_and_identity():
         bf.enumerate_sp2(4)
 
 
+@pytest.mark.parametrize("g", [0, 1])
+def test_engine_refuses_genus_below_two(g):
+    # below g = 2 there is no x2 for Humphries's last class, and no census to take
+    for fn in (bf.humphries, bf.qform_census, bf.enumerate_sp2):
+        with pytest.raises(TooLarge, match=r"g >= 2"):
+            fn(g)
+
+
 def test_group_closed_under_sampled_products():
     group = bf.enumerate_sp2(2)
     rng = random.Random(0)
@@ -253,11 +261,10 @@ def test_verify_qhat_crossed_catches_one_wrong_value(monkeypatch):
 
 
 def test_verify_qhat_crossed_rejects_products_outside_the_group(monkeypatch):
-    from dataclasses import replace
-
     group = bf.enumerate_sp2(2)
     # the last element swapped for the zero matrix: its products with the rest fall outside
-    broken = replace(group, keys=np.concatenate(([0], group.keys[:-1])).astype(np.uint64))
+    keys = np.concatenate(([0], group.keys[:-1])).astype(np.uint64)
+    broken = bf.Mod2Group(group.g, keys, group.gens)
     assert (broken.keys[1:] > broken.keys[:-1]).all()
     monkeypatch.setattr(bf, "enumerate_sp2", lambda g: broken)
     assert not bf.verify_qhat_crossed(2)

@@ -394,6 +394,21 @@ def test_verify_genus_below_two_exit2(capsys, argv):
     assert code == 2 and out == "" and err.startswith("error:") and "genus" in err
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("--g", "\u0662"), ("--trials", "1_0"), ("--seed", "\u0663"), ("--g", "+2"), ("--seed", " 1")],
+)
+def test_verify_takes_only_ascii_integers(capsys, option, value):
+    # int() would read the Arabic-Indic digits as 2 and 3, and "1_0" as 10
+    code, out, err = run_cli(capsys, "verify", "census", option, value)
+    assert code == 2 and out == "" and err.startswith(f"error: cannot parse {option} ")
+
+
+def test_verify_takes_a_negative_seed(capsys):
+    code, out, _ = run_cli(capsys, "verify", "parity", "--trials", "2", "--seed", "-3")
+    assert code == 0 and "(2/2 tracked curves)" in out
+
+
 def test_verify_all_above_census_genus_keeps_census_at_its_own(capsys):
     code, out, _ = run_cli(capsys, "--json", "verify", "all", "--g", "4", "--trials", "2")
     data = json.loads(out)
@@ -491,6 +506,29 @@ def test_arf_command_loads_only_its_layers(f2):
     code = f"import framedhom.cli as c; assert c.main(['arf', '--framing', {f2!r}]) == 0"
     layers = [f"framedhom.{m}" for m in ("paut", "kernel", "words", "moves", "verify", "bruteforce")]
     assert _loaded_after(code, layers) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["arf", "--framing", "framing_g3.json"],
+        ["theta", "--paut", "paut_g3.json", "--framing", "framing_g3.json"],
+        ["kernel-test", "--paut", "paut_g3.json", "--framing", "framing_g3.json"],
+        ["lift", "--framing", "framing_g3.json", "x1+y2"],
+        ["factor-sp", "--paut", "paut_g3.json"],
+        ["act", "--framing", "framing_g3.json", "--word", "Tx1 Ty2^-1 Td2"],
+        ["match", "framing_g3.json", "framing_g3.near.json"],
+        ["stratum", "1,1"],
+        ["verify", "cocycle", "--trials", "1"],
+    ],
+    ids=lambda argv: " ".join(argv[:2] if argv[0] == "verify" else argv[:1]),
+)
+def test_commands_leave_dataclasses_and_inspect_unloaded(argv):
+    # the value classes are written out by hand (framedhom.value), so a cold
+    # call pays for neither module
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    code = f"import framedhom.cli as c; assert c.main({argv!r}) == 0"
+    assert _loaded_after(code, ["dataclasses", "inspect"]) == []
 
 
 def test_stratum_leaves_numpy_and_bruteforce_unloaded():
