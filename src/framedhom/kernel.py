@@ -9,10 +9,17 @@ simple closed curve in class v is q_phi(v) + 1.  Then, in both parity regimes,
 
 where v_kappa*(M) is the functional x -> <M (kappa_2, ..., kappa_n), x> and
 q_hat(q, S) is the defect x -> q(S x) - q(x) of q under S (D. Johnson, "Spin
-structures and quadratic forms on surfaces", J. London Math. Soc. 1980).  The
-value is a few packed mod-2 operations whatever the size of S's entries; the
-letter-by-letter evaluation over `factor_sp` is kept in
-`framedhom.verify.theta_by_factorization` as the independent oracle.
+structures and quadratic forms on surfaces", J. London Math. Soc. 1980).
+Adding a functional f to a quadratic form shifts its defect by S^T f + f,
+since (q + f)(S x) - (q + f)(x) = q(S x) - q(x) + f(S x) + f(x) mod 2, so
+with v = v_kappa*(M)
+
+    theta(A) = q_hat(q_phi + v, S) + v      (mod 2),
+
+one pass over S's columns.  The value is a few packed mod-2 operations
+whatever the size of S's entries; the letter-by-letter evaluation over
+`factor_sp` is kept in `framedhom.verify.theta_by_factorization` as the
+independent oracle.
 
 The kernel is the homological image of the framing's stabilizer in the
 mapping class group, and equals the homological monodromy group of the
@@ -64,18 +71,20 @@ def q_hat(q: QForm, sbar: Mat) -> CohomClass:
 def theta(a: PAutElem, f: Framing) -> CohomClass:
     """Value of the crossed homomorphism on an automorphism, for this framing.
 
-    Closed form theta(A) = S^T v_kappa*(M) + q_hat(q_phi, S) mod 2; see the
-    module docstring.  S was checked symplectic where A was built, so it is
-    not checked again here.
+    Closed form theta(A) = S^T v + q_hat(q_phi, S) mod 2, v = v_kappa*(M),
+    evaluated as the defect of the shifted form: q_hat(q_phi + v, S) + v,
+    because (q + v)(S x) - (q + v)(x) = q_hat(q, S)(x) + v(S x) + v(x); see
+    the module docstring.  S was checked symplectic where A was built, so it
+    is not checked again here.
     """
     spec = f.spec
     if not a.matches(spec):
         raise SpecMismatch(
             f"automorphism is for g={a.g}, n={a.n}; framing for g={spec.g}, n={spec.n}"
         )
-    cols = mod2.columns(a.S)
-    th_rel = mod2.pullback(cols, v_kappa_star(a.M, spec).packed)
-    return CohomClass.from_packed(spec.g, th_rel ^ mod2.qhat(f.qphi, cols, spec.abs_rank))
+    v = v_kappa_star(a.M, spec).packed
+    shifted = mod2.qhat(f.qphi ^ v, mod2.columns(a.S), spec.abs_rank)
+    return CohomClass.from_packed(spec.g, shifted ^ v)
 
 
 def kernel_test(a: PAutElem, f: Framing) -> bool:

@@ -10,7 +10,10 @@ constructor `PAutElem(...)` (hence the CLI's JSON loader), which also
 rejects g < 2 and n < 1 as `SurfaceSpec` does, and `factor_sp`.  The check
 (`is_symplectic`) is the pairing form: the columns of S must pair with each
 other as the basis does, <c_a, c_b> = J[a][b] for a < b, one dot product
-per pair and no product matrix.
+per pair and no product matrix.  `factor_sp` runs it only on failure: its
+reduction checks that the transvections it applies take S to I, which
+proves S symplectic, and `is_symplectic` then tells a non-symplectic
+input (`NotSymplectic`) from a fault of the reduction.
 Results built inside the library from elements already checked or from
 transvections -- `compose`, `invert`, `PAutElem.identity`, word
 matrices and kernel lifts -- are symplectic by construction and go through
@@ -219,9 +222,10 @@ def factor_sp(s: Mat) -> list[tuple[tuple[int, ...], int]]:
     k v_i <., v> to the one or two rows where v is nonzero, and the pairing
     <., v> reads only the partner rows w[p^1] (and w[q^1]).  A shear is two
     row updates: row e gains -k row y_h and row x_h gains k <., e>, a
-    multiple of row e^1.  Each step of the x_i absorption,
-    T_{x_a+y_b}^k T_{y_b}^{-k}, is two as well: row y_b gains -k row y_a,
-    and row x_a gains the same plus k row x_b.  The vectors come from one
+    multiple of row e^1.  Row y_h is e_{y_h} by then (the checks below
+    confirm it), so row e changes only in its column 2h+1 entry.  Each step
+    of the x_i absorption, T_{x_a+y_b}^k T_{y_b}^{-k}, is two as well: row
+    y_b gains -k row y_a, and row x_a gains the same plus k row x_b.  The vectors come from one
     table per call, each built once and checked primitive once.  Euclid's
     quotients depend only on the pivot pair, so each handle's Euclid runs on
     two integers and its accumulated unimodular 2x2 map is applied to rows
@@ -236,16 +240,18 @@ def factor_sp(s: Mat) -> list[tuple[tuple[int, ...], int]]:
     rows x_h and y_h are checked to be 0 in the later columns before they
     go, so the whole working matrix is still checked against I.
     Symplecticity forces those zeros: every later column pairs to 0 with
-    columns 2h and 2h+1, which are now x_h and y_h.  Without the row check,
-    an input that slipped past `is_symplectic` could come back as a wrong
-    list instead of an error.
+    columns 2h and 2h+1, which are now x_h and y_h.
+
+    These checks are where S^T J S = J is checked.  A product of
+    transvections is symplectic, so a list comes back only for a symplectic
+    S.  When a check fails, `is_symplectic` decides: `NotSymplectic` for an
+    input that is not symplectic, the check's `AssertionError` otherwise,
+    since then the reduction itself is at fault.
     """
     m = len(s)
     if m % 2 != 0 or any(len(row) != m for row in s):
         raise DimensionMismatch("factor_sp needs a 2g x 2g matrix")
     g = m // 2
-    if not is_symplectic(s, g):
-        raise NotSymplectic("factor_sp input must be symplectic over the integers")
 
     # w[r] holds row r of the working matrix from column 2h on, at handle h
     w = [list(row) for row in s]
@@ -350,7 +356,7 @@ def factor_sp(s: Mat) -> list[tuple[tuple[int, ...], int]]:
             k = w[e][1]
             if k:
                 # <col 2h+1, x_h> = -1, so this shear takes the e slot from k to 0
-                w[e] = [a - k * b for a, b in zip(w[e], row_yh)]
+                w[e][1] -= k * row_yh[1]
                 f = k if e & 1 else -k
                 row_xh = [a + f * b for a, b in zip(row_xh, w[e ^ 1])]
                 emit((pair(xh, e), -k))
@@ -362,11 +368,16 @@ def factor_sp(s: Mat) -> list[tuple[tuple[int, ...], int]]:
         if any(w[xh][2:]) or any(row_yh[2:]):
             raise AssertionError("finished handle's rows not clear; input not symplectic?")
 
-    for h in range(g):
-        reduce_first(h)
-        reduce_second(h)
-        for r in range(2 * h + 2, m):
-            del w[r][:2]
+    try:
+        for h in range(g):
+            reduce_first(h)
+            reduce_second(h)
+            for r in range(2 * h + 2, m):
+                del w[r][:2]
+    except AssertionError:
+        if not is_symplectic(s, g):
+            raise NotSymplectic("factor_sp input must be symplectic over the integers") from None
+        raise
 
     for v in (*unit, *pairs.values()):
         if gcd(*v) != 1:

@@ -213,10 +213,11 @@ def test_factor_sp_lists_are_pinned():
 
 
 def test_factor_sp_refuses_a_non_symplectic_matrix_past_its_entry_check(monkeypatch):
-    # with is_symplectic bypassed, the reduction's own checks must catch a
-    # unimodular matrix that is not symplectic.  A product of transvections is
-    # symplectic, so no list can multiply back to such an S: the only right
-    # outcome is an error, never a list
+    # the reduction's own checks must catch a unimodular matrix that is not
+    # symplectic; is_symplectic runs only after one of them fails, and patched
+    # to True it calls the failure a fault, so the check's error comes through.
+    # A product of transvections is symplectic, so no list can multiply back
+    # to such an S: the only right outcome is an error, never a list
     rng = random.Random(404)
     monkeypatch.setattr(paut, "is_symplectic", lambda s, g: True)
     refused = 0
@@ -240,6 +241,97 @@ def test_factor_sp_refuses_a_non_symplectic_matrix_past_its_entry_check(monkeypa
             factor_sp(s)
         refused += 1
     assert refused > 250
+
+
+def test_factor_sp_never_runs_is_symplectic_on_symplectic_input(monkeypatch):
+    # the reduction reaching I is the certificate; the pairing check is for failures only
+    def refuse(_s, _g):
+        raise AssertionError("factor_sp must not run is_symplectic on symplectic input")
+
+    rng = random.Random(606)
+    cases = []
+    for trial in range(40):
+        g = 2 + trial % 4
+        s = random_symplectic(rng, SurfaceSpec(g, (2 * g - 2,)), rng.randint(1, 16))
+        cases.append((s, factor_sp(s)))
+    monkeypatch.setattr(paut, "is_symplectic", refuse)
+    for s, expected in cases:
+        assert factor_sp(s) == expected
+
+
+def _symplectic_rows(rng, g):
+    return [list(r) for r in random_symplectic(rng, SurfaceSpec(g, (2 * g - 2,)), rng.randint(1, 6))]
+
+
+def _unimodular_non_symplectic(rng, g):
+    # a symplectic matrix moved by one to three elementary row or column
+    # operations, as in the entry-check test above: det stays +-1
+    m = 2 * g
+    rows = _symplectic_rows(rng, g)
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.sample(range(m), 2)
+        k = rng.choice([-2, -1, 1, 2])
+        if rng.random() < 0.5:
+            rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+        else:
+            for row in rows:
+                row[i] += k * row[j]
+    return freeze(rows)
+
+
+def _singular(rng, g):
+    # a symplectic matrix with one column copied over another
+    rows = _symplectic_rows(rng, g)
+    i, j = rng.sample(range(2 * g), 2)
+    for row in rows:
+        row[i] = row[j]
+    return freeze(rows)
+
+
+def _non_primitive_column(rng, g):
+    # a symplectic matrix with one column times 2 or -3
+    rows = _symplectic_rows(rng, g)
+    i, k = rng.randrange(2 * g), rng.choice([2, -3])
+    for row in rows:
+        row[i] *= k
+    return freeze(rows)
+
+
+def _near_a_million(rng, g):
+    return freeze([[rng.choice([-1, 1]) * (10**6 + rng.randint(-50, 50)) for _ in range(2 * g)]
+                   for _ in range(2 * g)])
+
+
+def _shifted_by_a_million(rng, g):
+    # a symplectic matrix with one entry moved by 10^6
+    rows = _symplectic_rows(rng, g)
+    rows[rng.randrange(2 * g)][rng.randrange(2 * g)] += rng.choice([-1, 1]) * 10**6
+    return freeze(rows)
+
+
+@pytest.mark.parametrize("draw", [
+    _unimodular_non_symplectic,
+    _singular,
+    lambda rng, g: zero_mat(2 * g, 2 * g),
+    _non_primitive_column,
+    _near_a_million,
+    _shifted_by_a_million,
+], ids=["unimodular", "singular", "zero", "non-primitive-column", "near-1e6", "shifted-by-1e6"])
+def test_factor_sp_refuses_non_symplectic_input(draw):
+    # NotSymplectic with the message the up-front check gave, never a list and
+    # never the reduction's bare AssertionError
+    rng = random.Random(505)
+    refused = 0
+    for trial in range(60):
+        g = 2 + trial % 4
+        s = draw(rng, g)
+        if _symplectic_by_product(s, g):
+            continue
+        with pytest.raises(NotSymplectic) as info:
+            factor_sp(s)
+        assert str(info.value) == "factor_sp input must be symplectic over the integers"
+        refused += 1
+    assert refused > 50
 
 
 def _gram(g):

@@ -12,6 +12,7 @@ from framedhom.paut import (
     PAutElem,
     compose,
     identity_mat,
+    invert,
     mat_vec,
     pullback_h1,
     transvection,
@@ -181,6 +182,71 @@ def test_theta_never_factors(monkeypatch):
     monkeypatch.setattr(kernel, "factor_sp", refuse, raising=False)
     assert theta(a, f) == expected
     assert kernel_test(a, f) == expected.is_zero()
+
+
+def test_qhat_of_the_shifted_form():
+    # q_hat(q + f, S) = q_hat(q, S) + S^T f + f: theta's one qhat call on
+    # q_phi + v against the pullback-plus-qhat formula it replaced, for every
+    # q and f on all of Sp(4, 2) and on random integral S at g 3-6
+    from framedhom import bruteforce as bf
+
+    group = bf.enumerate_sp2(2)
+    for key in group.keys:
+        cols = bf.key_columns(int(key), 4)
+        for q in range(16):
+            for f in range(16):
+                assert mod2.qhat(q ^ f, cols, 4) ^ f == mod2.pullback(cols, f) ^ mod2.qhat(q, cols, 4)
+    rng = random.Random(53)
+    for trial in range(80):
+        g = 3 + trial % 4
+        w = 2 * g
+        cols = mod2.columns(random_paut(rng, random_spec(rng, g, 1), factors=16).S)
+        for _ in range(8):
+            q, f = rng.getrandbits(w), rng.getrandbits(w)
+            assert mod2.qhat(q ^ f, cols, w) ^ f == mod2.pullback(cols, f) ^ mod2.qhat(q, cols, w)
+
+
+def _check_theta_on_products_and_inverses(monkeypatch):
+    # theta(AB) = B^* theta(A) + theta(B) and theta(A^-1) = (A^-1)^* theta(A)
+    # at g 2-8, n 1-4, A and B each a product of four random elements (entries
+    # of 100-200 bits, AB's of 200-370), with factor_sp refused.  theta reads
+    # S and M only mod 2, so a sign error in the inverse cannot move a theta
+    # value; A A^-1 = I = A^-1 A is what ties invert(A) to A
+    def refuse(_s):
+        raise AssertionError("theta must not factor S")
+
+    monkeypatch.setattr(paut, "factor_sp", refuse)
+    rng = random.Random(59)
+    widest = 0
+    for trial in range(28):
+        g, n = 2 + trial % 7, 1 + trial % 4
+        spec = random_spec(rng, g, n)
+        f = random_framing(rng, spec)
+        a, b = (random_paut(rng, spec, factors=16) for _ in range(2))
+        for _ in range(3):
+            a, b = compose(a, random_paut(rng, spec, factors=16)), compose(random_paut(rng, spec, factors=16), b)
+        widest = max(widest, max(abs(v).bit_length() for x in (a, b) for row in x.S for v in row))
+        th_a, th_b = theta(a, f), theta(b, f)
+        assert theta(compose(a, b), f) == pullback_h1(b.S, th_a) + th_b
+        inv = invert(a)
+        assert compose(a, inv).is_identity() and compose(inv, a).is_identity()
+        assert theta(inv, f) == pullback_h1(inv.S, th_a)
+    assert widest >= 100
+
+
+def test_theta_on_integral_products_and_inverses(monkeypatch):
+    _check_theta_on_products_and_inverses(monkeypatch)
+
+
+def test_theta_product_check_catches_a_sign_flipped_inverse(monkeypatch):
+    inverse = paut.sp_inverse
+
+    def flipped(s, g):
+        return tuple(tuple(-v for v in row) for row in inverse(s, g))
+
+    monkeypatch.setattr(paut, "sp_inverse", flipped)
+    with pytest.raises(AssertionError):
+        _check_theta_on_products_and_inverses(monkeypatch)
 
 
 def test_theta_path_is_pinned():
