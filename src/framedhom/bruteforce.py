@@ -99,10 +99,6 @@ class Mod2Group(Value):
     def w(self) -> int:
         return 2 * self.g
 
-    def matrix(self, i: int) -> Mat:
-        cols = key_columns(int(self.keys[i]), self.w)
-        return tuple(tuple((c >> r) & 1 for c in cols) for r in range(self.w))
-
     def find(self, keys):
         """Position in keys of a key, or an array of them shaped like keys; KeyError outside the group."""
         keys = np.asarray(keys, dtype=np.uint64)
@@ -222,11 +218,8 @@ def enumerate_sp2(g: int) -> Mod2Group:
     candidates.
 
     Measured on a 2-core machine (Python 3.11, numpy 2.4): g=2 in
-    0.17-0.22 ms against 0.7-0.85 ms for the breadth-first closure of the
-    15 transvections it replaced (medians of 15); g=3 in 0.35-0.53 s and
-    67 MB peak RSS for the process, against 0.9-1.1 s and 77 MB for the
-    closure of Humphries's 7 classes.  The enumeration is 10 of the mod2
-    benchmark's 39 ops.
+    0.17-0.22 ms (medians of 15), g=3 in 0.35-0.53 s and 67 MB peak RSS for
+    the process.  The enumeration is 10 of the mod2 benchmark's 39 ops.
     """
     _check_genus(g, "exhaustive enumeration")
     w = 2 * g

@@ -16,18 +16,17 @@ proves S symplectic, and `is_symplectic` then tells a non-symplectic
 input (`NotSymplectic`) from a fault of the reduction.
 Results built inside the library from elements already checked or from
 transvections -- `compose`, `invert`, `PAutElem.identity`, word
-matrices and kernel lifts -- are symplectic by construction and go through
-the unchecked `PAutElem._trusted`.
+matrices, kernel lifts and `sampling.random_paut` -- are symplectic by
+construction and go through the unchecked `PAutElem._trusted`.
 """
 
 from __future__ import annotations
 
-from math import gcd
 from operator import mul
 from typing import Sequence
 
 from . import mod2
-from .errors import DimensionMismatch, InvalidSurface, NotPrimitive, NotSymplectic, SpecMismatch
+from .errors import DimensionMismatch, InvalidSurface, NotSymplectic, SpecMismatch
 from .lattice import AbsVec, CohomClass, SurfaceSpec
 from .value import Value, _set
 
@@ -55,12 +54,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
         raise DimensionMismatch("matrix product shape mismatch")
     bt = tuple(zip(*b)) if b else ()
     return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
-
-
-def mat_vec(a: Mat, v: Sequence[int]) -> tuple[int, ...]:
-    if a and len(a[0]) != len(v):
-        raise DimensionMismatch("matrix/vector shape mismatch")
-    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def is_symplectic(s: Mat, g: int) -> bool:
@@ -225,11 +218,11 @@ def factor_sp(s: Mat) -> list[tuple[tuple[int, ...], int]]:
     multiple of row e^1.  Row y_h is e_{y_h} by then (the checks below
     confirm it), so row e changes only in its column 2h+1 entry.  Each step
     of the x_i absorption, T_{x_a+y_b}^k T_{y_b}^{-k}, is two as well: row
-    y_b gains -k row y_a, and row x_a gains the same plus k row x_b.  The vectors come from one
-    table per call, each built once and checked primitive once.  Euclid's
-    quotients depend only on the pivot pair, so each handle's Euclid runs on
-    two integers and its accumulated unimodular 2x2 map is applied to rows
-    x_i and y_i once.
+    y_b gains -k row y_a, and row x_a gains the same plus k row x_b.  The
+    vectors come from one table per call, each built once; e_p and e_p + e_q
+    are primitive, so no gcd is taken.  Euclid's quotients depend only on
+    the pivot pair, so each handle's Euclid runs on two integers and its
+    accumulated unimodular 2x2 map is applied to rows x_i and y_i once.
 
     The working matrix shrinks as handles finish.  Later transvections read
     and change only the rows of later handles, and those rows are 0 in the
@@ -378,8 +371,4 @@ def factor_sp(s: Mat) -> list[tuple[tuple[int, ...], int]]:
         if not is_symplectic(s, g):
             raise NotSymplectic("factor_sp input must be symplectic over the integers") from None
         raise
-
-    for v in (*unit, *pairs.values()):
-        if gcd(*v) != 1:
-            raise NotPrimitive("internal error: emitted non-primitive class")
     return out

@@ -70,7 +70,8 @@ def random_relaut_block(rng: Random, spec: SurfaceSpec) -> Mat:
 
 
 def random_paut(rng: Random, spec: SurfaceSpec, factors: int = 6) -> PAutElem:
-    return PAutElem(
+    # S is a product of transvections, symplectic by construction
+    return PAutElem._trusted(
         spec.g,
         spec.n,
         random_symplectic(rng, spec, factors),

@@ -164,6 +164,17 @@ def test_recorded_output_bytes(capsys, monkeypatch, argv, expected):
     assert code == 0 and out == (DATA / expected).read_text()
 
 
+def test_verify_all_json_is_pinned(capsys):
+    # every suite's checks and details at a fixed seed and trial count; the
+    # text output of `verify all --seed 0` is pinned by CI against
+    # verify_all_seed0.out
+    code, out, _ = run_cli(capsys, "--json", "verify", "all", "--seed", "0", "--trials", "20")
+    data = json.loads(out)
+    for suite in data["suites"]:
+        del suite["elapsed_s"]
+    assert code == 0 and data == json.loads((DATA / "verify_all_seed0_trials20.json").read_text())
+
+
 def test_match_over_the_move_cap_exit2(capsys):
     # a winding gap of 2 * 10^9 on x1: 10^9 connect-sums, refused before any is built
     code, out, err = run_cli(capsys, "match", str(DATA / "framing_g3.json"), str(DATA / "framing_g3.far.json"))

@@ -16,7 +16,6 @@ from framedhom.paut import (
     invert,
     is_symplectic,
     mat_mul,
-    mat_vec,
     pullback_h1,
     sp_inverse,
     transvection,
@@ -67,7 +66,7 @@ def test_transvection_examples():
     assert AbsVec(SPEC, tuple(r[1] for r in t)) == y1 - x1  # column of y_1
     v = AbsVec(SPEC, (1, 2, 3, 4))
     tv = transvection(v, 5)
-    assert mat_vec(tv, v.coords) == v.coords  # T_v(v) = v
+    assert mat_mul(tv, tuple(zip(v.coords))) == tuple(zip(v.coords))  # T_v(v) = v
     assert mat_mul(transvection(x1, 1), transvection(x1, 1)) == transvection(x1, 2)
     assert is_symplectic(tv, 2)
 
@@ -169,7 +168,7 @@ def test_factor_sp_growth_bounds(g):
         for v, k in reversed(fac):
             t = k * sympl(x, v)
             x = [a + t * b for a, b in zip(x, v)]
-        assert tuple(x) == mat_vec(s, range(1, 2 * g + 1))
+        assert tuple(zip(x)) == mat_mul(s, tuple(zip(range(1, 2 * g + 1))))
 
 
 def test_factor_sp_roundtrip_random():
@@ -257,6 +256,22 @@ def test_factor_sp_never_runs_is_symplectic_on_symplectic_input(monkeypatch):
     monkeypatch.setattr(paut, "is_symplectic", refuse)
     for s, expected in cases:
         assert factor_sp(s) == expected
+
+
+def test_random_paut_never_runs_is_symplectic(monkeypatch):
+    # S is a product of transvections (test_random_symplectic_replays_transvections)
+    def refuse(_s, _g):
+        raise AssertionError("random_paut must not re-check the matrix it builds")
+
+    def draw():
+        rng = random.Random(607)
+        return [random_paut(rng, random_spec(rng, g, n)) for g in (2, 3, 4, 5) for n in (1, 2, 3)]
+
+    expected = draw()
+    # the checked constructor accepts every drawn element
+    assert all(PAutElem(a.g, a.n, a.S, a.M) == a for a in expected)
+    monkeypatch.setattr(paut, "is_symplectic", refuse)
+    assert draw() == expected
 
 
 def _symplectic_rows(rng, g):
@@ -372,7 +387,7 @@ def test_pullback_examples():
     pulled = pullback_h1(tbar, th)
     for c in range(16):
         coords = tuple((c >> i) & 1 for i in range(4))
-        image = tuple(v & 1 for v in mat_vec(tbar, coords))
+        image = tuple(v & 1 for (v,) in mat_mul(tbar, tuple(zip(coords))))
         assert pulled.evaluate(coords) == th.evaluate(image)
     assert pulled == th
 

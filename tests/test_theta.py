@@ -13,7 +13,7 @@ from framedhom.paut import (
     compose,
     identity_mat,
     invert,
-    mat_vec,
+    mat_mul,
     pullback_h1,
     transvection,
     zero_mat,
@@ -60,7 +60,7 @@ def test_q_hat_examples():
     # brute force: the defect must equal q(Sx) - q(x) on all 16 classes
     for c in range(16):
         coords = tuple((c >> i) & 1 for i in range(4))
-        image = tuple(v & 1 for v in mat_vec(tbar, coords))
+        image = tuple(v & 1 for (v,) in mat_mul(tbar, tuple(zip(coords))))
         assert th.evaluate(coords) == (q.evaluate(image) ^ q.evaluate(coords))
     with pytest.raises(NotSymplectic):
         q_hat(q, tuple(tuple(0 for _ in range(4)) for _ in range(4)))

@@ -148,13 +148,6 @@ def test_siblings_with_equal_fields_compare_unequal(siblings):
             assert (a != b) == (type(a) is not type(b))
 
 
-def test_suite_results_never_share_checks():
-    a, b = SuiteResult("census"), SuiteResult("census")
-    a.add("x", True)
-    assert a.checks == [Check("x", True)] and b.checks == []
-    assert a != b
-
-
 def test_letter_caches_take_no_part_in_equality():
     a, b = Twist(PunctVec(S11, (1, 0, 0, 0, -1)), 1, 1), Twist(PunctVec(S11, (1, 0, 0, 0, -1)), 1, 1)
     a.rank_one, a.packed  # fills a's caches only

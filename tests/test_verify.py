@@ -105,6 +105,24 @@ def test_lift_check_does_not_trust_the_transvection_builder(monkeypatch):
     assert not named.ok and _failures(named.detail) > 0, named.detail
 
 
+def test_lift_reports_a_lift_that_fails_its_own_kernel_test(monkeypatch):
+    # lift_transvection asserts kernel_test on what it builds: the suite counts
+    # a failed assertion as a wrong lift instead of raising it
+    monkeypatch.setattr(kernel, "kernel_test", lambda a, f: False)
+    (named,) = verify.run_suite("lift", trials=20, seed=0).checks
+    assert not named.ok and _failures(named.detail) > 0, named.detail
+
+
+def test_relaut_never_runs_is_symplectic(monkeypatch):
+    # the suite's S is the identity, symplectic by construction
+    def refuse(_s, _g):
+        raise AssertionError("relaut must not re-check the identity block")
+
+    monkeypatch.setattr(paut, "is_symplectic", refuse)
+    result = verify.run_suite("relaut", trials=20, seed=0)
+    assert result.ok and result.checks[0].detail == "20/20 blocks"
+
+
 @pytest.mark.parametrize("suite", ["parity", "census"])
 @pytest.mark.parametrize("trials", [0, -3])
 def test_run_suite_rejects_trial_counts_below_one(suite, trials):
@@ -190,3 +208,15 @@ def test_census_reports_orbits_split_by_too_few_generators(monkeypatch, g, sizes
     monkeypatch.setattr(bruteforce, "_form_orbit", lambda bits, w, gens: true_orbit(bits, w, gens[:-1]))
     (named,) = [c for c in verify.run_suite("census", g=g, seed=0).checks if c.name == "stabilizer-orders"]
     assert not named.ok
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_census_reports_a_repeated_key(monkeypatch, g):
+    # the last key replaced by a copy of the one before: as many keys as
+    # |Sp(2g, 2)| and still sorted, but one element is missing
+    group = bruteforce.enumerate_sp2(g)
+    keys = group.keys.copy()
+    keys[-1] = keys[-2]
+    monkeypatch.setattr(bruteforce, "enumerate_sp2", lambda g: bruteforce.Mod2Group(g, keys, group.gens))
+    (named,) = [c for c in verify.run_suite("census", g=g, seed=0).checks if c.name == "group-order"]
+    assert not named.ok and named.detail == f"|Sp({2 * g},2)| = {bruteforce.sp2_order(g)}"
