@@ -29,7 +29,7 @@ _EXPORTS = {
         "SpecMismatch",
         "TooLarge",
     ),
-    "framing": ("Framing", "QForm", "QVector", "arf", "arf_of_form", "q_vector", "spin_form", "winding_parity"),
+    "framing": ("Framing", "QForm", "arf", "spin_form", "winding_parity"),
     "kernel": (
         "StructureReport",
         "kernel_test",

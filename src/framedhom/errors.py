@@ -46,7 +46,7 @@ class ArfMismatch(FramedHomError):
 
 
 class QVectorMismatch(FramedHomError):
-    """Framings with different basis winding parities cannot be matched."""
+    """Framings whose quadratic forms q_phi differ (in some basis winding parity) cannot be matched."""
 
 
 class WindingParityMismatch(FramedHomError):

@@ -19,7 +19,7 @@ from .errors import (
     SpecMismatch,
 )
 from .lattice import AbsVec, SurfaceSpec
-from .value import Value, _set
+from .value import Value, _set, ints
 
 
 class Framing(Value):
@@ -42,15 +42,14 @@ class Framing(Value):
         wind_y: Sequence[int],
         arc2: Sequence[int] | None = None,
     ) -> None:
-        wind_x = tuple(int(v) for v in wind_x)
-        wind_y = tuple(int(v) for v in wind_y)
+        wind_x, wind_y = ints(wind_x), ints(wind_y)
         g = spec.g
         if len(wind_x) != g or len(wind_y) != g:
             raise DimensionMismatch(f"need {g} x- and y-windings")
         if arc2 is None and spec.n == 1:
             arc2 = ()
         if arc2 is not None:
-            arc2 = tuple(int(v) for v in arc2)
+            arc2 = ints(arc2)
             if len(arc2) != spec.n - 1:
                 raise DimensionMismatch(f"need {spec.n - 1} doubled arc windings")
             for v in arc2:
@@ -73,13 +72,9 @@ class Framing(Value):
     def has_arc_data(self) -> bool:
         return self.arc2 is not None
 
-    def curve_windings(self) -> tuple[int, ...]:
-        """Windings on the absolute basis in order x_1, y_1, ..., x_g, y_g."""
-        return tuple([w for pair in zip(self.wind_x, self.wind_y) for w in pair])
-
     def doubled(self) -> tuple[int, ...]:
         """Doubled windings x_1, y_1, ..., x_g, y_g, then arc2 when present."""
-        return tuple([2 * w for w in self.curve_windings()]) + (self.arc2 or ())
+        return tuple([2 * w for pair in zip(self.wind_x, self.wind_y) for w in pair]) + (self.arc2 or ())
 
     @classmethod
     def from_doubled(cls, spec: SurfaceSpec, w2: Sequence[int]) -> "Framing":
@@ -98,12 +93,6 @@ class Framing(Value):
         for i, (wx, wy) in enumerate(zip(self.wind_x, self.wind_y)):
             q |= ((wx + 1) & 1) << 2 * i | ((wy + 1) & 1) << 2 * i + 1
         return q
-
-
-class QVector(mod2.Bits):
-    """Basis winding parities, in order (x_1, y_1, ..., x_g, y_g)."""
-
-    __slots__ = ()
 
 
 class QForm(mod2.Bits):
@@ -153,11 +142,6 @@ def arf(f: Framing) -> int:
     return total & 1
 
 
-def q_vector(f: Framing) -> QVector:
-    """Mod-2 reduction of the basis curve windings."""
-    return QVector(f.curve_windings())
-
-
 def spin_form(f: Framing) -> QForm:
     """Classical spin structure q(b) = phi(b) + 1 induced by an even framing."""
     if any(k % 2 for k in f.spec.kappa):
@@ -166,11 +150,6 @@ def spin_form(f: Framing) -> QForm:
             f"{tuple(f.spec.kappa)}"
         )
     return QForm.from_packed(f.spec.g, f.qphi)
-
-
-def arf_of_form(q: QForm) -> int:
-    """Classical Arf invariant sum q(x_i) q(y_i) of a quadratic form."""
-    return mod2.arf(q.packed, 2 * q.g)
 
 
 def winding_parity(f: Framing, v: AbsVec) -> int:

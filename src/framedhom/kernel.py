@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from . import mod2
 from .errors import NoLiftExists, NotPrimitive, NotSymplectic, SpecMismatch
-from .framing import Framing, QForm, arf_of_form, spin_form, winding_parity
+from .framing import Framing, QForm, spin_form, winding_parity
 from .lattice import AbsVec, CohomClass, SurfaceSpec
 from .paut import Mat, PAutElem, transvection, zero_mat
 from .value import Value, _set
@@ -184,7 +184,7 @@ def structure_report(f: Framing) -> StructureReport:
     counted = mod2_countable(spec)
     if all(k % 2 == 0 for k in spec.kappa):
         q = spin_form(f)
-        arf = arf_of_form(q)
+        arf = mod2.arf(q.packed, w)
         forms = (1 << (g - 1)) * ((1 << g) + (-1) ** arf)
         order = (mod2.sp2_order(g) // forms) << (w * (n - 1)) if counted else None
         return StructureReport("even", q=q, arf=arf, mod2_kernel_order=order)

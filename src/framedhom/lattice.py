@@ -13,11 +13,12 @@ with <x_i, y_i> = 1 and <a_i, d_i> = 1.  All arithmetic is exact integer.
 from __future__ import annotations
 
 from math import gcd
+from operator import index
 from typing import ClassVar, Sequence
 
 from . import mod2
 from .errors import DimensionMismatch, InvalidSurface, SpecMismatch
-from .value import Value, _set
+from .value import Value, _set, ints
 
 
 class SurfaceSpec(Value):
@@ -28,7 +29,7 @@ class SurfaceSpec(Value):
     kappa: tuple[int, ...]
 
     def __init__(self, g: int, kappa: Sequence[int]) -> None:
-        kappa = tuple(int(k) for k in kappa)
+        g, kappa = index(g), ints(kappa)
         if g < 2:
             raise InvalidSurface(f"genus must be >= 2, got {g}")
         if len(kappa) < 1:
@@ -58,7 +59,7 @@ class SurfaceSpec(Value):
 
     def delta_winding(self, i: int) -> int:
         """Winding number of the loop around marked point i (1-based): -1 - kappa_i."""
-        if not 1 <= i <= self.n:
+        if not 1 <= (i := index(i)) <= self.n:
             raise InvalidSurface(f"marked point index {i} out of range 1..{self.n}")
         return -1 - self.kappa[i - 1]
 
@@ -72,7 +73,7 @@ class _Vec(Value):
     coords: tuple[int, ...]
 
     def __init__(self, spec: SurfaceSpec, coords: Sequence[int]) -> None:
-        coords = tuple(int(v) for v in coords)
+        coords = ints(coords)
         rank = getattr(spec, self._rank)
         if len(coords) != rank:
             raise DimensionMismatch(
@@ -99,7 +100,8 @@ class _Vec(Value):
         return type(self)(self.spec, tuple(-a for a in self.coords))
 
     def __rmul__(self, k: int):
-        return type(self)(self.spec, tuple(int(k) * a for a in self.coords))
+        k = index(k)
+        return type(self)(self.spec, tuple(k * a for a in self.coords))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
@@ -146,14 +148,14 @@ def _unit(rank: int, j: int) -> tuple[int, ...]:
 
 def x_curve(spec: SurfaceSpec, i: int) -> AbsVec:
     """Basis curve x_i, 1 <= i <= g."""
-    if not 1 <= i <= spec.g:
+    if not 1 <= (i := index(i)) <= spec.g:
         raise DimensionMismatch(f"handle index {i} out of range 1..{spec.g}")
     return AbsVec(spec, _unit(spec.abs_rank, 2 * (i - 1)))
 
 
 def y_curve(spec: SurfaceSpec, i: int) -> AbsVec:
     """Basis curve y_i, 1 <= i <= g."""
-    if not 1 <= i <= spec.g:
+    if not 1 <= (i := index(i)) <= spec.g:
         raise DimensionMismatch(f"handle index {i} out of range 1..{spec.g}")
     return AbsVec(spec, _unit(spec.abs_rank, 2 * (i - 1) + 1))
 
@@ -165,7 +167,7 @@ def abs_basis(spec: SurfaceSpec) -> list[AbsVec]:
 
 def arc_class(spec: SurfaceSpec, i: int) -> RelVec:
     """Relative class of the arc a_i, 2 <= i <= n."""
-    if not 2 <= i <= spec.n:
+    if not 2 <= (i := index(i)) <= spec.n:
         raise DimensionMismatch(f"arc index {i} out of range 2..{spec.n}")
     return RelVec(spec, _unit(spec.rel_rank, spec.abs_rank + i - 2))
 
@@ -176,7 +178,7 @@ def point_loop(spec: SurfaceSpec, i: int) -> PunctVec:
     For i >= 2 this is the basis vector d_i; the loop around p_1 is
     -(d_2 + ... + d_n), the zero class when n = 1.
     """
-    if not 1 <= i <= spec.n:
+    if not 1 <= (i := index(i)) <= spec.n:
         raise DimensionMismatch(f"marked point index {i} out of range 1..{spec.n}")
     if i >= 2:
         return PunctVec(spec, _unit(spec.rel_rank, spec.abs_rank + i - 2))
@@ -188,7 +190,7 @@ def point_loop(spec: SurfaceSpec, i: int) -> PunctVec:
 
 def point_class(spec: SurfaceSpec, i: int) -> ZeroChain:
     """Reduced point class e_i = [p_i] - [p_1], 2 <= i <= n."""
-    if not 2 <= i <= spec.n:
+    if not 2 <= (i := index(i)) <= spec.n:
         raise DimensionMismatch(f"point index {i} out of range 2..{spec.n}")
     return ZeroChain(spec, _unit(spec.zero_rank, i - 2))
 

@@ -10,6 +10,7 @@ flipping their half-integer parity classes.
 
 from __future__ import annotations
 
+import operator
 from typing import Union
 
 from .errors import (
@@ -20,7 +21,7 @@ from .errors import (
     SpecMismatch,
     TooLarge,
 )
-from .framing import Framing, arf, q_vector
+from .framing import Framing, arf
 from .value import Value, _set
 
 
@@ -39,6 +40,7 @@ class ConnectSum(Value):
     sign: int
 
     def __init__(self, kind: str, index: int, helper: int, sign: int = 1) -> None:
+        index, helper, sign = operator.index(index), operator.index(helper), operator.index(sign)
         if kind not in ("x", "y", "a"):
             raise MoveError(f"unknown connect-sum target kind {kind!r}")
         if sign not in (1, -1):
@@ -58,6 +60,7 @@ class ArcParityTwist(Value):
     j2: int
 
     def __init__(self, j1: int, j2: int) -> None:
+        j1, j2 = operator.index(j1), operator.index(j2)
         if j1 == j2:
             raise MoveError("pants twist needs two distinct arcs")
         _set(self, "j1", j1)
@@ -72,7 +75,7 @@ class BoundaryTwist(Value):
     j: int
 
     def __init__(self, j: int) -> None:
-        _set(self, "j", j)
+        _set(self, "j", operator.index(j))
 
 
 Move = Union[ConnectSum, ArcParityTwist, BoundaryTwist]
@@ -146,7 +149,7 @@ def match_framings(f: Framing, h: Framing) -> list[Move]:
     spec = f.spec
     if spec.n >= 2 and (not f.has_arc_data or not h.has_arc_data):
         raise MissingArcData("matching needs arc windings on both framings")
-    if q_vector(f) != q_vector(h):
+    if f.qphi != h.qphi:
         raise QVectorMismatch("basis winding parities differ")
     if arf(f) != arf(h):
         raise ArfMismatch("Arf invariants differ")

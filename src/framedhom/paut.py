@@ -22,13 +22,13 @@ construction and go through the unchecked `PAutElem._trusted`.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import index, mul
 from typing import Sequence
 
 from . import mod2
 from .errors import DimensionMismatch, InvalidSurface, NotSymplectic, SpecMismatch
 from .lattice import AbsVec, CohomClass, SurfaceSpec
-from .value import Value, _set
+from .value import Value, _set, ints
 
 Mat = tuple[tuple[int, ...], ...]
 
@@ -38,7 +38,7 @@ Mat = tuple[tuple[int, ...], ...]
 
 
 def freeze(rows: Sequence[Sequence[int]]) -> Mat:
-    return tuple(tuple(int(v) for v in row) for row in rows)
+    return tuple(map(ints, rows))
 
 
 def identity_mat(k: int) -> Mat:
@@ -103,6 +103,7 @@ class PAutElem(Value):
     M: Mat
 
     def __init__(self, g: int, n: int, S: Sequence[Sequence[int]], M: Sequence[Sequence[int]]) -> None:
+        g, n = index(g), index(n)
         if g < 2:
             raise InvalidSurface(f"genus must be >= 2, got {g}")
         if n < 1:

@@ -9,11 +9,18 @@ the import of `inspect` and about a millisecond per class.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import attrgetter, index
 
 # sets one slot of a frozen instance, bypassing Value.__setattr__: for
 # constructors and first-use caches only
 _set = object.__setattr__
+
+
+# the library's one integer rule, operator.index: int, bool and numpy integers
+# pass, and a float or a string raises TypeError where int() would truncate 1.9
+# to 1 or parse "3".  ints applies it to each value; scalar fields call index.
+def ints(values) -> tuple[int, ...]:
+    return tuple(map(index, values))
 
 
 class Value:

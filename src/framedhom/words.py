@@ -24,6 +24,7 @@ and `track_curve` and `act_framing` read that row.  `delta_word` reads
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import index
 from typing import Union
 
 from . import mod2
@@ -99,6 +100,7 @@ class Twist(_Letter):
     winding: int
 
     def __init__(self, curve: PunctVec, power: int = 1, winding: int = 0) -> None:
+        power, winding = index(power), index(winding)
         if power == 0:
             raise DimensionMismatch("twist power must be nonzero")
         if not curve.is_primitive():
@@ -129,7 +131,7 @@ class PointPush(_Letter):
     loop: AbsVec
 
     def __init__(self, point: int, loop: AbsVec) -> None:
-        if not 1 <= point <= loop.spec.n:
+        if not 1 <= (point := index(point)) <= loop.spec.n:
             raise DimensionMismatch(
                 f"marked point {point} out of range 1..{loop.spec.n}"
             )

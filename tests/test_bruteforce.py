@@ -134,6 +134,18 @@ def test_enumeration_asserts_its_count(monkeypatch):
         bf.enumerate_sp2.__wrapped__(2)  # past the cache
 
 
+def test_passes_run_in_blocks_of_block_keys(monkeypatch):
+    # a smaller BLOCK gives the same keys and products in more, smaller
+    # passes: at g = 2 each enumeration stage and the Humphries products of
+    # the whole group fit one block each
+    calls = []
+    set_bits = bf._set_bits
+    monkeypatch.setattr(bf, "_set_bits", lambda masks, w: calls.append(len(masks)) or set_bits(masks, w))
+    group = bf.enumerate_sp2.__wrapped__(2)  # bypasses the cache, so the stages run
+    assert len(group) == 720 and len(calls) == 4  # one pass per column slot
+    assert len(list(bf._product_blocks(group.keys, group.gens, 4))) == 1
+
+
 def test_find_positions_and_outsiders():
     group = bf.enumerate_sp2(2)
     assert group.find(group.keys[5]) == 5

@@ -459,14 +459,14 @@ def test_oversized_output_exit2(capsys, tmp_path, f2):
 @pytest.mark.parametrize("argv", [("stratum", "2"), ("verify", "parity", "--trials", "40")])
 def test_closed_stdout_exit1_quietly(argv):
     # the reader is gone before anything is written, as with `framedhom ... | head`
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "framedhom.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-    )
-    proc.stdout.close()
-    err = proc.stderr.read()
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
     assert proc.wait() == 1 and err == ""
 
 

@@ -6,17 +6,8 @@ from hypothesis import strategies as st
 
 from framedhom import mod2
 from framedhom.errors import DimensionMismatch, InvalidSurface, MissingArcData, SomeKappaOdd
-from framedhom.framing import (
-    Framing,
-    QForm,
-    QVector,
-    arf,
-    arf_of_form,
-    q_vector,
-    spin_form,
-    winding_parity,
-)
-from framedhom.lattice import AbsVec, SurfaceSpec, x_curve, y_curve
+from framedhom.framing import Framing, QForm, arf, spin_form, winding_parity
+from framedhom.lattice import AbsVec, CohomClass, SurfaceSpec, x_curve, y_curve
 
 
 def test_framing_validation():
@@ -40,13 +31,6 @@ def test_arf_examples():
         arf(Framing(spec11, (0, 0), (0, 0)))
 
 
-def test_q_vector_examples():
-    spec = SurfaceSpec(2, (2,))
-    assert q_vector(Framing(spec, (0, 0), (0, 0))).bits == (0, 0, 0, 0)
-    assert q_vector(Framing(spec, (1, 0), (0, 0))).bits == (1, 0, 0, 0)
-    assert q_vector(Framing(spec, (2, 3), (4, 5))).bits == (0, 0, 1, 1)
-
-
 def test_spin_form_examples():
     spec = SurfaceSpec(2, (2,))
     q = spin_form(Framing(spec, (0, 0), (0, 0)))
@@ -59,9 +43,10 @@ def test_spin_form_examples():
 
 
 def test_arf_of_form_examples():
-    assert arf_of_form(QForm((1, 1), (1, 1))) == 0
-    assert arf_of_form(QForm((0, 1), (1, 1))) == 1
-    assert arf_of_form(QForm((0, 0), (0, 0))) == 0
+    # the classical Arf invariant sum q(x_i) q(y_i) of a form, by mod2.arf
+    assert mod2.arf(QForm((1, 1), (1, 1)).packed, 4) == 0
+    assert mod2.arf(QForm((0, 1), (1, 1)).packed, 4) == 1
+    assert mod2.arf(QForm((0, 0), (0, 0)).packed, 4) == 0
 
 
 def test_arf_of_form_matches_arf_when_even():
@@ -70,7 +55,7 @@ def test_arf_of_form_matches_arf_when_even():
     for wx in range(2):
         for wy in range(2):
             f = Framing(spec, (wx, 0), (wy, 1))
-            assert arf_of_form(spin_form(f)) == arf(f)
+            assert mod2.arf(spin_form(f).packed, 4) == arf(f)
 
 
 def test_winding_parity_examples():
@@ -136,8 +121,9 @@ def test_qform_evaluate_at_genus_three():
 
 
 def test_qvector_shape():
+    # a vector of basis parities has an even length, 2g
     with pytest.raises(Exception):
-        QVector((1, 0, 1))
+        CohomClass((1, 0, 1))
 
 
 def test_qphi_packs_the_winding_parities_plus_one():
@@ -151,4 +137,4 @@ def test_qphi_packs_the_winding_parities_plus_one():
             for _ in range(20)
         ]
         for f in cases:
-            assert f.qphi == mod2.pack(w + 1 for w in f.curve_windings())
+            assert f.qphi == mod2.pack(w + 1 for pair in zip(f.wind_x, f.wind_y) for w in pair)

@@ -14,7 +14,7 @@ from framedhom.errors import (
     SpecMismatch,
     TooLarge,
 )
-from framedhom.framing import Framing, arf, q_vector
+from framedhom.framing import Framing, arf
 from framedhom.lattice import SurfaceSpec
 from framedhom.moves import MAX_MOVES, ArcParityTwist, BoundaryTwist, ConnectSum, apply_move, match_framings
 from framedhom.sampling import random_framing, random_move, random_spec
@@ -78,7 +78,7 @@ def test_every_move_preserves_arf():
         m = random_move(rng, f)
         g = apply_move(f, m)
         assert arf(g) == arf(f)
-        assert q_vector(g) == q_vector(f)
+        assert g.qphi == f.qphi
 
 
 def test_match_examples():
@@ -96,9 +96,9 @@ def test_match_examples():
 def test_match_arf_mismatch():
     spec = SurfaceSpec(2, (1, 1))
     f = Framing.zeros(spec)
-    # flip one odd-kappa arc parity class: Arf changes, q-vector does not
+    # flip one odd-kappa arc parity class: Arf changes, q_phi does not
     h = Framing(spec, (0, 0), (0, 0), (1,))
-    assert q_vector(f) == q_vector(h) and arf(f) != arf(h)
+    assert f.qphi == h.qphi and arf(f) != arf(h)
     with pytest.raises(ArfMismatch):
         match_framings(f, h)
 
@@ -162,7 +162,7 @@ def test_match_roundtrip_random():
         assert cur == h
         # sanity bound: linear in the winding gap (parity repairs shift arc
         # windings by 2 w_d, so allow a per-arc allowance on top)
-        gap = sum(abs(a - b) for a, b in zip(f.curve_windings(), h.curve_windings()))
+        gap = sum(abs(a - b) for a, b in zip(f.wind_x + f.wind_y, h.wind_x + h.wind_y))
         if spec.n >= 2:
             gap += sum(abs(a - b) // 2 for a, b in zip(f.arc2, h.arc2))
         allowance = 2 * spec.n + sum(abs(k) + 1 for k in spec.kappa)

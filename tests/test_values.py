@@ -2,14 +2,27 @@
 
 import copy
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from framedhom.bruteforce import Mod2Group, QFormCensus
-from framedhom.framing import Framing, QForm, QVector
+from framedhom.framing import Framing, QForm
 from framedhom.kernel import StructureReport
-from framedhom.lattice import AbsVec, CohomClass, PunctVec, RelVec, SurfaceSpec, ZeroChain
+from framedhom.lattice import (
+    AbsVec,
+    CohomClass,
+    PunctVec,
+    RelVec,
+    SurfaceSpec,
+    ZeroChain,
+    arc_class,
+    point_class,
+    point_loop,
+    x_curve,
+    y_curve,
+)
 from framedhom.moves import ArcParityTwist, BoundaryTwist, ConnectSum
 from framedhom.paut import PAutElem, identity_mat
 from framedhom.value import Value
@@ -29,7 +42,6 @@ VALUES = [
     (lambda: ZeroChain(S11, (2,)), f"ZeroChain(spec={S11_REPR}, coords=(2,))"),
     (lambda: CohomClass((1, 0, 0, 1)), "CohomClass(g=2, packed=9)"),
     (lambda: QForm((1, 0), (0, 1)), "QForm(g=2, packed=9)"),
-    (lambda: QVector((0, 1, 1, 0)), "QVector(g=2, packed=6)"),
     (
         lambda: Framing(S11, (0, 1), (1, 0), (-1,)),
         f"Framing(spec={S11_REPR}, wind_x=(0, 1), wind_y=(1, 0), arc2=(-1,))",
@@ -137,7 +149,7 @@ def test_copies_and_pickles_are_equal(make, shown):
     [
         [AbsVec(SurfaceSpec(2, (2,)), (1, 0, 0, 1)), RelVec(SurfaceSpec(2, (2,)), (1, 0, 0, 1)),
          PunctVec(SurfaceSpec(2, (2,)), (1, 0, 0, 1))],
-        [QForm.from_packed(2, 9), QVector.from_packed(2, 9), CohomClass.from_packed(2, 9)],
+        [QForm.from_packed(2, 9), CohomClass.from_packed(2, 9)],
     ],
     ids=["vectors", "mod2-bits"],
 )
@@ -158,3 +170,75 @@ def test_mod2_group_compares_by_identity():
     keys = np.array([1, 2], dtype=np.uint64)
     a, b = Mod2Group(1, keys, [1, 2]), Mod2Group(1, keys, [1, 2])
     assert a == a and a != b and len({a, b}) == 2
+
+
+S3 = SurfaceSpec(3, (4,))
+I4 = identity_mat(4)
+NO_M = ((),) * 4  # the M block of an n = 1 element
+CURVE = PunctVec(S11, (1, 0, 0, 0, 0))
+LOOP = AbsVec(S11, (0, 1, 0, 0))
+
+# (call, the same call with plain ints, or None): with a float, a string or a
+# Fraction the call must raise TypeError, not truncate the value or fail later;
+# int, bool and numpy integers must give the plain call's value
+INTEGER_RULE = {
+    "AbsVec-float": (lambda: AbsVec(S11, (1.9, 0, 0, -0.7)), None),
+    "AbsVec-string": (lambda: AbsVec(S11, ("1", 0, 0, 0)), None),
+    "rmul-float": (lambda: 2.5 * x_curve(S11, 1), None),
+    "rmul-fraction": (lambda: Fraction(2) * x_curve(S11, 1), None),
+    "SurfaceSpec-g-float": (lambda: SurfaceSpec(2.0, (2,)), None),
+    "SurfaceSpec-kappa-float": (lambda: SurfaceSpec(2, (2.0,)), None),
+    "Framing-wind-string": (lambda: Framing(SurfaceSpec(2, (2,)), ("1", 0), (0, 0)), None),
+    "Framing-arc-float": (lambda: Framing(S11, (0, 0), (0, 0), (-1.0,)), None),
+    "PAutElem-entry-float": (lambda: PAutElem(2, 1, ((1.7, 0, 0, 0), *I4[1:]), NO_M), None),
+    "PAutElem-g-float": (lambda: PAutElem(2.0, 1, I4, NO_M), None),
+    "PAutElem-n-float": (lambda: PAutElem(2, 1.0, I4, NO_M), None),
+    "x_curve-float": (lambda: x_curve(S3, 1.5), None),
+    "y_curve-float": (lambda: y_curve(S3, 2.5), None),
+    "arc_class-float": (lambda: arc_class(S11, 2.0), None),
+    "point_loop-float": (lambda: point_loop(S11, 1.5), None),
+    "point_class-float": (lambda: point_class(S11, 2.0), None),
+    "delta_winding-float": (lambda: S11.delta_winding(1.0), None),
+    "Twist-float": (lambda: Twist(CURVE, 1.5, 0.5), None),
+    "PointPush-float": (lambda: PointPush(2.0, LOOP), None),
+    "ConnectSum-float": (lambda: ConnectSum("x", 1.0, 2, 1.0), None),
+    "ArcParityTwist-float": (lambda: ArcParityTwist(2.0, 3), None),
+    "BoundaryTwist-float": (lambda: BoundaryTwist(2.0), None),
+    "AbsVec-numpy": (lambda: AbsVec(S11, np.array([1, 0, 0, -2])), lambda: AbsVec(S11, (1, 0, 0, -2))),
+    "AbsVec-bool": (lambda: AbsVec(S11, (True, False, False, True)), lambda: AbsVec(S11, (1, 0, 0, 1))),
+    "rmul-bool": (lambda: True * x_curve(S11, 1), lambda: x_curve(S11, 1)),
+    "rmul-numpy": (lambda: x_curve(S11, 1).__rmul__(np.int64(-3)), lambda: -3 * x_curve(S11, 1)),
+    "SurfaceSpec-numpy": (lambda: SurfaceSpec(np.int64(2), np.array([1, 1])), lambda: S11),
+    "Framing-numpy": (
+        lambda: Framing(S11, np.array([0, 1]), (np.int8(1), False), np.array([-1])),
+        lambda: Framing(S11, (0, 1), (1, 0), (-1,)),
+    ),
+    "PAutElem-numpy": (
+        lambda: PAutElem(np.int64(2), np.uint8(2), np.array(I4), np.array([[1], [0], [0], [-2]])),
+        lambda: PAutElem(2, 2, I4, ((1,), (0,), (0,), (-2,))),
+    ),
+    "x_curve-numpy": (lambda: x_curve(S3, np.int64(2)), lambda: x_curve(S3, 2)),
+    "y_curve-bool": (lambda: y_curve(S3, True), lambda: y_curve(S3, 1)),
+    "arc_class-numpy": (lambda: arc_class(S11, np.int64(2)), lambda: arc_class(S11, 2)),
+    "point_loop-bool": (lambda: point_loop(S11, True), lambda: point_loop(S11, 1)),
+    "point_class-numpy": (lambda: point_class(S11, np.int32(2)), lambda: point_class(S11, 2)),
+    "delta_winding-numpy": (lambda: S11.delta_winding(np.int64(2)), lambda: S11.delta_winding(2)),
+    "Twist-numpy": (lambda: Twist(CURVE, np.int64(-2), np.int64(3)), lambda: Twist(CURVE, -2, 3)),
+    "PointPush-numpy": (lambda: PointPush(np.int64(2), LOOP), lambda: PointPush(2, LOOP)),
+    "ConnectSum-numpy": (
+        lambda: ConnectSum("x", np.int64(1), True, np.int64(-1)),
+        lambda: ConnectSum("x", 1, 1, -1),
+    ),
+    "ArcParityTwist-numpy": (lambda: ArcParityTwist(np.int64(2), 3), lambda: ArcParityTwist(2, 3)),
+    "BoundaryTwist-numpy": (lambda: BoundaryTwist(np.int64(2)), lambda: BoundaryTwist(2)),
+}
+
+
+@pytest.mark.parametrize("call, plain", INTEGER_RULE.values(), ids=INTEGER_RULE)
+def test_integer_fields_take_only_integers(call, plain):
+    if plain is None:
+        with pytest.raises(TypeError):
+            call()
+    else:
+        got, want = call(), plain()
+        assert got == want and repr(got) == repr(want)
