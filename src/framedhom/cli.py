@@ -6,11 +6,12 @@ mismatch.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
+from functools import cache
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any
 
 # each command imports the layers it needs, so a cold call loads only those
@@ -31,6 +32,8 @@ from .framing import Framing, arf
 from .lattice import AbsVec, PunctVec, SurfaceSpec
 
 if TYPE_CHECKING:
+    import argparse
+
     from .kernel import StructureReport
     from .paut import PAutElem
     from .words import Word
@@ -182,11 +185,20 @@ def load_paut(path: str) -> PAutElem:
 # word grammar
 
 
-# re.ASCII: a str pattern's \d would take every script's digits, which int() converts
-_TERM_RE = re.compile(r"([+-]?)(\d*)\*?([xyd])(\d+)", re.ASCII)
-_SHORT_RE = re.compile(r"^T([xyd])(\d+)(?:\^(-?\d+))?$", re.ASCII)
-_TWIST_RE = re.compile(r"^T\(([^;]+);w=(-?\d+)\)(?:\^(-?\d+))?$", re.ASCII)
-_PUSH_RE = re.compile(r"^P\((\d+);([^;)]+)\)$", re.ASCII)
+@cache
+def _patterns() -> tuple[re.Pattern[str], ...]:
+    """The grammar's term, shorthand, twist and push patterns, compiled on first use.
+
+    Only act and lift parse words, so the other commands never compile them.
+    re.ASCII: a str pattern's \\d would take every script's digits, which
+    int() converts.
+    """
+    return (
+        re.compile(r"([+-]?)(\d*)\*?([xyd])(\d+)", re.ASCII),
+        re.compile(r"^T([xyd])(\d+)(?:\^(-?\d+))?$", re.ASCII),
+        re.compile(r"^T\(([^;]+);w=(-?\d+)\)(?:\^(-?\d+))?$", re.ASCII),
+        re.compile(r"^P\((\d+);([^;)]+)\)$", re.ASCII),
+    )
 
 
 def _word_int(digits: str) -> int:
@@ -198,12 +210,13 @@ def _word_int(digits: str) -> int:
 
 def parse_vector(expr: str, spec: SurfaceSpec, punctured: bool):
     """Parse a linear combination like 'x1+2y2-d3' into a lattice vector."""
+    term = _patterns()[0]
     expr = expr.replace(" ", "")
     coords = [0] * (spec.rel_rank if punctured else spec.abs_rank)
     pos = 0
     matched = False
     while pos < len(expr):
-        m = _TERM_RE.match(expr, pos)
+        m = term.match(expr, pos)
         if not m:
             raise WordSyntaxError(f"cannot parse vector term at {expr[pos:]!r}")
         sign, mag, sym, idx = m.groups()
@@ -240,11 +253,12 @@ def parse_word(text: str, f: Framing) -> Word:
     """
     from .words import PointPush, Twist, Word, check_twist_winding, standard_twists
 
+    _, short, twist, push = _patterns()
     spec = f.spec
     alphabet = {name: (curve, winding) for name, curve, winding in standard_twists(f)}
     letters = []
     for token in text.split():
-        m = _SHORT_RE.match(token)
+        m = short.match(token)
         if m:
             name = f"T{m.group(1)}{m.group(2)}"
             if name not in alphabet:
@@ -253,7 +267,7 @@ def parse_word(text: str, f: Framing) -> Word:
             power = _word_int(m.group(3)) if m.group(3) else 1
             letters.append(Twist(curve, power, winding))
             continue
-        m = _TWIST_RE.match(token)
+        m = twist.match(token)
         if m:
             curve = parse_vector(m.group(1), spec, punctured=True)
             power = _word_int(m.group(3)) if m.group(3) else 1
@@ -261,7 +275,7 @@ def parse_word(text: str, f: Framing) -> Word:
             check_twist_winding(letter, f)
             letters.append(letter)
             continue
-        m = _PUSH_RE.match(token)
+        m = push.match(token)
         if m:
             loop = parse_vector(m.group(2), spec, punctured=False)
             letters.append(PointPush(_word_int(m.group(1)), loop))
@@ -434,65 +448,106 @@ def cmd_verify(args) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
+# ---------------------------------------------------------------------------
+# command table: build_parser declares it to argparse, _parse_fast reads
+# well-formed command lines from it without importing argparse
+
+# command: (handler, help, options, positionals); an option is (flag,
+# required, default, help), a positional (name, help)
+_PAUT = ("--paut", True, None, None)
+_FRAMING = ("--framing", True, None, None)
+_COMMANDS = {
+    "arf": (cmd_arf, "Arf invariant of a framing file", (_FRAMING,), ()),
+    "theta": (cmd_theta, "crossed-homomorphism value of an automorphism", (_PAUT, _FRAMING), ()),
+    "kernel-test": (cmd_kernel_test, "membership in the kernel", (_PAUT, _FRAMING), ()),
+    "lift": (cmd_lift, "kernel element over a prescribed transvection", (_FRAMING,),
+             (("vector", "primitive absolute class, e.g. 'x1+2y2'"),)),
+    "factor-sp": (cmd_factor_sp, "transvection factorization of the S block", (_PAUT,), ()),
+    "act": (cmd_act, "act on a framing by a word",
+            (_FRAMING, ("--word", True, None, "e.g. 'Tx1 Ty2^-1 P(2;x1)'")), ()),
+    "match": (cmd_match, "move sequence carrying one framing to another",
+              (), (("framing_file", None), ("target_file", None))),
+    "stratum": (cmd_stratum, "framing preset and structure report for a partition",
+                (), (("partition", "comma-separated positive zero orders, e.g. '1,1'"),)),
+    # integers in ASCII digits, parsed by cmd_verify (_ascii_int)
+    "verify": (cmd_verify, "run a named verification suite",
+               (("--g", False, None, None),
+                ("--trials", False, None, f"1 to {MAX_TRIALS}"),
+                ("--seed", False, "0", None)),
+               (("suite", "a suite name, or 'all' for every suite"),)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="framedhom",
         description="Exact winding-number crossed homomorphism and stratum monodromy kernels",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("arf", help="Arf invariant of a framing file")
-    p.add_argument("--framing", required=True)
-    p.set_defaults(fn=cmd_arf)
-
-    p = sub.add_parser("theta", help="crossed-homomorphism value of an automorphism")
-    p.add_argument("--paut", required=True)
-    p.add_argument("--framing", required=True)
-    p.set_defaults(fn=cmd_theta)
-
-    p = sub.add_parser("kernel-test", help="membership in the kernel")
-    p.add_argument("--paut", required=True)
-    p.add_argument("--framing", required=True)
-    p.set_defaults(fn=cmd_kernel_test)
-
-    p = sub.add_parser("lift", help="kernel element over a prescribed transvection")
-    p.add_argument("--framing", required=True)
-    p.add_argument("vector", help="primitive absolute class, e.g. 'x1+2y2'")
-    p.set_defaults(fn=cmd_lift)
-
-    p = sub.add_parser("factor-sp", help="transvection factorization of the S block")
-    p.add_argument("--paut", required=True)
-    p.set_defaults(fn=cmd_factor_sp)
-
-    p = sub.add_parser("act", help="act on a framing by a word")
-    p.add_argument("--framing", required=True)
-    p.add_argument("--word", required=True, help="e.g. 'Tx1 Ty2^-1 P(2;x1)'")
-    p.set_defaults(fn=cmd_act)
-
-    p = sub.add_parser("match", help="move sequence carrying one framing to another")
-    p.add_argument("framing_file")
-    p.add_argument("target_file")
-    p.set_defaults(fn=cmd_match)
-
-    p = sub.add_parser("stratum", help="framing preset and structure report for a partition")
-    p.add_argument("partition", help="comma-separated positive zero orders, e.g. '1,1'")
-    p.set_defaults(fn=cmd_stratum)
-
-    p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite", help="a suite name, or 'all' for every suite")
-    # integers in ASCII digits, parsed by cmd_verify (_ascii_int)
-    p.add_argument("--g", default=None)
-    p.add_argument("--trials", default=None, help=f"1 to {MAX_TRIALS}")
-    p.add_argument("--seed", default="0")
-    p.set_defaults(fn=cmd_verify)
-
+    for command, (fn, text, options, positionals) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for flag, required, default, hint in options:
+            p.add_argument(flag, required=required, default=default, help=hint)
+        for name, hint in positionals:
+            p.add_argument(name, help=hint)
+        p.set_defaults(fn=fn)
     return parser
 
 
+def _parse_fast(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would return for a well-formed command line, else None.
+
+    Takes an optional leading --json, a command, then the command's options
+    spelled in full, each at most once with a value not starting with '-',
+    and its positionals; a single '--' may come before the last positionals
+    (at least one, none of them '--').  Every other command line (help,
+    abbreviations, --opt=value, usage errors) is left to argparse.
+    """
+    use_json = argv[:1] == ["--json"]
+    rest = argv[1:] if use_json else argv
+    if not rest or rest[0] not in _COMMANDS:
+        return None
+    fn, _, options, positionals = _COMMANDS[rest[0]]
+    flags = {flag for flag, *_ in options}
+    given: dict[str, str] = {}
+    values: list[str] = []
+    i = 1
+    while i < len(rest):
+        token = rest[i]
+        if token == "--":
+            tail = rest[i + 1:]
+            if not tail or "--" in tail:
+                return None
+            values += tail
+            break
+        if not token.startswith("-"):
+            values.append(token)
+            i += 1
+            continue
+        if token not in flags or token in given or i + 1 == len(rest) or rest[i + 1].startswith("-"):
+            return None
+        given[token] = rest[i + 1]
+        i += 2
+    if len(values) != len(positionals):
+        return None
+    args = {"json": use_json, "command": rest[0], "fn": fn}
+    for flag, required, default, _ in options:
+        if required and flag not in given:
+            return None
+        args[flag[2:]] = given.get(flag, default)
+    args.update(zip([name for name, _ in positionals], values))
+    return SimpleNamespace(**args)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_fast(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit

@@ -80,6 +80,9 @@ class Framing(Value):
     def from_doubled(cls, spec: SurfaceSpec, w2: Sequence[int]) -> "Framing":
         """Framing with doubled() == w2; no arc tail means no arc data."""
         k = spec.abs_rank
+        for v in w2[:k]:
+            if v % 2:
+                raise InvalidSurface(f"curve windings are integral: doubled value {v} must be even")
         halves = [v // 2 for v in w2[:k]]
         return cls(spec, halves[0::2], halves[1::2], tuple(w2[k:]) or None)
 

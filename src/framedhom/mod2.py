@@ -146,6 +146,9 @@ class Bits(Value):
         bits = tuple(bits)
         if len(bits) % 2 != 0:
             raise DimensionMismatch(f"{type(self).__name__} needs 2g bits")
+        for i, b in enumerate(bits):
+            if b != 0 and b != 1:
+                raise DimensionMismatch(f"{type(self).__name__} bit {i} is {b!r}, not 0 or 1")
         _set(self, "g", len(bits) // 2)
         _set(self, "packed", pack(bits))
 

@@ -1,5 +1,6 @@
 import json
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -162,6 +163,79 @@ def test_recorded_output_bytes(capsys, monkeypatch, argv, expected):
     monkeypatch.chdir(DATA)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out == (DATA / expected).read_text()
+
+
+# help and usage errors, which argparse prints: each command line with its
+# stdout, stderr and exit code, recorded at a terminal width of 80
+HELP_AND_USAGE = json.loads((DATA / "help_and_usage.json").read_text())
+
+
+@pytest.mark.parametrize("case", HELP_AND_USAGE, ids=lambda case: " ".join(case["argv"]) or "(empty)")
+def test_help_and_usage_error_bytes(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its text at $COLUMNS - 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(case["argv"])
+    out = capsys.readouterr()
+    assert (out.out, out.err, exc.value.code) == (case["stdout"], case["stderr"], case["code"])
+
+
+def _readme_command_lines() -> list[list[str]]:
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    lines = [shlex.split(line, comments=True) for line in text.splitlines() if line.startswith("framedhom ")]
+    return [argv[1:] for argv in lines]
+
+
+# the command lines bench/workloads.build_cli issues, with its vector and word spellings
+BENCH_COMMAND_LINES = [
+    ["arf", "--framing", "f.json"],
+    ["theta", "--paut", "a.json", "--framing", "f.json"],
+    ["kernel-test", "--paut", "a.json", "--framing", "f.json"],
+    ["lift", "--framing", "f.json", "--", "+1x1-2y2"],
+    ["lift", "--framing", "f.json", "--", "-1x1+1y3"],
+    ["factor-sp", "--paut", "a.json"],
+    ["act", "--framing", "f.json", "--word", "T(+1x1-1d2;w=-3)^2 P(2;-1y1)"],
+    ["match", "f.json", "h.json"],
+    ["stratum", "1,1,2"],
+    ["--json", "verify", "all", "--seed", "0"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [case["argv"] for case in RECORDED] + _readme_command_lines() + BENCH_COMMAND_LINES,
+    ids=" ".join,
+)
+def test_fast_parser_takes_the_documented_command_lines(argv):
+    fast = cli._parse_fast(argv)
+    assert fast is not None and vars(fast) == vars(cli.build_parser().parse_args(argv))
+
+
+def test_fast_parser_agrees_with_argparse():
+    # random command lines over the tokens where the two could part: abbreviated
+    # and =-joined options, -h, values that start with '-', '--' anywhere and
+    # --json out of place; each one the fast parser takes, argparse must take
+    # with the same attributes
+    commands = [*cli._COMMANDS, "frame"]
+    tokens = [
+        *commands, "--json", "--framing", "--paut", "--word", "--g", "--trials", "--seed",
+        "--fram", "--tri", "--paut=x", "-h", "", "-3", "-x1", "--", "+1x1", "x1", "all",
+    ]
+    parser = cli.build_parser()
+    rng = random.Random(33)
+    accepted = 0
+    for _ in range(50_000):
+        argv = ["--json"] * (rng.random() < 0.3) + [rng.choice(commands)]
+        argv += rng.choices(tokens, k=rng.randint(0, 6))
+        fast = cli._parse_fast(argv)
+        if fast is None:
+            continue
+        accepted += 1
+        try:
+            oracle = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse refuses {argv}, which the fast parser takes")
+        assert vars(fast) == vars(oracle), argv
+    assert accepted >= 800
 
 
 def test_verify_all_json_is_pinned(capsys):
@@ -536,10 +610,11 @@ def test_arf_command_loads_only_its_layers(f2):
 )
 def test_commands_leave_dataclasses_and_inspect_unloaded(argv):
     # the value classes are written out by hand (framedhom.value), so a cold
-    # call pays for neither module
+    # call pays for neither module; the command table parses these command
+    # lines without argparse
     argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
     code = f"import framedhom.cli as c; assert c.main({argv!r}) == 0"
-    assert _loaded_after(code, ["dataclasses", "inspect"]) == []
+    assert _loaded_after(code, ["dataclasses", "inspect", "argparse"]) == []
 
 
 def test_stratum_leaves_numpy_and_bruteforce_unloaded():

@@ -21,6 +21,30 @@ def test_framing_validation():
     assert f1.arc2 == ()
 
 
+def test_from_doubled_refuses_an_odd_curve_slot():
+    # doubled curve windings are even, as doubled arc windings are odd
+    spec = SurfaceSpec(2, (2,))
+    with pytest.raises(InvalidSurface, match="doubled value 3 must be even"):
+        Framing.from_doubled(spec, (0, 0, 3, 0))
+    with pytest.raises(InvalidSurface, match="doubled value 1 must be even"):
+        Framing.from_doubled(spec, (1, 0, 3, 0))
+    with pytest.raises(InvalidSurface, match="must be odd"):
+        Framing.from_doubled(SurfaceSpec(2, (1, 1)), (0, 0, 0, 0, 2))
+    f = Framing.from_doubled(spec, (-2, 0, 4, 6))
+    assert f.doubled() == (-2, 0, 4, 6) and (f.wind_x, f.wind_y) == ((-1, 2), (0, 3))
+
+
+def test_bits_refuse_a_value_outside_zero_and_one():
+    with pytest.raises(DimensionMismatch, match="QForm bit 0 is 2, not 0 or 1"):
+        QForm((2, 3), (0, 1))
+    with pytest.raises(DimensionMismatch, match="CohomClass bit 0 is 5, not 0 or 1"):
+        CohomClass((5, 0, 0, 1))
+    with pytest.raises(DimensionMismatch, match="bit 3 is -1"):
+        CohomClass((0, 1, 1, -1))
+    assert QForm((0, 1), (1, 1)).packed == 0b1110
+    assert CohomClass((True, False)).bits == (1, 0)
+
+
 def test_arf_examples():
     spec = SurfaceSpec(2, (2,))
     assert arf(Framing(spec, (0, 0), (0, 0))) == 0
