@@ -467,7 +467,7 @@ def kernel_order_mod2(f: Framing, method: str) -> int:
     mkeys = np.arange(mfree)
     mvbar = np.zeros(mfree, dtype=np.intp)
     for t in range(n - 1):
-        if spec.kappa[t + 1] & 1:
+        if (spec.vbar >> t) & 1:
             mvbar ^= (mkeys >> (t * w)) & ((1 << w) - 1)
     blocks = np.bincount(mvbar, minlength=1 << w)
     cols, bits = _columns(group.keys, w), np.arange(w, dtype=np.uint8)[:, None]

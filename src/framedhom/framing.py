@@ -18,7 +18,7 @@ from .errors import (
     SomeKappaOdd,
     SpecMismatch,
 )
-from .lattice import AbsVec, SurfaceSpec
+from .lattice import AbsVec, PunctVec, SurfaceSpec
 from .value import Value, _set, ints
 
 
@@ -27,13 +27,19 @@ class Framing(Value):
 
     arc2 holds 2*phi(a_i) for i = 2..n; None means the relative data is
     absent (only legal when it is never consulted, or when n = 1).
+
+    qphi, set at construction and outside `_fields`, packs the basis values
+    phi(b) + 1 of the quadratic refinement q_phi: bit 2i is set when
+    phi(x_i) is even and bit 2i+1 when phi(y_i) is.
     """
 
-    __slots__ = _fields = ("spec", "wind_x", "wind_y", "arc2")
+    __slots__ = ("spec", "wind_x", "wind_y", "arc2", "qphi")
+    _fields = ("spec", "wind_x", "wind_y", "arc2")
     spec: SurfaceSpec
     wind_x: tuple[int, ...]
     wind_y: tuple[int, ...]
     arc2: tuple[int, ...] | None
+    qphi: int
 
     def __init__(
         self,
@@ -61,6 +67,7 @@ class Framing(Value):
         _set(self, "wind_x", wind_x)
         _set(self, "wind_y", wind_y)
         _set(self, "arc2", arc2)
+        _set(self, "qphi", mod2.pack(w + 1 for pair in zip(wind_x, wind_y) for w in pair))
 
     @classmethod
     def zeros(cls, spec: SurfaceSpec) -> "Framing":
@@ -85,17 +92,6 @@ class Framing(Value):
                 raise InvalidSurface(f"curve windings are integral: doubled value {v} must be even")
         halves = [v // 2 for v in w2[:k]]
         return cls(spec, halves[0::2], halves[1::2], tuple(w2[k:]) or None)
-
-    @property
-    def qphi(self) -> int:
-        """Packed basis values phi(b) + 1 of the quadratic refinement q_phi.
-
-        Bit 2i is set when phi(x_i) is even and bit 2i+1 when phi(y_i) is.
-        """
-        q = 0
-        for i, (wx, wy) in enumerate(zip(self.wind_x, self.wind_y)):
-            q |= ((wx + 1) & 1) << 2 * i | ((wy + 1) & 1) << 2 * i + 1
-        return q
 
 
 class QForm(mod2.Bits):
@@ -147,7 +143,7 @@ def arf(f: Framing) -> int:
 
 def spin_form(f: Framing) -> QForm:
     """Classical spin structure q(b) = phi(b) + 1 induced by an even framing."""
-    if any(k % 2 for k in f.spec.kappa):
+    if f.spec.vbar:
         raise SomeKappaOdd(
             "no classical spin structure: kappa has odd entries "
             f"{tuple(f.spec.kappa)}"
@@ -155,13 +151,21 @@ def spin_form(f: Framing) -> QForm:
     return QForm.from_packed(f.spec.g, f.qphi)
 
 
-def winding_parity(f: Framing, v: AbsVec) -> int:
-    """Mod-2 winding number of a puncture- and arc-disjoint curve in class v.
+def winding_parity(f: Framing, c: AbsVec | PunctVec) -> int:
+    """Mod-2 winding number of a simple closed curve in an absolute or punctured class c.
 
-    Defined as q(v) + 1 for the quadratic extension q with basis values
-    phi(b) + 1; on basis classes this is the basis winding parity, and it
-    packages both the crossing rule and the pants rule for sums.
+    Johnson's rule (J. LMS 1980): q(c) + 1, q the framing's quadratic form
+    on punctured homology mod 2: q_phi (basis values phi(b) + 1) on the
+    absolute part plus kappa_i for each loop d_i in c, since the loops pair
+    to zero with every class and d_i has winding -1 - kappa_i.  It packages
+    the crossing rule and the pants rule for sums.  A relative class, whose
+    arc part has no such rule, or any other type raises SpecMismatch.
     """
-    if v.spec != f.spec:
+    if type(c) not in (AbsVec, PunctVec):
+        raise SpecMismatch(f"winding parity needs an AbsVec or a PunctVec, got {type(c).__name__}")
+    spec = f.spec
+    if c.spec != spec:
         raise SpecMismatch("class and framing live over different surfaces")
-    return mod2.quad(f.qphi, mod2.pack(v.coords), f.spec.abs_rank) ^ 1
+    # quad reads only the absolute bits below k; the loop bits sit above them
+    v, k = mod2.pack(c.coords), spec.abs_rank
+    return (mod2.quad(f.qphi, v, k) + ((v >> k) & spec.vbar).bit_count() + 1) & 1

@@ -7,7 +7,8 @@ simple closed curve in class v is q_phi(v) + 1.  Then, in both parity regimes,
 
     theta(A) = S^T v_kappa*(M) + q_hat(q_phi, S)      (mod 2),
 
-where v_kappa*(M) is the functional x -> <M (kappa_2, ..., kappa_n), x> and
+where v_kappa*(M) is the functional x -> <M vbar, x>, vbar the reduced
+signature (kappa_2, ..., kappa_n) mod 2 that `SurfaceSpec.vbar` keeps, and
 q_hat(q, S) is the defect x -> q(S x) - q(x) of q under S (D. Johnson, "Spin
 structures and quadratic forms on surfaces", J. London Math. Soc. 1980).
 Adding a functional f to a quadratic form shifts its defect by S^T f + f,
@@ -37,20 +38,18 @@ from .value import Value, _set
 
 
 def v_kappa_star(m: Mat, spec: SurfaceSpec) -> CohomClass:
-    """Pairing functional against the pushed signature vector, x -> <M v, x>.
+    """Pairing functional against the pushed signature vector, x -> <M vbar, x>.
 
-    v is the reduced mod-2 signature vector (kappa_2, ..., kappa_n); the
-    result is identically zero when every kappa entry is even or when n = 1.
+    vbar is `SurfaceSpec.vbar`; the result is identically zero when vbar is
+    0, in the even regime or when n = 1.
     """
-    rank, cols = spec.abs_rank, spec.zero_rank
+    rank, cols, vbar = spec.abs_rank, spec.zero_rank, spec.vbar
     if len(m) != rank or any(len(row) != cols for row in m):
         raise SpecMismatch(f"M must be {rank}x{cols}")
-    if cols == 0:  # n = 1
-        return CohomClass.zero(spec.g)
     # M vbar mod 2, packed: the sum of M's odd-kappa columns
     w = 0
-    for j, k in enumerate(spec.kappa[1:]):
-        if k & 1:
+    for j in range(cols):
+        if (vbar >> j) & 1:
             for i, row in enumerate(m):
                 if row[j] & 1:
                     w ^= 1 << i
@@ -108,15 +107,15 @@ def lift_transvection(v: AbsVec, f: Framing) -> PAutElem:
         raise NotPrimitive("transvections lift along primitive classes only")
     if winding_parity(f, v) == 0:
         m = zero_mat(spec.abs_rank, spec.zero_rank)
+    elif not spec.vbar:
+        raise NoLiftExists(
+            "winding parity 1 with all kappa even: transvection is outside "
+            "the spin stabilizer"
+        )
     else:
-        odd = next((i for i in range(2, spec.n + 1) if spec.kappa[i - 1] % 2), None)
-        if odd is None:
-            raise NoLiftExists(
-                "winding parity 1 with all kappa even: transvection is outside "
-                "the spin stabilizer"
-            )
+        odd = (spec.vbar & -spec.vbar).bit_length() - 1  # column of the lowest odd-kappa point
         m = tuple(
-            tuple(v.coords[i] if j == odd - 2 else 0 for j in range(spec.zero_rank))
+            tuple(v.coords[i] if j == odd else 0 for j in range(spec.zero_rank))
             for i in range(spec.abs_rank)
         )
     out = PAutElem._trusted(spec.g, spec.n, transvection(v, 1), m)
@@ -182,11 +181,11 @@ def structure_report(f: Framing) -> StructureReport:
     spec = f.spec
     g, n, w = spec.g, spec.n, spec.abs_rank
     counted = mod2_countable(spec)
-    if all(k % 2 == 0 for k in spec.kappa):
+    if not spec.vbar:
         q = spin_form(f)
         arf = mod2.arf(q.packed, w)
         forms = (1 << (g - 1)) * ((1 << g) + (-1) ** arf)
         order = (mod2.sp2_order(g) // forms) << (w * (n - 1)) if counted else None
         return StructureReport("even", q=q, arf=arf, mod2_kernel_order=order)
     order = mod2.sp2_order(g) << (w * (n - 2)) if counted else None
-    return StructureReport("odd", v_bar=tuple(k & 1 for k in spec.kappa[1:]), mod2_kernel_order=order)
+    return StructureReport("odd", v_bar=mod2.unpack(spec.vbar, spec.zero_rank), mod2_kernel_order=order)

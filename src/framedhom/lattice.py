@@ -22,11 +22,23 @@ from .value import Value, _set, ints
 
 
 class SurfaceSpec(Value):
-    """Genus, marked points and their signature partition."""
+    """Genus, marked points and their signature partition.
 
-    __slots__ = _fields = ("g", "kappa")
+    Also kept, outside `_fields` (so in no equality, hash or repr): n, the
+    lattice ranks, and vbar, the reduced signature (kappa_2, ..., kappa_n)
+    mod 2 packed with bit j for kappa_{j+2}; vbar is 0 exactly in the even
+    regime, where every kappa entry is even.
+    """
+
+    __slots__ = ("g", "kappa", "n", "abs_rank", "rel_rank", "zero_rank", "vbar")
+    _fields = ("g", "kappa")
     g: int
     kappa: tuple[int, ...]
+    n: int
+    abs_rank: int
+    rel_rank: int
+    zero_rank: int
+    vbar: int
 
     def __init__(self, g: int, kappa: Sequence[int]) -> None:
         g, kappa = index(g), ints(kappa)
@@ -38,24 +50,14 @@ class SurfaceSpec(Value):
             raise InvalidSurface(
                 f"kappa sum must equal 2g-2 = {2 * g - 2}, got {sum(kappa)}"
             )
+        n = len(kappa)
         _set(self, "g", g)
         _set(self, "kappa", kappa)
-
-    @property
-    def n(self) -> int:
-        return len(self.kappa)
-
-    @property
-    def abs_rank(self) -> int:
-        return 2 * self.g
-
-    @property
-    def rel_rank(self) -> int:
-        return 2 * self.g + self.n - 1
-
-    @property
-    def zero_rank(self) -> int:
-        return self.n - 1
+        _set(self, "n", n)
+        _set(self, "abs_rank", 2 * g)
+        _set(self, "rel_rank", 2 * g + n - 1)
+        _set(self, "zero_rank", n - 1)
+        _set(self, "vbar", mod2.pack(kappa[1:]))
 
     def delta_winding(self, i: int) -> int:
         """Winding number of the loop around marked point i (1-based): -1 - kappa_i."""
@@ -65,7 +67,7 @@ class SurfaceSpec(Value):
 
 
 class _Vec(Value):
-    """Exact integer vector over a surface; a subclass names its rank (a SurfaceSpec property) in _rank."""
+    """Exact integer vector over a surface; a subclass names its rank (a SurfaceSpec attribute) in _rank."""
 
     __slots__ = _fields = ("spec", "coords")
     _rank: ClassVar[str]

@@ -112,10 +112,9 @@ def _shifts(f: Framing, m: Move) -> tuple[tuple[int, int], ...]:
         return ((s1, 2 * wd), (s2, 2 * wd))
 
     slot = _arc_slot(f, m.j)
-    kj = spec.kappa[m.j - 1]
-    if kj % 2 != 0:
+    if spec.kappa[m.j - 1] % 2 != 0:
         raise MoveError("boundary twist needs an even kappa entry (odd signature)")
-    return ((slot, 2 * (-1 - kj)),)
+    return ((slot, 2 * spec.delta_winding(m.j)),)
 
 
 def apply_move(f: Framing, m: Move) -> Framing:

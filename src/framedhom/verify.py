@@ -199,7 +199,7 @@ def suite_lift(g: int | None = None, trials: int = 200, seed: int = 0) -> list[C
         try:
             a = lift_transvection(v, f)
         except NoLiftExists:
-            even = all(k % 2 == 0 for k in f.spec.kappa)
+            even = not f.spec.vbar
             obstructed = not q_hat(spin_form(f), transvection(v, 1)).is_zero() if even else False
             return {"refused": 1, "wrong": not (even and winding_parity(f, v) == 1 and obstructed)}
         except AssertionError:  # the lift it built failed its own kernel test

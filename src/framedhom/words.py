@@ -27,7 +27,6 @@ from functools import lru_cache
 from operator import index
 from typing import Union
 
-from . import mod2
 from .errors import (
     DimensionMismatch,
     NotPrimitive,
@@ -35,7 +34,7 @@ from .errors import (
     SpecMismatch,
     WindingParityMismatch,
 )
-from .framing import Framing
+from .framing import Framing, winding_parity
 from .lattice import (
     AbsVec,
     CohomClass,
@@ -397,19 +396,14 @@ def standard_alphabet(f: Framing) -> dict[str, Letter]:
 def check_twist_winding(letter: Twist, f: Framing) -> None:
     """Refuse a twist whose declared winding no simple curve in its class has under f.
 
-    A simple closed curve in class c has winding q(c) + 1 mod 2 (Johnson,
-    J. LMS 1980), q the framing's quadratic form on punctured homology mod
-    2: q_phi on the absolute part plus kappa_i for each loop d_i in c.  The
-    loops pair to zero with every class, and d_i has winding -1 - kappa_i.
+    The parity a simple closed curve in the twist's class must have is
+    `framedhom.framing.winding_parity` (Johnson's rule on punctured classes).
     """
-    spec = f.spec
-    if letter.spec != spec:
+    if letter.spec != f.spec:
         raise SpecMismatch("twist and framing live over different surfaces")
-    loops = mod2.pack(letter.curve.coords[spec.abs_rank :])
-    q = mod2.quad(f.qphi, letter.packed[0], spec.abs_rank)
-    q ^= (loops & mod2.pack(spec.kappa[1:])).bit_count() & 1
-    if (letter.winding ^ q ^ 1) & 1:
+    parity = winding_parity(f, letter.curve)
+    if (letter.winding ^ parity) & 1:
         raise WindingParityMismatch(
             f"twist declares a winding of parity {letter.winding & 1}; a simple curve "
-            f"in its class has winding parity {q ^ 1} under this framing"
+            f"in its class has winding parity {parity} under this framing"
         )

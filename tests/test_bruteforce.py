@@ -144,6 +144,11 @@ def test_passes_run_in_blocks_of_block_keys(monkeypatch):
     group = bf.enumerate_sp2.__wrapped__(2)  # bypasses the cache, so the stages run
     assert len(group) == 720 and len(calls) == 4  # one pass per column slot
     assert len(list(bf._product_blocks(group.keys, group.gens, 4))) == 1
+    # at g = 3 a block of BLOCK products holds less than one generator's
+    # 1 451 520, so each of the 7 generators gets a block of its own
+    keys = bf.enumerate_sp2(3).keys
+    blocks = [(blk.start, blk.stop) for blk, _ in bf._product_blocks(keys, bf.humphries(3), 6)]
+    assert blocks == [(r, r + 1) for r in range(7)]
 
 
 def test_find_positions_and_outsiders():

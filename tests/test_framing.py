@@ -5,9 +5,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framedhom import mod2
-from framedhom.errors import DimensionMismatch, InvalidSurface, MissingArcData, SomeKappaOdd
+from framedhom.errors import (
+    DimensionMismatch,
+    InvalidSurface,
+    MissingArcData,
+    SomeKappaOdd,
+    SpecMismatch,
+    WindingParityMismatch,
+)
 from framedhom.framing import Framing, QForm, arf, spin_form, winding_parity
-from framedhom.lattice import AbsVec, CohomClass, SurfaceSpec, x_curve, y_curve
+from framedhom.lattice import (
+    AbsVec,
+    CohomClass,
+    PunctVec,
+    RelVec,
+    SurfaceSpec,
+    ZeroChain,
+    project_punct,
+    x_curve,
+    y_curve,
+)
+from framedhom.sampling import random_framing, random_primitive_punct, random_spec
+from framedhom.words import Twist, check_twist_winding
 
 
 def test_framing_validation():
@@ -89,6 +108,47 @@ def test_winding_parity_examples():
     assert winding_parity(f, x1) == 0
     assert winding_parity(f, x1 + x2) == 1  # pants rule: 1 + P(x1) + P(x2)
     assert winding_parity(f, x1 + y1) == 0  # crossing rule: P(x1) + P(y1)
+
+
+def _johnson_parity(f, coords):
+    """Johnson's rule in plain integers: sum_h (a_h (wx_h + 1) + b_h (wy_h + 1) + a_h b_h)
+    + sum_j m_j kappa_j + 1 mod 2, for the class sum_h (a_h x_h + b_h y_h) + sum_j m_j d_j."""
+    g = f.spec.g
+    handles = zip(coords[0 : 2 * g : 2], coords[1 : 2 * g : 2], f.wind_x, f.wind_y)
+    total = sum(a * (wx + 1) + b * (wy + 1) + a * b for a, b, wx, wy in handles)
+    total += sum(m * k for m, k in zip(coords[2 * g :], f.spec.kappa[1:]))
+    return (total + 1) % 2
+
+
+def test_winding_parity_is_johnsons_rule_on_punctured_classes():
+    spec = SurfaceSpec(2, (1, 1))
+    x1_d2 = PunctVec(spec, (1, 0, 0, 0, 1))
+    cases = [(Framing.zeros(spec), x1_d2)]  # the loop term forces parity 1 here
+    rng = random.Random(34)
+    for _ in range(300):
+        spec = random_spec(rng, rng.randint(2, 4), rng.randint(1, 4))
+        f = random_framing(rng, spec, with_arcs=rng.random() < 0.5)
+        cases.append((f, random_primitive_punct(rng, spec)))
+    assert winding_parity(*cases[0]) == 1
+    for f, c in cases:
+        want = _johnson_parity(f, c.coords)
+        assert winding_parity(f, c) == want, (f, c)
+        v = project_punct(c)
+        assert winding_parity(f, v) == _johnson_parity(f, v.coords), (f, v)
+        for w in range(-2, 3):
+            if (w - want) % 2:
+                with pytest.raises(WindingParityMismatch):
+                    check_twist_winding(Twist(c, 1, w), f)
+            else:
+                check_twist_winding(Twist(c, 1, w), f)
+
+
+def test_winding_parity_refuses_relative_and_point_classes():
+    spec = SurfaceSpec(2, (1, 1))
+    f = Framing.zeros(spec)
+    for c in (RelVec(spec, (1, 0, 0, 0, 1)), ZeroChain(spec, (1,))):
+        with pytest.raises(SpecMismatch):
+            winding_parity(f, c)
 
 
 def test_winding_parity_crossing_rule_by_twist():

@@ -32,10 +32,29 @@ from framedhom.words import PointPush, Twist, Word
 S11 = SurfaceSpec(2, (1, 1))
 S11_REPR = "SurfaceSpec(g=2, kappa=(1, 1))"
 
+
+def _spec_slots(g, kappa):
+    """SurfaceSpec's slots outside its fields, by their definitions in plain integers."""
+    n = len(kappa)
+    vbar = sum(k % 2 * 2**j for j, k in enumerate(kappa[1:]))  # bit j: kappa_{j+2} mod 2
+    return {"n": n, "abs_rank": 2 * g, "rel_rank": 2 * g + n - 1, "zero_rank": n - 1, "vbar": vbar}
+
+
+def _qphi(wind_x, wind_y):
+    """Framing's slot outside its fields: bit j is phi(b_j) + 1 mod 2, b = x_1, y_1, ..."""
+    basis = [w for pair in zip(wind_x, wind_y) for w in pair]
+    return {"qphi": sum((w + 1) % 2 * 2**j for j, w in enumerate(basis))}
+
+
 # one instance of each value class, built afresh on each call, and its repr
-# as the record-class decorator printed it before the classes moved onto Value
+# as the record-class decorator printed it before the classes moved onto Value;
+# a third entry maps each slot kept outside `_fields` to its defined value
 VALUES = [
-    (lambda: SurfaceSpec(2, (1, 1)), S11_REPR),
+    (
+        lambda: SurfaceSpec(3, (-1, 2, -3, 6)),
+        "SurfaceSpec(g=3, kappa=(-1, 2, -3, 6))",
+        _spec_slots(3, (-1, 2, -3, 6)),
+    ),
     (lambda: AbsVec(S11, (1, 0, 0, -2)), f"AbsVec(spec={S11_REPR}, coords=(1, 0, 0, -2))"),
     (lambda: RelVec(S11, (0, 1, 0, 0, 3)), f"RelVec(spec={S11_REPR}, coords=(0, 1, 0, 0, 3))"),
     (lambda: PunctVec(S11, (1, 0, 0, 0, -1)), f"PunctVec(spec={S11_REPR}, coords=(1, 0, 0, 0, -1))"),
@@ -45,10 +64,12 @@ VALUES = [
     (
         lambda: Framing(S11, (0, 1), (1, 0), (-1,)),
         f"Framing(spec={S11_REPR}, wind_x=(0, 1), wind_y=(1, 0), arc2=(-1,))",
+        _qphi((0, 1), (1, 0)),
     ),
     (
-        lambda: Framing(SurfaceSpec(2, (2,)), (0, 1), (1, 0)),
-        "Framing(spec=SurfaceSpec(g=2, kappa=(2,)), wind_x=(0, 1), wind_y=(1, 0), arc2=())",
+        lambda: Framing(SurfaceSpec(2, (2,)), (0, -1), (-2, 0)),
+        "Framing(spec=SurfaceSpec(g=2, kappa=(2,)), wind_x=(0, -1), wind_y=(-2, 0), arc2=())",
+        _qphi((0, -1), (-2, 0)),
     ),
     (
         lambda: PAutElem(2, 2, identity_mat(4), ((1,), (0,), (0,), (-2,))),
@@ -93,9 +114,12 @@ VALUES = [
         "SuiteResult(suite='census', checks=[Check(name='c', ok=False, detail='')], elapsed=0.5)",
     ),
 ]
-IDS = [shown[: shown.index("(")] for _, shown in VALUES]
+VALUES = [row + ({},) * (3 - len(row)) for row in VALUES]
+IDS = [shown[: shown.index("(")] for _, shown, _ in VALUES]
 BY_VALUE = [v for v in VALUES if not v[1].startswith("Mod2Group")]  # Mod2Group compares by identity
 BY_VALUE_IDS = [i for i in IDS if i != "Mod2Group"]
+KEEPING = [v for v in VALUES if v[2]]
+KEEPING_IDS = [i for i, v in zip(IDS, VALUES) if v[2]]
 # a dict or list field makes the instance unhashable
 UNHASHABLE = ("QFormCensus", "SuiteResult")
 
@@ -108,13 +132,13 @@ def test_the_table_holds_every_value_class():
     assert {c.__name__ for c in leaves(Value)} == set(IDS)
 
 
-@pytest.mark.parametrize("make, shown", VALUES, ids=IDS)
-def test_repr_reads_as_the_record_class_repr(make, shown):
+@pytest.mark.parametrize("make, shown, kept", VALUES, ids=IDS)
+def test_repr_reads_as_the_record_class_repr(make, shown, kept):
     assert repr(make()) == shown
 
 
-@pytest.mark.parametrize("make, shown", BY_VALUE, ids=BY_VALUE_IDS)
-def test_equal_fields_compare_and_hash_equal(make, shown):
+@pytest.mark.parametrize("make, shown, kept", BY_VALUE, ids=BY_VALUE_IDS)
+def test_equal_fields_compare_and_hash_equal(make, shown, kept):
     a, b = make(), make()
     assert a is not b and a == b and not a != b
     assert a != object() and a != tuple(getattr(a, name) for name in a._fields)
@@ -125,10 +149,10 @@ def test_equal_fields_compare_and_hash_equal(make, shown):
         assert hash(a) == hash(b) and len({a, b}) == 1
 
 
-@pytest.mark.parametrize("make, shown", VALUES, ids=IDS)
-def test_fields_cannot_be_assigned_or_deleted(make, shown):
+@pytest.mark.parametrize("make, shown, kept", VALUES, ids=IDS)
+def test_fields_cannot_be_assigned_or_deleted(make, shown, kept):
     a = make()
-    for name in (*a._fields, "unknown"):
+    for name in (*a._fields, *kept, "unknown"):
         with pytest.raises(AttributeError):
             setattr(a, name, 0)
         with pytest.raises(AttributeError):
@@ -137,11 +161,22 @@ def test_fields_cannot_be_assigned_or_deleted(make, shown):
     assert not hasattr(a, "__dict__")
 
 
-@pytest.mark.parametrize("make, shown", BY_VALUE, ids=BY_VALUE_IDS)
-def test_copies_and_pickles_are_equal(make, shown):
+@pytest.mark.parametrize("make, shown, kept", BY_VALUE, ids=BY_VALUE_IDS)
+def test_copies_and_pickles_are_equal(make, shown, kept):
     a = make()
     for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert type(b) is type(a) and b == a and repr(b) == shown
+        assert {name: getattr(b, name) for name in kept} == kept
+
+
+@pytest.mark.parametrize("make, shown, kept", KEEPING, ids=KEEPING_IDS)
+def test_kept_slots_hold_their_definitions_outside_the_fields(make, shown, kept):
+    a, b = make(), make()
+    assert {name: getattr(a, name) for name in kept} == kept
+    assert not set(kept) & set(a._fields)
+    for name in kept:  # a different value in a kept slot changes no comparison
+        object.__setattr__(b, name, -1)
+    assert a == b and hash(a) == hash(b) and repr(b) == shown
 
 
 @pytest.mark.parametrize(
