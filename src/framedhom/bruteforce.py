@@ -463,11 +463,12 @@ def kernel_order_mod2(f: Framing, method: str) -> int:
     mfree = 1 << (w * (n - 1))
     group = enumerate_sp2(g)
     thetas = theta_table(group, f)
-    # blocks[v]: number of mod-2 M blocks with M vbar = v
+    # blocks[v]: number of mod-2 M blocks with M vbar = v; vbar is read off
+    # kappa here, not spec.vbar, which the "structure" side reads
     mkeys = np.arange(mfree)
     mvbar = np.zeros(mfree, dtype=np.intp)
     for t in range(n - 1):
-        if (spec.vbar >> t) & 1:
+        if spec.kappa[t + 1] & 1:
             mvbar ^= (mkeys >> (t * w)) & ((1 << w) - 1)
     blocks = np.bincount(mvbar, minlength=1 << w)
     cols, bits = _columns(group.keys, w), np.arange(w, dtype=np.uint8)[:, None]

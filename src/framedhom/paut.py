@@ -169,7 +169,7 @@ def invert(a: PAutElem) -> PAutElem:
 
 def transvection(v: AbsVec, k: int) -> Mat:
     """Matrix of x -> x + k <x, v> v in the absolute basis."""
-    c = v.coords
+    c, k = v.coords, index(k)
     # <x, v> = sum_j jv[j] x_j with jv = (v_y, -v_x) per handle, so row i is
     # k c_i jv with 1 added on the diagonal
     jv = [u for i in range(0, len(c), 2) for u in (c[i + 1], -c[i])]
@@ -247,8 +247,9 @@ def factor_sp(s: Mat) -> list[tuple[tuple[int, ...], int]]:
         raise DimensionMismatch("factor_sp needs a 2g x 2g matrix")
     g = m // 2
 
-    # w[r] holds row r of the working matrix from column 2h on, at handle h
-    w = [list(row) for row in s]
+    # w[r] holds row r of the working matrix from column 2h on, at handle h;
+    # the copy applies the integer rule (operator.index) to every entry
+    w = [list(map(index, row)) for row in s]
     out: list[tuple[tuple[int, ...], int]] = []
     emit = out.append
     unit = identity_mat(m)

@@ -1,64 +1,52 @@
-"""Acceptance gate: every criterion at its stated trial count, tolerance zero.
+"""Acceptance gate: `framedhom verify all --seed 0`, run once in process.
 
-Each test prints one pass/fail line (run pytest with -s to see them inline)
-and enforces the stated runtime budget.
+Each suite's lines must equal its lines in tests/data/verify_all_seed0.out,
+except for the closing line's time (" in N.NNs"), and the suite must finish
+within its time budget.  The run exits 0 and prints the suites in the pinned
+order.
 """
+
+import contextlib
+import io
+import math
+import re
+from pathlib import Path
 
 import pytest
 
-from framedhom.verify import run_suite
+from framedhom import cli
+from framedhom.verify import SUITES
+
+TIMING = re.compile(r" in ([0-9]+\.[0-9]{2})s$")
+BUDGET_S = {"cocycle": 5.0, "well-defined": 10.0, "census": 30.0, "kernel-order": 60.0, "parity": 5.0}
 
 
-def _run(criterion: str, suite: str, budget: float | None = None, **kwargs):
-    result = run_suite(suite, **kwargs)
-    status = "PASS" if result.ok else "FAIL"
-    details = "; ".join(f"{c.name}: {c.detail}" for c in result.checks)
-    print(f"{status} {criterion} [{result.elapsed:.2f}s] {details}")
-    for check in result.checks:
-        assert check.ok, f"{criterion}: {check.name} failed ({check.detail})"
-    if budget is not None:
-        assert result.elapsed < budget, f"{criterion} exceeded {budget}s budget"
-    return result
+def _by_suite(text: str) -> dict[str, list[str]]:
+    """Each suite's lines, up to its closing `ok suite <name>` line, keyed by name."""
+    suites, lines = {}, []
+    for line in text.splitlines():
+        lines.append(line)
+        if line.startswith(("ok suite ", "FAILED suite ")):
+            suites[TIMING.sub("", line).split()[-1]] = lines
+            lines = []
+    return suites
 
 
-def test_criterion_1_cocycle_identity():
-    _run("criterion-1 cocycle identity", "cocycle", budget=5.0, trials=1000, seed=101)
+PINNED = _by_suite((Path(__file__).parent / "data" / "verify_all_seed0.out").read_text())
 
 
-def test_criterion_2_well_definedness():
-    # 500 random words compared against the algebraic evaluation, plus 200
-    # identity-acting refactored words mapping to zero
-    _run("criterion-2 well-definedness", "well-defined", budget=10.0, trials=500, seed=102)
+@pytest.fixture(scope="module")
+def verify_all():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "all", "--seed", "0"])
+    return code, _by_suite(out.getvalue())
 
 
-def test_criterion_3_stabilizer_in_kernel():
-    _run("criterion-3 stabilizer containment", "stabilizer", trials=500, seed=103)
-
-
-def test_criterion_4_lift_surjectivity():
-    _run("criterion-4 kernel lifts", "lift", trials=200, seed=104)
-
-
-def test_criterion_5_mod2_census():
-    _run("criterion-5 mod-2 census", "census", budget=30.0, g=2, seed=105)
-
-
-def test_criterion_6_kernel_orders():
-    _run("criterion-6 kernel orders two ways", "kernel-order", budget=60.0, g=2, seed=106)
-
-
-def test_criterion_7_even_regime_closed_form():
-    _run("criterion-7 even-regime closed form", "even-form", trials=1000, seed=107)
-
-
-def test_criterion_8_relaut_restriction():
-    _run("criterion-8 point-transvection restriction", "relaut", trials=1000, seed=108)
-
-
-def test_criterion_9_arf_invariance_and_move_roundtrip():
-    _run("criterion-9 move round-trip", "moves", trials=500, seed=109)
-    _run("criterion-9 Arf invariance", "arf-action", trials=500, seed=110)
-
-
-def test_criterion_10_parity_oracle():
-    _run("criterion-10 parity oracle", "parity", budget=5.0, trials=500, seed=111)
+@pytest.mark.parametrize("suite", SUITES)
+def test_verify_all_seed0(verify_all, suite):
+    code, suites = verify_all
+    assert code == 0 and list(suites) == list(PINNED)
+    *checks, closing = suites[suite]
+    assert [*checks, TIMING.sub("", closing)] == PINNED[suite]
+    assert float(TIMING.search(closing).group(1)) < BUDGET_S.get(suite, math.inf)

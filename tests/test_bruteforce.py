@@ -11,6 +11,7 @@ from framedhom.kernel import structure_report, theta
 from framedhom.lattice import SurfaceSpec, sympl
 from framedhom.paut import PAutElem, mat_mul, zero_mat
 from framedhom.sampling import random_framing, random_paut, random_spec
+from framedhom.value import _set
 
 
 def _transvection_key(v, w):
@@ -577,6 +578,15 @@ def test_regime_formula_counts_the_form_orbits():
 def test_kernel_order_enumerate_reads_theta(monkeypatch, f, flip):
     _flip_theta_at(monkeypatch, bf.enumerate_sp2(2).find(bf._identity_key(4)), flip)  # the identity's value
     assert bf.kernel_order_mod2(f, "enumerate") != bf.kernel_order_mod2(f, "structure")
+
+
+def test_kernel_order_enumerate_reads_kappa_not_vbar():
+    # a vbar shifted by one slot (kappa_3.. in place of kappa_2..) moves the
+    # structure side only; the enumeration still counts the true order
+    spec = SurfaceSpec(2, (1, 1))
+    _set(spec, "vbar", mod2.pack(spec.kappa[2:]))
+    f = Framing.zeros(spec)
+    assert bf.kernel_order_mod2(f, "enumerate") == 720 != bf.kernel_order_mod2(f, "structure")
 
 
 @pytest.mark.parametrize("g, kappa", [(2, (2,)), (3, (4,))])

@@ -48,47 +48,6 @@ def test_arf_command(capsys, f2, tmp_path):
     assert code == 0 and json.loads(out) == {"arf": 1}
 
 
-def test_arf_validation_exit2(capsys, tmp_path):
-    bad = write_json(tmp_path, "bad.json", {"g": 2, "kappa": [3], "wind_x": [0, 0], "wind_y": [0, 0]})
-    code, _, err = run_cli(capsys, "arf", "--framing", bad)
-    assert code == 2 and "kappa sum" in err
-
-
-def test_unknown_keys_rejected(capsys, tmp_path):
-    bad = write_json(
-        tmp_path, "bad.json",
-        {"g": 2, "kappa": [2], "wind_x": [0, 0], "wind_y": [0, 0], "extra": 1},
-    )
-    code, _, err = run_cli(capsys, "arf", "--framing", bad)
-    assert code == 2 and "unknown" in err
-
-
-F2 = {"g": 2, "kappa": [2], "wind_x": [0, 0], "wind_y": [0, 0]}
-P2 = {"g": 2, "n": 1, "S": identity_mat(4), "M": []}
-S_ENTRY_1_9 = [[1.9, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-S_ENTRY_TRUE = [[True, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-
-
-@pytest.mark.parametrize(
-    "command, framing, paut",
-    [
-        ("theta", F2, dict(P2, g="x")),
-        ("arf", dict(F2, kappa=5), None),
-        ("arf", dict(F2, wind_x=[0.5, 0]), None),
-        ("theta", F2, dict(P2, S=S_ENTRY_1_9)),
-        ("theta", F2, dict(P2, S=S_ENTRY_TRUE)),
-    ],
-    ids=["g-string", "kappa-scalar", "wind-float", "S-float", "S-bool"],
-)
-def test_non_integer_json_exit2(capsys, tmp_path, command, framing, paut):
-    argv = [command, "--framing", write_json(tmp_path, "f.json", framing)]
-    if paut is not None:
-        argv += ["--paut", write_json(tmp_path, "p.json", paut)]
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2 and out == ""
-    assert "must be a JSON integer" in err or "must be a list of integers" in err
-
-
 @pytest.mark.parametrize(
     "content",
     [
@@ -105,13 +64,6 @@ def test_unparsable_json_exit2(capsys, tmp_path, content):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
-def test_non_symplectic_paut_exit2(capsys, tmp_path, f2):
-    two = [[2 * (i == j) for j in range(4)] for i in range(4)]
-    p = write_json(tmp_path, "p.json", dict(P2, S=two))
-    code, out, err = run_cli(capsys, "theta", "--paut", p, "--framing", f2)
-    assert code == 2 and out == "" and "intersection pairing" in err
-
-
 def test_theta_and_kernel_commands(capsys, tmp_path, f2, f11):
     pid = write_json(tmp_path, "pid.json", {"g": 2, "n": 1, "S": identity_mat(4), "M": []})
     code, out, _ = run_cli(capsys, "theta", "--paut", pid, "--framing", f2)
@@ -124,21 +76,13 @@ def test_theta_and_kernel_commands(capsys, tmp_path, f2, f11):
     assert code == 0 and json.loads(out) == {"theta": [0, 1, 0, 0]}
     code, out, _ = run_cli(capsys, "kernel-test", "--paut", prel, "--framing", f11)
     assert code == 0 and json.loads(out) == {"in_kernel": False}
-    # cross-input mismatch
-    for command in ("theta", "kernel-test"):
-        code, out, err = run_cli(capsys, command, "--paut", prel, "--framing", f2)
-        assert code == 3 and out == ""
-        assert err == "error: automorphism is for g=2, n=2; framing for g=2, n=1\n"
 
 
-def test_lift_command(capsys, f2, tmp_path):
+def test_lift_command(capsys, f2):
     code, out, _ = run_cli(capsys, "lift", "--framing", f2, "x1")
     assert code == 0
     data = json.loads(out)
     assert data["S"][0][1] == -1
-    odd = write_json(tmp_path, "odd.json", {"g": 2, "kappa": [2], "wind_x": [1, 0], "wind_y": [0, 0]})
-    code, out, _ = run_cli(capsys, "lift", "--framing", odd, "x1")
-    assert code == 1 and json.loads(out)["error"] == "NoLiftExists"
 
 
 def test_factor_sp_command(capsys, tmp_path):
@@ -165,18 +109,66 @@ def test_recorded_output_bytes(capsys, monkeypatch, argv, expected):
     assert code == 0 and out == (DATA / expected).read_text()
 
 
-# help and usage errors, which argparse prints: each command line with its
-# stdout, stderr and exit code, recorded at a terminal width of 80
-HELP_AND_USAGE = json.loads((DATA / "help_and_usage.json").read_text())
+# every refusal and usage line: each row's command line, the files it names
+# (the shared set and its own, written to a fresh directory) and its stdout,
+# stderr and exit code, recorded at a terminal width of 80; CI runs the same
+# rows through the installed framedhom script.  A row naming a `test` runs
+# under that test with its `id`; the others run under test_cli_case
+CASES = json.loads((DATA / "cli_cases.json").read_text())
 
 
-@pytest.mark.parametrize("case", HELP_AND_USAGE, ids=lambda case: " ".join(case["argv"]) or "(empty)")
-def test_help_and_usage_error_bytes(capsys, monkeypatch, case):
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its text at $COLUMNS - 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(case["argv"])
-    out = capsys.readouterr()
-    assert (out.out, out.err, exc.value.code) == (case["stdout"], case["stderr"], case["code"])
+def _rows(test=None):
+    rows = [case for case in CASES["cases"] if case.get("test") == test]
+    return pytest.mark.parametrize("case", rows, ids=lambda case: case.get("id", case["about"]))
+
+
+@pytest.fixture
+def run_row(capsys, monkeypatch, tmp_path):
+    def run(case):
+        for name, content in {**CASES["shared"], **case.get("files", {})}.items():
+            (tmp_path / name).write_text(json.dumps(content))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its text at $COLUMNS - 2
+        try:
+            code = cli.main(case["argv"])
+        except SystemExit as exc:  # argparse exits on help and usage errors
+            code = exc.code
+        out = capsys.readouterr()
+        assert (out.out, out.err, code) == (case["stdout"], case["stderr"], case["code"])
+
+    return run
+
+
+@_rows()
+def test_cli_case(run_row, case):
+    run_row(case)
+
+
+@_rows("help_and_usage_error_bytes")
+def test_help_and_usage_error_bytes(run_row, case):
+    run_row(case)
+
+
+# int() reads "2_0" as 20, "+2" as 2 and an Arabic-Indic digit as its value;
+# the word grammar, the partition parser and verify's options must not
+@_rows("word_takes_only_ascii_digits")
+def test_word_takes_only_ascii_digits(run_row, case):
+    run_row(case)
+
+
+@_rows("stratum_takes_only_ascii_digits")
+def test_stratum_takes_only_ascii_digits(run_row, case):
+    run_row(case)
+
+
+@_rows("verify_takes_only_ascii_integers")
+def test_verify_takes_only_ascii_integers(run_row, case):
+    run_row(case)
+
+
+def test_every_row_runs():
+    tests = {case.get("test") for case in CASES["cases"]} - {None}
+    assert {f"test_{test}" for test in tests} <= set(globals())
 
 
 def _readme_command_lines() -> list[list[str]]:
@@ -238,51 +230,12 @@ def test_fast_parser_agrees_with_argparse():
     assert accepted >= 800
 
 
-def test_verify_all_json_is_pinned(capsys):
-    # every suite's checks and details at a fixed seed and trial count; the
-    # text output of `verify all --seed 0` is pinned by CI against
-    # verify_all_seed0.out
-    code, out, _ = run_cli(capsys, "--json", "verify", "all", "--seed", "0", "--trials", "20")
-    data = json.loads(out)
-    for suite in data["suites"]:
-        del suite["elapsed_s"]
-    assert code == 0 and data == json.loads((DATA / "verify_all_seed0_trials20.json").read_text())
-
-
-def test_match_over_the_move_cap_exit2(capsys):
-    # a winding gap of 2 * 10^9 on x1: 10^9 connect-sums, refused before any is built
-    code, out, err = run_cli(capsys, "match", str(DATA / "framing_g3.json"), str(DATA / "framing_g3.far.json"))
-    assert code == 2 and out == "" and "1000000000 moves, above the supported maximum" in err
-
-
-@pytest.mark.parametrize("paut, reason", [
-    ({"g": 0, "n": -5, "S": []}, "genus"),
-    ({"g": 1, "n": 1, "S": [[2, 1], [1, 1]]}, "genus"),
-    ({"g": 2, "n": 0, "S": identity_mat(4)}, "marked point"),
-])
-def test_factor_sp_rejects_a_surface_outside_the_range_exit2(capsys, tmp_path, paut, reason):
-    p = write_json(tmp_path, "p.json", paut)
-    code, out, err = run_cli(capsys, "factor-sp", "--paut", p)
-    assert code == 2 and out == "" and err.startswith("error:") and reason in err
-
-
 def test_act_command(capsys, f2):
     code, out, _ = run_cli(capsys, "act", "--framing", f2, "--word", "Tx1 Ty2^-1")
     assert code == 0
     data = json.loads(out)
     assert data["framing"]["g"] == 2
     assert data["paut"]["S"][0][1] == -1
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [["act", "--word", "P(0;x1)"], ["lift", "x0"]],
-    ids=["push-point-0", "handle-0"],
-)
-def test_index_zero_exit2(capsys, argv):
-    # marked points and handles count from 1; index 0 must not wrap to the last
-    code, out, err = run_cli(capsys, *argv, "--framing", str(DATA / "framing_g3.noarc.json"))
-    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_act_word_with_explicit_letters(capsys, tmp_path):
@@ -297,23 +250,6 @@ def test_act_word_with_explicit_letters(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     assert data["paut"]["M"] != [[0], [0], [0], [0]]
-
-
-@pytest.mark.parametrize(
-    "framing, word",
-    [
-        # x1 winds 0, so a simple curve in its class winds evenly
-        ({"g": 2, "kappa": [2], "wind_x": [0, 0], "wind_y": [0, 0]}, "T(x1;w=1)"),
-        # q(x1 + d2) = q_phi(x1) + kappa_2 = 1 + 1: the winding must be odd
-        ({"g": 2, "kappa": [1, 1], "wind_x": [0, 0], "wind_y": [0, 0]}, "T(x1+d2;w=4)"),
-    ],
-    ids=["x1", "x1+d2"],
-)
-def test_act_twist_of_the_wrong_winding_parity_exit3(capsys, tmp_path, framing, word):
-    # accepted, the first example changed the framing's Arf invariant from 0 to 1
-    path = write_json(tmp_path, "f.json", framing)
-    code, out, err = run_cli(capsys, "act", "--framing", path, "--word", f"Tx1 {word}")
-    assert code == 3 and out == "" and "winding parity" in err
 
 
 def test_act_twist_of_the_right_winding_parity(capsys, f11):
@@ -361,56 +297,6 @@ def test_loaders_take_the_longest_printable_integer():
     assert f.wind_x[0] == 1 - 10**4300
 
 
-def test_act_push_on_arcs_rejected(capsys, f11):
-    code, _, err = run_cli(capsys, "act", "--framing", f11, "--word", "P(2;x1)")
-    assert code == 2 and "point-push" in err.lower()
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["act", "--word", "T(x\u0661;w=0)"],
-        ["act", "--word", "Tx1^\u0661"],
-        ["act", "--word", "P(\u0661;x1)"],
-        ["lift", "x\u0661"],
-        ["lift", "\u0661x1"],
-    ],
-    ids=["twist-class", "twist-power", "push-point", "handle", "coefficient"],
-)
-def test_word_takes_only_ascii_digits(capsys, f2, argv):
-    # Arabic-Indic one: int() reads it as 1, the word grammar must not
-    code, out, err = run_cli(capsys, *argv, "--framing", f2)
-    assert code == 2 and out == "" and err.startswith("error:")
-
-
-def test_act_word_syntax_error(capsys, f2):
-    code, _, err = run_cli(capsys, "act", "--framing", f2, "--word", "Q(nope)")
-    assert code == 2
-
-
-@pytest.mark.parametrize("word", ["Tx1^0", "T(x1;w=0)^0"])
-def test_act_twist_power_zero_exit2(capsys, f2, word):
-    code, out, err = run_cli(capsys, "act", "--framing", f2, "--word", word)
-    assert (code, out, err) == (2, "", "error: twist power must be nonzero\n")
-
-
-NINES = "9" * 5000  # more digits than int() converts
-
-
-@pytest.mark.parametrize(
-    "command, tail",
-    [
-        ("lift", [f"{NINES}x1"]),
-        ("act", ["--word", f"Tx1^{NINES}"]),
-        ("act", ["--word", f"T(x1;w={NINES})"]),
-    ],
-    ids=["vector-coefficient", "twist-power", "declared-winding"],
-)
-def test_overlong_integer_in_word_exit2(capsys, f2, command, tail):
-    code, out, err = run_cli(capsys, command, "--framing", f2, *tail)
-    assert code == 2 and out == "" and err.startswith("error:")
-
-
 def test_match_command(capsys, tmp_path, f11):
     target = write_json(
         tmp_path, "target.json",
@@ -420,12 +306,6 @@ def test_match_command(capsys, tmp_path, f11):
     assert code == 0
     data = json.loads(out)
     assert data["count"] == 1 and data["moves"][0]["move"] == "connect-sum"
-    mism = write_json(
-        tmp_path, "mism.json",
-        {"g": 2, "kappa": [1, 1], "wind_x": [1, 0], "wind_y": [0, 0], "arc2": [-1]},
-    )
-    code, _, _ = run_cli(capsys, "match", f11, mism)
-    assert code == 3
 
 
 def test_stratum_command(capsys):
@@ -440,53 +320,6 @@ def test_stratum_command(capsys):
     code, out, _ = run_cli(capsys, "stratum", "3,1")
     data = json.loads(out)
     assert code == 0 and data["framing"]["g"] == 3 and data["report"]["regime"] == "odd"
-    code, _, _ = run_cli(capsys, "stratum", "1,2")
-    assert code == 2
-    code, _, _ = run_cli(capsys, "stratum", "0,4")
-    assert code == 2
-
-
-@pytest.mark.parametrize("partition", ["2_0", "+2", "\u0662", "1,+1", "1,1_", " ", "1,,1"])
-def test_stratum_takes_only_ascii_digits(capsys, partition):
-    # int() would read "2_0" as 20 and "\u0662" (Arabic-Indic two) as 2
-    code, out, err = run_cli(capsys, "stratum", partition)
-    assert code == 2 and out == "" and err.startswith("error: cannot parse partition")
-
-
-def test_oversized_surface_exit2(capsys, tmp_path):
-    code, out, err = run_cli(capsys, "stratum", "2000000")
-    assert code == 2 and out == "" and err.startswith("error:") and "exceeds" in err
-    g = cli.MAX_SURFACE_SIZE + 1
-    big = write_json(
-        tmp_path, "big.json", {"g": g, "kappa": [2 * g - 2], "wind_x": [0] * g, "wind_y": [0] * g}
-    )
-    code, out, err = run_cli(capsys, "arf", "--framing", big)
-    assert code == 2 and out == "" and err.startswith("error:") and "exceeds" in err
-
-
-def test_verify_oversized_genus_exit2(capsys):
-    g = str(cli.MAX_SURFACE_SIZE + 1)
-    code, out, err = run_cli(capsys, "verify", "cocycle", "--g", g, "--trials", "1")
-    assert code == 2 and out == "" and err.startswith("error:") and "exceeds" in err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [("parity", "--g", "0", "--trials", "3"), ("census", "--g", "0"), ("census", "--g", "1")],
-)
-def test_verify_genus_below_two_exit2(capsys, argv):
-    code, out, err = run_cli(capsys, "verify", *argv)
-    assert code == 2 and out == "" and err.startswith("error:") and "genus" in err
-
-
-@pytest.mark.parametrize(
-    "option, value",
-    [("--g", "\u0662"), ("--trials", "1_0"), ("--seed", "\u0663"), ("--g", "+2"), ("--seed", " 1")],
-)
-def test_verify_takes_only_ascii_integers(capsys, option, value):
-    # int() would read the Arabic-Indic digits as 2 and 3, and "1_0" as 10
-    code, out, err = run_cli(capsys, "verify", "census", option, value)
-    assert code == 2 and out == "" and err.startswith(f"error: cannot parse {option} ")
 
 
 def test_verify_takes_a_negative_seed(capsys):
@@ -501,15 +334,6 @@ def test_verify_all_above_census_genus_keeps_census_at_its_own(capsys):
     assert [s["suite"] for s in data["suites"]] == list(verify.SUITES)
     (census,) = [s for s in data["suites"] if s["suite"] == "census"]
     assert census["checks"][0]["detail"] == "|Sp(4,2)| = 720"
-    # alone, census refuses the genus it cannot serve
-    code, out, err = run_cli(capsys, "verify", "census", "--g", "4")
-    assert code == 2 and out == "" and err.startswith("error:") and "census supports g <= 3" in err
-
-
-@pytest.mark.parametrize("trials", ["-5", "0", str(cli.MAX_TRIALS + 1)])
-def test_verify_trials_out_of_range_exit2(capsys, trials):
-    code, out, err = run_cli(capsys, "verify", "parity", "--trials", trials)
-    assert code == 2 and out == "" and err.startswith("error:") and "--trials" in err
 
 
 def test_verify_trials_at_the_bounds(capsys):
@@ -554,13 +378,6 @@ def test_verify_json_flag(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["ok"] is True and data["suites"][0]["suite"] == "moves"
-
-
-def test_verify_unknown_suite_exits_2(capsys):
-    # a named error, as for every other bad input; the message lists the valid names
-    code, out, err = run_cli(capsys, "verify", "no-such-suite")
-    assert code == 2 and out == "" and err.startswith("error:")
-    assert "'no-such-suite'" in err and all(name in err for name in [*verify.SUITES, "all"])
 
 
 def test_json_roundtrip():

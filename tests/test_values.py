@@ -24,7 +24,7 @@ from framedhom.lattice import (
     y_curve,
 )
 from framedhom.moves import ArcParityTwist, BoundaryTwist, ConnectSum
-from framedhom.paut import PAutElem, identity_mat
+from framedhom.paut import PAutElem, factor_sp, identity_mat, transvection
 from framedhom.value import Value
 from framedhom.verify import Check, SuiteResult
 from framedhom.words import PointPush, Twist, Word
@@ -210,6 +210,7 @@ def test_mod2_group_compares_by_identity():
 S3 = SurfaceSpec(3, (4,))
 I4 = identity_mat(4)
 NO_M = ((),) * 4  # the M block of an n = 1 element
+SYMPLECTIC = ((-1, -7, -4, 7), (-4, -11, -6, 6), (0, 9, 5, -11), (-2, -4, -2, 1))  # 17 factors
 CURVE = PunctVec(S11, (1, 0, 0, 0, 0))
 LOOP = AbsVec(S11, (0, 1, 0, 0))
 
@@ -239,6 +240,8 @@ INTEGER_RULE = {
     "ConnectSum-float": (lambda: ConnectSum("x", 1.0, 2, 1.0), None),
     "ArcParityTwist-float": (lambda: ArcParityTwist(2.0, 3), None),
     "BoundaryTwist-float": (lambda: BoundaryTwist(2.0), None),
+    "factor_sp-float": (lambda: factor_sp(((1.0, 2.0, 0, 0), *I4[1:])), None),
+    "transvection-float": (lambda: transvection(x_curve(S11, 1), 1.5), None),
     "AbsVec-numpy": (lambda: AbsVec(S11, np.array([1, 0, 0, -2])), lambda: AbsVec(S11, (1, 0, 0, -2))),
     "AbsVec-bool": (lambda: AbsVec(S11, (True, False, False, True)), lambda: AbsVec(S11, (1, 0, 0, 1))),
     "rmul-bool": (lambda: True * x_curve(S11, 1), lambda: x_curve(S11, 1)),
@@ -266,6 +269,11 @@ INTEGER_RULE = {
     ),
     "ArcParityTwist-numpy": (lambda: ArcParityTwist(np.int64(2), 3), lambda: ArcParityTwist(2, 3)),
     "BoundaryTwist-numpy": (lambda: BoundaryTwist(np.int64(2)), lambda: BoundaryTwist(2)),
+    "factor_sp-numpy": (lambda: factor_sp(np.array(SYMPLECTIC)), lambda: factor_sp(SYMPLECTIC)),
+    "transvection-numpy": (
+        lambda: transvection(x_curve(S11, 1), np.int64(2)),
+        lambda: transvection(x_curve(S11, 1), 2),
+    ),
 }
 
 
