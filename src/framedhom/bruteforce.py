@@ -31,7 +31,7 @@ import numpy as np
 from . import mod2
 from .errors import SpecMismatch, TooLarge
 from .framing import Framing
-from .kernel import MOD2_MAX_G, MOD2_MAX_N, mod2_countable, structure_report
+from .kernel import MOD2_MAX_G, MOD2_MAX_N, check_mod2_genus, mod2_countable, structure_report
 from .lattice import SurfaceSpec
 from .mod2 import sp2_order
 from .value import Value, _set
@@ -168,12 +168,6 @@ def _product_blocks(keys, gens, w: int):
         yield blk, prods
 
 
-def _check_genus(g: int, what: str) -> None:
-    """TooLarge unless 2 <= g <= MOD2_MAX_G, the genera the exhaustive engine serves."""
-    if not 2 <= g <= MOD2_MAX_G:
-        raise TooLarge(f"{what} supports g <= {MOD2_MAX_G} (and g >= 2), got g = {g}")
-
-
 def humphries(g: int) -> list[int]:
     """Packed classes of Humphries's 2g+1 generating twists (S. Humphries, 1979).
 
@@ -182,7 +176,7 @@ def humphries(g: int) -> list[int]:
     mapping class group, so their transvections generate Sp(2g, 2).  Below
     g = 2 there is no x2, so the engine's genera are required.
     """
-    _check_genus(g, "Humphries's generating set")
+    check_mod2_genus(g, "Humphries's generating set")
     chain = [0b01, 0b10]
     for i in range(1, g):
         chain += [0b0101 << (2 * i - 2), 0b10 << (2 * i)]  # x_i + x_{i+1}, y_{i+1}
@@ -221,7 +215,7 @@ def enumerate_sp2(g: int) -> Mod2Group:
     0.17-0.22 ms (medians of 15), g=3 in 0.35-0.53 s and 67 MB peak RSS for
     the process.  The enumeration is 10 of the mod2 benchmark's 39 ops.
     """
-    _check_genus(g, "exhaustive enumeration")
+    check_mod2_genus(g, "exhaustive enumeration")
     w = 2 * g
     u = np.arange(1 << w, dtype=np.uint8)
     octets = np.zeros((1 << w, 8), dtype=np.uint8)
@@ -402,7 +396,7 @@ def qform_census(g: int) -> QFormCensus:
     The g=2 values are cross-checked against direct counting over the
     enumerated group in the test suite.
     """
-    _check_genus(g, "census")
+    check_mod2_genus(g, "census")
     w, gens = 2 * g, humphries(g)
     order = sp2_order(g)
     orbit_cache: dict[int, int] = {}

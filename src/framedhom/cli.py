@@ -32,8 +32,6 @@ from .framing import Framing, arf
 from .lattice import AbsVec, PunctVec, SurfaceSpec
 
 if TYPE_CHECKING:
-    import argparse
-
     from .kernel import StructureReport
     from .paut import PAutElem
     from .words import Word
@@ -42,6 +40,10 @@ if TYPE_CHECKING:
 # largest genus and largest number of marked points accepted from a file or
 # the command line; checked before a surface of that size is built
 MAX_SURFACE_SIZE = 100
+
+# largest --g a verify run takes: `verify all --g 8` runs in 8-12 s on a
+# 2-core machine, --g 10 in 38 s
+MAX_VERIFY_G = 8
 
 # most trials one verify suite may run: ten times the largest default (1000)
 MAX_TRIALS = 10_000
@@ -411,6 +413,8 @@ def cmd_verify(args) -> int:
 
     names = list(SUITES) if args.suite == "all" else [args.suite]
     g = None if args.g is None else _capped(_ascii_int(args.g, f"--g {args.g!r}"), "g")
+    if g is not None:
+        _capped(g, "--g", MAX_VERIFY_G)  # after the surface cap, which has its own message
     trials = None if args.trials is None else _trials(_ascii_int(args.trials, f"--trials {args.trials!r}"))
     seed = _ascii_int(args.seed, f"--seed {args.seed!r}")
     if args.suite != "all" and args.suite not in SUITES:
@@ -449,8 +453,10 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# command table: build_parser declares it to argparse, _parse_fast reads
-# well-formed command lines from it without importing argparse
+# command table: the one grammar of the command line.  _parse reads every
+# command line from it, and _usage prints help and usage errors from it in the
+# layout of Python's standard option parser at 80 columns, whatever the
+# terminal's width
 
 # command: (handler, help, options, positionals); an option is (flag,
 # required, default, help), a positional (name, help)
@@ -478,78 +484,126 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    import argparse
+def _usage(command: str | None, error: str | None = None) -> int:
+    """Print a command's help (None: the top level's) and return 0, or its usage and error and return 2.
 
-    parser = argparse.ArgumentParser(
-        prog="framedhom",
-        description="Exact winding-number crossed homomorphism and stratum monodromy kernels",
-    )
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (fn, text, options, positionals) in _COMMANDS.items():
-        p = sub.add_parser(command, help=text)
-        for flag, required, default, hint in options:
-            p.add_argument(flag, required=required, default=default, help=hint)
-        for name, hint in positionals:
-            p.add_argument(name, help=hint)
-        p.set_defaults(fn=fn)
-    return parser
-
-
-def _parse_fast(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace argparse would return for a well-formed command line, else None.
-
-    Takes an optional leading --json, a command, then the command's options
-    spelled in full, each at most once with a value not starting with '-',
-    and its positionals; a single '--' may come before the last positionals
-    (at least one, none of them '--').  Every other command line (help,
-    abbreviations, --opt=value, usage errors) is left to argparse.
+    Each help line is an invocation, then its help, if any, from column
+    min(24, 2 + the widest indented invocation), or on the next line if it
+    does not fit.
     """
-    use_json = argv[:1] == ["--json"]
-    rest = argv[1:] if use_json else argv
-    if not rest or rest[0] not in _COMMANDS:
-        return None
-    fn, _, options, positionals = _COMMANDS[rest[0]]
-    flags = {flag for flag, *_ in options}
+    if command is None:
+        choices = "{" + ",".join(_COMMANDS) + "}"
+        prog, opts, pos = "framedhom", ["[-h]", "[--json]"], [choices, "..."]
+        pos_rows = [(choices, None), *((f"  {name}", entry[1]) for name, entry in _COMMANDS.items())]
+        opt_rows = [("--json", "machine-readable output")]
+    else:
+        _, _, options, positionals = _COMMANDS[command]
+        calls = [(f"{flag} {flag[2:].upper()}", required, hint) for flag, required, _, hint in options]
+        prog, pos = f"framedhom {command}", [name for name, _ in positionals]
+        opts = ["[-h]", *(call if required else f"[{call}]" for call, required, _ in calls)]
+        pos_rows, opt_rows = list(positionals), [(call, hint) for call, _, hint in calls]
+    # one line if it fits in 78 columns, else the positionals wrapped below the options
+    usage = [" ".join(["usage:", prog, *opts, *pos])]
+    if len(usage[0]) > 78:
+        usage, indent = [" ".join(["usage:", prog, *opts])], " " * len(f"usage: {prog} ")
+        for i, part in enumerate(pos):
+            if i == 0 or len(usage[-1]) + 1 + len(part) > 78:
+                usage.append(indent + part)
+            else:
+                usage[-1] += " " + part
+    if error is not None:
+        sys.stderr.write("\n".join([*usage, f"{prog}: error: {error}\n"]))
+        return 2
+    blocks = ["\n".join(usage)]
+    if command is None:
+        blocks.append("Exact winding-number crossed homomorphism and stratum monodromy kernels")
+    opt_rows = [("-h, --help", "show this help message and exit"), *opt_rows]
+    column = min(24, 4 + max(len(call) for call, _ in pos_rows + opt_rows))
+    for title, rows in (("positional arguments", pos_rows), ("options", opt_rows)):
+        lines = [f"{title}:"]
+        for call, hint in rows:
+            call = "  " + call
+            if hint is None:
+                lines.append(call)
+            elif len(call) <= column - 2:
+                lines.append(call.ljust(column) + hint)
+            else:
+                lines += [call, " " * column + hint]
+        if len(lines) > 1:
+            blocks.append("\n".join(lines))
+    sys.stdout.write("\n\n".join(blocks) + "\n")
+    return 0
+
+
+def _is_value(token: str, flags) -> bool:
+    """Whether token is a value rather than an option.
+
+    A value does not start with '-', or is '-', a negative number or holds a
+    space; --flag=value for one of flags, the options that take a value, is
+    an option.
+    """
+    head, dot, tail = token[1:].partition(".")
+    number = (head + tail).isdecimal() and (tail != "" or not dot)
+    value = not token.startswith("-") or token == "-" or number or " " in token
+    return value and token.partition("=")[0] not in flags
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | int:
+    """The namespace that main runs for argv, or the exit code after help (0) or a usage error (2).
+
+    Reads argv as the standard library's parser does, except that an
+    abbreviated option is an unknown one: --json and -h before the command;
+    after it options and positionals in any order, each option as --opt value
+    or --opt=value (the last one given wins), -h anywhere before a '--' that
+    makes every later token a positional.  An option missing its value is
+    refused at once; then a missing required argument, then an unknown option
+    or extra positional, under the top-level usage.
+    """
+    args: dict[str, Any] = {"json": False}
+    command, options, positionals, flags = None, (), (), set()
     given: dict[str, str] = {}
     values: list[str] = []
-    i = 1
-    while i < len(rest):
-        token = rest[i]
-        if token == "--":
-            tail = rest[i + 1:]
-            if not tail or "--" in tail:
-                return None
-            values += tail
-            break
-        if not token.startswith("-"):
-            values.append(token)
-            i += 1
-            continue
-        if token not in flags or token in given or i + 1 == len(rest) or rest[i + 1].startswith("-"):
-            return None
-        given[token] = rest[i + 1]
-        i += 2
-    if len(values) != len(positionals):
-        return None
-    args = {"json": use_json, "command": rest[0], "fn": fn}
-    for flag, required, default, _ in options:
-        if required and flag not in given:
-            return None
-        args[flag[2:]] = given.get(flag, default)
+    extras: list[str] = []
+    after_dashes = False
+    tokens = iter(argv)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if command is None and (token == "--" or _is_value(token, flags)):
+            if token not in _COMMANDS:
+                choices = ", ".join(map(repr, _COMMANDS))
+                return _usage(None, f"argument command: invalid choice: {token!r} (choose from {choices})")
+            command = args["command"] = token
+            args["fn"], _, options, positionals = _COMMANDS[token]
+            flags = {flag for flag, *_ in options}
+        elif after_dashes or _is_value(token, flags):
+            (values if len(values) < len(positionals) else extras).append(token)
+        elif token == "--":
+            after_dashes = True
+        elif token in ("-h", "--help"):
+            return _usage(command)
+        elif command is None and token == "--json":
+            args["json"] = True
+        elif flag not in flags:
+            extras.append(token)
+        elif eq or _is_value(value := next(tokens, "--"), flags):
+            given[flag] = value
+        else:
+            return _usage(command, f"argument {flag}: expected one argument")
+    missing = [flag for flag, required, _, _ in options if required and flag not in given]
+    missing += [name for name, _ in positionals[len(values):]]
+    if command is None or missing:
+        return _usage(command, f"the following arguments are required: {', '.join(missing or ['command'])}")
+    if extras:
+        return _usage(None, f"unrecognized arguments: {' '.join(extras)}")
+    args.update({flag[2:]: given.get(flag, default) for flag, _, default, _ in options})
     args.update(zip([name for name, _ in positionals], values))
     return SimpleNamespace(**args)
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _parse_fast(argv)
-    if args is None:
-        args = build_parser().parse_args(argv)
     try:
-        code = args.fn(args)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        code = args if isinstance(args, int) else args.fn(args)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return code
     except BrokenPipeError:

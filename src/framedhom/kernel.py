@@ -30,7 +30,7 @@ corresponding stratum of abelian differentials.
 from __future__ import annotations
 
 from . import mod2
-from .errors import NoLiftExists, NotPrimitive, NotSymplectic, SpecMismatch
+from .errors import NoLiftExists, NotPrimitive, NotSymplectic, SpecMismatch, TooLarge
 from .framing import Framing, QForm, spin_form, winding_parity
 from .lattice import AbsVec, CohomClass, SurfaceSpec
 from .paut import Mat, PAutElem, transvection, zero_mat
@@ -135,6 +135,12 @@ MOD2_MAX_N = 3
 def mod2_countable(spec: SurfaceSpec) -> bool:
     """Whether the exhaustive mod-2 kernel count serves spec: g <= MOD2_MAX_G, n <= MOD2_MAX_N."""
     return spec.g <= MOD2_MAX_G and spec.n <= MOD2_MAX_N
+
+
+def check_mod2_genus(g: int, what: str) -> None:
+    """TooLarge unless 2 <= g <= MOD2_MAX_G, the genera the exhaustive engine serves."""
+    if not 2 <= g <= MOD2_MAX_G:
+        raise TooLarge(f"{what} supports g <= {MOD2_MAX_G} (and g >= 2), got g = {g}")
 
 
 class StructureReport(Value):

@@ -20,7 +20,7 @@ from random import Random
 from . import mod2
 from .errors import InvalidCount, InvalidSurface, NoLiftExists, SpecMismatch, UnknownSuite
 from .framing import Framing, arf, spin_form, winding_parity
-from .kernel import kernel_test, lift_transvection, q_hat, theta, v_kappa_star
+from .kernel import check_mod2_genus, kernel_test, lift_transvection, q_hat, theta, v_kappa_star
 from .lattice import AbsVec, CohomClass, SurfaceSpec, abs_basis, as_rel, sympl, x_curve, y_curve
 from .moves import apply_move, match_framings
 from .paut import Mat, PAutElem, factor_sp, identity_mat, pullback_h1, transvection
@@ -216,11 +216,12 @@ def suite_lift(g: int | None = None, trials: int = 200, seed: int = 0) -> list[C
 
 def suite_census(g: int | None = None, trials: int = 0, seed: int = 0) -> list[Check]:
     """Group order, quadratic form counts, stabilizers, crossed identity."""
+    g = 2 if g is None else g
+    check_mod2_genus(g, "census")  # before numpy loads
     from . import bruteforce  # loads numpy
 
     rng = Random(seed)
-    g = 2 if g is None else g
-    census = bruteforce.qform_census(g)  # refuses a genus the engine does not serve
+    census = bruteforce.qform_census(g)
     group = bruteforce.enumerate_sp2(g)
     keys = group.keys
     # strictly increasing keys are distinct, so the count is of elements

@@ -1,9 +1,13 @@
+import io
 import json
 import random
 import shlex
 import subprocess
 import sys
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -111,10 +115,11 @@ def test_recorded_output_bytes(capsys, monkeypatch, argv, expected):
 
 # every refusal and usage line: each row's command line, the files it names
 # (the shared set and its own, written to a fresh directory) and its stdout,
-# stderr and exit code, recorded at a terminal width of 80; CI runs the same
-# rows through the installed framedhom script.  A row naming a `test` runs
-# under that test with its `id`; the others run under test_cli_case
+# stderr and exit code; CI runs the same rows through the installed framedhom
+# script.  A row naming a `test` runs under that test with its `id`; the
+# others run under test_cli_case
 CASES = json.loads((DATA / "cli_cases.json").read_text())
+HELP_AND_USAGE = [case for case in CASES["cases"] if case.get("test") == "help_and_usage_error_bytes"]
 
 
 def _rows(test=None):
@@ -122,17 +127,18 @@ def _rows(test=None):
     return pytest.mark.parametrize("case", rows, ids=lambda case: case.get("id", case["about"]))
 
 
+def _write_files(directory, case):
+    directory.mkdir(exist_ok=True)
+    for name, content in {**CASES["shared"], **case.get("files", {})}.items():
+        (directory / name).write_text(json.dumps(content))
+    return directory
+
+
 @pytest.fixture
 def run_row(capsys, monkeypatch, tmp_path):
     def run(case):
-        for name, content in {**CASES["shared"], **case.get("files", {})}.items():
-            (tmp_path / name).write_text(json.dumps(content))
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its text at $COLUMNS - 2
-        try:
-            code = cli.main(case["argv"])
-        except SystemExit as exc:  # argparse exits on help and usage errors
-            code = exc.code
+        monkeypatch.chdir(_write_files(tmp_path, case))
+        code = cli.main(case["argv"])
         out = capsys.readouterr()
         assert (out.out, out.err, code) == (case["stdout"], case["stderr"], case["code"])
 
@@ -147,6 +153,17 @@ def test_cli_case(run_row, case):
 @_rows("help_and_usage_error_bytes")
 def test_help_and_usage_error_bytes(run_row, case):
     run_row(case)
+
+
+@pytest.mark.parametrize("columns", [None, "40", "200"])
+def test_help_and_usage_bytes_ignore_the_terminal_width(run_row, monkeypatch, columns):
+    # the text is laid out at 80 columns, whatever $COLUMNS says
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    for case in HELP_AND_USAGE:
+        run_row(case)
 
 
 # int() reads "2_0" as 20, "+2" as 2 and an Arabic-Indic digit as its value;
@@ -197,37 +214,55 @@ BENCH_COMMAND_LINES = [
     [case["argv"] for case in RECORDED] + _readme_command_lines() + BENCH_COMMAND_LINES,
     ids=" ".join,
 )
-def test_fast_parser_takes_the_documented_command_lines(argv):
-    fast = cli._parse_fast(argv)
-    assert fast is not None and vars(fast) == vars(cli.build_parser().parse_args(argv))
+def test_fast_parser_takes_the_documented_command_lines(capsys, argv):
+    # each reads to the namespace main runs, with no help or usage error
+    assert isinstance(cli._parse(argv), SimpleNamespace)
+    assert capsys.readouterr() == ("", "")
 
 
-def test_fast_parser_agrees_with_argparse():
-    # random command lines over the tokens where the two could part: abbreviated
-    # and =-joined options, -h, values that start with '-', '--' anywhere and
-    # --json out of place; each one the fast parser takes, argparse must take
-    # with the same attributes
+def test_reader_ends_every_line_in_one_of_three_ways():
+    # random command lines over abbreviated and =-joined options, -h, values
+    # that start with '-', '--' anywhere and --json out of place: each one
+    # reads to a namespace with the command's required options and exactly
+    # its positionals, or to the recorded help of its command (exit 0), or to
+    # that command's or the top level's recorded usage and one error line
+    # (exit 2)
+    help_text = {case["argv"][0] if len(case["argv"]) == 2 else None: case["stdout"]
+                 for case in HELP_AND_USAGE if case["argv"][-1:] == ["--help"]}
     commands = [*cli._COMMANDS, "frame"]
     tokens = [
         *commands, "--json", "--framing", "--paut", "--word", "--g", "--trials", "--seed",
         "--fram", "--tri", "--paut=x", "-h", "", "-3", "-x1", "--", "+1x1", "x1", "all",
     ]
-    parser = cli.build_parser()
     rng = random.Random(33)
-    accepted = 0
+    ends = Counter()
     for _ in range(50_000):
         argv = ["--json"] * (rng.random() < 0.3) + [rng.choice(commands)]
         argv += rng.choices(tokens, k=rng.randint(0, 6))
-        fast = cli._parse_fast(argv)
-        if fast is None:
-            continue
-        accepted += 1
-        try:
-            oracle = parser.parse_args(argv)
-        except SystemExit:
-            pytest.fail(f"argparse refuses {argv}, which the fast parser takes")
-        assert vars(fast) == vars(oracle), argv
-    assert accepted >= 800
+        command = argv[argv[0] == "--json"]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            result = cli._parse(argv)
+        out, err = out.getvalue(), err.getvalue()
+        if result == 0:
+            assert (out, err) == (help_text[command], ""), argv
+            ends["help"] += 1
+        elif result == 2:
+            block, _, last = err[:-1].rpartition("\n")
+            prog = last.partition(": error: ")[0]
+            key = None if prog == "framedhom" else command
+            assert prog in ("framedhom", f"framedhom {command}") and out == "", argv
+            assert block == help_text[key].partition("\n\n")[0] and err.endswith("\n"), argv
+            ends["usage error"] += 1
+        else:
+            _, _, options, positionals = cli._COMMANDS[command]
+            names = {"json", "command", "fn", *(flag[2:] for flag, *_ in options), *(name for name, _ in positionals)}
+            assert (out, err, vars(result).keys()) == ("", "", names), argv
+            assert (result.json, result.command) == (argv[0] == "--json", command), argv
+            assert all(getattr(result, flag[2:]) is not None for flag, required, *_ in options if required)
+            assert all(isinstance(getattr(result, name), str) for name, _ in positionals), argv
+            ends["namespace"] += 1
+    assert ends["namespace"] >= 800 and ends["help"] >= 800 and ends["usage error"] >= 800, ends
 
 
 def test_act_command(capsys, f2):
@@ -422,15 +457,20 @@ def test_arf_command_loads_only_its_layers(f2):
         ["match", "framing_g3.json", "framing_g3.near.json"],
         ["stratum", "1,1"],
         ["verify", "cocycle", "--trials", "1"],
+        None,
     ],
-    ids=lambda argv: " ".join(argv[:2] if argv[0] == "verify" else argv[:1]),
+    ids=lambda argv: "cli_cases.json" if argv is None else " ".join(argv[:2] if argv[0] == "verify" else argv[:1]),
 )
-def test_commands_leave_dataclasses_and_inspect_unloaded(argv):
+def test_commands_leave_dataclasses_and_inspect_unloaded(tmp_path, argv):
     # the value classes are written out by hand (framedhom.value), so a cold
-    # call pays for neither module; the command table parses these command
-    # lines without argparse
-    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
-    code = f"import framedhom.cli as c; assert c.main({argv!r}) == 0"
+    # call pays for neither module, and the command table reads every command
+    # line and prints every help and usage line without argparse; None runs
+    # every row of cli_cases.json, one after another in one interpreter
+    runs = [(str(DATA), argv, 0)]
+    if argv is None:
+        runs = [(str(_write_files(tmp_path / str(i), case)), case["argv"], case["code"])
+                for i, case in enumerate(CASES["cases"])]
+    code = f"import os, framedhom.cli as c\nfor d, argv, code in {runs!r}:\n    os.chdir(d)\n    assert c.main(argv) == code, argv"
     assert _loaded_after(code, ["dataclasses", "inspect", "argparse"]) == []
 
 
@@ -447,6 +487,9 @@ def test_verify_loads_numpy_only_for_the_exhaustive_suites():
     watched = ["numpy", "framedhom.bruteforce"]
     assert _loaded_after(probe.format("cocycle"), watched) == []
     assert _loaded_after(probe.format("census"), watched) == watched
+    # a census genus the engine does not serve is refused before numpy loads
+    refused = "import framedhom.cli as c; assert c.main(['verify', 'census', '--g', '4']) == 2"
+    assert _loaded_after(refused, watched) == []
 
 
 def test_console_entry_point():
