@@ -5,23 +5,29 @@ Each suite returns its list of Checks, one per verified property, and
 of the run, named by the suite's key in SUITES.  The CLI prints a pass/fail
 line per check and exits nonzero on any failure.
 
-The random-trial suites share one runner, `_run_trials`: it draws each
-trial's surface and framing, and the suite's trial function draws the rest,
-compares, and returns a dict of failure counts, which the runner sums.
-`census` and `kernel-order` run fixed cases instead.
+The random suites are a table: each is a `Suite` of rows, one row per
+check.  A `Row` holds the check's name, the noun its tally counts, a `Draw`
+and a property of the drawn inputs.  A Draw draws each trial's framing, then
+the rest of the trial's inputs, from the suite's seeded stream or from one
+of its own.  Calling a Suite is the one driver of these rows, for `verify`
+and for the tests alike.  `census` and `kernel-order` run fixed cases
+instead.
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter
+from functools import reduce
+from itertools import groupby
+from operator import attrgetter
 from random import Random
+from typing import Any, Callable
 
 from . import mod2
 from .errors import InvalidCount, InvalidSurface, NoLiftExists, SpecMismatch, UnknownSuite
 from .framing import Framing, arf, spin_form, winding_parity
 from .kernel import check_mod2_genus, kernel_test, lift_transvection, q_hat, theta, v_kappa_star
-from .lattice import AbsVec, CohomClass, SurfaceSpec, abs_basis, as_rel, sympl, x_curve, y_curve
+from .lattice import AbsVec, CohomClass, RelVec, SurfaceSpec, abs_basis, as_rel, sympl, x_curve, y_curve
 from .moves import apply_move, match_framings
 from .paut import Mat, PAutElem, factor_sp, identity_mat, pullback_h1, transvection
 from .sampling import (
@@ -50,11 +56,6 @@ class Check(Value):
         _set(self, "name", name)
         _set(self, "ok", ok)
         _set(self, "detail", detail)
-
-    @classmethod
-    def tally(cls, name: str, failed: int, trials: int, noun: str = "") -> "Check":
-        """A check that held on trials - failed of `trials` inputs."""
-        return cls(name, failed == 0, f"{trials - failed}/{trials} {noun}".rstrip())
 
 
 class SuiteResult(Value):
@@ -113,108 +114,163 @@ def v_kappa_star_by_pairing(m: Mat, spec: SurfaceSpec) -> CohomClass:
     )
 
 
-def _run_trials(
-    trial, rng: Random, trials: int, g: int | None, genera=(2, 3), ns=(1, 2, 3), even: bool | None = False
-) -> Counter:
-    """Run `trial(rng, f)` on `trials` random framings and sum the counts it returns.
+class Draw(Value):
+    """How a random check's trials draw their inputs.
 
-    Each framing lives on a surface of genus g (or rng.choice(genera) when g
-    is None) with rng.choice(ns) marked points; kappa is all even when `even`
-    is True, unrestricted when False, and all even on a fair coin when None.
+    A trial draws a framing f on a surface of genus g (rng.choice(genera)
+    when g is None) with rng.choice(ns) marked points, kappa all even when
+    `even`, unrestricted when False and all even on a fair coin when None;
+    then `rest(rng, f)`, the tuple of its other inputs.  A suite run at t
+    trials draws max(1, t * share[0] // share[1]) of them, from Random(seed),
+    which a suite's draws without a `stream` share one after another, or from
+    Random(f"{stream}-{seed}").
     """
-    genera = genera if g is None else (g,)
-    totals: Counter = Counter()
-    for _ in range(trials):
-        even_only = rng.random() < 0.5 if even is None else even
-        spec = random_spec(rng, rng.choice(genera), rng.choice(ns), even_only)
-        for name, count in trial(rng, random_framing(rng, spec)).items():
-            totals[name] += count
-    return totals
+
+    __slots__ = _fields = ("rest", "genera", "ns", "even", "share", "stream")
+    rest: Callable[[Random, Framing], tuple]
+    genera: tuple[int, ...]
+    ns: tuple[int, ...]
+    even: bool | None
+    share: tuple[int, int]
+    stream: str | None
+
+    def __init__(self, rest, genera=(2, 3), ns=(1, 2, 3), even=False, share=(1, 1), stream=None) -> None:
+        _set(self, "rest", rest)
+        _set(self, "genera", genera)
+        _set(self, "ns", ns)
+        _set(self, "even", even)
+        _set(self, "share", share)
+        _set(self, "stream", stream)
+
+    def __call__(self, rng: Random, g: int | None) -> tuple:
+        even = rng.random() < 0.5 if self.even is None else self.even
+        spec = random_spec(rng, rng.choice(self.genera if g is None else (g,)), rng.choice(self.ns), even)
+        f = random_framing(rng, spec)
+        return (f, *self.rest(rng, f))
 
 
-def suite_cocycle(g: int | None = None, trials: int = 1000, seed: int = 0) -> list[Check]:
-    """delta(w1 ++ w2) = pullback(w2) delta(w1) + delta(w2), exactly."""
+class Row(Value):
+    """One random check: its name, the noun its tally counts, its draw and its property.
 
-    def trial(rng: Random, f: Framing) -> dict:
-        w1 = random_exotic_word(rng, f.spec, rng.randint(0, 5))
-        w2 = random_exotic_word(rng, f.spec, rng.randint(0, 5))
-        lhs = delta_word(w1 + w2, f)
-        rhs = pullback_h1(word_to_paut(w2).S, delta_word(w1, f)) + delta_word(w2, f)
-        return {"bad": lhs != rhs}
+    `holds(*inputs)` is True when the property holds on one trial's inputs,
+    and the check's detail reads "held/trials noun".  A noun that is a
+    function is given instead the list of what `holds` returned, trial by
+    trial, and returns the check's ok and detail.
+    """
 
-    bad = _run_trials(trial, Random(seed), trials, g)["bad"]
-    return [Check.tally("cocycle-identity", bad, trials, "word pairs")]
+    __slots__ = _fields = ("name", "noun", "draw", "holds")
+    name: str
+    noun: str | Callable[[list], tuple[bool, str]]
+    draw: Draw
+    holds: Callable[..., Any]
 
+    def __init__(self, name: str, noun, draw: Draw, holds) -> None:
+        _set(self, "name", name)
+        _set(self, "noun", noun)
+        _set(self, "draw", draw)
+        _set(self, "holds", holds)
 
-def suite_well_defined(g: int | None = None, trials: int = 500, seed: int = 0) -> list[Check]:
-    """Algebraic evaluation agrees with the word-level defect and with the
-    factorization oracle; relators map to 0."""
-
-    def by_word(rng: Random, f: Framing) -> dict:
-        w = random_standard_word(rng, f, rng.randint(0, 6))
-        return {"bad": theta(word_to_paut(w), f) != delta_word(w, f)}
-
-    def relator(rng: Random, f: Framing) -> dict:
-        w = random_standard_word(rng, f, rng.randint(0, 5))
-        r = w + refactored_word(f, word_to_paut(w)).inverse()
-        return {"bad": not (word_to_paut(r).is_identity() and delta_word(r, f).is_zero())}
-
-    def by_factorization(rng: Random, f: Framing) -> dict:
-        a = random_paut(rng, f.spec, factors=rng.choice([4, 16]))
-        return {"bad": theta(a, f) != theta_by_factorization(a, f)}
-
-    rng = Random(seed)
-    bad_word = _run_trials(by_word, rng, trials, g)["bad"]
-    id_trials = max(1, trials * 2 // 5)
-    bad_relator = _run_trials(relator, rng, id_trials, g)["bad"]
-    # a separate generator keeps the inputs of the two checks above
-    oracle, oracle_trials = Random(f"theta-oracle-{seed}"), max(1, trials // 5)
-    bad_oracle = _run_trials(by_factorization, oracle, oracle_trials, g, even=None)["bad"]
-    return [
-        Check.tally("theta-equals-delta", bad_word, trials, "words"),
-        Check.tally("relators-vanish", bad_relator, id_trials, "identity words"),
-        Check.tally("theta-equals-factorization", bad_oracle, oracle_trials, "automorphisms, both regimes"),
-    ]
+    def check(self, outcomes: list) -> Check:
+        if callable(self.noun):
+            return Check(self.name, *self.noun(outcomes))
+        held = sum(1 for o in outcomes if o)
+        return Check(self.name, held == len(outcomes), f"{held}/{len(outcomes)} {self.noun}".rstrip())
 
 
-def suite_stabilizer(g: int | None = None, trials: int = 500, seed: int = 0) -> list[Check]:
-    """Words fixing the framing land in the kernel."""
+class Suite(Value):
+    """A random suite: its default trial count and its rows, in the order they print.
 
-    def trial(rng: Random, f: Framing) -> dict:
-        w = random_parity_zero_word(rng, f, rng.randint(1, 5))
-        return {"moved": act_framing(w, f) != f, "outside": not kernel_test(word_to_paut(w), f)}
+    Calling it is the one driver of the random checks.  Consecutive rows with
+    one draw share each trial's inputs; each draw's trials run after the
+    previous draw's.
+    """
 
-    bad = _run_trials(trial, Random(seed), trials, g)
-    return [
-        Check.tally("stabilizing-words-fix", bad["moved"], trials),
-        Check.tally("stabilizer-in-kernel", bad["outside"], trials),
-    ]
+    __slots__ = _fields = ("trials", "rows")
+    trials: int
+    rows: tuple[Row, ...]
 
+    def __init__(self, trials: int, rows: tuple[Row, ...]) -> None:
+        _set(self, "trials", trials)
+        _set(self, "rows", rows)
 
-def suite_lift(g: int | None = None, trials: int = 200, seed: int = 0) -> list[Check]:
-    """Every primitive transvection lifts to the kernel, or provably cannot."""
-
-    def trial(rng: Random, f: Framing) -> dict:
-        v = random_primitive_abs(rng, f.spec)
-        try:
-            a = lift_transvection(v, f)
-        except NoLiftExists:
-            even = not f.spec.vbar
-            obstructed = not q_hat(spin_form(f), transvection(v, 1)).is_zero() if even else False
-            return {"refused": 1, "wrong": not (even and winding_parity(f, v) == 1 and obstructed)}
-        except AssertionError:  # the lift it built failed its own kernel test
-            return {"lifted": 1, "wrong": 1}
-        # column j of T_v is b_j + <b_j, v> v, from the pairing, not from paut
-        c = v.coords
-        tv = [tuple(bi + sympl(b.coords, c) * ci for bi, ci in zip(b.coords, c)) for b in abs_basis(f.spec)]
-        return {"lifted": 1, "wrong": not kernel_test(a, f) or list(zip(*a.S)) != tv}
-
-    n = _run_trials(trial, Random(seed), trials, g, genera=(2, 3, 4), even=None)
-    detail = f"{n['lifted']} lifted, {n['refused']} provably obstructed, {n['wrong']} wrong"
-    return [Check("lift-transvections", n["wrong"] == 0, detail)]
+    def __call__(self, g: int | None = None, trials: int | None = None, seed: int = 0) -> list[Check]:
+        trials = self.trials if trials is None else trials
+        main, outcomes = Random(seed), {row.name: [] for row in self.rows}
+        for draw, rows in groupby(self.rows, attrgetter("draw")):
+            rows = [(row.holds, outcomes[row.name]) for row in rows]
+            rng = main if draw.stream is None else Random(f"{draw.stream}-{seed}")
+            for _ in range(max(1, trials * draw.share[0] // draw.share[1])):
+                inputs = draw(rng, g)
+                for holds, seen in rows:
+                    seen.append(holds(*inputs))
+        return [row.check(outcomes[row.name]) for row in self.rows]
 
 
-def suite_census(g: int | None = None, trials: int = 0, seed: int = 0) -> list[Check]:
+# the draws and properties too long for a line of the table
+
+def _move_walk(rng: Random, f: Framing) -> tuple[list[Framing]]:
+    """The framings a walk of 0-8 random moves from f passes through, f first."""
+    walk = [f]
+    for _ in range(rng.randint(0, 8)):
+        walk.append(apply_move(walk[-1], random_move(rng, walk[-1])))
+    return (walk,)
+
+
+def _tracked_curve(rng: Random, f: Framing) -> tuple[Word, RelVec, int]:
+    """A word of 1-8 basis twists to the powers +-1 or +-2, and a curve x_i or y_i with its winding."""
+    spec = f.spec
+    basis = standard_twists(f)[: spec.abs_rank]
+    letters = tuple(
+        Twist(curve, rng.choice([-2, -1, 1, 2]), winding)
+        for _, curve, winding in (rng.choice(basis) for _ in range(rng.randint(1, 8)))
+    )
+    w, i = Word(spec, letters), rng.randint(1, spec.g)
+    if rng.random() < 0.5:
+        return w, as_rel(x_curve(spec, i)), f.wind_x[i - 1]
+    return w, as_rel(y_curve(spec, i)), f.wind_y[i - 1]
+
+
+def _relator_vanishes(f: Framing, w: Word) -> bool:
+    """w times the inverse of its matrix's refactored word is the identity, with defect 0."""
+    r = w + refactored_word(f, word_to_paut(w)).inverse()
+    return word_to_paut(r).is_identity() and delta_word(r, f).is_zero()
+
+
+def _lift(f: Framing, v: AbsVec) -> tuple[bool, bool]:
+    """(refused, right): whether v has no lift by `lift_transvection`, and
+    whether that answer is right."""
+    try:
+        a = lift_transvection(v, f)
+    except NoLiftExists:
+        # right only in the even regime (v-bar = 0), for a class of odd
+        # winding whose transvection moves the spin form
+        moved = not f.spec.vbar and not q_hat(spin_form(f), transvection(v, 1)).is_zero()
+        return True, moved and winding_parity(f, v) == 1
+    except AssertionError:  # the lift it built failed its own kernel test
+        return False, False
+    # column j of T_v is b_j + <b_j, v> v, from the pairing, not from paut
+    c = v.coords
+    tv = [tuple(bi + sympl(b.coords, c) * ci for bi, ci in zip(b.coords, c)) for b in abs_basis(f.spec)]
+    return False, kernel_test(a, f) and list(zip(*a.S)) == tv
+
+
+def _lifts(outcomes: list[tuple[bool, bool]]) -> tuple[bool, str]:
+    refused, wrong = sum(r for r, _ in outcomes), sum(not right for _, right in outcomes)
+    return wrong == 0, f"{len(outcomes) - refused} lifted, {refused} provably obstructed, {wrong} wrong"
+
+
+def _parity(f: Framing, w: Word, start: RelVec, w0: int) -> bool:
+    """Chained twist-linearity windings reduce mod 2 to the parity form."""
+    cls, w2 = track_curve(w, start, 2 * w0)
+    return (w2 // 2) % 2 == winding_parity(f, AbsVec(f.spec, cls.coords[: f.spec.abs_rank]))
+
+
+# the draws two rows share
+_STABILIZING_WORD = Draw(lambda rng, f: (random_parity_zero_word(rng, f, rng.randint(1, 5)),))
+_MOVE_WALK = Draw(_move_walk, genera=(2, 3, 4), ns=(1, 2, 3, 4))
+
+
+def suite_census(g: int | None = None, trials: int | None = None, seed: int = 0) -> list[Check]:
     """Group order, quadratic form counts, stabilizers, crossed identity."""
     g = 2 if g is None else g
     check_mod2_genus(g, "census")  # before numpy loads
@@ -269,7 +325,7 @@ def suite_census(g: int | None = None, trials: int = 0, seed: int = 0) -> list[C
     return checks
 
 
-def suite_kernel_order(g: int | None = 2, trials: int = 0, seed: int = 0) -> list[Check]:
+def suite_kernel_order(g: int | None = 2, trials: int | None = None, seed: int = 0) -> list[Check]:
     """Exact mod-2 kernel orders, each computed two independent ways."""
     from . import bruteforce  # loads numpy
 
@@ -294,99 +350,72 @@ def suite_kernel_order(g: int | None = 2, trials: int = 0, seed: int = 0) -> lis
     return checks
 
 
-def suite_even_form(g: int | None = None, trials: int = 1000, seed: int = 0) -> list[Check]:
-    """With every kappa even the factorization oracle is the spin-form defect of S."""
-
-    def trial(rng: Random, f: Framing) -> dict:
-        a = random_paut(rng, f.spec)
-        return {"bad": theta_by_factorization(a, f) != q_hat(spin_form(f), a.S)}
-
-    bad = _run_trials(trial, Random(seed), trials, g, even=True)["bad"]
-    return [Check.tally("theta-is-spin-defect", bad, trials, "automorphisms")]
-
-
-def suite_relaut(g: int | None = None, trials: int = 1000, seed: int = 0) -> list[Check]:
-    """On the point-transvection block the evaluation is the signature functional,
-    evaluated independently basis class by basis class."""
-
-    def trial(rng: Random, f: Framing) -> dict:
-        spec = f.spec
-        m = random_relaut_block(rng, spec)
-        a = PAutElem._trusted(spec.g, spec.n, identity_mat(spec.abs_rank), m)
-        return {"bad": theta(a, f) != v_kappa_star_by_pairing(m, spec)}
-
-    bad = _run_trials(trial, Random(seed), trials, g, genera=(2, 3, 4), ns=(1, 2, 3, 4))["bad"]
-    return [Check.tally("relaut-restriction", bad, trials, "blocks")]
-
-
-def suite_moves(g: int | None = None, trials: int = 500, seed: int = 0) -> list[Check]:
-    """Move synthesis reproduces matched framings; every move preserves Arf."""
-
-    def trial(rng: Random, f: Framing) -> dict:
-        h, violations = f, 0
-        for _ in range(rng.randint(0, 8)):
-            h2 = apply_move(h, random_move(rng, h))
-            violations += arf(h2) != arf(h)
-            h = h2
-        cur = f
-        for m in match_framings(f, h):
-            cur = apply_move(cur, m)
-        return {"arf": violations, "unmatched": cur != h}
-
-    bad = _run_trials(trial, Random(seed), trials, g, genera=(2, 3, 4), ns=(1, 2, 3, 4))
-    return [
-        Check("moves-preserve-arf", bad["arf"] == 0, f"{bad['arf']} violations"),
-        Check.tally("match-roundtrip", bad["unmatched"], trials, "pairs"),
-    ]
-
-
-def suite_parity(g: int | None = None, trials: int = 500, seed: int = 0) -> list[Check]:
-    """Chained twist-linearity windings reduce mod 2 to the parity form."""
-
-    def trial(rng: Random, f: Framing) -> dict:
-        spec = f.spec
-        basis = standard_twists(f)[: spec.abs_rank]
-        letters = tuple(
-            Twist(curve, rng.choice([-2, -1, 1, 2]), winding)
-            for _, curve, winding in (rng.choice(basis) for _ in range(rng.randint(1, 8)))
-        )
-        w = Word(spec, letters)
-        i = rng.randint(1, spec.g)
-        if rng.random() < 0.5:
-            start, w0 = as_rel(x_curve(spec, i)), f.wind_x[i - 1]
-        else:
-            start, w0 = as_rel(y_curve(spec, i)), f.wind_y[i - 1]
-        cls, w2 = track_curve(w, start, 2 * w0)
-        v = AbsVec(spec, cls.coords[: spec.abs_rank])
-        return {"bad": (w2 // 2) % 2 != winding_parity(f, v)}
-
-    bad = _run_trials(trial, Random(seed), trials, g)["bad"]
-    return [Check.tally("parity-oracle", bad, trials, "tracked curves")]
-
-
-def suite_arf_action(g: int | None = None, trials: int = 500, seed: int = 0) -> list[Check]:
-    """Arf invariance under the word action on framings."""
-
-    def trial(rng: Random, f: Framing) -> dict:
-        w = random_standard_word(rng, f, rng.randint(1, 6), pushes=f.spec.n == 1)
-        return {"bad": arf(act_framing(w, f)) != arf(f)}
-
-    bad = _run_trials(trial, Random(seed), trials, g)["bad"]
-    return [Check.tally("arf-invariance", bad, trials, "words")]
-
-
+# the suites in the order `verify all` runs them: the random ones as rows of
+# (name, noun, draw, property), the exhaustive ones as functions
 SUITES = {
-    "cocycle": suite_cocycle,
-    "well-defined": suite_well_defined,
-    "stabilizer": suite_stabilizer,
-    "lift": suite_lift,
+    # delta(w1 ++ w2) = pullback(w2) delta(w1) + delta(w2), exactly
+    "cocycle": Suite(1000, (
+        Row("cocycle-identity", "word pairs",
+            Draw(lambda rng, f: tuple(random_exotic_word(rng, f.spec, rng.randint(0, 5)) for _ in range(2))),
+            lambda f, w1, w2: delta_word(w1 + w2, f)
+            == pullback_h1(word_to_paut(w2).S, delta_word(w1, f)) + delta_word(w2, f)),
+    )),
+    # algebraic evaluation agrees with the word-level defect and with the
+    # factorization oracle; relators map to 0
+    "well-defined": Suite(500, (
+        Row("theta-equals-delta", "words",
+            Draw(lambda rng, f: (random_standard_word(rng, f, rng.randint(0, 6)),)),
+            lambda f, w: theta(word_to_paut(w), f) == delta_word(w, f)),
+        Row("relators-vanish", "identity words",
+            Draw(lambda rng, f: (random_standard_word(rng, f, rng.randint(0, 5)),), share=(2, 5)),
+            _relator_vanishes),
+        # a stream of its own keeps the inputs of the two checks above
+        Row("theta-equals-factorization", "automorphisms, both regimes",
+            Draw(lambda rng, f: (random_paut(rng, f.spec, factors=rng.choice([4, 16])),),
+                 even=None, share=(1, 5), stream="theta-oracle"),
+            lambda f, a: theta(a, f) == theta_by_factorization(a, f)),
+    )),
+    # words fixing the framing land in the kernel
+    "stabilizer": Suite(500, (
+        Row("stabilizing-words-fix", "", _STABILIZING_WORD, lambda f, w: act_framing(w, f) == f),
+        Row("stabilizer-in-kernel", "", _STABILIZING_WORD, lambda f, w: kernel_test(word_to_paut(w), f)),
+    )),
+    # every primitive transvection lifts to the kernel, or provably cannot
+    "lift": Suite(200, (
+        Row("lift-transvections", _lifts,
+            Draw(lambda rng, f: (random_primitive_abs(rng, f.spec),), genera=(2, 3, 4), even=None), _lift),
+    )),
     "census": suite_census,
     "kernel-order": suite_kernel_order,
-    "even-form": suite_even_form,
-    "relaut": suite_relaut,
-    "moves": suite_moves,
-    "parity": suite_parity,
-    "arf-action": suite_arf_action,
+    # with every kappa even the factorization oracle is the spin-form defect of S
+    "even-form": Suite(1000, (
+        Row("theta-is-spin-defect", "automorphisms",
+            Draw(lambda rng, f: (random_paut(rng, f.spec),), even=True),
+            lambda f, a: theta_by_factorization(a, f) == q_hat(spin_form(f), a.S)),
+    )),
+    # on the point-transvection block the evaluation is the signature
+    # functional, evaluated independently basis class by basis class
+    "relaut": Suite(1000, (
+        Row("relaut-restriction", "blocks",
+            Draw(lambda rng, f: (random_relaut_block(rng, f.spec),), genera=(2, 3, 4), ns=(1, 2, 3, 4)),
+            lambda f, m: theta(PAutElem._trusted(f.spec.g, f.spec.n, identity_mat(f.spec.abs_rank), m), f)
+            == v_kappa_star_by_pairing(m, f.spec)),
+    )),
+    # every move of a walk preserves Arf, counted move by move; the moves
+    # `match_framings` synthesizes carry the walk's start to its end
+    "moves": Suite(500, (
+        Row("moves-preserve-arf", lambda counts: (sum(counts) == 0, f"{sum(counts)} violations"), _MOVE_WALK,
+            lambda f, walk: sum(arf(h2) != arf(h) for h, h2 in zip(walk, walk[1:]))),
+        Row("match-roundtrip", "pairs", _MOVE_WALK,
+            lambda f, walk: reduce(apply_move, match_framings(f, walk[-1]), f) == walk[-1]),
+    )),
+    "parity": Suite(500, (Row("parity-oracle", "tracked curves", Draw(_tracked_curve), _parity),)),
+    # Arf invariance under the word action on framings
+    "arf-action": Suite(500, (
+        Row("arf-invariance", "words",
+            Draw(lambda rng, f: (random_standard_word(rng, f, rng.randint(1, 6), pushes=f.spec.n == 1),)),
+            lambda f, w: arf(act_framing(w, f)) == arf(f)),
+    )),
 }
 
 
@@ -398,10 +427,6 @@ def run_suite(name: str, g: int | None = None, trials: int | None = None, seed: 
         raise InvalidSurface(f"genus must be >= 2, got {g}")
     if trials is not None and trials < 1:
         raise InvalidCount(f"trials = {trials} must be at least 1")
-    fn = SUITES[name]
-    kwargs = {"g": g, "seed": seed}
-    if trials is not None:
-        kwargs["trials"] = trials
     start = time.perf_counter()
-    checks = fn(**kwargs)
+    checks = SUITES[name](g=g, trials=trials, seed=seed)
     return SuiteResult(name, checks, time.perf_counter() - start)

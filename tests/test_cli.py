@@ -166,6 +166,17 @@ def test_help_and_usage_bytes_ignore_the_terminal_width(run_row, monkeypatch, co
         run_row(case)
 
 
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_help_fits_in_78_columns(capsys, command):
+    # _usage wraps the usage line but not the help strings, which must fit; a
+    # usage line may hold one token too long to wrap (the top level's choices)
+    assert cli.main(["--help"] if command is None else [command, "--help"]) == 0
+    out, err = capsys.readouterr()
+    usage, _, rest = out.partition("\n\n")
+    wide = [line for line in usage.splitlines() if len(line) > 78 and len(line.split()) > 1]
+    assert not err and rest and wide + [line for line in rest.splitlines() if len(line) > 78] == []
+
+
 # int() reads "2_0" as 20, "+2" as 2 and an Arabic-Indic digit as its value;
 # the word grammar, the partition parser and verify's options must not
 @_rows("word_takes_only_ascii_digits")
@@ -375,6 +386,15 @@ def test_verify_trials_at_the_bounds(capsys):
     code, out, _ = run_cli(capsys, "verify", "parity", "--trials", "1")
     assert code == 0 and "(1/1 tracked curves)" in out
     assert cli._trials(cli.MAX_TRIALS) == cli.MAX_TRIALS
+
+
+def test_verify_work_budget_admits_its_bound(capsys, monkeypatch):
+    # --trials * --g^2 = 64000 reaches the suite, one trial more exits 2 before it
+    ran = []
+    monkeypatch.setattr(verify, "run_suite", lambda *args, **kw: ran.append(kw) or verify.SuiteResult("parity", [], 0))
+    assert run_cli(capsys, "verify", "parity", "--g", "8", "--trials", "1000")[0] == 0
+    assert run_cli(capsys, "verify", "parity", "--g", "8", "--trials", "1001")[0] == 2
+    assert ran == [{"g": 8, "trials": 1000, "seed": 0}]
 
 
 def test_oversized_output_exit2(capsys, tmp_path, f2):

@@ -18,16 +18,8 @@ from framedhom.paut import (
     transvection,
     zero_mat,
 )
-from framedhom.sampling import (
-    random_framing,
-    random_paut,
-    random_primitive_abs,
-    random_relaut_block,
-    random_spec,
-    random_standard_word,
-)
-from framedhom.verify import theta_by_factorization, v_kappa_star_by_pairing
-from framedhom.words import delta_word, word_to_paut
+from framedhom.sampling import random_framing, random_paut, random_primitive_abs, random_spec
+from framedhom.verify import theta_by_factorization
 
 SPEC11 = SurfaceSpec(2, (1, 1))
 SPEC2 = SurfaceSpec(2, (2,))
@@ -129,44 +121,6 @@ def test_theta_factorization_independent():
                     acc = acc + CohomClass.pairing_with(v)
         a = PAutElem(spec.g, spec.n, s, zero_mat(spec.abs_rank, spec.zero_rank))
         assert theta(a, f) == acc
-
-
-def test_theta_word_consistency():
-    rng = random.Random(29)
-    for _ in range(120):
-        spec = random_spec(rng, rng.choice([2, 3]), rng.choice([1, 2, 3]))
-        f = random_framing(rng, spec)
-        w = random_standard_word(rng, f, rng.randint(0, 6))
-        assert theta(word_to_paut(w), f) == delta_word(w, f)
-
-
-def test_theta_even_closed_form():
-    rng = random.Random(37)
-    for _ in range(80):
-        spec = random_spec(rng, rng.choice([2, 3]), rng.choice([1, 2, 3]), even_only=True)
-        f = random_framing(rng, spec)
-        a = random_paut(rng, spec)
-        assert theta_by_factorization(a, f) == q_hat(spin_form(f), a.S)
-
-
-def test_theta_relaut_restriction():
-    rng = random.Random(41)
-    for _ in range(80):
-        spec = random_spec(rng, rng.choice([2, 3, 4]), rng.choice([1, 2, 3, 4]))
-        f = random_framing(rng, spec)
-        m = random_relaut_block(rng, spec)
-        a = PAutElem(spec.g, spec.n, identity_mat(spec.abs_rank), m)
-        assert theta(a, f) == v_kappa_star_by_pairing(m, spec)
-
-
-def test_theta_matches_factorization_oracle():
-    rng = random.Random(43)
-    for trial in range(96):
-        g, even = 2 + trial % 4, trial // 4 % 2 == 0
-        spec = random_spec(rng, g, rng.choice([1, 2, 3, 4]), even_only=even)
-        f = random_framing(rng, spec)
-        a = random_paut(rng, spec, factors=rng.choice([4, 16]))
-        assert theta(a, f) == theta_by_factorization(a, f)
 
 
 def test_theta_never_factors(monkeypatch):

@@ -26,11 +26,13 @@ from framedhom.lattice import (
 from framedhom.moves import ArcParityTwist, BoundaryTwist, ConnectSum
 from framedhom.paut import PAutElem, factor_sp, identity_mat, transvection
 from framedhom.value import Value
-from framedhom.verify import Check, SuiteResult
+from framedhom.verify import Check, Draw, Row, Suite, SuiteResult
 from framedhom.words import PointPush, Twist, Word
 
 S11 = SurfaceSpec(2, (1, 1))
 S11_REPR = "SurfaceSpec(g=2, kappa=(1, 1))"
+# a random check's draw and property, by builtins: they print and pickle by name
+DRAW = "Draw(rest=<built-in function sum>, genera=(2, 3), ns=(1, 2, 3), even=False, share=(1, 1), stream=None)"
 
 
 def _spec_slots(g, kappa):
@@ -113,6 +115,9 @@ VALUES = [
         lambda: SuiteResult("census", [Check("c", False)], 0.5),
         "SuiteResult(suite='census', checks=[Check(name='c', ok=False, detail='')], elapsed=0.5)",
     ),
+    (lambda: Draw(sum), DRAW),
+    (lambda: Row("r", "words", Draw(sum), len), f"Row(name='r', noun='words', draw={DRAW}, holds=<built-in function len>)"),
+    (lambda: Suite(5, ()), "Suite(trials=5, rows=())"),
 ]
 VALUES = [row + ({},) * (3 - len(row)) for row in VALUES]
 IDS = [shown[: shown.index("(")] for _, shown, _ in VALUES]

@@ -1,8 +1,9 @@
-"""Every random-trial verify suite reports a broken property.
+"""Every row of verify's table holds, and reports a broken property.
 
-Each case replaces one function that a suite's comparison reads with one that
-returns a wrong value, and expects the named check to fail with a nonzero
-failure count in its detail.
+Each row runs through the suites' one driver, a `verify.Suite` of that row
+alone.  Each mutation case replaces one function that a row's property reads
+with one that returns a wrong value, and expects the row's check to fail with
+a nonzero failure count in its detail.
 """
 
 import itertools
@@ -15,6 +16,20 @@ from framedhom import bruteforce, kernel, paut, verify
 from framedhom.errors import InvalidCount, UnknownSuite
 from framedhom.framing import Framing
 from framedhom.lattice import CohomClass, SurfaceSpec, x_curve
+
+# every random check, by name, and the name of its suite
+RANDOM = {name: suite for name, suite in verify.SUITES.items() if isinstance(suite, verify.Suite)}
+ROWS = {row.name: row for suite in RANDOM.values() for row in suite.rows}
+SUITE_OF = {row.name: name for name, suite in RANDOM.items() for row in suite.rows}
+
+
+@pytest.mark.parametrize("g", [4, 5])
+@pytest.mark.parametrize("name", ROWS)
+def test_row_holds_beyond_the_suites_genera(name, g):
+    # the seed-0 run of every suite (test_acceptance) draws g = 2 and 3 for
+    # most rows, and 2-4 for the rest
+    (check,) = verify.Suite(25, (ROWS[name],))(g=g, seed=7)
+    assert check.ok, check.detail
 
 
 def _shifted(orig):
@@ -33,21 +48,22 @@ def _never_equal(orig):
     return lambda *args: next(fresh)
 
 
-BROKEN = [
-    ("cocycle", "cocycle-identity", "pullback_h1", lambda orig: lambda s, c: c),
-    ("well-defined", "theta-equals-delta", "delta_word", _shifted),
-    ("well-defined", "relators-vanish", "delta_word", _shifted),
-    ("well-defined", "theta-equals-factorization", "theta_by_factorization", _shifted),
-    ("stabilizer", "stabilizing-words-fix", "act_framing", lambda orig: lambda w, f: None),
-    ("stabilizer", "stabilizer-in-kernel", "kernel_test", lambda orig: lambda a, f: False),
-    ("lift", "lift-transvections", "kernel_test", lambda orig: lambda a, f: False),
-    ("even-form", "theta-is-spin-defect", "q_hat", _shifted),
-    ("relaut", "relaut-restriction", "v_kappa_star_by_pairing", _shifted),
-    ("moves", "moves-preserve-arf", "arf", _never_equal),
-    ("moves", "match-roundtrip", "match_framings", lambda orig: lambda f, h: []),
-    ("parity", "parity-oracle", "winding_parity", lambda orig: lambda f, v: 1 - orig(f, v)),
-    ("arf-action", "arf-invariance", "arf", _never_equal),
-]
+# row: (the function its property reads, a breaker that makes it wrong)
+BROKEN = {
+    "cocycle-identity": ("pullback_h1", lambda orig: lambda s, c: c),
+    "theta-equals-delta": ("delta_word", _shifted),
+    "relators-vanish": ("delta_word", _shifted),
+    "theta-equals-factorization": ("theta_by_factorization", _shifted),
+    "stabilizing-words-fix": ("act_framing", lambda orig: lambda w, f: None),
+    "stabilizer-in-kernel": ("kernel_test", lambda orig: lambda a, f: False),
+    "lift-transvections": ("kernel_test", lambda orig: lambda a, f: False),
+    "theta-is-spin-defect": ("q_hat", _shifted),
+    "relaut-restriction": ("v_kappa_star_by_pairing", _shifted),
+    "moves-preserve-arf": ("arf", _never_equal),
+    "match-roundtrip": ("match_framings", lambda orig: lambda f, h: []),
+    "parity-oracle": ("winding_parity", lambda orig: lambda f, v: 1 - orig(f, v)),
+    "arf-invariance": ("arf", _never_equal),
+}
 
 
 def _failures(detail: str) -> int:
@@ -57,13 +73,12 @@ def _failures(detail: str) -> int:
     return int(re.search(r"(\d+) (wrong|violations)$", detail)[1])
 
 
-@pytest.mark.parametrize("suite, check, attr, breaker", BROKEN, ids=[f"{s}/{c}" for s, c, _, _ in BROKEN])
-def test_suite_reports_a_broken_property(monkeypatch, suite, check, attr, breaker):
+@pytest.mark.parametrize("name", BROKEN, ids=[f"{SUITE_OF[name]}/{name}" for name in BROKEN])
+def test_suite_reports_a_broken_property(monkeypatch, name):
+    attr, breaker = BROKEN[name]
     monkeypatch.setattr(verify, attr, breaker(getattr(verify, attr)))
-    result = verify.run_suite(suite, trials=20, seed=0)
-    (named,) = [c for c in result.checks if c.name == check]
-    assert not named.ok and not result.ok
-    assert _failures(named.detail) > 0, named.detail
+    (check,) = verify.Suite(20, (ROWS[name],))(seed=0)
+    assert not check.ok and _failures(check.detail) > 0, check.detail
 
 
 # the fixed suites read theta_table: one wrong entry must fail the named check
@@ -85,9 +100,9 @@ def test_fixed_suite_reports_a_flipped_theta_entry(monkeypatch, suite, check):
     assert not named.ok and not result.ok
 
 
-def test_every_random_suite_has_a_broken_case():
-    fixed = {s for s, _ in FIXED_BROKEN}
-    assert {s for s, _, _, _ in BROKEN} == set(verify.SUITES) - fixed
+def test_every_row_and_fixed_suite_has_a_broken_case():
+    assert set(BROKEN) == set(ROWS)
+    assert set(verify.SUITES) - set(RANDOM) == {s for s, _ in FIXED_BROKEN}
 
 
 def test_lift_check_does_not_trust_the_transvection_builder(monkeypatch):

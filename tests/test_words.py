@@ -27,7 +27,7 @@ from framedhom.lattice import (
     x_curve,
     y_curve,
 )
-from framedhom.paut import PAutElem, compose, identity_mat, pullback_h1, transvection
+from framedhom.paut import PAutElem, compose, identity_mat, transvection
 from framedhom.sampling import (
     random_exotic_word,
     random_framing,
@@ -369,18 +369,6 @@ def test_delta_ignores_boundary_twists():
     w = Word(SPEC, (Twist(point_loop(SPEC, 2), 1, SPEC.delta_winding(2)),))
     assert delta_word(w, f).is_zero()
     assert word_to_paut(w).is_identity()
-
-
-def test_delta_cocycle_property():
-    rng = random.Random(9)
-    for _ in range(80):
-        spec = random_spec(rng, rng.choice([2, 3]), rng.choice([1, 2, 3]))
-        f = random_framing(rng, spec)
-        w1 = random_exotic_word(rng, spec, rng.randint(0, 4))
-        w2 = random_exotic_word(rng, spec, rng.randint(0, 4))
-        lhs = delta_word(w1 + w2, f)
-        rhs = pullback_h1(word_to_paut(w2).S, delta_word(w1, f)) + delta_word(w2, f)
-        assert lhs == rhs
 
 
 def test_delta_matches_framing_action():
