@@ -45,13 +45,10 @@ _EXPORTS = {
         "PunctVec",
         "RelVec",
         "SurfaceSpec",
-        "ZeroChain",
         "abs_basis",
         "arc_class",
         "as_punct",
         "as_rel",
-        "boundary",
-        "point_class",
         "point_loop",
         "project_punct",
         "rel_punct_pairing",
@@ -69,7 +66,6 @@ _EXPORTS = {
         "act_framing",
         "act_rel",
         "delta_word",
-        "standard_alphabet",
         "track_curve",
         "word_to_paut",
     ),

@@ -5,7 +5,6 @@ Everything lives over fixed ordered bases:
 * absolute classes      (x_1, y_1, ..., x_g, y_g)              rank 2g
 * relative classes      (x_1, ..., y_g, a_2, ..., a_n)         rank 2g+n-1
 * punctured classes     (x_1, ..., y_g, d_2, ..., d_n)         rank 2g+n-1
-* reduced point classes (e_2, ..., e_n), e_i = [p_i] - [p_1]   rank n-1
 
 with <x_i, y_i> = 1 and <a_i, d_i> = 1.  All arithmetic is exact integer.
 """
@@ -133,13 +132,6 @@ class PunctVec(_Vec):
     _rank = "rel_rank"
 
 
-class ZeroChain(_Vec):
-    """Reduced zero-homology of the marked point set, basis e_i = [p_i] - [p_1]."""
-
-    __slots__ = ()
-    _rank = "zero_rank"
-
-
 # ---------------------------------------------------------------------------
 # basis vectors
 
@@ -190,13 +182,6 @@ def point_loop(spec: SurfaceSpec, i: int) -> PunctVec:
     return PunctVec(spec, tuple(coords))
 
 
-def point_class(spec: SurfaceSpec, i: int) -> ZeroChain:
-    """Reduced point class e_i = [p_i] - [p_1], 2 <= i <= n."""
-    if not 2 <= (i := index(i)) <= spec.n:
-        raise DimensionMismatch(f"point index {i} out of range 2..{spec.n}")
-    return ZeroChain(spec, _unit(spec.zero_rank, i - 2))
-
-
 # ---------------------------------------------------------------------------
 # maps between the lattices
 
@@ -214,11 +199,6 @@ def as_punct(v: AbsVec) -> PunctVec:
 def project_punct(c: PunctVec) -> AbsVec:
     """Kill the d components: the map induced by filling the punctures."""
     return AbsVec(c.spec, c.coords[: c.spec.abs_rank])
-
-
-def boundary(x: RelVec) -> ZeroChain:
-    """Connecting map to reduced zero-homology: sends a_i to e_i, curves to 0."""
-    return ZeroChain(x.spec, x.coords[x.spec.abs_rank :])
 
 
 # ---------------------------------------------------------------------------

@@ -388,11 +388,6 @@ def standard_twists(f: Framing) -> list[tuple[str, PunctVec, int]]:
     return out
 
 
-def standard_alphabet(f: Framing) -> dict[str, Letter]:
-    """Power-one letters consistent with the framing, by name (see `standard_twists`)."""
-    return {name: Twist(curve, 1, winding) for name, curve, winding in standard_twists(f)}
-
-
 def check_twist_winding(letter: Twist, f: Framing) -> None:
     """Refuse a twist whose declared winding no simple curve in its class has under f.
 

@@ -36,22 +36,6 @@ def f2(tmp_path):
     return write_json(tmp_path, "f2.json", {"g": 2, "kappa": [2], "wind_x": [0, 0], "wind_y": [0, 0]})
 
 
-@pytest.fixture
-def f11(tmp_path):
-    return write_json(
-        tmp_path, "f11.json",
-        {"g": 2, "kappa": [1, 1], "wind_x": [0, 0], "wind_y": [0, 0], "arc2": [-1]},
-    )
-
-
-def test_arf_command(capsys, f2, tmp_path):
-    code, out, _ = run_cli(capsys, "arf", "--framing", f2)
-    assert code == 0 and json.loads(out) == {"arf": 0}
-    f = write_json(tmp_path, "f.json", {"g": 2, "kappa": [2], "wind_x": [1, 0], "wind_y": [0, 0]})
-    code, out, _ = run_cli(capsys, "arf", "--framing", f)
-    assert code == 0 and json.loads(out) == {"arf": 1}
-
-
 @pytest.mark.parametrize(
     "content",
     [
@@ -68,56 +52,14 @@ def test_unparsable_json_exit2(capsys, tmp_path, content):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
-def test_theta_and_kernel_commands(capsys, tmp_path, f2, f11):
-    pid = write_json(tmp_path, "pid.json", {"g": 2, "n": 1, "S": identity_mat(4), "M": []})
-    code, out, _ = run_cli(capsys, "theta", "--paut", pid, "--framing", f2)
-    assert code == 0 and json.loads(out) == {"theta": [0, 0, 0, 0]}
-    prel = write_json(
-        tmp_path, "prel.json",
-        {"g": 2, "n": 2, "S": identity_mat(4), "M": [[1], [0], [0], [0]]},
-    )
-    code, out, _ = run_cli(capsys, "theta", "--paut", prel, "--framing", f11)
-    assert code == 0 and json.loads(out) == {"theta": [0, 1, 0, 0]}
-    code, out, _ = run_cli(capsys, "kernel-test", "--paut", prel, "--framing", f11)
-    assert code == 0 and json.loads(out) == {"in_kernel": False}
-
-
-def test_lift_command(capsys, f2):
-    code, out, _ = run_cli(capsys, "lift", "--framing", f2, "x1")
-    assert code == 0
-    data = json.loads(out)
-    assert data["S"][0][1] == -1
-
-
-def test_factor_sp_command(capsys, tmp_path):
-    s = [[1, -2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    p = write_json(tmp_path, "p.json", {"g": 2, "n": 1, "S": s, "M": []})
-    code, out, _ = run_cli(capsys, "factor-sp", "--paut", p)
-    assert code == 0
-    data = json.loads(out)
-    assert data["factors"] == [{"v": [1, 0, 0, 0], "k": 2}]
-
-
 DATA = Path(__file__).parent / "data"
 
 
-# each case's command line (paths relative to tests/data) and recorded stdout;
-# CI runs the same cases through the installed framedhom script
-RECORDED = json.loads((DATA / "recorded.json").read_text())
-
-
-@pytest.mark.parametrize("argv, expected", [(case["argv"], case["expected"]) for case in RECORDED])
-def test_recorded_output_bytes(capsys, monkeypatch, argv, expected):
-    monkeypatch.chdir(DATA)
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0 and out == (DATA / expected).read_text()
-
-
-# every refusal and usage line: each row's command line, the files it names
-# (the shared set and its own, written to a fresh directory) and its stdout,
-# stderr and exit code; CI runs the same rows through the installed framedhom
-# script.  A row naming a `test` runs under that test with its `id`; the
-# others run under test_cli_case
+# every recorded output, refusal and usage line: each row's command line, the
+# files it names (the shared set and its own, written to a fresh directory) and
+# its stdout, stderr and exit code; CI runs the same rows through the installed
+# framedhom script.  A row naming a `test` runs under that test with its `id`;
+# the others run under test_cli_case
 CASES = json.loads((DATA / "cli_cases.json").read_text())
 HELP_AND_USAGE = [case for case in CASES["cases"] if case.get("test") == "help_and_usage_error_bytes"]
 
@@ -199,6 +141,12 @@ def test_every_row_runs():
     assert {f"test_{test}" for test in tests} <= set(globals())
 
 
+def test_every_command_but_verify_has_a_success_row():
+    # verify's success output carries timings; test_acceptance.py pins its lines
+    succeeded = {case["argv"][0] for case in CASES["cases"] if case["code"] == 0 and "usage:" not in case["stdout"]}
+    assert set(cli._COMMANDS) - {"verify"} <= succeeded
+
+
 def _readme_command_lines() -> list[list[str]]:
     text = (Path(__file__).parents[1] / "README.md").read_text()
     lines = [shlex.split(line, comments=True) for line in text.splitlines() if line.startswith("framedhom ")]
@@ -222,8 +170,10 @@ BENCH_COMMAND_LINES = [
 
 @pytest.mark.parametrize(
     "argv",
-    [case["argv"] for case in RECORDED] + _readme_command_lines() + BENCH_COMMAND_LINES,
-    ids=" ".join,
+    [case["argv"] for case in CASES["cases"] if "usage:" not in case["stdout"] + case["stderr"]]
+    + _readme_command_lines()
+    + BENCH_COMMAND_LINES,
+    ids=lambda argv: " ".join(argv)[:80],
 )
 def test_fast_parser_takes_the_documented_command_lines(capsys, argv):
     # each reads to the namespace main runs, with no help or usage error
@@ -276,34 +226,6 @@ def test_reader_ends_every_line_in_one_of_three_ways():
     assert ends["namespace"] >= 800 and ends["help"] >= 800 and ends["usage error"] >= 800, ends
 
 
-def test_act_command(capsys, f2):
-    code, out, _ = run_cli(capsys, "act", "--framing", f2, "--word", "Tx1 Ty2^-1")
-    assert code == 0
-    data = json.loads(out)
-    assert data["framing"]["g"] == 2
-    assert data["paut"]["S"][0][1] == -1
-
-
-def test_act_word_with_explicit_letters(capsys, tmp_path):
-    # no arc data, so point-push letters are allowed to act
-    noarc = write_json(
-        tmp_path, "noarc.json",
-        {"g": 2, "kappa": [1, 1], "wind_x": [0, 0], "wind_y": [0, 0]},
-    )
-    code, out, _ = run_cli(
-        capsys, "act", "--framing", noarc, "--word", "T(x1+2y2;w=-2)^2 P(2;x1)"
-    )
-    assert code == 0
-    data = json.loads(out)
-    assert data["paut"]["M"] != [[0], [0], [0], [0]]
-
-
-def test_act_twist_of_the_right_winding_parity(capsys, f11):
-    code, out, _ = run_cli(capsys, "act", "--framing", f11, "--word", "T(x1+d2;w=5) T(x1;w=-2)")
-    before = cli.arf(cli.load_framing(f11))
-    assert code == 0 and cli.arf(cli.framing_from_dict(json.loads(out)["framing"])) == before
-
-
 @pytest.mark.parametrize(
     "loader, data",
     [
@@ -341,31 +263,6 @@ def test_loaders_name_the_shape_fault(loader, data, message):
 def test_loaders_take_the_longest_printable_integer():
     f = cli.framing_from_dict({"g": 2, "kappa": [2], "wind_x": [1 - 10**4300, 0], "wind_y": [0, 0]})
     assert f.wind_x[0] == 1 - 10**4300
-
-
-def test_match_command(capsys, tmp_path, f11):
-    target = write_json(
-        tmp_path, "target.json",
-        {"g": 2, "kappa": [1, 1], "wind_x": [2, 0], "wind_y": [0, 0], "arc2": [-1]},
-    )
-    code, out, _ = run_cli(capsys, "match", f11, target)
-    assert code == 0
-    data = json.loads(out)
-    assert data["count"] == 1 and data["moves"][0]["move"] == "connect-sum"
-
-
-def test_stratum_command(capsys):
-    code, out, _ = run_cli(capsys, "stratum", "2")
-    assert code == 0
-    data = json.loads(out)
-    assert data["framing"]["g"] == 2 and data["report"]["regime"] == "even"
-    code, out, _ = run_cli(capsys, "stratum", "1,1")
-    data = json.loads(out)
-    assert code == 0 and data["report"]["regime"] == "odd"
-    assert run_cli(capsys, "stratum", " 1, 1 ") == (0, out, "")
-    code, out, _ = run_cli(capsys, "stratum", "3,1")
-    data = json.loads(out)
-    assert code == 0 and data["framing"]["g"] == 3 and data["report"]["regime"] == "odd"
 
 
 def test_verify_takes_a_negative_seed(capsys):
@@ -465,27 +362,13 @@ def test_arf_command_loads_only_its_layers(f2):
     assert _loaded_after(code, layers) == []
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["arf", "--framing", "framing_g3.json"],
-        ["theta", "--paut", "paut_g3.json", "--framing", "framing_g3.json"],
-        ["kernel-test", "--paut", "paut_g3.json", "--framing", "framing_g3.json"],
-        ["lift", "--framing", "framing_g3.json", "x1+y2"],
-        ["factor-sp", "--paut", "paut_g3.json"],
-        ["act", "--framing", "framing_g3.json", "--word", "Tx1 Ty2^-1 Td2"],
-        ["match", "framing_g3.json", "framing_g3.near.json"],
-        ["stratum", "1,1"],
-        ["verify", "cocycle", "--trials", "1"],
-        None,
-    ],
-    ids=lambda argv: "cli_cases.json" if argv is None else " ".join(argv[:2] if argv[0] == "verify" else argv[:1]),
-)
+@pytest.mark.parametrize("argv", [["verify", "cocycle", "--trials", "1"], None], ids=["verify cocycle", "cli_cases.json"])
 def test_commands_leave_dataclasses_and_inspect_unloaded(tmp_path, argv):
     # the value classes are written out by hand (framedhom.value), so a cold
     # call pays for neither module, and the command table reads every command
     # line and prints every help and usage line without argparse; None runs
-    # every row of cli_cases.json, one after another in one interpreter
+    # every row of cli_cases.json, each command's success path among them, one
+    # after another in one interpreter
     runs = [(str(DATA), argv, 0)]
     if argv is None:
         runs = [(str(_write_files(tmp_path / str(i), case)), case["argv"], case["code"])

@@ -9,13 +9,10 @@ from framedhom.lattice import (
     PunctVec,
     RelVec,
     SurfaceSpec,
-    ZeroChain,
     abs_basis,
     arc_class,
     as_punct,
     as_rel,
-    boundary,
-    point_class,
     point_loop,
     project_punct,
     rel_punct_pairing,
@@ -45,7 +42,6 @@ def test_vector_lengths():
         AbsVec(SPEC, (1, 0, 0))
     with pytest.raises(DimensionMismatch):
         RelVec(SPEC, (1, 0, 0, 0))
-    assert ZeroChain(SPEC1, ()).coords == ()
     # for n = 1 the relative lattice coincides with the absolute one
     assert SPEC1.rel_rank == SPEC1.abs_rank
 
@@ -63,13 +59,6 @@ def test_rel_punct_pairing_examples():
     assert rel_punct_pairing(a2, d2) == 1
     assert rel_punct_pairing(a2, as_punct(x_curve(SPEC, 1))) == 0
     assert rel_punct_pairing(as_rel(x_curve(SPEC, 1)), as_punct(y_curve(SPEC, 1))) == 1
-
-
-def test_boundary_examples():
-    a2 = arc_class(SPEC, 2)
-    assert boundary(a2) == point_class(SPEC, 2)
-    assert boundary(as_rel(x_curve(SPEC, 1))).is_zero()
-    assert boundary(a2 + 3 * as_rel(x_curve(SPEC, 1))) == point_class(SPEC, 2)
 
 
 def test_project_examples():
@@ -114,12 +103,6 @@ def test_pairing_restriction_agrees():
     for u in abs_basis(SPEC):
         for v in abs_basis(SPEC):
             assert rel_punct_pairing(as_rel(u), as_punct(v)) == symplectic_pairing(u, v)
-
-
-def test_boundary_kills_absolute_and_surjects():
-    for u in abs_basis(SPEC):
-        assert boundary(as_rel(u)).is_zero()
-    assert [boundary(arc_class(SPEC, 2))] == [point_class(SPEC, 2)]
 
 
 def _det_bareiss(rows):

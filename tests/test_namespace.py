@@ -16,12 +16,12 @@ EXPORTED = [
     "MissingArcData", "MoveError", "NoLiftExists", "NotPrimitive", "NotSymplectic", "PAutElem",
     "PointPush", "PointPushOnArcs", "PunctVec", "QForm", "QVectorMismatch", "RelVec",
     "SomeKappaOdd", "SpecMismatch", "StructureReport", "SurfaceSpec", "TooLarge", "Twist", "Word",
-    "ZeroChain", "abs_basis", "act_framing", "act_rel", "apply_move", "arc_class", "arf",
-    "as_punct", "as_rel", "boundary", "compose", "delta_word",
+    "abs_basis", "act_framing", "act_rel", "apply_move", "arc_class", "arf",
+    "as_punct", "as_rel", "compose", "delta_word",
     "errors", "factor_sp", "framing", "invert", "kernel", "kernel_test", "lattice",
-    "lift_transvection", "match_framings", "mod2", "moves", "paut", "point_class", "point_loop",
+    "lift_transvection", "match_framings", "mod2", "moves", "paut", "point_loop",
     "project_punct", "pullback_h1", "q_hat", "rel_punct_pairing", "spin_form",
-    "standard_alphabet", "structure_report", "symplectic_pairing", "theta", "track_curve",
+    "structure_report", "symplectic_pairing", "theta", "track_curve",
     "transvection", "v_kappa_star", "winding_parity", "word_to_paut", "words", "x_curve",
     "y_curve",
 ]

@@ -24,7 +24,6 @@ from framedhom.lattice import (
     arc_class,
     as_punct,
     as_rel,
-    point_class,
     rel_punct_pairing,
     sympl,
     x_curve,
@@ -51,7 +50,6 @@ REFUSALS = {
         lambda: x_curve(S2, 1) + as_rel(x_curve(S2, 1)), SpecMismatch, "cannot add RelVec to AbsVec",
     ),
     "arc_class-range": (lambda: arc_class(S2, 2), DimensionMismatch, "arc index 2 out of range 2..1"),
-    "point_class-range": (lambda: point_class(S2, 2), DimensionMismatch, "point index 2 out of range 2..1"),
     "sympl-lengths": (lambda: sympl((1, 0), (1, 0, 0, 0)), DimensionMismatch, "different lengths"),
     "rel_punct_pairing-surface": (
         lambda: rel_punct_pairing(arc_class(S11, 2), as_punct(x_curve(S2, 1))), SpecMismatch, "different surfaces",

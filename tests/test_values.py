@@ -16,9 +16,7 @@ from framedhom.lattice import (
     PunctVec,
     RelVec,
     SurfaceSpec,
-    ZeroChain,
     arc_class,
-    point_class,
     point_loop,
     x_curve,
     y_curve,
@@ -60,7 +58,6 @@ VALUES = [
     (lambda: AbsVec(S11, (1, 0, 0, -2)), f"AbsVec(spec={S11_REPR}, coords=(1, 0, 0, -2))"),
     (lambda: RelVec(S11, (0, 1, 0, 0, 3)), f"RelVec(spec={S11_REPR}, coords=(0, 1, 0, 0, 3))"),
     (lambda: PunctVec(S11, (1, 0, 0, 0, -1)), f"PunctVec(spec={S11_REPR}, coords=(1, 0, 0, 0, -1))"),
-    (lambda: ZeroChain(S11, (2,)), f"ZeroChain(spec={S11_REPR}, coords=(2,))"),
     (lambda: CohomClass((1, 0, 0, 1)), "CohomClass(g=2, packed=9)"),
     (lambda: QForm((1, 0), (0, 1)), "QForm(g=2, packed=9)"),
     (
@@ -238,7 +235,6 @@ INTEGER_RULE = {
     "y_curve-float": (lambda: y_curve(S3, 2.5), None),
     "arc_class-float": (lambda: arc_class(S11, 2.0), None),
     "point_loop-float": (lambda: point_loop(S11, 1.5), None),
-    "point_class-float": (lambda: point_class(S11, 2.0), None),
     "delta_winding-float": (lambda: S11.delta_winding(1.0), None),
     "Twist-float": (lambda: Twist(CURVE, 1.5, 0.5), None),
     "PointPush-float": (lambda: PointPush(2.0, LOOP), None),
@@ -264,7 +260,6 @@ INTEGER_RULE = {
     "y_curve-bool": (lambda: y_curve(S3, True), lambda: y_curve(S3, 1)),
     "arc_class-numpy": (lambda: arc_class(S11, np.int64(2)), lambda: arc_class(S11, 2)),
     "point_loop-bool": (lambda: point_loop(S11, True), lambda: point_loop(S11, 1)),
-    "point_class-numpy": (lambda: point_class(S11, np.int32(2)), lambda: point_class(S11, 2)),
     "delta_winding-numpy": (lambda: S11.delta_winding(np.int64(2)), lambda: S11.delta_winding(2)),
     "Twist-numpy": (lambda: Twist(CURVE, np.int64(-2), np.int64(3)), lambda: Twist(CURVE, -2, 3)),
     "PointPush-numpy": (lambda: PointPush(np.int64(2), LOOP), lambda: PointPush(2, LOOP)),

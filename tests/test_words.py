@@ -19,7 +19,6 @@ from framedhom.lattice import (
     arc_class,
     as_punct,
     as_rel,
-    boundary,
     point_loop,
     project_punct,
     rel_punct_pairing,
@@ -44,7 +43,7 @@ from framedhom.words import (
     act_rel,
     check_twist_winding,
     delta_word,
-    standard_alphabet,
+    standard_twists,
     track_curve,
     word_to_paut,
 )
@@ -103,8 +102,8 @@ def _dense_map(letter):
         phi = tuple(letter.power * rel_punct_pairing(e, letter.curve) for e in basis)
         return u, phi, 2 * letter.winding, (0,) * k
     u = letter.loop.coords
-    phi = tuple(boundary(e).coords[letter.point - 2] if letter.point >= 2
-                else -sum(boundary(e).coords) for e in basis)
+    phi = tuple(e.coords[k + letter.point - 2] if letter.point >= 2
+                else -sum(e.coords[k:]) for e in basis)
     kappa = spec.kappa[letter.point - 1]
     omega = tuple(2 * kappa * symplectic_pairing(letter.loop, AbsVec(spec, e.coords[:k]))
                   for e in basis[:k])
@@ -127,7 +126,7 @@ def test_rank_one_supports_match_the_definitions():
         k = spec.abs_rank
         f = random_framing(rng, spec)
         letters = list(random_exotic_word(rng, spec, 6).letters)
-        letters += standard_alphabet(f).values()
+        letters += [Twist(curve, 1, winding) for _, curve, winding in standard_twists(f)]
         letters += [PointPush(p, x_curve(spec, 1)) for p in range(1, spec.n + 1)]
         for letter in letters:
             u, phi, a, omega = letter.rank_one
@@ -260,9 +259,8 @@ def test_square_twist_fixes_q_vector():
     for _ in range(40):
         spec = random_spec(rng, 2, rng.choice([1, 2]))
         f = random_framing(rng, spec)
-        alphabet = list(standard_alphabet(f).values())
-        base = rng.choice(alphabet)
-        w = Word(spec, (Twist(base.curve, 2, base.winding),))
+        _, curve, winding = rng.choice(standard_twists(f))
+        w = Word(spec, (Twist(curve, 2, winding),))
         assert act_framing(w, f).qphi == f.qphi
 
 
@@ -458,14 +456,11 @@ def test_boundary_twist_changes_arc_winding():
 
 def test_standard_alphabet_names():
     f = Framing(SPEC, (4, 5), (6, 7), (-1,))
-    alpha = standard_alphabet(f)
-    assert set(alpha) == {"Tx1", "Tx2", "Ty1", "Ty2", "Td1", "Td2"}
-    assert alpha["Tx1"].winding == 4
-    assert alpha["Ty2"].winding == 7
-    assert alpha["Td2"].winding == -2
+    windings = {name: winding for name, _, winding in standard_twists(f)}
+    assert windings == {"Tx1": 4, "Ty1": 6, "Tx2": 5, "Ty2": 7, "Td1": -2, "Td2": -2}
     # n = 1: the puncture loop is nullhomologous, no Td letters
     f1 = Framing(SPEC1, (0, 0), (0, 0))
-    assert set(standard_alphabet(f1)) == {"Tx1", "Tx2", "Ty1", "Ty2"}
+    assert [name for name, _, _ in standard_twists(f1)] == ["Tx1", "Ty1", "Tx2", "Ty2"]
 
 
 def test_twist_windings_of_the_standard_alphabet_and_refactored_words_pass():
@@ -473,8 +468,8 @@ def test_twist_windings_of_the_standard_alphabet_and_refactored_words_pass():
     for _ in range(60):
         spec = random_spec(rng, rng.choice([2, 3, 4]), rng.choice([1, 2, 3, 4]))
         f = random_framing(rng, spec)
-        for letter in standard_alphabet(f).values():
-            check_twist_winding(letter, f)
+        for _, curve, winding in standard_twists(f):
+            check_twist_winding(Twist(curve, 1, winding), f)
         for letter in refactored_word(f, random_paut(rng, spec, 4)).letters:
             if isinstance(letter, Twist):
                 check_twist_winding(letter, f)
