@@ -5,11 +5,13 @@ side in one int: column j occupies bits [j*2g, (j+1)*2g); matrix_to_key
 reduces an integer matrix mod 2 itself.  The group is one strictly
 increasing uint64 array of keys, every symplectic frame enumerated column
 by column (enumerate_sp2): an element's position in it indexes every
-per-element table (Mod2Group.find).  The enumeration, the theta table, the
-edge certificates and the exhaustive kernel count are vectorized with
-numpy, imported with this module; the rest is packed-int arithmetic from
-mod2.  The enumeration and the edge walk work in blocks of about BLOCK
-keys or products, so memory stays bounded at g=3.  theta on the group is
+per-element table (Mod2Group.find), and its columns, unpacked once on
+first use (Mod2Group.columns), are shared by the theta table, the edge walk
+and the kernel count.  The enumeration, the theta table, the edge
+certificates and the exhaustive kernel count are vectorized with numpy,
+imported with this module; the rest is packed-int arithmetic from mod2.
+The enumeration and the edge walk work in blocks of about BLOCK keys or
+products, so memory stays bounded at g=3.  theta on the group is
 Johnson's closed form (theta_table), the q-defect of q_phi; one certificate
 (check_theta_edges), an edge walk along Humphries's generators that sorts
 each row of products against the keys, checks it, and verify_qhat_crossed
@@ -78,9 +80,17 @@ class Mod2Group(Value):
     are the packed vectors v of transvections T_v that generate it, the
     edges the certificates walk (_holds_on_edges).  Two groups compare by
     identity.
+
+    columns is the (w, N) uint8 array _columns(keys, w), row j holding
+    column j of every key, read by theta_table, check_theta_edges and
+    kernel_order_mod2.  It is built on first use into a slot outside
+    _fields, read-only, and kept for the group's life; enumerate_sp2 does
+    not build it, so the census, which never reads it, does not spend the
+    8.7 MB it takes at g=3.
     """
 
-    __slots__ = _fields = ("g", "keys", "gens")
+    __slots__ = ("g", "keys", "gens", "_columns")
+    _fields = ("g", "keys", "gens")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
     g: int
@@ -91,6 +101,7 @@ class Mod2Group(Value):
         _set(self, "g", g)
         _set(self, "keys", keys)
         _set(self, "gens", gens)
+        _set(self, "_columns", None)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -98,6 +109,16 @@ class Mod2Group(Value):
     @property
     def w(self) -> int:
         return 2 * self.g
+
+    @property
+    def columns(self):
+        """Packed columns of every key: row j holds column j, as a read-only uint8 array."""
+        cols = self._columns
+        if cols is None:
+            cols = _columns(self.keys, self.w)
+            cols.flags.writeable = False
+            _set(self, "_columns", cols)
+        return cols
 
     def find(self, keys):
         """Position in keys of a key, or an array of them shaped like keys; KeyError outside the group."""
@@ -149,15 +170,15 @@ def _generator_table(gens: tuple[int, ...], w: int):
     return out
 
 
-def _product_blocks(keys, gens, w: int):
+def _product_blocks(keys, cols, gens, w: int):
     """Yield (blk, prods): prods[r] = keys * T_v for v = gens[blk][r], keys a uint64 array.
 
     S T_v = S + (S v) <., v>: S v is the xor of the columns of S that v
     selects, and the rank-one term is S v times the spread of <., v>.  A
     block holds about BLOCK products and at least one generator, so no
-    pass holds more than max(BLOCK, len(keys)) of them.
+    pass holds more than max(BLOCK, len(keys)) of them.  cols is
+    _columns(keys, w).
     """
-    cols = _columns(keys, w)
     _, _, picks, spreads, _ = _generator_table(tuple(gens), w)
     step = max(1, BLOCK // len(keys))
     for a in range(0, len(gens), step):
@@ -260,16 +281,17 @@ def _letters(vs, f: Framing):
     return np.array([0 if mod2.quad(qphi, v, w) else mod2.dual(v, w) for v in vs], dtype=np.uint8)
 
 
-def _holds_on_edges(keys, table, gens, w: int) -> bool:
+def _holds_on_edges(keys, cols, table, gens, w: int) -> bool:
     """Whether table obeys the cocycle rule on every Cayley edge S -> S T_x, x in gens.
 
-    keys is a strictly increasing uint64 array, table a packed functional
-    per key (by position), as uint8.  The rule is t(S T_x) = T_x^* t(S) +
-    t(T_x), T_x^* f = f + f(x) <., x> the pullback, t(T_x) read from the
-    table (a T_x outside keys fails).  Keys (at most 36 bits) and products
-    are tagged with their values (at most 6 bits) as key << 8 | value: a
-    sorted row of tagged products S T_x equals the tagged keys iff right
-    multiplication by T_x permutes the keys and carries the rule.
+    keys is a strictly increasing uint64 array, cols its _columns(keys, w),
+    table a packed functional per key (by position), as uint8.  The rule
+    is t(S T_x) = T_x^* t(S) + t(T_x), T_x^* f = f + f(x) <., x> the
+    pullback, t(T_x) read from the table (a T_x outside keys fails).  Keys
+    (at most 36 bits) and products are tagged with their values (at most 6
+    bits) as key << 8 | value: a sorted row of tagged products S T_x
+    equals the tagged keys iff right multiplication by T_x permutes the
+    keys and carries the rule.
 
     If the gens generate the group the keys hold, a table t that obeys the
     rule is a crossed homomorphism.  The edge I -> T_x reads t(T_x) =
@@ -285,7 +307,7 @@ def _holds_on_edges(keys, table, gens, w: int) -> bool:
     values = table[at_tx]
     parity = _parities(w)
     tagged = keys << np.uint64(8) | table
-    for blk, prods in _product_blocks(keys, gens, w):
+    for blk, prods in _product_blocks(keys, cols, gens, w):
         prods <<= np.uint64(8)
         prods |= table ^ parity[table & vs[blk, None]] * duals[blk, None] ^ values[blk, None]
         prods.sort(axis=1)
@@ -300,17 +322,17 @@ def theta_table(group: Mod2Group, f: Framing):
     Johnson's closed form theta(S) = qhat(q_phi, S), the defect
     x -> q_phi(S x) - q_phi(x) (kernel.theta with M = 0): bit j is
     q_phi(S b_j) + q_phi(b_j).  One table of q_phi over all 2^w packed
-    vectors, one gather per column.  check_theta_edges certifies that the
-    table is the crossed homomorphism with letter values P(v) <., v>.
+    vectors, one gather of all the group's columns, shifted to bit j in
+    row j and OR-reduced over the rows.  check_theta_edges certifies that
+    the table is the crossed homomorphism with letter values P(v) <., v>.
     """
     if f.spec.g != group.g:
         raise SpecMismatch("framing genus does not match the enumerated group")
     w, qphi = group.w, f.qphi
     quads = np.array([mod2.quad(qphi, u, w) for u in range(1 << w)], dtype=np.uint8)
-    thetas = np.full(len(group), qphi, dtype=np.uint8)  # the q_phi(b_j) bits
-    for j, col in enumerate(_columns(group.keys, w)):
-        thetas ^= quads[col] << j
-    return thetas
+    bits = quads[group.columns]
+    bits <<= np.arange(w, dtype=np.uint8)[:, None]
+    return np.bitwise_or.reduce(bits, axis=0) ^ np.uint8(qphi)  # the q_phi(b_j) bits
 
 
 def check_theta_edges(group: Mod2Group, f: Framing) -> bool:
@@ -331,7 +353,7 @@ def check_theta_edges(group: Mod2Group, f: Framing) -> bool:
     vs = tuple(range(1 << w))
     at, hit = _locate(keys, _generator_table(vs, w)[-1])  # the keys of all T_v
     return bool(hit.all() and (table[at] == _letters(vs, f)).all()) and _holds_on_edges(
-        keys, table, group.gens, w
+        keys, group.columns, table, group.gens, w
     )
 
 
@@ -465,7 +487,7 @@ def kernel_order_mod2(f: Framing, method: str) -> int:
         if spec.kappa[t + 1] & 1:
             mvbar ^= (mkeys >> (t * w)) & ((1 << w) - 1)
     blocks = np.bincount(mvbar, minlength=1 << w)
-    cols, bits = _columns(group.keys, w), np.arange(w, dtype=np.uint8)[:, None]
+    cols, bits = group.columns, np.arange(w, dtype=np.uint8)[:, None]
     v = np.bitwise_xor.reduce(cols * (mod2.dual(thetas, w) >> bits & 1), axis=0)
     pulled = np.bitwise_or.reduce(_parities(w)[cols & mod2.dual(v, w)] << bits, axis=0)
     return int(blocks[v][pulled == thetas].sum())

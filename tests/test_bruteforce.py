@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -144,11 +145,14 @@ def test_passes_run_in_blocks_of_block_keys(monkeypatch):
     monkeypatch.setattr(bf, "_set_bits", lambda masks, w: calls.append(len(masks)) or set_bits(masks, w))
     group = bf.enumerate_sp2.__wrapped__(2)  # bypasses the cache, so the stages run
     assert len(group) == 720 and len(calls) == 4  # one pass per column slot
-    assert len(list(bf._product_blocks(group.keys, group.gens, 4))) == 1
+    assert len(list(bf._product_blocks(group.keys, group.columns, group.gens, 4))) == 1
     # at g = 3 a block of BLOCK products holds less than one generator's
     # 1 451 520, so each of the 7 generators gets a block of its own
-    keys = bf.enumerate_sp2(3).keys
-    blocks = [(blk.start, blk.stop) for blk, _ in bf._product_blocks(keys, bf.humphries(3), 6)]
+    group3 = bf.enumerate_sp2(3)
+    blocks = [
+        (blk.start, blk.stop)
+        for blk, _ in bf._product_blocks(group3.keys, group3.columns, bf.humphries(3), 6)
+    ]
     assert blocks == [(r, r + 1) for r in range(7)]
 
 
@@ -175,6 +179,44 @@ def test_find_keeps_the_query_shape():
     assert found[0].tolist() == list(range(0, 720, 9))  # the identity row
     one = group.find(keys[[42]])
     assert one.shape == (1,) and one.tolist() == [42]
+
+
+def test_columns_are_the_key_columns():
+    group = bf.enumerate_sp2(2)
+    cols = group.columns
+    assert cols.dtype == np.uint8 and cols.shape == (4, 720)
+    assert cols.T.tolist() == [bf.key_columns(key, 4) for key in group.keys.tolist()]
+    group3 = bf.enumerate_sp2(3)
+    rng = random.Random(48)
+    sample = [rng.randrange(len(group3)) for _ in range(2000)]
+    cols3 = group3.columns
+    assert cols3.shape == (6, 1451520)
+    assert all(cols3[:, i].tolist() == bf.key_columns(int(group3.keys[i]), 6) for i in sample)
+
+
+def test_columns_are_read_only_and_built_once():
+    group = bf.enumerate_sp2(2)
+    cols = group.columns
+    assert group.columns is cols and not cols.flags.writeable
+    with pytest.raises(ValueError):
+        cols[0, 0] ^= 1
+    with pytest.raises(AttributeError):
+        group.columns = cols
+    assert "columns" not in repr(group)  # a cache slot, not a field
+
+
+def test_columns_unpacked_once_per_group(monkeypatch):
+    from framedhom import verify
+
+    calls = []
+    columns = bf._columns
+    monkeypatch.setattr(bf, "_columns", lambda keys, w: calls.append(w) or columns(keys, w))
+    # an empty cache, so the suite's count, edge walk and theta tables share one new group
+    monkeypatch.setattr(bf, "enumerate_sp2", lru_cache(bf.enumerate_sp2.__wrapped__))
+    bf.enumerate_sp2(2)
+    assert calls == []  # the enumeration never unpacks its keys
+    assert all(check.ok for check in verify.suite_kernel_order())
+    assert calls == [4]
 
 
 def test_packed_matrix_roundtrip():
@@ -304,7 +346,7 @@ def _qhat_crossed_all_pairs():
     group = bf.enumerate_sp2(2)
     w, size = group.w, len(group)
     keys = group.keys
-    cols = bf._columns(keys, w)
+    cols = group.columns
     parity = bf._parities(w)
     vecs = np.arange(1 << w, dtype=np.uint8)
     # pull[b, p]: pullback along B of the functional p; image[a, u] = A u
@@ -401,8 +443,9 @@ def test_edge_walk_fails_on_a_product_outside_the_keys():
     group = bf.enumerate_sp2(2)
     zeros = np.zeros(len(group), dtype=np.uint8)
     # the zero table obeys the rule on every edge, so only the lookup can fail
-    assert bf._holds_on_edges(group.keys, zeros, group.gens, group.w)
-    assert not bf._holds_on_edges(group.keys[:-1], zeros[:-1], group.gens, group.w)
+    assert bf._holds_on_edges(group.keys, group.columns, zeros, group.gens, group.w)
+    keys = group.keys[:-1]
+    assert not bf._holds_on_edges(keys, bf._columns(keys, group.w), zeros[:-1], group.gens, group.w)
 
 
 def test_edge_walk_fails_on_a_product_row_that_repeats_a_key(monkeypatch):
@@ -412,13 +455,13 @@ def test_edge_walk_fails_on_a_product_row_that_repeats_a_key(monkeypatch):
     zeros = np.zeros(len(group), dtype=np.uint8)
     true_blocks = bf._product_blocks
 
-    def repeating(keys, gens, w):
-        for blk, prods in true_blocks(keys, gens, w):
+    def repeating(keys, cols, gens, w):
+        for blk, prods in true_blocks(keys, cols, gens, w):
             prods[0, 1] = prods[0, 0]  # one key twice, another never
             yield blk, prods
 
     monkeypatch.setattr(bf, "_product_blocks", repeating)
-    assert not bf._holds_on_edges(group.keys, zeros, group.gens, group.w)
+    assert not bf._holds_on_edges(group.keys, group.columns, zeros, group.gens, group.w)
 
 
 def test_theta_edges_consistent():
@@ -665,7 +708,7 @@ def test_enumerate_sp2_genus3():
     # every product of a key with a Humphries generator is a key: with the
     # identity among them, the keys hold the group the generators generate
     zeros = np.zeros(len(group), dtype=np.uint8)
-    assert bf._holds_on_edges(keys, zeros, bf.humphries(3), 6)
+    assert bf._holds_on_edges(keys, group.columns, zeros, bf.humphries(3), 6)
     rng = random.Random(3)
     even = Framing.zeros(SurfaceSpec(3, (4,)))
     odd = Framing(SurfaceSpec(3, (3, 1)), (1, 0, 0), (1, 0, 0), (-1,))

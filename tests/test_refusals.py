@@ -37,6 +37,7 @@ S2, S11, S3 = SurfaceSpec(2, (2,)), SurfaceSpec(2, (1, 1)), SurfaceSpec(3, (4,))
 F2, F11 = Framing.zeros(S2), Framing.zeros(S11)
 W2 = Word(S2, ())  # the empty word, on another surface than S11's inputs
 NO_ARCS = Framing(S11, (0, 0), (0, 0))
+ONLY_IDENTITY = np.array([bf._identity_key(4)], dtype=np.uint64)  # g = 2 keys
 
 # name: (call, error class or result, message fragment or None)
 REFUSALS = {
@@ -77,7 +78,7 @@ REFUSALS = {
     # keys holding the identity alone: no generator T_x is among them
     "holds_on_edges-tx-outside-keys": (
         lambda: bf._holds_on_edges(
-            np.array([bf._identity_key(4)], dtype=np.uint64), np.zeros(1, dtype=np.uint8), bf.humphries(2), 4
+            ONLY_IDENTITY, bf._columns(ONLY_IDENTITY, 4), np.zeros(1, dtype=np.uint8), bf.humphries(2), 4
         ),
         False,
         None,
