@@ -50,9 +50,7 @@ _EXPORTS = {
         "as_punct",
         "as_rel",
         "point_loop",
-        "project_punct",
         "rel_punct_pairing",
-        "symplectic_pairing",
         "x_curve",
         "y_curve",
     ),

@@ -115,12 +115,6 @@ class QForm(mod2.Bits):
     def basis_bits(self) -> tuple[int, ...]:
         return self.bits
 
-    def evaluate(self, v: AbsVec | Sequence[int]) -> int:
-        coords = v.coords if isinstance(v, AbsVec) else v
-        if len(coords) != 2 * self.g:
-            raise DimensionMismatch("class and form have different rank")
-        return mod2.quad(self.packed, mod2.pack(coords), 2 * self.g)
-
 
 def arf(f: Framing) -> int:
     """Arf invariant of a (relative) framing.

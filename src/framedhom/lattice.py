@@ -84,18 +84,14 @@ class _Vec(Value):
         _set(self, "spec", spec)
         _set(self, "coords", coords)
 
-    def _same_spec(self, other: "_Vec") -> None:
+    def __add__(self, other):
+        if not isinstance(other, _Vec):
+            return NotImplemented
         if self.spec != other.spec:
             raise SpecMismatch("vectors live over different surfaces")
-
-    def __add__(self, other):
-        self._same_spec(other)
         if type(other) is not type(self):
             raise SpecMismatch(f"cannot add {type(other).__name__} to {type(self).__name__}")
         return type(self)(self.spec, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __neg__(self):
         return type(self)(self.spec, tuple(-a for a in self.coords))
@@ -103,9 +99,6 @@ class _Vec(Value):
     def __rmul__(self, k: int):
         k = index(k)
         return type(self)(self.spec, tuple(k * a for a in self.coords))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
 
     def is_primitive(self) -> bool:
         return gcd(*self.coords) == 1 if any(self.coords) else False
@@ -196,19 +189,8 @@ def as_punct(v: AbsVec) -> PunctVec:
     return PunctVec(v.spec, v.coords + (0,) * v.spec.zero_rank)
 
 
-def project_punct(c: PunctVec) -> AbsVec:
-    """Kill the d components: the map induced by filling the punctures."""
-    return AbsVec(c.spec, c.coords[: c.spec.abs_rank])
-
-
 # ---------------------------------------------------------------------------
 # pairings
-
-
-def symplectic_pairing(u: AbsVec, v: AbsVec) -> int:
-    """Algebraic intersection number in the fixed basis, <x_i, y_i> = 1."""
-    u._same_spec(v)
-    return sympl(u.coords, v.coords)
 
 
 def sympl(u: Sequence[int], v: Sequence[int]) -> int:
@@ -249,26 +231,12 @@ class CohomClass(mod2.Bits):
 
     __slots__ = ()
 
-    @classmethod
-    def zero(cls, g: int) -> "CohomClass":
-        return cls.from_packed(g, 0)
-
-    @classmethod
-    def pairing_with(cls, v: AbsVec) -> "CohomClass":
-        """The functional <v, .> mod 2."""
-        w = v.spec.abs_rank
-        return cls.from_packed(v.spec.g, mod2.dual(mod2.pack(v.coords[:w]), w))
-
     def __add__(self, other: "CohomClass") -> "CohomClass":
+        if other.__class__ is not CohomClass:
+            return NotImplemented
         if self.g != other.g:
             raise DimensionMismatch("cohomology classes of different genus")
         return CohomClass.from_packed(self.g, self.packed ^ other.packed)
-
-    def evaluate(self, v: AbsVec | Sequence[int]) -> int:
-        coords = v.coords if isinstance(v, AbsVec) else v
-        if len(coords) != 2 * self.g:
-            raise DimensionMismatch("evaluation on a class of the wrong rank")
-        return (self.packed & mod2.pack(coords)).bit_count() & 1
 
     def is_zero(self) -> bool:
         return self.packed == 0

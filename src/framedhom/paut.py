@@ -15,9 +15,9 @@ reduction checks that the transvections it applies take S to I, which
 proves S symplectic, and `is_symplectic` then tells a non-symplectic
 input (`NotSymplectic`) from a fault of the reduction.
 Results built inside the library from elements already checked or from
-transvections -- `compose`, `invert`, `PAutElem.identity`, word
-matrices, kernel lifts and `sampling.random_paut` -- are symplectic by
-construction and go through the unchecked `PAutElem._trusted`.
+transvections -- `compose`, `invert`, word matrices, kernel lifts and
+`sampling.random_paut` -- are symplectic by construction and go through
+the unchecked `PAutElem._trusted`.
 """
 
 from __future__ import annotations
@@ -130,10 +130,6 @@ class PAutElem(Value):
         _set(out, "S", s)
         _set(out, "M", m)
         return out
-
-    @classmethod
-    def identity(cls, g: int, n: int) -> "PAutElem":
-        return cls._trusted(g, n, identity_mat(2 * g), zero_mat(2 * g, n - 1))
 
     def matches(self, spec: SurfaceSpec) -> bool:
         return self.g == spec.g and self.n == spec.n

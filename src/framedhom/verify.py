@@ -325,7 +325,7 @@ def suite_census(g: int | None = None, trials: int | None = None, seed: int = 0)
     return checks
 
 
-def suite_kernel_order(g: int | None = 2, trials: int | None = None, seed: int = 0) -> list[Check]:
+def suite_kernel_order(g: int | None = None, trials: int | None = None, seed: int = 0) -> list[Check]:
     """Exact mod-2 kernel orders, each computed two independent ways."""
     from . import bruteforce  # loads numpy
 
@@ -419,7 +419,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, g: int | None = None, trials: int | None = None, seed: int = 0) -> list[Check]:
+def run_suite(name: str, g: int | None = None, trials: int | None = None, seed: int = 0) -> SuiteResult:
     """Run one suite; g None means the suite's own genera, trials None its own count."""
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")

@@ -168,6 +168,8 @@ class Word(Value):
         _set(self, "letters", letters)
 
     def __add__(self, other: "Word") -> "Word":
+        if other.__class__ is not Word:
+            return NotImplemented
         if self.spec != other.spec:
             raise SpecMismatch("concatenating words over different surfaces")
         return Word(self.spec, self.letters + other.letters)

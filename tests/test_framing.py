@@ -20,7 +20,7 @@ from framedhom.lattice import (
     PunctVec,
     RelVec,
     SurfaceSpec,
-    project_punct,
+    sympl,
     x_curve,
     y_curve,
 )
@@ -132,7 +132,7 @@ def test_winding_parity_is_johnsons_rule_on_punctured_classes():
     for f, c in cases:
         want = _johnson_parity(f, c.coords)
         assert winding_parity(f, c) == want, (f, c)
-        v = project_punct(c)
+        v = AbsVec(f.spec, c.coords[: f.spec.abs_rank])
         assert winding_parity(f, v) == _johnson_parity(f, v.coords), (f, v)
         for w in range(-2, 3):
             if (w - want) % 2:
@@ -172,10 +172,8 @@ def test_winding_parity_quadratic_refinement(winds, cu, cw):
     f = Framing(spec, tuple(winds[:2]), tuple(winds[2:]))
     u = AbsVec(spec, tuple(cu))
     w = AbsVec(spec, tuple(cw))
-    from framedhom.lattice import symplectic_pairing
-
     lhs = winding_parity(f, u + w)
-    rhs = (winding_parity(f, u) + winding_parity(f, w) + 1 + symplectic_pairing(u, w)) % 2
+    rhs = (winding_parity(f, u) + winding_parity(f, w) + 1 + sympl(u.coords, w.coords)) % 2
     assert lhs == rhs
 
 
@@ -186,20 +184,19 @@ def test_even_regime_parity_matches_spin_form():
     for c in range(16):
         coords = tuple((c >> i) & 1 for i in range(4))
         v = AbsVec(spec, coords)
-        assert (winding_parity(f, v) + 1) % 2 == q.evaluate(v)
+        assert (winding_parity(f, v) + 1) % 2 == mod2.quad(q.packed, c, 4)
 
 
 def test_qform_evaluate_at_genus_three():
-    # q(sum c_j b_j) = sum c_j q(b_j) + sum_h c_{x_h} c_{y_h}; at g = 2, 2 + g == 2g,
-    # so only g >= 3 tells the rank 2g from 2 + g
+    # q(sum c_j b_j) = sum c_j q(b_j) + sum_h c_{x_h} c_{y_h}, by mod2.quad on
+    # the form's packed basis values; at g = 2, 2 + g == 2g, so only g >= 3
+    # tells the rank 2g from 2 + g
     q = QForm((1, 0, 1), (0, 0, 1))
     for c in range(64):
         coords = tuple((c >> j) & 1 for j in range(6))
-        linear = sum(b * x for b, x in zip(q.basis_bits(), coords))
+        linear = sum(b * x for b, x in zip(q.bits, coords))
         pairs = sum(coords[2 * h] * coords[2 * h + 1] for h in range(3))
-        assert q.evaluate(coords) == (linear + pairs) % 2, coords
-    with pytest.raises(DimensionMismatch):
-        q.evaluate((1, 0, 0, 0, 0))
+        assert mod2.quad(q.packed, c, 6) == (linear + pairs) % 2, coords
 
 
 def test_qvector_shape():

@@ -15,7 +15,7 @@ SPEC2 = SurfaceSpec(2, (2,))
 
 def test_kernel_test_examples():
     f = Framing(SPEC11, (0, 0), (0, 0), (-1,))
-    assert kernel_test(PAutElem.identity(2, 2), f)
+    assert kernel_test(PAutElem(2, 2, identity_mat(4), zero_mat(4, 1)), f)
     m = ((1,), (0,), (0,), (0,))
     assert not kernel_test(PAutElem(2, 2, identity_mat(4), m), f)
     f2 = Framing(SPEC2, (0, 0), (0, 0))
@@ -47,7 +47,7 @@ def test_odd_regime_surjectivity_products():
     # products of lifts realize transvection words over the kernel
     rng = random.Random(7)
     f = Framing(SPEC11, (1, 2), (0, 1), (-3,))
-    prod = PAutElem.identity(2, 2)
+    prod = PAutElem(2, 2, identity_mat(4), zero_mat(4, 1))
     for _ in range(6):
         v = random_primitive_abs(rng, SPEC11)
         prod = compose(prod, lift_transvection(v, f))

@@ -29,7 +29,7 @@ from framedhom.lattice import (
     x_curve,
 )
 from framedhom.moves import ConnectSum, match_framings
-from framedhom.paut import PAutElem, factor_sp, identity_mat, is_symplectic, mat_mul, pullback_h1
+from framedhom.paut import PAutElem, factor_sp, identity_mat, is_symplectic, mat_mul, pullback_h1, zero_mat
 from framedhom.verify import theta_by_factorization
 from framedhom.words import Word, act_framing, act_rel, delta_word, track_curve
 
@@ -46,10 +46,12 @@ REFUSALS = {
     "act_framing-surface": (lambda: act_framing(W2, F11), SpecMismatch, "word and framing"),
     "delta_word-surface": (lambda: delta_word(W2, F11), SpecMismatch, "word and framing"),
     "Word-add-surface": (lambda: W2 + Word(S11, ()), SpecMismatch, "concatenating words over different"),
+    "Word-add-int": (lambda: W2 + 3, TypeError, "unsupported operand type(s) for +: 'Word' and 'int'"),
     "delta_winding-range": (lambda: S2.delta_winding(2), InvalidSurface, "marked point index 2 out of range 1..1"),
     "add-across-lattices": (
         lambda: x_curve(S2, 1) + as_rel(x_curve(S2, 1)), SpecMismatch, "cannot add RelVec to AbsVec",
     ),
+    "vector-add-int": (lambda: x_curve(S2, 1) + 3, TypeError, "unsupported operand type(s) for +: 'AbsVec' and 'int'"),
     "arc_class-range": (lambda: arc_class(S2, 2), DimensionMismatch, "arc index 2 out of range 2..1"),
     "sympl-lengths": (lambda: sympl((1, 0), (1, 0, 0, 0)), DimensionMismatch, "different lengths"),
     "rel_punct_pairing-surface": (
@@ -57,6 +59,15 @@ REFUSALS = {
     ),
     "CohomClass-add-genus": (
         lambda: CohomClass.from_packed(2, 0) + CohomClass.from_packed(3, 0), DimensionMismatch, "different genus",
+    ),
+    # a functional plus a quadratic form is no class
+    "CohomClass-add-QForm": (
+        lambda: CohomClass((0, 1, 0, 0)) + QForm((1, 0), (0, 0)),
+        TypeError,
+        "unsupported operand type(s) for +: 'CohomClass' and 'QForm'",
+    ),
+    "CohomClass-add-int": (
+        lambda: CohomClass((0, 1, 0, 0)) + 3, TypeError, "unsupported operand type(s) for +: 'CohomClass' and 'int'",
     ),
     "Framing-windings": (lambda: Framing(S2, (0,), (0, 0)), DimensionMismatch, "need 2 x- and y-windings"),
     "QForm-lengths": (lambda: QForm((0, 1), (0,)), DimensionMismatch, "qx and qy must have length g"),
@@ -85,7 +96,9 @@ REFUSALS = {
     ),
     "mod2.is_symplectic-columns": (lambda: mod2.is_symplectic([1, 2, 4], 4), False, None),
     "theta_by_factorization-surface": (
-        lambda: theta_by_factorization(PAutElem.identity(2, 1), F11), SpecMismatch, "automorphism is for g=2, n=1",
+        lambda: theta_by_factorization(PAutElem(2, 1, identity_mat(4), zero_mat(4, 0)), F11),
+        SpecMismatch,
+        "automorphism is for g=2, n=1",
     ),
 }
 
