@@ -414,7 +414,7 @@ def cmd_stratum(args) -> int:
 
 def cmd_verify(args) -> int:
     from .kernel import MOD2_MAX_G
-    from .verify import SUITES, run_suite
+    from .verify import SUITES, run_suite, suite_options
 
     names = list(SUITES) if args.suite == "all" else [args.suite]
     g = None if args.g is None else _capped(_ascii_int(args.g, f"--g {args.g!r}"), "g")
@@ -423,14 +423,22 @@ def cmd_verify(args) -> int:
     trials = None if args.trials is None else _trials(_ascii_int(args.trials, f"--trials {args.trials!r}"))
     if g is not None and trials is not None:
         _capped(trials * g * g, "--trials * --g^2", MAX_VERIFY_WORK)
-    seed = _ascii_int(args.seed, f"--seed {args.seed!r}")
+    seed = None if args.seed is None else _ascii_int(args.seed, f"--seed {args.seed!r}")
     if args.suite != "all" and args.suite not in SUITES:
         raise UnknownSuite(f"unknown suite {args.suite!r}; choose from {', '.join([*SUITES, 'all'])}")
-    # under `all` a --g beyond the census leaves census at its own genus; alone it exits 2
-    census_g = None if args.suite == "all" and g is not None and g > MOD2_MAX_G else g
-    results = [
-        run_suite(n, g=census_g if n == "census" else g, trials=trials, seed=seed) for n in names
-    ]
+    given = {option: value for option, value in (("g", g), ("trials", trials), ("seed", seed)) if value is not None}
+    results = []
+    for name in names:
+        # alone, a suite refuses an option it does not read (exit 2); under
+        # `all` each suite gets only the options it reads, and a --g beyond
+        # the census leaves census at its own genus
+        reads = suite_options(name)
+        options = given if args.suite != "all" else {k: v for k, v in given.items() if k in reads}
+        if args.suite == "all" and name == "census" and g is not None and g > MOD2_MAX_G:
+            del options["g"]
+        if "seed" in reads:
+            options = {"seed": 0, **options}
+        results.append(run_suite(name, **options))
     if args.json:
         _emit(
             {
@@ -486,7 +494,7 @@ _COMMANDS = {
     "verify": (cmd_verify, "run a named verification suite",
                (("--g", False, None, None),
                 ("--trials", False, None, f"1 to {MAX_TRIALS}"),
-                ("--seed", False, "0", None)),
+                ("--seed", False, None, None)),
                (("suite", "a suite name, or 'all' for every suite"),)),
 }
 

@@ -75,3 +75,7 @@ class FileFormatError(FramedHomError):
 
 class UnknownSuite(FramedHomError):
     """A verification suite name that is not registered."""
+
+
+class UnreadOption(FramedHomError):
+    """An option given to a verification suite that does not read it, e.g. verify kernel-order --g 3."""

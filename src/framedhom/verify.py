@@ -11,7 +11,9 @@ and a property of the drawn inputs.  A Draw draws each trial's framing, then
 the rest of the trial's inputs, from the suite's seeded stream or from one
 of its own.  Calling a Suite is the one driver of these rows, for `verify`
 and for the tests alike.  `census` and `kernel-order` run fixed cases
-instead.
+instead.  A suite reads the options among g, trials and seed that its entry
+in SUITES takes as parameters: a Suite all three, census g and seed, and
+kernel-order none.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from random import Random
 from typing import Any, Callable
 
 from . import mod2
-from .errors import InvalidCount, InvalidSurface, NoLiftExists, SpecMismatch, UnknownSuite
+from .errors import InvalidCount, InvalidSurface, NoLiftExists, SpecMismatch, UnknownSuite, UnreadOption
 from .framing import Framing, arf, spin_form, winding_parity
 from .kernel import check_mod2_genus, kernel_test, lift_transvection, q_hat, theta, v_kappa_star
 from .lattice import AbsVec, CohomClass, RelVec, SurfaceSpec, abs_basis, as_rel, sympl, x_curve, y_curve
@@ -270,7 +272,7 @@ _STABILIZING_WORD = Draw(lambda rng, f: (random_parity_zero_word(rng, f, rng.ran
 _MOVE_WALK = Draw(_move_walk, genera=(2, 3, 4), ns=(1, 2, 3, 4))
 
 
-def suite_census(g: int | None = None, trials: int | None = None, seed: int = 0) -> list[Check]:
+def suite_census(g: int | None = None, seed: int = 0) -> list[Check]:
     """Group order, quadratic form counts, stabilizers, crossed identity."""
     g = 2 if g is None else g
     check_mod2_genus(g, "census")  # before numpy loads
@@ -325,7 +327,7 @@ def suite_census(g: int | None = None, trials: int | None = None, seed: int = 0)
     return checks
 
 
-def suite_kernel_order(g: int | None = None, trials: int | None = None, seed: int = 0) -> list[Check]:
+def suite_kernel_order() -> list[Check]:
     """Exact mod-2 kernel orders, each computed two independent ways."""
     from . import bruteforce  # loads numpy
 
@@ -419,14 +421,30 @@ SUITES = {
 }
 
 
-def run_suite(name: str, g: int | None = None, trials: int | None = None, seed: int = 0) -> SuiteResult:
-    """Run one suite; g None means the suite's own genera, trials None its own count."""
+def suite_options(name: str) -> tuple[str, ...]:
+    """The options suite `name` reads: the parameters of its entry in SUITES."""
+    entry = SUITES[name]
+    code = (type(entry).__call__ if isinstance(entry, Suite) else entry).__code__
+    return tuple(p for p in code.co_varnames[: code.co_argcount] if p != "self")
+
+
+def run_suite(name: str, g: int | None = None, trials: int | None = None, seed: int | None = None) -> SuiteResult:
+    """Run one suite with the options given, each of which it must read.
+
+    An option left at None is not given: the suite runs its own genera, its
+    own trial count or seed 0.
+    """
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     if g is not None and g < 2:
         raise InvalidSurface(f"genus must be >= 2, got {g}")
     if trials is not None and trials < 1:
         raise InvalidCount(f"trials = {trials} must be at least 1")
+    given = {option: value for option, value in (("g", g), ("trials", trials), ("seed", seed)) if value is not None}
+    unread = [f"--{option}" for option in given if option not in suite_options(name)]
+    if unread:
+        reads = ", ".join(f"--{option}" for option in suite_options(name)) or "no option"
+        raise UnreadOption(f"suite {name} does not read {', '.join(unread)} (it reads {reads})")
     start = time.perf_counter()
-    checks = SUITES[name](g=g, trials=trials, seed=seed)
+    checks = SUITES[name](**given)
     return SuiteResult(name, checks, time.perf_counter() - start)

@@ -9,27 +9,18 @@ from framedhom import mod2
 from framedhom.errors import TooLarge
 from framedhom.framing import Framing
 from framedhom.kernel import structure_report, theta
-from framedhom.lattice import SurfaceSpec, sympl
-from framedhom.paut import PAutElem, mat_mul, zero_mat
+from framedhom.lattice import SurfaceSpec
+from framedhom.paut import PAutElem, zero_mat
 from framedhom.sampling import random_framing, random_paut, random_spec
 from framedhom.value import _set
 
-
-def _transvection_key(v, w):
-    """Key of T_v mod 2: column j is b_j + <b_j, v> v."""
-    return sum(((1 << j) ^ (v if (mod2.dual(v, w) >> j) & 1 else 0)) << (j * w) for j in range(w))
-
-
-def _matrix(group, i):
-    """Element i of group as a 0/1 matrix, read off its packed columns."""
-    cols = bf.key_columns(int(group.keys[i]), group.w)
-    return tuple(tuple((c >> r) & 1 for c in cols) for r in range(group.w))
+import reference
 
 
 def test_group_order_and_identity():
     group = bf.enumerate_sp2(2)
     assert len(group) == 720 == bf.sp2_order(2)
-    ident = _matrix(group, group.find(bf._identity_key(4)))
+    ident = reference.matrix(int(group.keys[group.find(bf._identity_key(4))]), 4)
     assert ident == tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
     with pytest.raises(TooLarge):
         bf.enumerate_sp2(4)
@@ -48,7 +39,7 @@ def test_group_closed_under_sampled_products():
     rng = random.Random(0)
     for _ in range(300):
         key = int(group.keys[rng.randrange(len(group))])
-        prod = group.mul(key, _transvection_key(rng.choice(group.gens), group.w))
+        prod = group.mul(key, reference.transvection_key(rng.choice(group.gens), group.w))
         assert group.keys[group.find(prod)] == prod
 
 
@@ -56,9 +47,8 @@ def test_mul_is_the_matrix_product():
     group = bf.enumerate_sp2(2)
     rng = random.Random(6)
     for _ in range(100):
-        a, b = rng.randrange(len(group)), rng.randrange(len(group))
-        expected = bf.matrix_to_key(mat_mul(_matrix(group, a), _matrix(group, b)))
-        assert group.mul(int(group.keys[a]), int(group.keys[b])) == expected
+        a, b = (int(group.keys[rng.randrange(len(group))]) for _ in range(2))
+        assert group.mul(a, b) == reference.key(reference.mat_mul(reference.matrix(a, 4), reference.matrix(b, 4)))
 
 
 def test_group_closed_under_inverse():
@@ -67,42 +57,15 @@ def test_group_closed_under_inverse():
     group = bf.enumerate_sp2(2)
     rng = random.Random(4)
     for _ in range(100):
-        mat = _matrix(group, rng.randrange(len(group)))
+        mat = reference.matrix(int(group.keys[rng.randrange(len(group))]), 4)
         inv = bf.matrix_to_key(sp_inverse(mat, 2))
         assert group.keys[group.find(inv)] == inv
 
 
-def _closure_by_ints(gens, g):
-    """BFS closure of the T_v, v in gens, in packed ints, no numpy: keys, parent, gen_of, level starts.
-
-    Each level takes the generators in list order and, for each, the
-    level's elements in order; a product not met before is new, and its
-    parent and generator index make a tree that reaches every key from the
-    identity.
-    """
-    w = 2 * g
-    ident = sum(1 << (j * w + j) for j in range(w))
-    keys, parent, gen_of, levels = [ident], [-1], [-1], [0]
-    index = {ident: 0}
-    while levels[-1] < len(keys):
-        start, end = levels[-1], len(keys)
-        for gi, v in enumerate(gens):
-            spread = bf._spread(mod2.dual(v, w), w)
-            for i in range(start, end):
-                prod = keys[i] ^ mod2.apply(bf.key_columns(keys[i], w), v) * spread
-                if prod not in index:
-                    index[prod] = len(keys)
-                    keys.append(prod)
-                    parent.append(i)
-                    gen_of.append(gi)
-        levels.append(end)
-    return keys, parent, gen_of, levels
-
-
 def test_closure_matches_pure_int_bfs():
     group = bf.enumerate_sp2(2)
-    keys, _, _, _ = _closure_by_ints(range(1, 16), 2)  # all 15 transvections
-    assert len(keys) == len(set(keys)) == 720
+    keys = list(reference.closure(tuple(range(1, 16)), 4))  # all 15 transvections
+    assert len(keys) == 720
     # the same key set, sorted
     assert group.keys.dtype == np.uint64 and group.keys.tolist() == sorted(keys)
     assert not group.keys.flags.writeable
@@ -113,10 +76,10 @@ def test_humphries_classes_close_the_same_group():
     group = bf.enumerate_sp2(2)
     # x1, y1, x1+x2, y2, x2
     assert group.gens == bf.humphries(2) == [0b0001, 0b0010, 0b0101, 0b1000, 0b0100]
-    # 16 levels in the pure-int BFS over Humphries's generators, the same key set
-    keys, _, _, levels = _closure_by_ints(group.gens, 2)
-    assert len(levels) == 17
-    assert group.keys.tolist() == sorted(keys)
+    # words of up to 15 letters in the breadth-first closure over Humphries's generators, the same key set
+    words = reference.closure(tuple(group.gens), 4)
+    assert max(map(len, words.values())) == 15
+    assert group.keys.tolist() == sorted(words)
     assert bf.enumerate_sp2(3).gens == bf.humphries(3)
     assert bf.humphries(3) == [0b000001, 0b000010, 0b000101, 0b001000, 0b010100, 0b100000, 0b000100]
 
@@ -171,8 +134,8 @@ def test_find_keeps_the_query_shape():
     keys = group.keys
     ident = group.find(bf._identity_key(4))
     # a block of products A B, one row per A
-    rows = [[bf.matrix_to_key(mat_mul(_matrix(group, a), _matrix(group, b))) for b in range(0, 720, 9)]
-            for a in (ident, 3, 500)]
+    mats = [reference.matrix(key, 4) for key in keys.tolist()]
+    rows = [[reference.key(reference.mat_mul(mats[a], mats[b])) for b in range(0, 720, 9)] for a in (ident, 3, 500)]
     found = group.find(rows)
     assert found.shape == (3, 80)
     assert (keys[found] == np.array(rows, dtype=np.uint64)).all()
@@ -222,7 +185,7 @@ def test_columns_unpacked_once_per_group(monkeypatch):
 def test_packed_matrix_roundtrip():
     group = bf.enumerate_sp2(2)
     for i in (0, 1, 100, 719):
-        assert group.find(bf.matrix_to_key(_matrix(group, i))) == i
+        assert group.find(bf.matrix_to_key(reference.matrix(int(group.keys[i]), group.w))) == i
 
 
 def test_census_counts():
@@ -234,26 +197,11 @@ def test_census_counts():
     assert c3.stabilizer_orders == {0: 1451520 // 36, 1: 1451520 // 28}
 
 
-def _form_orbit_by_quad(bits, w):
-    """Orbit of a form by BFS, b(v) evaluated by mod2.quad for every move."""
-    seen, frontier = {bits}, [bits]
-    while frontier:
-        nxt = []
-        for b in frontier:
-            for v in range(1, 1 << w):
-                b2 = b ^ mod2.dual(v, w)
-                if mod2.quad(b, v, w) == 0 and b2 not in seen:
-                    seen.add(b2)
-                    nxt.append(b2)
-        frontier = nxt
-    return seen
-
-
 def test_form_orbit_matches_bfs_by_quad():
     # Humphries's 2g+1 moves against all 2^(2g) - 1 transvections
     for w in (4, 6):
         for bits in range(1 << w):
-            assert bf._form_orbit(bits, w, bf.humphries(w // 2)) == _form_orbit_by_quad(bits, w)
+            assert bf._form_orbit(bits, w, bf.humphries(w // 2)) == reference.form_orbit(bits, w)
 
 
 def test_census_stabilizers_against_direct_count():
@@ -262,33 +210,19 @@ def test_census_stabilizers_against_direct_count():
     w = 4
     for bits, a, stab in bf.qform_census(2).per_form:
         direct = 0
+        q = reference.bits(bits, w)
         for key in group.keys.tolist():
-            cols = bf.key_columns(key, w)
-            same = all(
-                mod2.quad(bits, cols[j], w) == mod2.quad(bits, 1 << j, w)
-                for j in range(w)
-            )
-            direct += same
+            cols = zip(*reference.matrix(key, w))
+            direct += all(reference.quad(q, col) == q[j] for j, col in enumerate(cols))
         assert direct == stab
-
-
-def _quad_by_definition(qbits, coords):
-    """q(sum c_j b_j) = sum c_j q(b_j) + sum_{i<j} c_i c_j <b_i, b_j>, pairing via sympl."""
-    w = len(coords)
-    units = [tuple(int(i == j) for i in range(w)) for j in range(w)]
-    total = sum(c * q for c, q in zip(coords, qbits))
-    for i in range(w):
-        for j in range(i + 1, w):
-            total += coords[i] * coords[j] * sympl(units[i], units[j])
-    return total % 2
 
 
 def test_quad_packed_matches_defining_formula():
     for w in (4, 6):
         for q in range(1 << w):
-            qbits = mod2.unpack(q, w)
+            qbits = reference.bits(q, w)
             for v in range(1 << w):
-                assert mod2.quad(q, v, w) == _quad_by_definition(qbits, mod2.unpack(v, w))
+                assert mod2.quad(q, v, w) == reference.quad(qbits, reference.bits(v, w))
 
 
 def test_qhat_matches_quad():
@@ -308,8 +242,8 @@ def test_arf_matches_zero_count():
         w = 2 * g
         even_zeros = 2 ** (g - 1) * (2**g + 1)
         for q in range(1 << w):
-            qbits = mod2.unpack(q, w)
-            zeros = sum(_quad_by_definition(qbits, mod2.unpack(v, w)) == 0 for v in range(1 << w))
+            qbits = reference.bits(q, w)
+            zeros = sum(reference.quad(qbits, reference.bits(v, w)) == 0 for v in range(1 << w))
             assert zeros in (even_zeros, 2 ** (g - 1) * (2**g - 1))
             assert mod2.arf(q, w) == (zeros != even_zeros)
 
@@ -388,7 +322,7 @@ def test_qhat_certificate_and_all_pairs_catch_every_flip(monkeypatch):
     rng = random.Random(29)
     # the identity, a transvection, then 18 random elements
     ident = group.find(bf._identity_key(group.w))
-    transvection = group.find(_transvection_key(group.gens[0], group.w))
+    transvection = group.find(reference.transvection_key(group.gens[0], group.w))
     targets = [ident, transvection] + [rng.randrange(len(group)) for _ in range(18)]
     true_qhat = mod2.qhat
     for idx in targets:
@@ -473,31 +407,18 @@ def test_theta_edges_consistent():
         assert bf.check_theta_edges(group, f)
 
 
-def _theta_by_tree(closure, gens, f):
-    """theta on every key of a _closure_by_ints tree over gens, by key, one letter at a time.
-
-    The cocycle rule theta(S T_v) = T_v^* theta(S) + P(v) <., v> along the
-    tree, from value 0 at the identity.
-    """
-    keys, parent, gen_of, _ = closure
-    w, qphi = 2 * f.spec.g, f.qphi
-    thetas = [0] * len(keys)
-    for idx in range(1, len(keys)):
-        v = gens[gen_of[idx]]
-        th = mod2.pull_transvection(thetas[parent[idx]], v, w)
-        thetas[idx] = th if mod2.quad(qphi, v, w) else th ^ mod2.dual(v, w)
-    return dict(zip(keys, thetas))
-
-
 @pytest.mark.parametrize("kappa", [(2,), (2, 0), (1, 1), (2, 0, 0), (1, 2, -1)])
 def test_theta_table_matches_per_element_recurrence(kappa):
     group = bf.enumerate_sp2(2)
-    closure = _closure_by_ints(group.gens, 2)
+    # theta of each key by the crossed rule, folded along its word from the identity
+    words = reference.closure(tuple(group.gens), 4)
     rng = random.Random(sum(kappa) * 31 + len(kappa))
     for _ in range(4):
         f = random_framing(rng, SurfaceSpec(2, kappa))
         table = bf.theta_table(group, f).tolist()
-        assert dict(zip(group.keys.tolist(), table)) == _theta_by_tree(closure, group.gens, f)
+        assert dict(zip(group.keys.tolist(), table)) == {
+            key: reference.packed(reference.theta(word, f)) for key, word in words.items()
+        }
 
 
 def _flip_theta_at(monkeypatch, idx, bit, qphi=None):

@@ -294,6 +294,17 @@ def test_verify_work_budget_admits_its_bound(capsys, monkeypatch):
     assert ran == [{"g": 8, "trials": 1000, "seed": 0}]
 
 
+def test_verify_all_passes_each_suite_the_options_it_reads(capsys, monkeypatch):
+    ran = {}
+    monkeypatch.setattr(verify, "run_suite", lambda name, **kw: ran.update({name: kw}) or verify.SuiteResult(name, [], 0))
+    assert run_cli(capsys, "verify", "all", "--seed", "1", "--trials", "50", "--g", "3")[0] == 0
+    every = {"g": 3, "trials": 50, "seed": 1}
+    assert ran == {name: every for name in verify.SUITES} | {"census": {"g": 3, "seed": 1}, "kernel-order": {}}
+    # with no option given, each suite that reads the seed gets seed 0
+    assert run_cli(capsys, "verify", "all")[0] == 0
+    assert ran == {name: {"seed": 0} for name in verify.SUITES} | {"kernel-order": {}}
+
+
 def test_oversized_output_exit2(capsys, tmp_path, f2):
     # outputs holding an integer longer than the interpreter prints: the
     # factorization of a g=10 matrix with 19-digit entries, and a word whose
@@ -386,10 +397,10 @@ def test_stratum_leaves_numpy_and_bruteforce_unloaded():
 
 def test_verify_loads_numpy_only_for_the_exhaustive_suites():
     # numpy comes with framedhom.bruteforce, which only the census and kernel-order suites import
-    probe = "import framedhom.cli as c; assert c.main(['verify', {!r}, '--trials', '1']) == 0"
+    probe = "import framedhom.cli as c; assert c.main({!r}) == 0"
     watched = ["numpy", "framedhom.bruteforce"]
-    assert _loaded_after(probe.format("cocycle"), watched) == []
-    assert _loaded_after(probe.format("census"), watched) == watched
+    assert _loaded_after(probe.format(["verify", "cocycle", "--trials", "1"]), watched) == []
+    assert _loaded_after(probe.format(["verify", "census"]), watched) == watched
     # a census genus the engine does not serve is refused before numpy loads
     refused = "import framedhom.cli as c; assert c.main(['verify', 'census', '--g', '4']) == 2"
     assert _loaded_after(refused, watched) == []

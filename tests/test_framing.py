@@ -20,12 +20,13 @@ from framedhom.lattice import (
     PunctVec,
     RelVec,
     SurfaceSpec,
-    sympl,
     x_curve,
     y_curve,
 )
 from framedhom.sampling import random_framing, random_primitive_punct, random_spec
 from framedhom.words import Twist, check_twist_winding
+
+import reference
 
 
 def test_framing_validation():
@@ -109,16 +110,6 @@ def test_winding_parity_examples():
     assert winding_parity(f, x1 + y1) == 0  # crossing rule: P(x1) + P(y1)
 
 
-def _johnson_parity(f, coords):
-    """Johnson's rule in plain integers: sum_h (a_h (wx_h + 1) + b_h (wy_h + 1) + a_h b_h)
-    + sum_j m_j kappa_j + 1 mod 2, for the class sum_h (a_h x_h + b_h y_h) + sum_j m_j d_j."""
-    g = f.spec.g
-    handles = zip(coords[0 : 2 * g : 2], coords[1 : 2 * g : 2], f.wind_x, f.wind_y)
-    total = sum(a * (wx + 1) + b * (wy + 1) + a * b for a, b, wx, wy in handles)
-    total += sum(m * k for m, k in zip(coords[2 * g :], f.spec.kappa[1:]))
-    return (total + 1) % 2
-
-
 def test_winding_parity_is_johnsons_rule_on_punctured_classes():
     spec = SurfaceSpec(2, (1, 1))
     x1_d2 = PunctVec(spec, (1, 0, 0, 0, 1))
@@ -130,10 +121,10 @@ def test_winding_parity_is_johnsons_rule_on_punctured_classes():
         cases.append((f, random_primitive_punct(rng, spec)))
     assert winding_parity(*cases[0]) == 1
     for f, c in cases:
-        want = _johnson_parity(f, c.coords)
+        want = reference.winding_parity(f, c.coords)
         assert winding_parity(f, c) == want, (f, c)
         v = AbsVec(f.spec, c.coords[: f.spec.abs_rank])
-        assert winding_parity(f, v) == _johnson_parity(f, v.coords), (f, v)
+        assert winding_parity(f, v) == reference.winding_parity(f, v.coords), (f, v)
         for w in range(-2, 3):
             if (w - want) % 2:
                 with pytest.raises(WindingParityMismatch):
@@ -173,7 +164,7 @@ def test_winding_parity_quadratic_refinement(winds, cu, cw):
     u = AbsVec(spec, tuple(cu))
     w = AbsVec(spec, tuple(cw))
     lhs = winding_parity(f, u + w)
-    rhs = (winding_parity(f, u) + winding_parity(f, w) + 1 + sympl(u.coords, w.coords)) % 2
+    rhs = (winding_parity(f, u) + winding_parity(f, w) + 1 + reference.pairing(u.coords, w.coords)) % 2
     assert lhs == rhs
 
 
@@ -188,15 +179,11 @@ def test_even_regime_parity_matches_spin_form():
 
 
 def test_qform_evaluate_at_genus_three():
-    # q(sum c_j b_j) = sum c_j q(b_j) + sum_h c_{x_h} c_{y_h}, by mod2.quad on
-    # the form's packed basis values; at g = 2, 2 + g == 2g, so only g >= 3
-    # tells the rank 2g from 2 + g
+    # mod2.quad on the form's packed basis values against the reference; at
+    # g = 2, 2 + g == 2g, so only g >= 3 tells the rank 2g from 2 + g
     q = QForm((1, 0, 1), (0, 0, 1))
     for c in range(64):
-        coords = tuple((c >> j) & 1 for j in range(6))
-        linear = sum(b * x for b, x in zip(q.bits, coords))
-        pairs = sum(coords[2 * h] * coords[2 * h + 1] for h in range(3))
-        assert mod2.quad(q.packed, c, 6) == (linear + pairs) % 2, coords
+        assert mod2.quad(q.packed, c, 6) == reference.quad(q.bits, reference.bits(c, 6)), c
 
 
 def test_qvector_shape():

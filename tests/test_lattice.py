@@ -21,6 +21,8 @@ from framedhom.lattice import (
     y_curve,
 )
 
+import reference
+
 SPEC = SurfaceSpec(2, (1, 1))
 SPEC1 = SurfaceSpec(2, (2,))
 
@@ -97,27 +99,6 @@ def test_pairing_restriction_agrees():
             assert rel_punct_pairing(as_rel(u), as_punct(v)) == sympl(u.coords, v.coords)
 
 
-def _det_bareiss(rows):
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
-
 @pytest.mark.parametrize("spec", [SPEC1, SPEC, SurfaceSpec(3, (1, 1, 2))])
 def test_pairing_matrix_unimodular(spec):
     # Gram matrix of rel_punct_pairing itself on the relative and punctured basis vectors
@@ -126,8 +107,10 @@ def test_pairing_matrix_unimodular(spec):
     gram = [
         [rel_punct_pairing(RelVec(spec, u), PunctVec(spec, v)) for v in units] for u in units
     ]
-    det = _det_bareiss(gram)
-    assert det in (1, -1)
+    assert reference.det(gram) in (1, -1)
+    # on the symplectic block, the reference pairing
+    k = spec.abs_rank
+    assert tuple(tuple(row[:k]) for row in gram[:k]) == reference.gram(k)
 
 
 @pytest.mark.parametrize("build", [x_curve, y_curve, point_loop], ids=lambda b: b.__name__)

@@ -1,7 +1,9 @@
-"""The public namespace of the package: its names, and their import on first use."""
+"""The public namespace of the package: its names, their import on first use, and who may import them."""
 
+import ast
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 import types
@@ -162,3 +164,40 @@ def test_every_function_is_entered_or_has_a_reason():
     unreached = set(json.loads(proc.stdout))
     assert unreached - UNREACHED.keys() == set(), "entered by no command and no suite: give a caller or a reason"
     assert UNREACHED.keys() - unreached == set(), "entered now: drop from UNREACHED"
+
+
+# The oracles (the tests' reference formulas, the benchmark's answer checks)
+# reach neither the package nor numpy: no import, relative ones included, and no
+# name, attribute or string outside a bare string statement (a docstring) naming either.
+ORACLES = [Path(__file__).parent / "reference.py", Path(__file__).parents[1] / "bench" / "checks.py"]
+
+
+def _reaching(source: str) -> list[str]:
+    tree = ast.parse(source)
+    bare = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append("." * node.level + (node.module or ""))
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            found.append(getattr(node, "id", None) or node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in bare:
+            found.append(node.value)
+    return [name for name in found if name.startswith(".") or re.search(r"\b(framedhom|numpy)\b", name)]
+
+
+@pytest.mark.parametrize("path", ORACLES, ids=lambda path: path.name)
+def test_oracles_reach_neither_the_package_nor_numpy(path):
+    assert _reaching(path.read_text()) == []
+
+
+@pytest.mark.parametrize("line", [
+    "from framedhom import mod2", "import framedhom.lattice", "from framedhom.lattice import sympl",
+    "import numpy as np", "from numpy import zeros", "from . import mod2",
+    "importlib.import_module('framedhom.lattice').sympl", "__import__('numpy')", "sys.modules['framedhom.mod2']",
+    "def f():\n    import framedhom\n    return framedhom.lattice.sympl",
+])
+def test_oracle_guard_sees_each_form(line):
+    assert _reaching(ORACLES[0].read_text() + "\n" + line + "\n")

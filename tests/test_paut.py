@@ -6,7 +6,7 @@ import pytest
 
 from framedhom import mod2, paut
 from framedhom.errors import NotSymplectic, SpecMismatch
-from framedhom.lattice import AbsVec, CohomClass, SurfaceSpec, sympl, x_curve, y_curve
+from framedhom.lattice import AbsVec, CohomClass, SurfaceSpec, x_curve, y_curve
 from framedhom.paut import (
     PAutElem,
     compose,
@@ -22,6 +22,8 @@ from framedhom.paut import (
     zero_mat,
 )
 from framedhom.sampling import random_paut, random_primitive_abs, random_spec, random_symplectic
+
+import reference
 
 SPEC = SurfaceSpec(2, (1, 1))
 
@@ -71,18 +73,15 @@ def test_transvection_examples():
 
 
 def test_transvection_columns_match_the_pairing_formula():
-    # column b of T_v^k is T_v^k(b) = b + k <b, v> v, with the pairing from lattice
+    # column b of T_v^k is T_v^k(b) = b + k <b, v> v: the benchmark's rank-one
+    # product I + k v (J v)^T of the one factor (v, k)
     rng = random.Random(75)
     for g in (2, 3, 4, 5):
         spec = SurfaceSpec(g, (2 * g - 2,))
         for _ in range(12):
             v = random_primitive_abs(rng, spec).coords
             k = rng.choice([-3, -2, -1, 1, 2, 3])
-            t = transvection(AbsVec(spec, v), k)
-            for j, col in enumerate(zip(*t)):
-                b = [int(i == j) for i in range(2 * g)]
-                p = k * sympl(b, v)
-                assert list(col) == [x + p * y for x, y in zip(b, v)]
+            assert transvection(AbsVec(spec, v), k) == reference.checks.factor_product([(v, k)], 2 * g)
 
 
 def test_sp_inverse():
@@ -101,23 +100,22 @@ def test_sp_inverse_is_minus_j_st_j():
         s = random_symplectic(rng, SurfaceSpec(g, (2 * g - 2,)), rng.randint(1, 8))
         if rng.random() < 0.5:
             s = tuple(tuple(v + rng.randint(-3, 3) for v in row) for row in s)
-        j = _gram(g)
-        product = mat_mul(mat_mul(j, tuple(zip(*s))), j)
+        j = reference.gram(2 * g)
+        product = reference.mat_mul(reference.mat_mul(j, tuple(zip(*s))), j)
         assert sp_inverse(s, g) == tuple(tuple(-v for v in row) for row in product)
 
 
 def test_random_symplectic_replays_transvections():
     # the seeded inputs of the tests and the benchmark: replay the same draws
-    # from a second generator and fold the full transvection matrices
+    # from a second generator and multiply them out by the benchmark's product
     for g in (2, 3, 4, 5):
         for factors in (2, 8, 20):
             for seed in range(3):
                 spec = SurfaceSpec(g, (2 * g - 2,) if seed % 2 else (1, 2 * g - 3))
                 replay = random.Random(seed)
-                s = identity_mat(2 * g)
-                for _ in range(factors):
-                    v = random_primitive_abs(replay, spec)
-                    s = mat_mul(s, transvection(v, replay.choice([-2, -1, 1, 2])))
+                drawn = [(random_primitive_abs(replay, spec).coords, replay.choice([-2, -1, 1, 2]))
+                         for _ in range(factors)]
+                s = reference.checks.factor_product(drawn, 2 * g)
                 assert random_symplectic(random.Random(seed), spec, factors) == s
 
 
@@ -165,7 +163,7 @@ def test_factor_sp_growth_bounds(g):
         # the product applied to one vector, last factor first, is S applied to it
         x = list(range(1, 2 * g + 1))
         for v, k in reversed(fac):
-            t = k * sympl(x, v)
+            t = k * reference.pairing(x, v)
             x = [a + t * b for a, b in zip(x, v)]
         assert tuple(zip(x)) == mat_mul(s, tuple(zip(range(1, 2 * g + 1))))
 
@@ -179,22 +177,8 @@ def test_factor_sp_roundtrip_random():
         nfac = 20 if trial % 10 == 0 else rng.randint(2, 8)
         s = random_symplectic(rng, spec, factors=nfac)
         fac = factor_sp(s)
-        # replay the product by rank-one updates X <- X T_v^k = X + k (X v)(J v)^T,
-        # with <x, v> = (J v) . x and J v = (v_y, -v_x) per handle; X is held by
-        # columns, so X v sums the columns where v is nonzero and only the
-        # columns where J v is nonzero change
-        cols = [list(col) for col in identity_mat(2 * g)]
-        for v, k in fac:
-            assert gcd(*v) == 1
-            jv = [c for i in range(0, 2 * g, 2) for c in (v[i + 1], -v[i])]
-            xv = [0] * (2 * g)
-            for vi, col in zip(v, cols):
-                if vi:
-                    xv = [a + vi * b for a, b in zip(xv, col)]
-            for j, c in enumerate(jv):
-                if c:
-                    cols[j] = [a + k * c * b for a, b in zip(cols[j], xv)]
-        assert tuple(zip(*cols)) == s
+        assert all(gcd(*v) == 1 for v, _ in fac)
+        assert reference.checks.factor_product(fac, 2 * g) == s
 
 
 def test_factor_sp_lists_are_pinned():
@@ -233,7 +217,7 @@ def test_factor_sp_refuses_a_non_symplectic_matrix_past_its_entry_check(monkeypa
                 for row in rows:
                     row[i] += k * row[j]
         s = freeze(rows)
-        if _symplectic_by_product(s, g):
+        if reference.is_symplectic(s):
             continue
         with pytest.raises(AssertionError, match="not symplectic"):
             factor_sp(s)
@@ -339,24 +323,13 @@ def test_factor_sp_refuses_non_symplectic_input(draw):
     for trial in range(60):
         g = 2 + trial % 4
         s = draw(rng, g)
-        if _symplectic_by_product(s, g):
+        if reference.is_symplectic(s):
             continue
         with pytest.raises(NotSymplectic) as info:
             factor_sp(s)
         assert str(info.value) == "factor_sp input must be symplectic over the integers"
         refused += 1
     assert refused > 50
-
-
-def _gram(g):
-    """Gram matrix J of the symplectic form: <x_h, y_h> = 1 = -<y_h, x_h>."""
-    m = 2 * g
-    return tuple(tuple((i ^ 1 == k) * (1 if i % 2 == 0 else -1) for k in range(m)) for i in range(m))
-
-
-def _symplectic_by_product(s, g):
-    j = _gram(g)
-    return mat_mul(mat_mul(tuple(zip(*s)), j), s) == j
 
 
 def test_is_symplectic_matches_the_product_form():
@@ -370,7 +343,7 @@ def test_is_symplectic_matches_the_product_form():
             # one entry moved by +-1
             rows = [list(row) for row in s]
             rows[rng.randrange(2 * g)][rng.randrange(2 * g)] += rng.choice([-1, 1])
-            expected = _symplectic_by_product(rows, g)
+            expected = reference.is_symplectic(rows)
             assert is_symplectic(rows, g) == expected
             seen.add(expected)
     assert seen == {True, False}
@@ -388,7 +361,7 @@ def test_pullback_examples():
     for c in range(16):
         coords = tuple((c >> i) & 1 for i in range(4))
         image = tuple(v & 1 for (v,) in mat_mul(tbar, tuple(zip(coords))))
-        assert (pulled.packed & c).bit_count() & 1 == sympl(x1, image) & 1
+        assert (pulled.packed & c).bit_count() & 1 == reference.pairing(x1, image) & 1
     assert pulled == th
 
 

@@ -17,6 +17,8 @@ from framedhom.errors import InvalidCount, UnknownSuite
 from framedhom.framing import Framing
 from framedhom.lattice import CohomClass, SurfaceSpec, x_curve
 
+import reference
+
 # every random check, by name, and the name of its suite
 RANDOM = {name: suite for name, suite in verify.SUITES.items() if isinstance(suite, verify.Suite)}
 ROWS = {row.name: row for suite in RANDOM.values() for row in suite.rows}
@@ -95,7 +97,7 @@ def test_fixed_suite_reports_a_flipped_theta_entry(monkeypatch, suite, check):
         return table
 
     monkeypatch.setattr(bruteforce, "theta_table", flipped)
-    result = verify.run_suite(suite, seed=0)
+    result = verify.run_suite(suite)
     (named,) = [c for c in result.checks if c.name == check]
     assert not named.ok and not result.ok
 
@@ -160,40 +162,17 @@ def test_run_suite_runs_one_trial():
     assert result.ok and result.checks[0].detail.startswith("1/1")
 
 
-def _without_last_level(group):
-    """group with the elements farthest from the identity in its Cayley graph dropped.
-
-    Breadth-first from the identity by products with all 2^w - 1
-    transvections T_v, each multiplied as matrices (Mod2Group.mul).  Along
-    Humphries's generators alone the farthest level is too small for 200
-    sampled products to hit.
-    """
-    ident = bruteforce._identity_key(group.w)
-    vs = tuple(range(1, 1 << group.w))
-    tvs = bruteforce._generator_table(vs, group.w)[-1].tolist()  # the keys of the T_v
-    dist = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        reached = []
-        for key in frontier:
-            for tv in tvs:
-                prod = group.mul(key, tv)
-                if prod not in dist:
-                    dist[prod] = dist[key] + 1
-                    reached.append(prod)
-        frontier = reached
-    last = max(dist.values())
-    keys = np.array(sorted(key for key, d in dist.items() if d < last), dtype=np.uint64)
-    return bruteforce.Mod2Group(group.g, keys, group.gens)
-
-
 def test_census_reports_a_group_that_is_not_closed(monkeypatch):
-    # products of two sampled elements must land in the group: one without its
-    # last level of the closure is not closed under multiplication
-    short = _without_last_level(bruteforce.enumerate_sp2(2))
+    # products of two sampled elements must land in the group: without its elements
+    # farthest from the identity along all 15 transvections it is not closed (along
+    # Humphries's generators alone that level is too small for 200 samples to hit)
+    words = reference.closure(tuple(range(1, 16)), 4)
+    last = max(map(len, words.values()))
+    keys = np.array(sorted(key for key, word in words.items() if len(word) < last), dtype=np.uint64)
+    short = bruteforce.Mod2Group(2, keys, bruteforce.humphries(2))
     assert 0 < len(short) < 720
     monkeypatch.setattr(bruteforce, "enumerate_sp2", lambda g: short)
-    result = verify.run_suite("census", trials=1, seed=0)
+    result = verify.run_suite("census", seed=0)
     (named,) = [c for c in result.checks if c.name == "closure-sample"]
     assert not named.ok and named.detail == "200 sampled products"
 

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from framedhom import mod2
 from framedhom.errors import (
     DimensionMismatch,
     NotPrimitive,
@@ -13,19 +12,16 @@ from framedhom.errors import (
 )
 from framedhom.framing import Framing, arf
 from framedhom.lattice import (
-    AbsVec,
     RelVec,
     SurfaceSpec,
     arc_class,
     as_punct,
     as_rel,
     point_loop,
-    rel_punct_pairing,
-    sympl,
     x_curve,
     y_curve,
 )
-from framedhom.paut import PAutElem, compose, identity_mat, transvection, zero_mat
+from framedhom.paut import compose, identity_mat, transvection
 from framedhom.sampling import (
     random_exotic_word,
     random_framing,
@@ -46,6 +42,8 @@ from framedhom.words import (
     track_curve,
     word_to_paut,
 )
+
+import reference
 
 SPEC = SurfaceSpec(2, (1, 1))
 SPEC1 = SurfaceSpec(2, (2,))
@@ -84,39 +82,6 @@ def test_cached_maps_stay_out_of_equality():
     assert PointPush(1, x1).rank_one == (((0, 1),), ((4, -1),), 0, ((1, 2),))
 
 
-def _dense_map(letter):
-    """(u, phi, a, omega) of the letter, u, phi and omega as full coordinate tuples.
-
-    From the definitions: a twist about c with power k and winding w has
-    u = c-bar, phi(x) = k <x, c> (the intersection form on the symplectic
-    block, <a_i, d_j> = delta_ij on arcs against loops), a = 2w and omega
-    = 0.  A push of p_i around u has phi(x) = the coefficient of p_i in
-    the boundary of x, a = 0 and omega = 2 kappa_i <u, .>.
-    """
-    spec = letter.spec
-    k, r = spec.abs_rank, spec.rel_rank
-    basis = [RelVec(spec, tuple(int(i == j) for i in range(r))) for j in range(r)]
-    if isinstance(letter, Twist):
-        u = letter.curve.coords[:k]
-        phi = tuple(letter.power * rel_punct_pairing(e, letter.curve) for e in basis)
-        return u, phi, 2 * letter.winding, (0,) * k
-    u = letter.loop.coords
-    phi = tuple(e.coords[k + letter.point - 2] if letter.point >= 2
-                else -sum(e.coords[k:]) for e in basis)
-    kappa = spec.kappa[letter.point - 1]
-    omega = tuple(2 * kappa * sympl(letter.loop.coords, e.coords[:k])
-                  for e in basis[:k])
-    return u, phi, 0, omega
-
-
-def _densify(support, rank):
-    out = [0] * rank
-    for i, v in support:
-        assert v != 0 and out[i] == 0
-        out[i] = v
-    return tuple(out)
-
-
 def test_rank_one_supports_match_the_definitions():
     rng = random.Random(83)
     seen = set()
@@ -129,24 +94,23 @@ def test_rank_one_supports_match_the_definitions():
         letters += [PointPush(p, x_curve(spec, 1)) for p in range(1, spec.n + 1)]
         for letter in letters:
             u, phi, a, omega = letter.rank_one
-            for support in (u, phi, omega):
-                assert [i for i, _ in support] == sorted({i for i, _ in support})
-            dense = _dense_map(letter)
-            assert dense == (_densify(u, k), _densify(phi, spec.rel_rank), a, _densify(omega, k))
+            du, dphi, da, domega = reference.letter_map(letter)
+            # each support lists the nonzero slots of the definition, in increasing order
+            sparse = [tuple((i, v) for i, v in enumerate(d) if v) for d in (du, dphi, domega)]
+            assert [u, phi, omega, a] == [*sparse, da]
             # mod 2 on the absolute slots: u, phi and the winding change (a phi + omega) / 2
-            du, dphi, _, domega = dense
-            value = mod2.pack((a * p + o) // 2 for p, o in zip(dphi[:k], domega))
-            assert letter.packed == (mod2.pack(du), mod2.pack(dphi[:k]), value)
+            value = reference.packed((a * p + o) // 2 for p, o in zip(dphi[:k], domega))
+            assert letter.packed == (reference.packed(du), reference.packed(dphi[:k]), value)
             # the same triple by each kind's own rule: a twist with odd power pulls
             # back along the transvection about c-bar and adds power * winding <., c>;
             # a push pulls back trivially and adds kappa_i <u, .>
-            dual = mod2.dual(mod2.pack(du), k)
+            dual = reference.packed(reference.dual(du))
             if isinstance(letter, Twist):
                 odd = (letter.power & 1, letter.power * letter.winding & 1)
             else:
                 odd = (0, spec.kappa[letter.point - 1] & 1)
             assert letter.packed[1:] == tuple(dual if b else 0 for b in odd)
-            if 0 in dense[0] + dense[1]:
+            if 0 in du + dphi:
                 seen.add("zero coefficient")
             if isinstance(letter, Twist) and not u:
                 seen.add("empty u")
@@ -194,27 +158,6 @@ def test_word_to_paut_multiplicative():
         assert lhs.S == rhs.S and lhs.M == rhs.M
 
 
-def _letter_block(letter):
-    """Block matrix of one letter, column j the image of the basis class e_j."""
-    spec = letter.spec
-    k, r = spec.abs_rank, spec.rel_rank
-    cols = []
-    for j in range(r):
-        e = tuple(int(i == j) for i in range(r))
-        if isinstance(letter, Twist):
-            c = letter.power * rel_punct_pairing(RelVec(spec, e), letter.curve)
-            u = letter.curve.coords[:k]
-        else:
-            if letter.point >= 2:
-                c = int(j == k + letter.point - 2)
-            else:
-                c = -int(j >= k)
-            u = letter.loop.coords
-        cols.append([e[i] + c * u[i] for i in range(k)])
-    rows = list(zip(*cols))
-    return PAutElem(spec.g, spec.n, [row[:k] for row in rows], [row[k:] for row in rows])
-
-
 def test_word_to_paut_matches_letter_blocks():
     rng = random.Random(31)
     for trial in range(120):
@@ -224,11 +167,9 @@ def test_word_to_paut_matches_letter_blocks():
             w = random_exotic_word(rng, spec, length)
         else:
             w = random_standard_word(rng, random_framing(rng, spec), length)
-        expect = PAutElem(spec.g, spec.n, identity_mat(spec.abs_rank), zero_mat(spec.abs_rank, spec.zero_rank))
-        for letter in w.letters:
-            expect = compose(expect, _letter_block(letter))
+        matrix, k = reference.word_matrix(w), spec.abs_rank
         got = word_to_paut(w)
-        assert got.S == expect.S and got.M == expect.M
+        assert got.S == tuple(row[:k] for row in matrix[:k]) and got.M == tuple(row[k:] for row in matrix[:k])
 
 
 def test_push_of_first_point():
@@ -263,34 +204,6 @@ def test_square_twist_fixes_q_vector():
         assert act_framing(w, f).qphi == f.qphi
 
 
-def _transport(word, x, w2, inverse):
-    """Push a relative class and its doubled winding through the word, letter by letter.
-
-    Forward: rightmost letter first.  Inverse (the action of w^{-1}): the
-    inverse letters in word order.  A twist about c with power k and
-    declared winding d maps x to x + k <x, c> c-bar and adds 2 k <x, c> d; a
-    push of p_i around u maps x to x + (coefficient of p_i in the boundary
-    of x) u and adds 2 kappa_i <u, x>.  Inverting negates k, or u.
-    """
-    spec = word.spec
-    kappa = spec.kappa
-    letters = word.letters if inverse else tuple(reversed(word.letters))
-    sign = -1 if inverse else 1
-    for letter in letters:
-        if isinstance(letter, Twist):
-            k = sign * letter.power
-            c = k * rel_punct_pairing(x, letter.curve)
-            w2 += 2 * c * letter.winding
-            x = x + c * as_rel(AbsVec(spec, letter.curve.coords[: spec.abs_rank]))
-        else:
-            u = sign * letter.loop
-            w2 += 2 * kappa[letter.point - 1] * sympl(u.coords, x.coords[: spec.abs_rank])
-            arcs = x.coords[spec.abs_rank :]
-            c = arcs[letter.point - 2] if letter.point >= 2 else -sum(arcs)
-            x = x + c * as_rel(u)
-    return x, w2
-
-
 def _push_words(rng, f, count):
     """Standard and exotic words over f's surface, each holding at least one push."""
     spec = f.spec
@@ -312,17 +225,13 @@ def test_push_winding_update_against_own_transport():
         spec = random_spec(rng, rng.choice([2, 3, 4]), rng.choice([1, 2, 3]))
         f = random_framing(rng, spec, with_arcs=False)
         for w in _push_words(rng, f, 3):
+            # the benchmark's letter-by-letter transport of the windings
             got = act_framing(w, f)
-            for i in range(1, spec.g + 1):
-                for curve, wind, new in (
-                    (x_curve(spec, i), f.wind_x[i - 1], got.wind_x[i - 1]),
-                    (y_curve(spec, i), f.wind_y[i - 1], got.wind_y[i - 1]),
-                ):
-                    _, w2 = _transport(w, as_rel(curve), 2 * wind, inverse=True)
-                    assert new == w2 // 2
+            assert (got.wind_x, got.wind_y, got.arc2) == reference.checks.transported_windings(w, f)
             start = RelVec(spec, tuple(rng.randint(-3, 3) for _ in range(spec.rel_rank)))
             w2 = 2 * rng.randint(-5, 5)
-            assert track_curve(w, start, w2) == _transport(w, start, w2, inverse=False)
+            cls, tracked = track_curve(w, start, w2)
+            assert (cls.coords, tracked) == reference.transport(w, start.coords, w2)
 
 
 def test_push_winding_hand_example():
@@ -385,22 +294,6 @@ def test_delta_matches_framing_action():
                     assert ((w2 // 2 - wind) % 2) == th.bits[curve.coords.index(1)]
 
 
-def _rewound(word, v):
-    """The word's twists declared under f redeclared under v . f, by the oracle `_transport`.
-
-    A twist letter's winding is that of its curve under the framing it acts
-    on; under v . f a curve c has winding f(v^{-1} c).
-    """
-    letters = []
-    for letter in word.letters:
-        if isinstance(letter, Twist):
-            c = as_rel(AbsVec(word.spec, letter.curve.coords[: word.spec.abs_rank]))
-            _, w2 = _transport(v, c, 2 * letter.winding, inverse=True)
-            letter = Twist(letter.curve, letter.power, w2 // 2)
-        letters.append(letter)
-    return Word(word.spec, tuple(letters))
-
-
 def _action_cases(rng, count):
     """(w1, w2, f): twist-only words if f has arc data, words with pushes if not."""
     for trial in range(count):
@@ -424,15 +317,15 @@ def test_act_framing_is_a_left_action():
     rng = random.Random(83)
     for w1, w2, f in _action_cases(rng, 120):
         f2 = act_framing(w2, f)
-        assert act_framing(w1 + w2, f) == act_framing(_rewound(w1, w2), f2)
+        assert act_framing(w1 + w2, f) == act_framing(reference.rewound(w1, w2), f2)
         assert act_framing(w2 + w2.inverse(), f) == f == act_framing(w2.inverse() + w2, f)
-        assert act_framing(_rewound(w2.inverse(), w2), f2) == f
+        assert act_framing(reference.rewound(w2.inverse(), w2), f2) == f
     # a twist keeps its declared winding: Tx1 declared under f acts on
     # Ty1 . f, where x_1 winds 0 - <x_1, y_1> 3 = -3, not as in Tx1 Ty1
     f = Framing(SPEC1, (0, 0), (3, 0))
     x1, y1 = x_curve(SPEC1, 1), y_curve(SPEC1, 1)
     tx, ty = Word(SPEC1, (tw(SPEC1, x1, 1, 0),)), Word(SPEC1, (tw(SPEC1, y1, 1, 3),))
-    assert _rewound(tx, ty) == Word(SPEC1, (tw(SPEC1, x1, 1, -3),))
+    assert reference.rewound(tx, ty) == Word(SPEC1, (tw(SPEC1, x1, 1, -3),))
     assert act_framing(tx + ty, f) != act_framing(tx, act_framing(ty, f))
 
 
